@@ -54,12 +54,10 @@ print("  " + "  ".join(f"{h:.1f}" for h in history))
 print()
 print("paired evaluation on 10 held-out seeded episodes (same seeds for both):")
 def paired_mean(res):
-    totals = []
-    for s in range(10):
-        log = distill.rollout_episode(env_tight, net, motion, 9000 + s,
-                                      residual=res, mode="aggressive")
-        totals.append(distill.episode_return(log, env_tight.episode_len, -1.0))
-    return float(np.mean(totals))
+    # the 10 episodes run as one batch; each row is the episode of its seed
+    log = distill.rollout_batch(env_tight, net, motion, [9000 + s for s in range(10)],
+                                residual=res, mode="aggressive")
+    return float(np.mean(distill.episode_return(log, env_tight.episode_len, -1.0)))
 
 base = paired_mean(None)
 ref = paired_mean(refined)

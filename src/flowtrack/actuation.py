@@ -6,7 +6,8 @@ alignment of velocity and commanded torque, derates it linearly between the
 knee speed v_x1 and the zero-torque speed v_x2, and clamps the command
 symmetrically to that magnitude. Friction (smoothed Coulomb + viscous) is
 subtracted after clipping. All functions are stateless and accept scalars or
-same-shaped arrays.
+same-shaped arrays. An `ActuatorParams` may itself hold arrays (see `stack`),
+so one call evaluates every joint of a batch of episodes at once.
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ class ActuatorParams:
     armature_I: float
 
     def __post_init__(self):
-        if not (0 < self.v_x1 < self.v_x2):
+        # np.all keeps the checks valid for the array-valued form of `stack`
+        if not np.all((0 < self.v_x1) & (self.v_x1 < self.v_x2)):
             raise ValidationError(f"need 0 < v_x1 < v_x2, got {self.v_x1}, {self.v_x2}")
-        if self.tau_y1 <= 0 or self.tau_y2 <= 0:
+        if not np.all((self.tau_y1 > 0) & (self.tau_y2 > 0)):
             raise ValidationError("torque ceilings must be positive")
-        if self.mu_s < 0 or self.mu_d < 0:
+        if not np.all((self.mu_s >= 0) & (self.mu_d >= 0)):
             raise ValidationError("friction coefficients must be non-negative")
-        if self.v_act <= 0:
+        if not np.all(self.v_act > 0):
             raise ValidationError("v_act must be positive")
-        if self.armature_I <= 0:
+        if not np.all(self.armature_I > 0):
             raise ValidationError("armature inertia must be positive")
 
     def scaled(self, torque_scale: float = 1.0, friction_scale: float = 1.0) -> "ActuatorParams":
@@ -66,6 +68,16 @@ class ActuatorParams:
             mu_d=self.mu_d * friction_scale,
             armature_I=self.armature_I,
         )
+
+
+def stack(params) -> ActuatorParams:
+    """One ActuatorParams whose fields are per-joint (J,) arrays.
+
+    The kernels below broadcast these arrays against (..., J) torques and
+    velocities, so a single call covers every joint (and every episode row).
+    """
+    return ActuatorParams(**{k: np.array([getattr(p, k) for p in params], dtype=float)
+                             for k in _PARAM_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -207,11 +219,17 @@ def joint_power(tau, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def neg_power_penalty(powers, cfg: PowerPenaltyCfg = PowerPenaltyCfg()) -> tuple[float, float]:
-    """Deadbanded quadratic cost on negative power; returns (cost, weight*cost)."""
+def neg_power_penalty(powers, cfg: PowerPenaltyCfg = PowerPenaltyCfg()):
+    """Deadbanded quadratic cost on negative power; returns (cost, weight*cost).
+
+    Joints are the last axis: (J,) powers give two floats, (N, J) powers give
+    two (N,) arrays, one cost per row.
+    """
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
     if cfg.joint_selector is not None:
-        powers = powers[list(cfg.joint_selector)]
+        powers = powers[..., list(cfg.joint_selector)]
     over = np.maximum(-powers - cfg.deadband, 0.0)
-    cost = float(np.sum((over / cfg.norm) ** 2))
+    cost = np.sum((over / cfg.norm) ** 2, axis=-1)
+    if cost.ndim == 0:
+        cost = float(cost)
     return cost, cfg.weight * cost

@@ -179,15 +179,14 @@ def init_residual(env: ArmEnv, hidden=(32,), bound: float = 0.3, rng=None) -> Re
 
 
 def residual_input(env: ArmEnv, a_flow) -> np.ndarray:
-    env._require_episode()
-    proprio = np.concatenate([
-        env.q - env.q0, env.qdot, env._prev_action_total])
-    return np.concatenate([proprio, env.command(), np.asarray(a_flow, dtype=float)])
+    """Residual inputs of the env's running episodes, one row per `a_flow` row."""
+    return np.concatenate([env.proprio(total_action=True), env.command(),
+                           np.asarray(a_flow, dtype=float)], axis=-1)
 
 
 def residual_action(res: ResidualPolicy, env: ArmEnv, a_flow) -> np.ndarray:
     x = residual_input(env, a_flow)
-    raw = mlp_forward(res.params, x[None, :])[0]
+    raw = mlp_forward(res.params, np.atleast_2d(x)).reshape(np.shape(a_flow))
     return np.clip(raw, -res.bound, res.bound)
 
 
@@ -235,49 +234,70 @@ class ESCfg:
             raise ValidationError("episodes_per_eval must be positive")
 
 
-def rollout_episode(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seed: int,
-                    residual: ResidualPolicy | None = None, mode: str = "base",
-                    sampler: SamplerCfg | None = None):
-    """One seeded closed-loop episode; returns a log dict.
+def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
+                  residual: ResidualPolicy | None = None, mode: str = "base",
+                  sampler: SamplerCfg | None = None) -> dict:
+    """Seeded closed-loop episodes of `motion`, one per seed, stepped together.
 
-    The env and the policy's noise draws get independent child seeds so the
-    same episode seed reproduces the same trajectory for identical policies.
+    Each episode's env and policy noise come from independent child streams of
+    its seed, so an episode's trajectory depends on its seed only, not on the
+    batch it runs in. Returns (T, N, ...) trajectories (T = env.episode_len)
+    whose rows past an episode's `steps` stay zero, plus per-episode `steps`
+    and `terminated_early`.
     """
     sampler = sampler or SamplerCfg()
-    seq = np.random.SeedSequence(seed)
-    env_seed, policy_seed = seq.spawn(2)
-    policy_rng = np.random.default_rng(policy_seed)
-    obs = env.reset(motion, np.random.default_rng(env_seed), mode=mode)
-    rewards, infos = [], []
-    bodies, ref_bodies = [], []
-    done = False
-    while not done:
-        a_flow = euler_sample(net, obs, sampler, policy_rng)
+    streams = [np.random.SeedSequence(s).spawn(2) for s in seeds]
+    policy_rngs = [np.random.default_rng(policy_seed) for _, policy_seed in streams]
+    obs = env.reset(motion, [np.random.default_rng(env_seed) for env_seed, _ in streams],
+                    mode=mode)
+    n, T, J = len(streams), env.episode_len, env.n_joints
+    log = {
+        "rewards": np.zeros((T, n)),
+        "q_err": np.zeros((T, n)),
+        "body_pos": np.zeros((T, n, J, 3)),
+        "ref_body_pos": np.zeros((T, n, J, 3)),
+        "steps": np.zeros(n, dtype=int),
+        "terminated_early": np.zeros(n, dtype=bool),
+    }
+    for t in range(T):
+        rows = env.running
+        a_flow = euler_sample(net, obs, sampler, [policy_rngs[i] for i in rows])
+        a = a_flow
         if residual is not None:
-            a_res = residual_action(residual, env, a_flow)
-            a = residual_compose(a_flow, a_res, residual.bound)
-        else:
-            a = a_flow
-        obs, r, done, info = env.step(a, base_action=a_flow)
-        rewards.append(r)
-        bodies.append(info["body_pos"])
-        ref_bodies.append(info["ref_body_pos"])
-        infos.append(info)
-    last = infos[-1]
+            a = residual_compose(a_flow, residual_action(residual, env, a_flow), residual.bound)
+        obs, rewards, done, info = env.step_batch(a, base_actions=a_flow)
+        log["rewards"][t, rows] = rewards
+        log["q_err"][t, rows] = info["q_err"]
+        log["body_pos"][t, rows] = info["body_pos"]
+        log["ref_body_pos"][t, rows] = info["ref_body_pos"]
+        log["steps"][rows] = t + 1
+        log["terminated_early"][rows] = info["terminated_early"]
+        obs = obs[~done]
+        if not obs.shape[0]:
+            break
+    return log
+
+
+def rollout_episode(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seed: int,
+                    residual: ResidualPolicy | None = None, mode: str = "base",
+                    sampler: SamplerCfg | None = None) -> dict:
+    """One seeded closed-loop episode: `rollout_batch` with a single seed, its
+    trajectories cut to the steps the episode ran."""
+    log = rollout_batch(env, net, motion, [seed], residual=residual, mode=mode,
+                        sampler=sampler)
+    steps = int(log["steps"][0])
     return {
-        "rewards": np.array(rewards),
-        "body_pos": np.stack(bodies),
-        "ref_body_pos": np.stack(ref_bodies),
-        "terminated_early": last["terminated_early"],
-        "steps": len(rewards),
-        "infos": infos,
+        **{k: log[k][:steps, 0] for k in ("rewards", "q_err", "body_pos", "ref_body_pos")},
+        "steps": steps,
+        "terminated_early": bool(log["terminated_early"][0]),
     }
 
 
-def episode_return(log, episode_len: int, floor: float) -> float:
-    """Episode reward total with missing steps charged at the floor value."""
-    missing = episode_len - log["steps"]
-    return float(np.sum(log["rewards"]) + floor * missing)
+def episode_return(log, episode_len: int, floor: float):
+    """Episode reward total with missing steps charged at the floor value; a
+    `rollout_batch` log gives one total per episode."""
+    total = np.sum(log["rewards"], axis=0) + floor * (episode_len - np.asarray(log["steps"]))
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
@@ -294,12 +314,9 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
     eval_seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
 
     def fitness(candidate: ResidualPolicy) -> float:
-        totals = []
-        for s in eval_seeds:
-            log = rollout_episode(env, net, motion, s, residual=candidate,
-                                  mode="aggressive", sampler=sampler)
-            totals.append(episode_return(log, env.episode_len, cfg.termination_floor))
-        return float(np.mean(totals))
+        log = rollout_batch(env, net, motion, eval_seeds, residual=candidate,
+                            mode="aggressive", sampler=sampler)
+        return float(np.mean(episode_return(log, env.episode_len, cfg.termination_floor)))
 
     best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
     theta_best = _flatten(best.params)
@@ -332,6 +349,8 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict | list,
     motion's clips (never pooled over frames of unequal episodes).
     """
     sampler = sampler or SamplerCfg()
+    if n_rollouts < 1:
+        raise ValidationError(f"n_rollouts must be >= 1, got {n_rollouts}")
     if isinstance(motions, dict):
         named = list(motions.items())
     else:
@@ -341,15 +360,13 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict | list,
         clips = segment_clips(motion, segment_seconds)
         clip_metrics = []
         for ci, clip in enumerate(clips):
-            per_episode = {"mpjpe": [], "dvel": [], "dacc": [], "success": []}
-            for r in range(n_rollouts):
-                ep_seed = hash_seed(seed, name, ci, r)
-                log = rollout_episode(env, net, clip, ep_seed, residual=residual,
-                                      sampler=sampler)
-                ref, rob = log["ref_body_pos"], log["body_pos"]
-                per_episode["success"].append(not log["terminated_early"])
+            seeds = [hash_seed(seed, name, ci, r) for r in range(n_rollouts)]
+            log = rollout_batch(env, net, clip, seeds, residual=residual, sampler=sampler)
+            per_episode = {"mpjpe": [], "dvel": [], "dacc": []}
+            for i, steps in enumerate(log["steps"]):
+                ref, rob = log["ref_body_pos"][:steps, i], log["body_pos"][:steps, i]
                 per_episode["mpjpe"].append(metrics.mpjpe(ref, rob))
-                if log["steps"] >= 3:
+                if steps >= 3:
                     ref_v = finite_difference(ref, env.dt)
                     rob_v = finite_difference(rob, env.dt)
                     per_episode["dvel"].append(metrics.delta_vel(ref_v, rob_v, env.dt))
@@ -358,7 +375,7 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict | list,
                 mpjpe_mm=aggregate_per_episode(per_episode["mpjpe"]),
                 dvel=aggregate_per_episode(per_episode["dvel"]) if per_episode["dvel"] else 0.0,
                 dacc=aggregate_per_episode(per_episode["dacc"]) if per_episode["dacc"] else 0.0,
-                success=float(np.mean(per_episode["success"])),
+                success=float(np.mean(~log["terminated_early"])),
                 n_episodes=n_rollouts,
             ))
         results[name] = metrics.TrackingMetrics(
@@ -394,11 +411,9 @@ def closed_loop_joint_error(env: ArmEnv, net: VelocityFieldNet, motion: MotionCl
                             sampler: SamplerCfg | None = None) -> float:
     """Mean per-step joint tracking error of a seeded episode (rad)."""
     log = rollout_episode(env, net, motion, seed, residual=residual, sampler=sampler)
-    errs = [info["q_err"] for info in log["infos"]]
-    missing = env.episode_len - log["steps"]
-    if missing:  # charge un-run steps at a worst-case error so dying never helps
-        errs = errs + [np.pi] * missing
-    return float(np.mean(errs))
+    # charge un-run steps at a worst-case error so dying never helps
+    missing = np.full(env.episode_len - log["steps"], np.pi)
+    return float(np.mean(np.concatenate([log["q_err"], missing])))
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +452,7 @@ def load_residual(path) -> ResidualPolicy:
         raise CheckpointError(f"{path}: unsupported checkpoint version {doc['version']}")
     if doc["kind"] != "residual":
         raise CheckpointError(f"{path}: not a residual checkpoint ({doc['kind']})")
-    params = []
-    for (shape, (W, b)) in zip(doc["layer_shapes"], doc["params"], strict=True):
-        W = np.array(W, dtype=float)
-        b = np.array(b, dtype=float)
-        if list(W.shape) != list(shape) or b.shape != (shape[0],):
-            raise CheckpointError(f"{path}: parameter block does not match header")
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-            raise CheckpointError(f"{path}: non-finite parameters")
-        params.append((W, b))
+    params = flow.decode_params(doc, path)
     try:
         return ResidualPolicy(
             proprio_dim=int(doc["proprio_dim"]),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,7 +112,14 @@ def merge_config(overrides: dict | None) -> dict:
 
 
 class ArmEnv:
-    """N-joint torque-controlled pendulum arm tracking a reference motion."""
+    """J-joint torque-controlled pendulum arm tracking a reference motion.
+
+    The env runs one episode, or a batch of independent episodes of the same
+    motion that step together: `reset` with a list of Generators, then
+    `step_batch` with one action row per running episode. State is held as
+    (N, J) arrays either way; a single episode is the case N = 1, for which
+    `reset`, `step` and the accessors take and return unbatched shapes.
+    """
 
     def __init__(self, config: dict | None = None, catalog: dict | None = None):
         cfg = merge_config(config)
@@ -127,16 +134,25 @@ class ArmEnv:
         if np.any(self.masses <= 0) or np.any(self.lengths <= 0):
             raise ConfigError("link masses and lengths must be positive")
         self.gravity = float(cfg["gravity"])
+        if not np.isfinite(self.gravity):
+            raise ConfigError(f"gravity must be finite, got {cfg['gravity']}")
         self.dt = CONTROL_DT
         self.n_substeps = int(cfg["n_substeps"])
         if self.n_substeps < 1:
             raise ConfigError("n_substeps must be >= 1")
         self.episode_len = int(cfg["episode_len"])
+        if self.episode_len < 1:
+            raise ConfigError(f"episode_len must be >= 1, got {cfg['episode_len']}")
         self.history_len = int(cfg["history_len"])
+        if self.history_len < 0:
+            raise ConfigError(f"history_len must be >= 0, got {cfg['history_len']}")
         names = cfg["actuators"]
         if len(names) != self.n_joints:
             raise ConfigError(f"{self.n_joints} links but {len(names)} actuator names")
         scale = float(cfg["envelope_scale"])
+        if not (np.isfinite(scale) and scale > 0):
+            raise ConfigError(f"envelope_scale must be positive and finite, got "
+                              f"{cfg['envelope_scale']}")
         nominal: list[ActuatorParams] = []
         for name in names:
             if name not in catalog:
@@ -150,6 +166,7 @@ class ArmEnv:
             for p in nominal
         ]
         self.actuators = [p.scaled(torque_scale=scale) for p in nominal]
+        self._joint_params = actuation.stack(self.actuators)
         self.kp = np.array([g.kp for g in self.gains])
         self.kd = np.array([g.kd for g in self.gains])
         self.action_scale = np.array([g.action_scale for g in self.gains])
@@ -173,7 +190,7 @@ class ArmEnv:
         )
         self.base_height = float(np.sum(self.lengths))
         self.config = cfg
-        self._armature = np.array([p.armature_I for p in self.actuators])
+        self._armature_M = np.diag(self._joint_params.armature_I)
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
         self._episode_active = False
 
@@ -182,9 +199,12 @@ class ArmEnv:
     def reset(self, motion: MotionClip, rng, mode: str = "base") -> np.ndarray:
         """Start an episode on `motion`; returns the initial observation.
 
-        `rng` is a numpy Generator or a seed. Aggressive mode widens every
-        randomization range by `aggressive_factor` and relaxes the termination
-        thresholds by `relax_factor`.
+        `rng` is a numpy Generator or a seed. A list of Generators (or seeds)
+        starts a batch instead: one independent episode per entry, each drawing
+        from its own stream in the order a single episode does, with (N,
+        obs_dim) observations. Aggressive mode widens every randomization range
+        by `aggressive_factor` and relaxes the termination thresholds by
+        `relax_factor`.
         """
         if mode not in ("base", "aggressive"):
             raise ValidationError(f"mode must be 'base' or 'aggressive', got '{mode}'")
@@ -198,8 +218,13 @@ class ArmEnv:
             )
         if abs(motion.fps * self.dt - 1.0) > 1e-9:
             raise ConfigError(f"motion fps {motion.fps} does not match 50 Hz control")
-        self._rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        self._mode = mode
+        batch = isinstance(rng, list)
+        rngs = [r if isinstance(r, np.random.Generator) else np.random.default_rng(r)
+                for r in (rng if batch else [rng])]
+        if not rngs:
+            raise ValidationError("a batch needs at least one episode")
+        n, J = len(rngs), self.n_joints
+        self._batch, self._rngs, self._mode = batch, rngs, mode
         rand = self.randomization
         if mode == "aggressive":
             rand = rand.scaled(rand.aggressive_factor)
@@ -207,79 +232,107 @@ class ArmEnv:
         self.motion = motion
         self._ref_qdot = finite_difference(motion.q, self.dt)
         self._ref_qacc = finite_difference(self._ref_qdot, self.dt)
-        # per-episode physical randomization
-        self._masses_ep = self.masses * (1.0 + self._rng.uniform(
-            -rand.mass_scale, rand.mass_scale, self.n_joints))
-        fscale = 1.0 + self._rng.uniform(-rand.friction_scale, rand.friction_scale)
-        self._actuators_ep = [p.scaled(friction_scale=fscale) for p in self.actuators]
-        self._q0_eff = self.q0 + self._rng.uniform(
-            -rand.q0_offset, rand.q0_offset, self.n_joints)
-        self._mcum = np.cumsum(self._masses_ep[::-1])[::-1]
+        # per-episode physical randomization, drawn episode by episode
+        draws = [(r.uniform(-rand.mass_scale, rand.mass_scale, J),
+                  r.uniform(-rand.friction_scale, rand.friction_scale),
+                  r.uniform(-rand.q0_offset, rand.q0_offset, J),
+                  r.uniform(-rand.pose_noise, rand.pose_noise, J)) for r in self._rngs]
+        mass, friction, q0_offset, pose_noise = (np.array(d) for d in zip(*draws))
+        self._masses_ep = self.masses * (1.0 + mass)
+        self._actuators_ep = self._joint_params.scaled(friction_scale=(1.0 + friction)[:, None])
+        self._q0_eff = self.q0 + q0_offset
+        self._mcum = np.cumsum(self._masses_ep[:, ::-1], axis=1)[:, ::-1]
+        joint = np.arange(J)
         self._c = np.outer(self.lengths, self.lengths) * self._mcum[
-            np.maximum.outer(np.arange(self.n_joints), np.arange(self.n_joints))]
-        pose_noise = self._rng.uniform(-rand.pose_noise, rand.pose_noise, self.n_joints)
+            :, np.maximum.outer(joint, joint)]
         self._q = motion.q[0] + pose_noise
-        self._qdot = self._ref_qdot[0].copy()
-        self._step_count = 0
-        self._prev_action_base = np.zeros(self.n_joints)
-        self._prev_action_total = np.zeros(self.n_joints)
+        self._qdot = np.tile(self._ref_qdot[0], (n, 1))
+        self._steps = np.zeros(n, dtype=int)
+        self._prev_action_base = np.zeros((n, J))
+        self._prev_action_total = np.zeros((n, J))
+        self._running = np.arange(n)
         self._episode_active = True
-        self._done = False
-        p0 = self._proprio(self._prev_action_base)
-        self._hist = [p0.copy() for _ in range(self.history_len)]
-        return self.build_observation()
+        # (N, H, P) past proprio states, most recent first
+        p0 = self._proprio(slice(None), self._prev_action_base)
+        self._hist = np.repeat(p0[:, None, :], self.history_len, axis=1)
+        return self._unbatch(self._observe(slice(None)))
+
+    def _unbatch(self, rows: np.ndarray) -> np.ndarray:
+        return rows if self._batch else rows[0]
+
+    def _rows(self):
+        """Index of the running episodes into the state arrays (a plain slice
+        while none has finished, so the common case copies nothing)."""
+        return slice(None) if self._running.size == self._steps.size else self._running
+
+    @property
+    def running(self) -> np.ndarray:
+        """Indices of the episodes still running, in the row order of `step_batch`."""
+        return self._running.copy()
 
     @property
     def q(self) -> np.ndarray:
-        return self._q.copy()
+        return self._unbatch(self._q).copy()
 
     @property
     def qdot(self) -> np.ndarray:
-        return self._qdot.copy()
+        return self._unbatch(self._qdot).copy()
 
     @property
     def step_count(self) -> int:
-        return self._step_count
+        """Control steps taken since reset, summed over a batch's episodes."""
+        return int(self._steps.sum())
 
     @property
     def q0_eff(self) -> np.ndarray:
-        return self._q0_eff.copy()
+        return self._unbatch(self._q0_eff).copy()
 
-    def ref_frame(self, k: int | None = None) -> int:
-        """Clamp a step index onto the reference clip (holds the last frame)."""
-        if k is None:
-            k = self._step_count
-        return min(k, self.motion.n_frames - 1)
+    def ref_frame(self, k):
+        """Clamp step indices onto the reference clip (holds the last frame)."""
+        return np.minimum(k, self.motion.n_frames - 1)
 
     # -- observation ---------------------------------------------------------
 
-    def _proprio(self, prev_action) -> np.ndarray:
-        return np.concatenate([self._q - self.q0, self._qdot, prev_action])
+    def _proprio(self, rows, prev_action) -> np.ndarray:
+        return np.concatenate([self._q[rows] - self.q0, self._qdot[rows], prev_action[rows]],
+                              axis=1)
 
-    def _tip_angle(self, q) -> float:
-        return float(np.sum(q))
+    def _command(self, rows) -> np.ndarray:
+        """Reference joint targets one frame ahead plus the 2-vector difference
+        between the reference and current tip directions."""
+        steps = self._steps[rows]
+        nxt = self.ref_frame(steps + 1)
+        th_ref = np.sum(self.motion.q[self.ref_frame(steps)], axis=1)
+        th = np.sum(self._q[rows], axis=1)
+        direction_error = np.stack([np.cos(th_ref) - np.cos(th), np.sin(th_ref) - np.sin(th)],
+                                   axis=1)
+        return np.concatenate([self.motion.q[nxt], self._ref_qdot[nxt], direction_error], axis=1)
 
-    def _direction_error(self) -> np.ndarray:
-        """2-vector difference between reference and current tip directions."""
-        th_ref = self._tip_angle(self.motion.q[self.ref_frame()])
-        th = self._tip_angle(self._q)
-        return np.array([np.cos(th_ref) - np.cos(th), np.sin(th_ref) - np.sin(th)])
+    def _observe(self, rows) -> np.ndarray:
+        hist = self._hist[rows]
+        return np.concatenate([
+            self._proprio(rows, self._prev_action_base), self._command(rows),
+            hist.reshape(hist.shape[0], self.history_len * self.proprio_dim),
+        ], axis=1)
+
+    def proprio(self, total_action: bool = False) -> np.ndarray:
+        """[q - q0, qdot, previous action] of the running episodes. The action
+        slot holds the base-policy component unless `total_action`."""
+        self._require_episode()
+        prev = self._prev_action_total if total_action else self._prev_action_base
+        return self._unbatch(self._proprio(self._rows(), prev))
 
     def command(self) -> np.ndarray:
         """Reference joint targets one frame ahead plus the direction error."""
-        nxt = self.ref_frame(self._step_count + 1)
-        return np.concatenate([
-            self.motion.q[nxt], self._ref_qdot[nxt], self._direction_error(),
-        ])
+        self._require_episode()
+        return self._unbatch(self._command(self._rows()))
 
     def build_observation(self) -> np.ndarray:
-        """obs = [proprio, command, history]; history holds the H most recent
-        past proprio states, most recent first (filled with the initial state
-        at reset)."""
+        """obs = [proprio, command, history] of the running episodes; history
+        holds the H most recent past proprio states, most recent first (filled
+        with the initial state at reset)."""
         self._require_episode()
-        p = self._proprio(self._prev_action_base)
-        h = np.concatenate(self._hist[::-1]) if self._hist else np.zeros(0)
-        return np.concatenate([p, self.command(), h])
+        return self._unbatch(self._observe(self._rows()))
 
     @property
     def proprio_dim(self) -> int:
@@ -295,49 +348,48 @@ class ArmEnv:
 
     # -- dynamics ------------------------------------------------------------
 
-    def _qacc(self, q, qdot, tau) -> np.ndarray:
-        theta = np.cumsum(q)
-        thetadot = np.cumsum(qdot)
-        dth = theta[:, None] - theta[None, :]
-        M_abs = self._c * np.cos(dth)
-        h_vec = (self._c * np.sin(dth)) @ (thetadot ** 2)
-        G = self.gravity * self.lengths * self._mcum * np.sin(theta)
-        M_q = self._S.T @ M_abs @ self._S + np.diag(self._armature)
-        rhs = tau - self._S.T @ (h_vec + G)
-        return np.linalg.solve(M_q, rhs)
+    def _terms(self, q, qdot, rows):
+        """Joint-space mass matrix (n, J, J) and bias torque (n, J), i.e.
+        Coriolis/centrifugal plus gravity, of the episodes in `rows` at the
+        (n, J) state (q, qdot)."""
+        c = self._c[rows]
+        theta = np.cumsum(q, axis=-1)
+        thetadot = np.cumsum(qdot, axis=-1)
+        dth = theta[..., :, None] - theta[..., None, :]
+        M_q = self._S.T @ (c * np.cos(dth)) @ self._S + self._armature_M
+        h_vec = ((c * np.sin(dth)) @ (thetadot ** 2)[..., None])[..., 0]
+        G = self.gravity * self.lengths * self._mcum[rows] * np.sin(theta)
+        return M_q, (h_vec + G) @ self._S
+
+    def _qacc(self, q, qdot, tau, rows) -> np.ndarray:
+        M_q, bias = self._terms(q, qdot, rows)
+        return np.linalg.solve(M_q, (tau - bias)[..., None])[..., 0]
 
     def gravity_torque(self, q) -> np.ndarray:
         """Joint torques that statically balance gravity at pose q."""
-        theta = np.cumsum(q)
-        G = self.gravity * self.lengths * self._mcum * np.sin(theta)
-        return self._S.T @ G
+        q = np.asarray(q, dtype=float)
+        return self._unbatch(self._terms(q, np.zeros_like(q), slice(None))[1])
 
     def inverse_dynamics(self, q, qdot, qacc) -> np.ndarray:
         """Joint torques that produce qacc at (q, qdot), gravity included."""
-        theta = np.cumsum(q)
-        thetadot = np.cumsum(qdot)
-        dth = theta[:, None] - theta[None, :]
-        M_abs = self._c * np.cos(dth)
-        h_vec = (self._c * np.sin(dth)) @ (thetadot ** 2)
-        G = self.gravity * self.lengths * self._mcum * np.sin(theta)
-        M_q = self._S.T @ M_abs @ self._S + np.diag(self._armature)
-        return M_q @ np.asarray(qacc, dtype=float) + self._S.T @ (h_vec + G)
+        M_q, bias = self._terms(np.asarray(q, dtype=float), np.asarray(qdot, dtype=float),
+                                slice(None))
+        return self._unbatch((M_q @ np.asarray(qacc, dtype=float)[..., None])[..., 0] + bias)
 
     def body_positions(self, q=None) -> np.ndarray:
         """Link endpoint positions (J, 3) at the current (or given) pose."""
         return arm_forward_kinematics(
-            self._q if q is None else q, self.lengths, self.base_height)
+            self._unbatch(self._q) if q is None else q, self.lengths, self.base_height)
 
-    def mechanical_energy(self) -> float:
+    def mechanical_energy(self):
         """Kinetic + gravitational potential energy of the episode's arm."""
-        theta = np.cumsum(self._q)
-        thetadot = np.cumsum(self._qdot)
-        dth = theta[:, None] - theta[None, :]
-        M_abs = self._c * np.cos(dth)
-        ke = 0.5 * thetadot @ M_abs @ thetadot + 0.5 * np.sum(self._armature * self._qdot ** 2)
-        z = self.body_positions()[:, 2]
-        pe = self.gravity * np.sum(self._masses_ep * z)
-        return float(ke + pe)
+        # a single episode's state may have been set directly as (J,) vectors
+        q, qdot = np.atleast_2d(self._q), np.atleast_2d(self._qdot)
+        M_q, _ = self._terms(q, qdot, slice(None))
+        ke = 0.5 * np.einsum("ni,nij,nj->n", qdot, M_q, qdot)
+        z = arm_forward_kinematics(q, self.lengths, self.base_height)[..., 2]
+        energy = ke + self.gravity * np.sum(self._masses_ep * z, axis=1)
+        return energy if self._batch else float(energy[0])
 
     def _require_episode(self):
         if not self._episode_active:
@@ -346,77 +398,99 @@ class ArmEnv:
     # -- control step ----------------------------------------------------------
 
     def step(self, action, base_action=None):
-        """Advance one 50 Hz control step.
+        """Advance the single episode one 50 Hz control step.
 
         `base_action` is the flow-policy component when a residual is active;
         it feeds the base policy's previous-action observation slot. Returns
         (observation, reward, done, info).
         """
         self._require_episode()
-        if self._done:
+        if self._batch:
+            raise ValidationError("a batch of episodes steps through step_batch()")
+        obs, reward, done, info = self.step_batch(action, base_action)
+        info = {k: v[0] for k, v in info.items()}
+        for k in ("q_err", "neg_power_cost", "orient_err"):
+            info[k] = float(info[k])
+        for k in ("terminated_early", "timeout", "relaxed"):
+            info[k] = bool(info[k])
+        return obs[0], float(reward[0]), bool(done[0]), info
+
+    def step_batch(self, actions, base_actions=None):
+        """Advance every running episode one 50 Hz control step.
+
+        `actions` (and `base_actions`) hold one row per running episode, in the
+        order of `running`. Returns (observations, rewards, done, info) with one
+        row per episode that was running; `info` maps each field of the `step`
+        info to its per-row array. Episodes that finish here stop running.
+        """
+        self._require_episode()
+        n, J = self._running.size, self.n_joints
+        if n == 0:
             raise ValidationError("episode finished; call reset()")
-        action = np.asarray(action, dtype=float).reshape(self.n_joints)
-        if not np.all(np.isfinite(action)):
+        actions = np.asarray(actions, dtype=float).reshape(n, J)
+        if not np.all(np.isfinite(actions)):
             raise ValidationError("non-finite action")
-        base_action = action if base_action is None else np.asarray(
-            base_action, dtype=float).reshape(self.n_joints)
+        base_actions = actions if base_actions is None else np.asarray(
+            base_actions, dtype=float).reshape(n, J)
+        rows = self._rows()
 
-        self._hist.append(self._proprio(self._prev_action_base))
-        self._hist = self._hist[-self.history_len:]
+        if self.history_len:
+            self._hist[rows] = np.concatenate([
+                self._proprio(rows, self._prev_action_base)[:, None], self._hist[rows, :-1],
+            ], axis=1)
 
-        rand = self._rand
-        disturbance = self._rng.uniform(-rand.disturbance, rand.disturbance, self.n_joints)
-        q_tar = self._q0_eff + self.action_scale * action
-        qdot_pre = self._qdot.copy()
-        tau_cmd0 = self.kp * (q_tar - self._q) - self.kd * qdot_pre
-        tau_clipped0 = np.array([
-            actuation.clip_torque(tau_cmd0[j], qdot_pre[j], self._actuators_ep[j])
-            for j in range(self.n_joints)])
-        tau_applied0 = tau_clipped0 - np.array([
-            actuation.friction_torque(qdot_pre[j], self._actuators_ep[j])
-            for j in range(self.n_joints)])
+        bound = self._rand.disturbance
+        disturbance = np.array([self._rngs[i].uniform(-bound, bound, J) for i in self._running])
+        params = self._actuators_ep
+        if not isinstance(rows, slice):
+            params = replace(params, mu_s=params.mu_s[rows], mu_d=params.mu_d[rows])
+        # a copy: the write-back below would change a view of the state
+        q, qdot_pre = self._q[rows], self._qdot[rows].copy()
+        q_tar = self._q0_eff[rows] + self.action_scale * actions
+        tau_cmd0 = self.kp * (q_tar - q) - self.kd * qdot_pre
+        tau_clipped0 = actuation.clip_torque(tau_cmd0, qdot_pre, params)
+        tau_applied0 = tau_clipped0 - actuation.friction_torque(qdot_pre, params)
 
         h = self.dt / self.n_substeps
-        q, qdot = self._q, self._qdot
-        for _ in range(self.n_substeps):
-            tau_cmd = self.kp * (q_tar - q) - self.kd * qdot
-            tau = np.array([
-                actuation.actuate(tau_cmd[j], qdot[j], self._actuators_ep[j])
-                for j in range(self.n_joints)]) + disturbance
-            qacc = self._qacc(q, qdot, tau)
-            qdot = qdot + h * qacc
+        qdot, tau = qdot_pre, tau_applied0  # substep 0 starts at the logged pre-step state
+        for sub in range(self.n_substeps):
+            if sub:
+                tau = actuation.actuate(self.kp * (q_tar - q) - self.kd * qdot, qdot, params)
+            qdot = qdot + h * self._qacc(q, qdot, tau + disturbance, rows)
             q = q + h * qdot
-        self._q, self._qdot = q, qdot
 
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-            self._done = True
-            raise NumericalBlowupError(
-                f"state became non-finite at step {self._step_count + 1}")
+            step = int(self._steps[self._running[0]]) + 1
+            self._running = self._running[:0]
+            raise NumericalBlowupError(f"state became non-finite at step {step}")
 
-        self._step_count += 1
-        self._prev_action_total = action.copy()
-        self._prev_action_base = base_action.copy()
+        self._q[rows], self._qdot[rows] = q, qdot
+        self._steps[rows] += 1
+        self._prev_action_total[rows] = actions
+        self._prev_action_base[rows] = base_actions
 
-        k = self.ref_frame()
+        steps = self._steps[rows]
+        k = self.ref_frame(steps)
         q_ref = self.motion.q[k]
-        q_err = float(np.mean(np.abs(self._q - q_ref)))
+        q_err = np.mean(np.abs(q - q_ref), axis=1)
         powers = tau_applied0 * qdot_pre
         pen_cost, pen_reward = actuation.neg_power_penalty(powers, self.power_cfg)
         reward = -q_err + pen_reward
 
-        body = self.body_positions()
+        body = arm_forward_kinematics(q, self.lengths, self.base_height)
         ref_body = self.motion.body_pos[k]
-        z_err = body[:, 2] - ref_body[:, 2]
-        orient_err = abs(_wrap_angle(
-            self._tip_angle(self._q) - self._tip_angle(q_ref)))
-        terminated = check_termination(
-            z_err, orient_err, self.thresholds, relaxed=self._mode == "aggressive")
-        timeout = self._step_count >= self.episode_len
-        self._done = terminated or timeout
+        z_err = body[..., 2] - ref_body[..., 2]
+        orient_err = np.abs(_wrap_angle(np.sum(q, axis=1) - np.sum(q_ref, axis=1)))
+        relaxed = self._mode == "aggressive"
+        terminated = check_termination(z_err, orient_err, self.thresholds, relaxed=relaxed)
+        timeout = steps >= self.episode_len
+        done = terminated | timeout
+        obs = self._observe(rows)
+        self._running = self._running[~done]
 
         info = {
-            "q": self._q.copy(),
-            "qdot": self._qdot.copy(),
+            "q": q,
+            "qdot": qdot,
             "qdot_pre": qdot_pre,
             "tau_cmd": tau_cmd0,
             "tau_clipped": tau_clipped0,
@@ -427,13 +501,12 @@ class ArmEnv:
             "z_err": z_err,
             "orient_err": orient_err,
             "body_pos": body,
-            "ref_body_pos": ref_body.copy(),
-            "terminated_early": bool(terminated),
-            "timeout": bool(timeout and not terminated),
-            "relaxed": self._mode == "aggressive",
+            "ref_body_pos": ref_body,
+            "terminated_early": terminated,
+            "timeout": timeout & ~terminated,
+            "relaxed": np.full(n, relaxed),
         }
-        return self.build_observation(), reward, self._done, info
-
+        return obs, reward, done, info
 
     def step_passive(self) -> None:
         """Advance one control step with zero commanded torque.
@@ -447,11 +520,8 @@ class ArmEnv:
         h = self.dt / self.n_substeps
         q, qdot = self._q, self._qdot
         for _ in range(self.n_substeps):
-            tau = -np.array([
-                actuation.friction_torque(qdot[j], self._actuators_ep[j])
-                for j in range(self.n_joints)])
-            qacc = self._qacc(q, qdot, tau)
-            qdot = qdot + h * qacc
+            tau = -actuation.friction_torque(qdot, self._actuators_ep)
+            qdot = qdot + h * self._qacc(q, qdot, tau, slice(None))
             q = q + h * qdot
         self._q, self._qdot = q, qdot
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
@@ -486,8 +556,10 @@ class ExpertPolicy:
 
 
 def expert_action(expert: ExpertPolicy, env: ArmEnv) -> np.ndarray:
-    """Expert label for the env's current state."""
+    """Expert label for the current state of a single-episode env."""
     env._require_episode()
+    if env._batch:
+        raise ValidationError("expert labels need a single-episode env")
     if expert.motion is not env.motion and not expert.motion.allclose(env.motion):
         raise ValidationError("expert's motion does not match the env's reference")
     idx = env.ref_frame(env.step_count + expert.lookahead)
@@ -499,9 +571,6 @@ def expert_action(expert: ExpertPolicy, env: ArmEnv) -> np.ndarray:
     elif expert.gravity_ff:
         a = a + env.gravity_torque(q_ref) / env.kp
     if expert.friction_ff:
-        fr = np.array([
-            actuation.friction_torque(qd_ref[j], env._actuators_ep[j])
-            for j in range(env.n_joints)])
-        a = a + fr / env.kp
+        a = a + actuation.friction_torque(qd_ref, env._actuators_ep)[0] / env.kp
     a = a / env.action_scale
     return np.clip(a, -expert.action_limit, expert.action_limit)

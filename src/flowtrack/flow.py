@@ -245,10 +245,15 @@ def euler_sample(net: VelocityFieldNet, obs, cfg: SamplerCfg, rng) -> np.ndarray
     """Integrate the field from Gaussian noise at t=1 to an action at t=0.
 
     x starts at N(0, I); each of the D steps applies x <- x - v(x, t, obs)/D
-    at t = 1 - k/D.
+    at t = 1 - k/D. `obs` is one observation with one Generator, or (N,
+    obs_dim) rows with a list of N Generators: each row draws its noise from
+    its own stream, so its action does not depend on the rows beside it.
     """
     D = cfg.steps
-    x = rng.standard_normal(net.action_dim)
+    if np.ndim(obs) == 1:
+        x = rng.standard_normal(net.action_dim)
+    else:
+        x = np.array([r.standard_normal(net.action_dim) for r in rng])
     for k in range(D):
         t = 1.0 - k / D
         x = x - forward(net, x, t, obs) / D
@@ -316,6 +321,24 @@ def save_policy(net: VelocityFieldNet, path) -> None:
     os.replace(tmp, path)
 
 
+def decode_params(doc: dict, path) -> list:
+    """The (W, b) blocks of a checkpoint document, checked against its header."""
+    shapes, blocks = doc["layer_shapes"], doc["params"]
+    if len(shapes) != len(blocks):
+        raise CheckpointError(
+            f"{path}: {len(shapes)} layer shapes but {len(blocks)} parameter blocks")
+    params = []
+    for shape, (W, b) in zip(shapes, blocks):
+        W = np.array(W, dtype=float)
+        b = np.array(b, dtype=float)
+        if list(W.shape) != list(shape) or b.shape != (shape[0],):
+            raise CheckpointError(f"{path}: parameter block does not match header shape {shape}")
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            raise CheckpointError(f"{path}: non-finite parameters")
+        params.append((W, b))
+    return params
+
+
 def load_policy(path) -> VelocityFieldNet:
     """Load a checkpoint, validating version, shapes, and parameter count."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -336,15 +359,7 @@ def load_policy(path) -> VelocityFieldNet:
         raise CheckpointError(f"{path}: not a velocity-field checkpoint ({doc['kind']})")
     if doc["activation"] != "tanh":
         raise CheckpointError(f"{path}: unknown activation '{doc['activation']}'")
-    params = []
-    for (shape, (W, b)) in zip(doc["layer_shapes"], doc["params"], strict=True):
-        W = np.array(W, dtype=float)
-        b = np.array(b, dtype=float)
-        if list(W.shape) != list(shape) or b.shape != (shape[0],):
-            raise CheckpointError(f"{path}: parameter block does not match header shape {shape}")
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-            raise CheckpointError(f"{path}: non-finite parameters")
-        params.append((W, b))
+    params = decode_params(doc, path)
     try:
         net = VelocityFieldNet(
             action_dim=int(doc["action_dim"]),

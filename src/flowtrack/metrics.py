@@ -209,17 +209,19 @@ def delta_acc(ref_v, rob_v, dt: float, reset_steps=()) -> float:
     return 1000.0 * dt * dt * float(np.mean(err[keep]))
 
 
-def check_termination(z_errors, orient_err: float, thr: TerminationThresholds,
-                      relaxed: bool = False) -> bool:
+def check_termination(z_errors, orient_err, thr: TerminationThresholds,
+                      relaxed: bool = False):
     """True when the episode should end early.
 
     Triggers when any tracked-body vertical error exceeds z_err_max or the
     gravity-vector discrepancy angle exceeds grav_err_max (scaled by
-    relax_factor in relaxed mode).
+    relax_factor in relaxed mode). Bodies are the last axis: (N, B) errors
+    with (N,) angles give one decision per episode row as a bool array.
     """
     z_errors = np.atleast_1d(np.asarray(z_errors, dtype=float))
     limit = thr.grav_err_max * (thr.relax_factor if relaxed else 1.0)
-    return bool(np.any(np.abs(z_errors) > thr.z_err_max) or abs(orient_err) > limit)
+    out = np.any(np.abs(z_errors) > thr.z_err_max, axis=-1) | (np.abs(orient_err) > limit)
+    return bool(out) if out.ndim == 0 else out
 
 
 def success_rate(episodes) -> float:

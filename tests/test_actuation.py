@@ -8,7 +8,7 @@ import pytest
 from flowtrack.actuation import (ActuatorParams, PDGains, PowerPenaltyCfg, actuate,
                                  clip_torque, default_catalog, envelope_limit,
                                  friction_torque, joint_power, load_catalog,
-                                 neg_power_penalty, pd_gains, pd_torque,
+                                 neg_power_penalty, pd_gains, pd_torque, stack,
                                  torque_ceiling)
 from flowtrack.errors import SchemaError, ValidationError
 
@@ -173,6 +173,35 @@ class TestActuate:
         for _ in range(100):
             tau, v = rng.uniform(-300, 300), rng.uniform(-50, 50)
             assert actuate(tau, v, M7522) == clip_torque(tau, v, M7522) - friction_torque(v, M7522)
+
+
+class TestStackedParams:
+    """Per-joint parameter arrays evaluate every joint of every row in one call,
+    with the same values as the scalar kernels."""
+
+    def test_actuate_rows_equal_scalar_calls(self):
+        cat = default_catalog()
+        joints = [cat["7520-22.5"], cat["5020-16"], cat["7520-14.3"]]
+        stacked = stack(joints).scaled(friction_scale=np.array([[0.9], [1.2]]))
+        rng = np.random.default_rng(4)
+        tau, v = rng.uniform(-300, 300, (2, 3)), rng.uniform(-30, 30, (2, 3))
+        out = actuate(tau, v, stacked)
+        assert out.shape == (2, 3)
+        for i, f in enumerate((0.9, 1.2)):
+            for j, p in enumerate(joints):
+                assert out[i, j] == actuate(tau[i, j], v[i, j], p.scaled(friction_scale=f))
+
+    def test_stack_validates_every_entry(self):
+        with pytest.raises(ValidationError):
+            stack([M7522, M7522]).scaled(friction_scale=np.array([[1.0], [-1.0]]))
+
+    def test_penalty_rows(self):
+        cfg = PowerPenaltyCfg(joint_selector=(1,))
+        powers = np.array([[-1000.0, -400.0], [0.0, -650.0]])
+        cost, reward = neg_power_penalty(powers, cfg)
+        assert cost.shape == (2,)
+        for row, c, r in zip(powers, cost, reward):
+            assert (c, r) == neg_power_penalty(row, cfg)
 
 
 class TestPower:

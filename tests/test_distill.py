@@ -7,7 +7,7 @@ from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer,
                                evaluate_policy, init_residual, residual_compose,
                                rollout_episode)
 from flowtrack.env import ArmEnv, ExpertPolicy
-from flowtrack.errors import ConfigError, DimensionError, ValidationError
+from flowtrack.errors import CheckpointError, ConfigError, DimensionError, ValidationError
 from flowtrack.flow import init_net
 
 from conftest import make_sine
@@ -126,6 +126,26 @@ class TestResidual:
         both = evaluate_policy(net, env, {"m": motion}, residual=res,
                                n_rollouts=2, seed=5)["m"]
         assert base == both
+
+
+class TestResidualCheckpoint:
+    def test_roundtrip(self, tmp_path):
+        res = init_residual(tiny_env(), hidden=(8,), bound=0.3, rng=np.random.default_rng(0))
+        distill.save_residual(res, tmp_path / "r.json")
+        back = distill.load_residual(tmp_path / "r.json")
+        for (W1, b1), (W2, b2) in zip(res.params, back.params):
+            assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+
+    def test_header_and_params_disagree_on_layer_count(self, tmp_path):
+        import json
+        res = init_residual(tiny_env(), hidden=(8,), bound=0.3, rng=np.random.default_rng(0))
+        path = tmp_path / "r.json"
+        distill.save_residual(res, path)
+        doc = json.loads(path.read_text())
+        doc["layer_shapes"].append([2, 2])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="r.json"):
+            distill.load_residual(path)
 
 
 class TestESRefine:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -49,6 +50,16 @@ class TestConfig:
         assert tight.kp[0] == base.kp[0]
         assert tight.action_scale[0] == base.action_scale[0]
         assert tight.actuators[0].tau_y1 == pytest.approx(0.7 * base.actuators[0].tau_y1)
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("history_len", -1), ("episode_len", 0), ("gravity", float("nan")),
+        ("gravity", float("inf")), ("envelope_scale", float("nan")),
+        ("envelope_scale", 0.0),
+    ])
+    def test_bad_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ArmEnv({key: value})
 
 
 class TestReset:
@@ -122,6 +133,10 @@ class TestStep:
         env = ArmEnv({"episode_len": 80})
         clip = make_sine(0.4, 0.8, duration=4.0)
         env.reset(clip, 3)
+        # scalar constants of each joint, cut from the episode's parameter arrays
+        params = [actuation.ActuatorParams(**{
+            f.name: float(np.broadcast_to(getattr(env._actuators_ep, f.name), (1, 2))[0, j])
+            for f in dataclasses.fields(actuation.ActuatorParams)}) for j in range(2)]
         rng = np.random.default_rng(0)
         saw_clip = False
         for _ in range(80):
@@ -129,13 +144,13 @@ class TestStep:
             _, _, done, info = env.step(action)
             for j in range(2):
                 expected = actuation.clip_torque(
-                    info["tau_cmd"][j], info["qdot_pre"][j], env._actuators_ep[j])
+                    info["tau_cmd"][j], info["qdot_pre"][j], params[j])
                 assert info["tau_clipped"][j] == expected
                 limit = actuation.envelope_limit(
-                    info["qdot_pre"][j], info["tau_cmd"][j], env._actuators_ep[j])
+                    info["qdot_pre"][j], info["tau_cmd"][j], params[j])
                 assert abs(info["tau_clipped"][j]) <= limit + 1e-12
                 friction = actuation.friction_torque(
-                    info["qdot_pre"][j], env._actuators_ep[j])
+                    info["qdot_pre"][j], params[j])
                 assert abs(info["tau_applied"][j] + friction) <= limit + 1e-12
             saw_clip = saw_clip or np.any(info["tau_cmd"] != info["tau_clipped"])
             if done:
@@ -216,6 +231,78 @@ class TestObservation:
         hist2 = obs2[env.proprio_dim + env.command_dim:]
         assert np.array_equal(hist2[: env.proprio_dim], p1)
         assert np.array_equal(hist2[env.proprio_dim:], p0)
+
+
+    @pytest.mark.parametrize("history_len", [0, 1, 5])
+    def test_shape_fixed_every_step(self, history_len):
+        env = quiet_env(history_len=history_len, episode_len=12)
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        obs = env.reset(clip, 0)
+        assert obs.shape == (env.obs_dim,)
+        done = False
+        while not done:
+            obs, _, done, _ = env.step(np.array([0.2, -0.1]))
+            assert obs.shape == (env.obs_dim,)
+
+
+class TestBatch:
+    """A list of Generators runs N episodes as (N, J) rows; each row is the
+    episode that its own stream would give alone."""
+
+    def test_reset_rows_equal_single_resets(self):
+        env = ArmEnv({"episode_len": 20})
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        obs = env.reset(clip, [np.random.default_rng(s) for s in (4, 5, 6)], mode="aggressive")
+        q, q0_eff = env.q, env.q0_eff
+        assert obs.shape == (3, env.obs_dim) and q.shape == (3, 2)
+        for i, seed in enumerate((4, 5, 6)):
+            single = env.reset(clip, seed, mode="aggressive")
+            assert np.array_equal(obs[i], single)
+            assert np.array_equal(q[i], env.q) and np.array_equal(q0_eff[i], env.q0_eff)
+
+    def test_finished_rows_leave_the_running_set(self):
+        env = ArmEnv({"episode_len": 30})
+        clip = make_sine(0.5, 0.9, duration=4.0)
+        rng = np.random.default_rng(1)
+        env.reset(clip, [np.random.default_rng(s) for s in range(4)])
+        actions = rng.uniform(-4, 4, (30, 4, 2))
+        rows, t, lengths = env.running, 0, np.zeros(4, dtype=int)
+        while rows.size:
+            _, _, done, info = env.step_batch(actions[t, rows])
+            assert done.shape == info["terminated_early"].shape == (rows.size,)
+            lengths[rows] += 1
+            rows, t = rows[~done], t + 1
+            assert np.array_equal(env.running, rows)
+        assert len(set(lengths.tolist())) > 1  # rows did finish at different steps
+        assert env.step_count == lengths.sum()
+        with pytest.raises(ValidationError):
+            env.step_batch(np.zeros((0, 2)))
+
+    def test_step_rows_equal_single_steps(self):
+        env = ArmEnv({"episode_len": 30})
+        clip = make_sine(0.5, 0.9, duration=4.0)
+        seeds = [7, 8, 9]
+        actions = np.random.default_rng(2).uniform(-4, 4, (30, 3, 2))
+        env.reset(clip, [np.random.default_rng(s) for s in seeds])
+        rows, t, batch_q = env.running, 0, {s: [] for s in seeds}
+        while rows.size:
+            _, _, done, info = env.step_batch(actions[t, rows])
+            for r, q in zip(rows, info["q"]):
+                batch_q[seeds[r]].append(q)
+            rows, t = rows[~done], t + 1
+        for i, seed in enumerate(seeds):
+            env.reset(clip, seed)
+            done, qs = False, []
+            while not done:
+                _, _, done, info = env.step(actions[len(qs), i])
+                qs.append(info["q"])
+            np.testing.assert_allclose(np.stack(batch_q[seed]), np.stack(qs), rtol=0, atol=1e-12)
+
+    def test_single_step_rejected_on_a_batch(self):
+        env = quiet_env()
+        env.reset(make_sine(0.3, 0.4, duration=4.0), [np.random.default_rng(0)])
+        with pytest.raises(ValidationError):
+            env.step(np.zeros(2))
 
 
 class TestExpert:

@@ -156,6 +156,16 @@ class TestEulerSampler:
         analytic = np.exp(-1.0) * x1
         assert np.max(np.abs(out - analytic) / np.abs(analytic)) < 0.02
 
+    def test_rows_draw_from_their_own_streams(self):
+        net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(3))
+        obs = np.random.default_rng(4).standard_normal((3, 3))
+        cfg = SamplerCfg(steps=5)
+        rows = euler_sample(net, obs, cfg, [np.random.default_rng(s) for s in (1, 2, 3)])
+        assert rows.shape == (3, 2)
+        for row, o, s in zip(rows, obs, (1, 2, 3)):
+            single = euler_sample(net, o, cfg, np.random.default_rng(s))
+            np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
+
     def test_same_seed_same_action(self):
         net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(3))
         cfg = SamplerCfg(steps=5)
@@ -228,6 +238,17 @@ class TestCheckpoints:
         doc["version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="999"):
+            load_policy(path)
+
+    def test_header_and_params_disagree_on_layer_count(self, tmp_path):
+        import json
+        net = init_net(2, 3, hidden=(4,), rng=np.random.default_rng(0))
+        path = tmp_path / "p.json"
+        save_policy(net, path)
+        doc = json.loads(path.read_text())
+        doc["params"] = doc["params"][:1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="p.json"):
             load_policy(path)
 
     def test_truncated_file(self, tmp_path):

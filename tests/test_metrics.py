@@ -211,6 +211,16 @@ class TestTermination:
             if not check_termination([0.0], orient, self.thr, relaxed=False):
                 assert not check_termination([0.0], orient, self.thr, relaxed=True)
 
+    def test_rows_match_single_decisions(self):
+        rng = np.random.default_rng(2)
+        z = rng.uniform(-0.4, 0.4, (40, 2))
+        orient = rng.uniform(0.0, 1.5, 40)
+        for relaxed in (False, True):
+            rows = check_termination(z, orient, self.thr, relaxed=relaxed)
+            assert rows.shape == (40,)
+            assert rows.tolist() == [check_termination(zi, oi, self.thr, relaxed=relaxed)
+                                     for zi, oi in zip(z, orient)]
+
     def test_threshold_validation(self):
         with pytest.raises(ValidationError):
             TerminationThresholds(z_err_max=-1.0)
