@@ -8,10 +8,11 @@ Submodules:
   flow      - velocity-field net, flow-matching loss/gradients, Euler sampler
   env       - toy arm environment, randomization, scripted experts
   distill   - DAgger distillation, residual policies, ES refinement, evaluation
+  fileio    - atomic file writes shared by the checkpoint and report writers
   cli       - command-line workflows (analyze / actuator / train / eval / refine)
 """
 
-from . import actuation, distill, env, errors, flow, metrics, motion
+from . import actuation, distill, env, errors, fileio, flow, metrics, motion
 
-__all__ = ["actuation", "distill", "env", "errors", "flow", "metrics", "motion"]
+__all__ = ["actuation", "distill", "env", "errors", "fileio", "flow", "metrics", "motion"]
 __version__ = "0.1.0"

@@ -175,16 +175,14 @@ def pd_torque(action, q, qdot, g: PDGains):
 
 def torque_ceiling(v, tau_in, p: ActuatorParams):
     """Motoring ceiling when v and tau_in align (v*tau > 0), braking otherwise."""
-    motoring = np.asarray(v, dtype=float) * np.asarray(tau_in, dtype=float) > 0
-    out = np.where(motoring, p.tau_y1, p.tau_y2)
+    out = np.where(np.multiply(v, tau_in) > 0, p.tau_y1, p.tau_y2)
     return float(out) if out.ndim == 0 else out
 
 
 def envelope_limit(v, tau_in, p: ActuatorParams):
     """Admissible torque magnitude L(v): flat below v_x1, linear to 0 at v_x2."""
     ceiling = torque_ceiling(v, tau_in, p)
-    speed = np.abs(np.asarray(v, dtype=float))
-    frac = np.clip((speed - p.v_x1) / (p.v_x2 - p.v_x1), 0.0, 1.0)
+    frac = np.minimum(np.maximum((np.abs(v) - p.v_x1) / (p.v_x2 - p.v_x1), 0.0), 1.0)
     out = ceiling * (1.0 - frac)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -192,8 +190,8 @@ def envelope_limit(v, tau_in, p: ActuatorParams):
 def clip_torque(tau_cmd, v, p: ActuatorParams):
     """Clamp a torque command into [-L(v), +L(v)]."""
     limit = envelope_limit(v, tau_cmd, p)
-    out = np.clip(np.asarray(tau_cmd, dtype=float), -limit, limit)
-    return float(out) if out.ndim == 0 else out
+    out = np.minimum(np.maximum(tau_cmd, -limit), limit)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def friction_torque(v, p: ActuatorParams):

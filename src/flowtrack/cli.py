@@ -25,6 +25,7 @@ import numpy as np
 from . import actuation, distill, flow, metrics
 from .env import ArmEnv, ExpertPolicy, load_env_config, merge_config
 from .errors import ConfigError
+from .fileio import write_atomic
 from .motion import load_motion
 
 
@@ -34,13 +35,6 @@ def _fmt(x: float) -> str:
 
 def _round6(x: float) -> float:
     return float(f"{x:.6g}")
-
-
-def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _say(args, msg: str) -> None:
@@ -158,7 +152,7 @@ def cmd_analyze(args) -> int:
         return 1
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
-        _write_atomic(args.out, text)
+        write_atomic(args.out, text)
         _say(args, f"wrote {len(report)} entries to {args.out}")
     else:
         sys.stdout.write(text)
@@ -257,10 +251,10 @@ def cmd_train(args) -> int:
     flow.save_policy(net, os.path.join(args.out, "policy.json"))
     csv = "iteration,loss\n" + "".join(
         f"{i},{_fmt(l)}\n" for i, l in enumerate(losses))
-    _write_atomic(os.path.join(args.out, "loss.csv"), csv)
+    write_atomic(os.path.join(args.out, "loss.csv"), csv)
     snapshot = {"train": cfg, "env": tree["env"], "seed": args.seed, "motions": names}
-    _write_atomic(os.path.join(args.out, "config.json"),
-                  json.dumps(snapshot, indent=2) + "\n")
+    write_atomic(os.path.join(args.out, "config.json"),
+                 json.dumps(snapshot, indent=2) + "\n")
     final = losses[-1] if losses else float("nan")
     _say(args, f"trained on {len(clips)} motion(s); final loss {_fmt(final)}")
     return 0
@@ -297,7 +291,7 @@ def cmd_eval(args) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        _write_atomic(args.out, text)
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     _say(args, f"success rate {_fmt(doc['aggregate']['success'])}")
@@ -330,10 +324,10 @@ def cmd_refine(args) -> int:
     distill.save_residual(refined, os.path.join(args.out, "residual.json"))
     csv = "generation,best_reward\n" + "".join(
         f"{i},{_fmt(r)}\n" for i, r in enumerate(history))
-    _write_atomic(os.path.join(args.out, "reward.csv"), csv)
+    write_atomic(os.path.join(args.out, "reward.csv"), csv)
     snapshot = {"es": cfg, "env": tree["env"], "seed": args.seed, "motion": name}
-    _write_atomic(os.path.join(args.out, "config.json"),
-                  json.dumps(snapshot, indent=2) + "\n")
+    write_atomic(os.path.join(args.out, "config.json"),
+                 json.dumps(snapshot, indent=2) + "\n")
     _say(args, f"refined on '{name}'; best reward {_fmt(history[-1])} "
                f"(started {_fmt(history[0])})")
     return 0

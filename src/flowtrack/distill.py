@@ -13,7 +13,6 @@ config for the classical aggregating variant.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from . import flow, metrics
 from .env import ArmEnv, ExpertPolicy, expert_action
 from .errors import CheckpointError, ConfigError, DimensionError, ValidationError
+from .fileio import write_atomic
 from .flow import (AdamState, FMBatch, SamplerCfg, VelocityFieldNet, adam_step,
                    clone_net, euler_sample, fm_loss_and_grad, mlp_forward,
                    mlp_init, mlp_zeros)
@@ -28,33 +28,42 @@ from .motion import MotionClip, finite_difference, segment_clips
 
 
 class ReplayBuffer:
-    """Flat store of (observation, motion id, expert action) records."""
+    """Flat store of (observation, expert action) records.
+
+    Records live in preallocated (rows, dim) arrays that double when full;
+    the row width is fixed by the first record added. `clear` keeps the
+    arrays for reuse.
+    """
+
+    INITIAL_ROWS = 1024
 
     def __init__(self):
-        self.observations: list[np.ndarray] = []
-        self.motion_ids: list[int] = []
-        self.expert_actions: list[np.ndarray] = []
+        self._obs: np.ndarray | None = None
+        self._act: np.ndarray | None = None
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self._size
 
     def clear(self) -> None:
-        self.observations.clear()
-        self.motion_ids.clear()
-        self.expert_actions.clear()
+        self._size = 0
 
-    def add(self, obs, motion_id: int, a_expert) -> None:
-        self.observations.append(np.asarray(obs, dtype=float))
-        self.motion_ids.append(int(motion_id))
-        self.expert_actions.append(np.asarray(a_expert, dtype=float))
+    def add(self, obs, a_expert) -> None:
+        if self._obs is None:
+            self._obs = np.empty((self.INITIAL_ROWS, np.size(obs)))
+            self._act = np.empty((self.INITIAL_ROWS, np.size(a_expert)))
+        elif self._size == len(self._obs):
+            self._obs = np.concatenate([self._obs, np.empty_like(self._obs)])
+            self._act = np.concatenate([self._act, np.empty_like(self._act)])
+        self._obs[self._size] = obs
+        self._act[self._size] = a_expert
+        self._size += 1
 
     def sample_batch(self, batch_size: int, rng) -> FMBatch:
-        if not self.observations:
+        if not self._size:
             raise ValidationError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self.observations), size=min(batch_size, len(self)))
-        obs = np.stack([self.observations[i] for i in idx])
-        act = np.stack([self.expert_actions[i] for i in idx])
-        return FMBatch(obs, act)
+        idx = rng.integers(0, self._size, size=min(batch_size, self._size))
+        return FMBatch(self._obs[idx], self._act[idx])
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], motions: list[MotionC
             done = False
             while not done:
                 a_exp = expert_action(experts[m], env)
-                buffer.add(obs, m, a_exp)
+                buffer.add(obs, a_exp)
                 a = euler_sample(net, obs, cfg.sampler, rng)
                 obs, _, done, _ = env.step(a)
         lr = cfg.learning_rate * cfg.lr_decay ** it
@@ -431,11 +440,7 @@ def save_residual(res: ResidualPolicy, path) -> None:
         "layer_shapes": [list(W.shape) for W, _ in res.params],
         "params": [[W.tolist(), b.tolist()] for W, b in res.params],
     }
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc) + "\n")
 
 
 def load_residual(path) -> ResidualPolicy:

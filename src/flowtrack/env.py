@@ -241,10 +241,10 @@ class ArmEnv:
         self._masses_ep = self.masses * (1.0 + mass)
         self._actuators_ep = self._joint_params.scaled(friction_scale=(1.0 + friction)[:, None])
         self._q0_eff = self.q0 + q0_offset
-        self._mcum = np.cumsum(self._masses_ep[:, ::-1], axis=1)[:, ::-1]
+        mcum = np.cumsum(self._masses_ep[:, ::-1], axis=1)[:, ::-1]
         joint = np.arange(J)
-        self._c = np.outer(self.lengths, self.lengths) * self._mcum[
-            :, np.maximum.outer(joint, joint)]
+        self._c = np.outer(self.lengths, self.lengths) * mcum[:, np.maximum.outer(joint, joint)]
+        self._gcoef = self.gravity * self.lengths * mcum
         self._q = motion.q[0] + pose_noise
         self._qdot = np.tile(self._ref_qdot[0], (n, 1))
         self._steps = np.zeros(n, dtype=int)
@@ -353,12 +353,12 @@ class ArmEnv:
         Coriolis/centrifugal plus gravity, of the episodes in `rows` at the
         (n, J) state (q, qdot)."""
         c = self._c[rows]
-        theta = np.cumsum(q, axis=-1)
-        thetadot = np.cumsum(qdot, axis=-1)
+        theta = q.cumsum(axis=-1)
+        thetadot = qdot.cumsum(axis=-1)
         dth = theta[..., :, None] - theta[..., None, :]
         M_q = self._S.T @ (c * np.cos(dth)) @ self._S + self._armature_M
         h_vec = ((c * np.sin(dth)) @ (thetadot ** 2)[..., None])[..., 0]
-        G = self.gravity * self.lengths * self._mcum[rows] * np.sin(theta)
+        G = self._gcoef[rows] * np.sin(theta)
         return M_q, (h_vec + G) @ self._S
 
     def _qacc(self, q, qdot, tau, rows) -> np.ndarray:

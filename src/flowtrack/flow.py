@@ -12,12 +12,12 @@ tight. The only nonlinearity used repo-wide is tanh.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CheckpointError, DimensionError, ValidationError
+from .fileio import write_atomic
 
 CHECKPOINT_VERSION = 1
 
@@ -142,16 +142,22 @@ def time_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _assemble_input(net: VelocityFieldNet, a, t, obs):
+def _input_rows(net: VelocityFieldNet, a, emb: np.ndarray, obs):
+    """[a, emb, obs] rows checked against the net's dims; `emb` holds one
+    time-embedding row per action row."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     if a.shape[1] != net.action_dim:
         raise DimensionError(f"action dim {a.shape[1]} != net action dim {net.action_dim}")
     if obs.shape[1] != net.obs_dim:
         raise DimensionError(f"obs dim {obs.shape[1]} != net obs dim {net.obs_dim}")
-    t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=float)), (a.shape[0],))
-    emb = time_embedding(t, net.time_embed_dim)
     return np.concatenate([a, emb, obs], axis=1)
+
+
+def _assemble_input(net: VelocityFieldNet, a, t, obs):
+    n = np.atleast_2d(a).shape[0]
+    t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=float)), (n,))
+    return _input_rows(net, a, time_embedding(t, net.time_embed_dim), obs)
 
 
 def forward(net: VelocityFieldNet, a, t, obs) -> np.ndarray:
@@ -249,14 +255,21 @@ def euler_sample(net: VelocityFieldNet, obs, cfg: SamplerCfg, rng) -> np.ndarray
     obs_dim) rows with a list of N Generators: each row draws its noise from
     its own stream, so its action does not depend on the rows beside it.
     """
-    D = cfg.steps
-    if np.ndim(obs) == 1:
-        x = rng.standard_normal(net.action_dim)
+    D, A, E = cfg.steps, net.action_dim, net.time_embed_dim
+    single = np.ndim(obs) == 1
+    if single:
+        x = rng.standard_normal(A)
     else:
-        x = np.array([r.standard_normal(net.action_dim) for r in rng])
+        x = np.array([r.standard_normal(A) for r in rng])
+    # [x, time_embed(t), obs] rows, assembled and checked once; each step
+    # rewrites only the action and time-embedding columns in place
+    emb = time_embedding(1.0 - np.arange(D) / D, E)
+    inp = _input_rows(net, x, np.repeat(emb[:1], 1 if single else len(x), axis=0), obs)
     for k in range(D):
-        t = 1.0 - k / D
-        x = x - forward(net, x, t, obs) / D
+        inp[:, A:A + E] = emb[k]
+        v = mlp_forward(net.params, inp)
+        x = x - (v[0] if single else v) / D
+        inp[:, :A] = x
     return x
 
 
@@ -314,24 +327,31 @@ def save_policy(net: VelocityFieldNet, path) -> None:
         "beta": net.beta,
         "params": [[W.tolist(), b.tolist()] for W, b in net.params],
     }
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc) + "\n")
 
 
 def decode_params(doc: dict, path) -> list:
     """The (W, b) blocks of a checkpoint document, checked against its header."""
     shapes, blocks = doc["layer_shapes"], doc["params"]
+    for key, value in (("layer_shapes", shapes), ("params", blocks)):
+        if not isinstance(value, list):
+            raise CheckpointError(f"{path}: '{key}' must be a list")
     if len(shapes) != len(blocks):
         raise CheckpointError(
             f"{path}: {len(shapes)} layer shapes but {len(blocks)} parameter blocks")
     params = []
-    for shape, (W, b) in zip(shapes, blocks):
-        W = np.array(W, dtype=float)
-        b = np.array(b, dtype=float)
-        if list(W.shape) != list(shape) or b.shape != (shape[0],):
+    for i, (shape, block) in enumerate(zip(shapes, blocks)):
+        if not (isinstance(shape, list) and len(shape) == 2):
+            raise CheckpointError(f"{path}: 'layer_shapes[{i}]' must be [rows, cols]")
+        if not (isinstance(block, list) and len(block) == 2):
+            raise CheckpointError(f"{path}: 'params[{i}]' must be a [W, b] pair")
+        try:
+            W = np.array(block[0], dtype=float)
+            b = np.array(block[1], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: 'params[{i}]' is not a rectangular numeric array ({exc})") from exc
+        if list(W.shape) != shape or b.shape != (shape[0],):
             raise CheckpointError(f"{path}: parameter block does not match header shape {shape}")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
             raise CheckpointError(f"{path}: non-finite parameters")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, SchemaError, ValidationError
+from .fileio import write_atomic
 
 QUAT_NORM_TOL = 1e-3
 
@@ -178,15 +178,23 @@ def load_motion(path) -> MotionClip:
     _check_rect(cols["body_pos"], "body_pos", path, depth=2)
     _check_rect(cols["contacts"], "contacts", path)
     return MotionClip(
-        fps=doc["fps"],
+        fps=_numeric(doc["fps"], "fps", path),
         joint_names=doc["joint_names"],
-        q=cols["q"],
-        base_pos=cols["base_pos"],
-        base_quat=cols["base_quat"],
-        body_pos=cols["body_pos"],
+        q=_numeric(cols["q"], "q", path),
+        base_pos=_numeric(cols["base_pos"], "base_pos", path),
+        base_quat=_numeric(cols["base_quat"], "base_quat", path),
+        body_pos=_numeric(cols["body_pos"], "body_pos", path),
         contacts=cols["contacts"],
         feet_indices=doc["feet_indices"],
     )
+
+
+def _numeric(value, name, path) -> np.ndarray:
+    """`value` as a float array, or a SchemaError naming the file and key."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: '{name}' must be numeric ({exc})") from exc
 
 
 def _check_rect(rows, name, path, depth=1):
@@ -221,11 +229,7 @@ def save_motion(clip: MotionClip, path) -> None:
         "frames": frames,
         "feet_indices": list(clip.feet_indices),
     }
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc) + "\n")
 
 
 def finite_difference(series, dt: float) -> np.ndarray:

@@ -20,13 +20,41 @@ def tiny_env(episode_len=60):
 class TestReplayBuffer:
     def test_add_clear(self):
         buf = ReplayBuffer()
-        buf.add(np.zeros(3), 0, np.zeros(2))
-        buf.add(np.ones(3), 1, np.ones(2))
+        buf.add(np.zeros(3), np.zeros(2))
+        buf.add(np.ones(3), np.ones(2))
         assert len(buf) == 2
         buf.clear()
         assert len(buf) == 0
         with pytest.raises(ValidationError):
             buf.sample_batch(4, np.random.default_rng(0))
+
+    def test_grows_past_capacity_and_samples_added_rows(self):
+        n = 2 * ReplayBuffer.INITIAL_ROWS + 3
+        rng = np.random.default_rng(7)
+        obs, act = rng.standard_normal((n, 4)), rng.standard_normal((n, 2))
+        buf = ReplayBuffer()
+        for o, a in zip(obs, act):
+            buf.add(o, a)
+        assert len(buf) == n
+        batch = buf.sample_batch(256, np.random.default_rng(3))
+        idx = np.random.default_rng(3).integers(0, n, size=256)
+        assert np.array_equal(batch.observations, obs[idx])
+        assert np.array_equal(batch.expert_actions, act[idx])
+        # the whole buffer when the batch asks for more rows than it holds
+        assert len(buf.sample_batch(n + 50, np.random.default_rng(0))) == n
+
+    def test_clear_reuses_arrays(self):
+        buf = ReplayBuffer()
+        for i in range(3):
+            buf.add(np.full(3, i), np.full(2, -i))
+        obs_rows, act_rows = buf._obs, buf._act
+        buf.clear()
+        assert len(buf) == 0
+        buf.add(np.full(3, 9.0), np.full(2, 8.0))
+        assert buf._obs is obs_rows and buf._act is act_rows
+        batch = buf.sample_batch(5, np.random.default_rng(0))
+        assert np.array_equal(batch.observations, np.full((1, 3), 9.0))
+        assert np.array_equal(batch.expert_actions, np.full((1, 2), 8.0))
 
     def test_collected_record_count(self):
         env = tiny_env(episode_len=30)
@@ -145,6 +173,17 @@ class TestResidualCheckpoint:
         doc["layer_shapes"].append([2, 2])
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="r.json"):
+            distill.load_residual(path)
+
+    def test_malformed_block_named(self, tmp_path):
+        import json
+        res = init_residual(tiny_env(), hidden=(8,), bound=0.3, rng=np.random.default_rng(0))
+        path = tmp_path / "r.json"
+        distill.save_residual(res, path)
+        doc = json.loads(path.read_text())
+        doc["params"][0][0][1] = "w"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=r"r\.json.*params\[0\]"):
             distill.load_residual(path)
 
 

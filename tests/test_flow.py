@@ -166,6 +166,24 @@ class TestEulerSampler:
             single = euler_sample(net, o, cfg, np.random.default_rng(s))
             np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_per_step_forward_loop_bit_for_bit(self, n):
+        net = init_net(2, 5, hidden=(16, 16), time_embed_dim=6, rng=np.random.default_rng(2))
+        obs = np.random.default_rng(5).standard_normal((n, 5))
+        cfg = SamplerCfg(steps=5)
+        seeds = range(10, 10 + n)
+        out = euler_sample(net, obs, cfg, [np.random.default_rng(s) for s in seeds])
+        # the sampler's recurrence, one `forward` call per step
+        x = np.array([np.random.default_rng(s).standard_normal(2) for s in seeds])
+        for k in range(cfg.steps):
+            x = x - forward(net, x, 1.0 - k / cfg.steps, obs) / cfg.steps
+        assert np.array_equal(out, x)
+        single = euler_sample(net, obs[0], cfg, np.random.default_rng(10))
+        x = np.random.default_rng(10).standard_normal(2)
+        for k in range(cfg.steps):
+            x = x - forward(net, x, 1.0 - k / cfg.steps, obs[0]) / cfg.steps
+        assert single.shape == (2,) and np.array_equal(single, x)
+
     def test_same_seed_same_action(self):
         net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(3))
         cfg = SamplerCfg(steps=5)
@@ -249,6 +267,32 @@ class TestCheckpoints:
         doc["params"] = doc["params"][:1]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="p.json"):
+            load_policy(path)
+
+    @staticmethod
+    def _edited_checkpoint(tmp_path, edit):
+        import json
+        net = init_net(2, 3, hidden=(4,), rng=np.random.default_rng(0))
+        path = tmp_path / "p.json"
+        save_policy(net, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_three_item_params_entry(self, tmp_path):
+        path = self._edited_checkpoint(tmp_path, lambda d: d["params"][0].append([0.0]))
+        with pytest.raises(CheckpointError, match=r"p\.json.*params\[0\]"):
+            load_policy(path)
+
+    def test_non_list_layer_shapes(self, tmp_path):
+        path = self._edited_checkpoint(tmp_path, lambda d: d.update(layer_shapes=7))
+        with pytest.raises(CheckpointError, match=r"p\.json.*layer_shapes"):
+            load_policy(path)
+
+    def test_ragged_weight_matrix(self, tmp_path):
+        path = self._edited_checkpoint(tmp_path, lambda d: d["params"][1][0][0].append(1.0))
+        with pytest.raises(CheckpointError, match=r"p\.json.*params\[1\]"):
             load_policy(path)
 
     def test_truncated_file(self, tmp_path):

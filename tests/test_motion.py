@@ -68,6 +68,18 @@ class TestLoadSave:
         with pytest.raises(DimensionError, match="contacts"):
             load_motion(path)
 
+    @pytest.mark.parametrize("key, edit", [
+        ("fps", lambda d: d.update(fps="fast")),
+        ("q", lambda d: d["frames"][1].update(q=["x"])),
+    ])
+    def test_non_numeric_value_named(self, tmp_path, key, edit):
+        doc = minimal_doc()
+        edit(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=rf"m\.json: '{key}' must be numeric"):
+            load_motion(path)
+
     def test_quat_norm_error(self, tmp_path):
         doc = minimal_doc()
         doc["frames"][0]["base_quat"] = [1.01, 0.0, 0.0, 0.0]
