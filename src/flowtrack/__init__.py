@@ -8,7 +8,8 @@ Submodules:
   flow      - velocity-field net, flow-matching loss/gradients, Euler sampler
   env       - toy arm environment, randomization, scripted experts
   distill   - DAgger distillation, residual policies, ES refinement, evaluation
-  fileio    - atomic file writes shared by the checkpoint and report writers
+  fileio    - the file boundary: JSON input, config merging, the checkpoint
+              codec, atomic writes
   cli       - command-line workflows (analyze / actuator / train / eval / refine)
 """
 

@@ -12,13 +12,13 @@ so one call evaluates every joint of a batch of episodes at once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .fileio import check_like, read_json
 
 _PARAM_FIELDS = ("tau_y1", "tau_y2", "v_x1", "v_x2", "mu_s", "v_act", "mu_d", "armature_I")
 
@@ -119,32 +119,28 @@ class PowerPenaltyCfg:
 
 def default_catalog() -> dict[str, ActuatorParams]:
     """The built-in actuator catalog (four production motor models)."""
-    text = resources.files("flowtrack.data").joinpath("actuators.json").read_text()
-    return _parse_catalog(text, "<builtin>")
+    with resources.as_file(resources.files("flowtrack.data") / "actuators.json") as path:
+        return load_catalog(path)
 
 
 def load_catalog(path) -> dict[str, ActuatorParams]:
-    """Load an actuator catalog JSON file: {name: {eight parameter fields}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_catalog(fh.read(), str(path))
+    """Load an actuator catalog JSON file: {name: {eight parameter fields}}.
 
-
-def _parse_catalog(text: str, origin: str) -> dict[str, ActuatorParams]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{origin}: not valid JSON ({exc})") from exc
+    A malformed entry raises SchemaError, and constants that break an
+    `ActuatorParams` invariant raise ValidationError; both name the file and
+    the actuator.
+    """
+    doc = read_json(path, SchemaError)
     if not isinstance(doc, dict):
-        raise SchemaError(f"{origin}: catalog must be an object")
+        raise SchemaError(f"{path}: catalog must be an object")
+    example = dict.fromkeys(_PARAM_FIELDS, 0.0)
     out = {}
     for name, fields in doc.items():
-        missing = [k for k in _PARAM_FIELDS if k not in fields]
-        if missing:
-            raise SchemaError(f"{origin}: actuator '{name}' missing key '{missing[0]}'")
-        extra = [k for k in fields if k not in _PARAM_FIELDS]
-        if extra:
-            raise SchemaError(f"{origin}: actuator '{name}' unknown key '{extra[0]}'")
-        out[name] = ActuatorParams(**{k: float(fields[k]) for k in _PARAM_FIELDS})
+        check_like(fields, example, SchemaError, path, name)
+        try:
+            out[name] = ActuatorParams(**{k: float(fields[k]) for k in _PARAM_FIELDS})
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: actuator '{name}': {exc}") from exc
     return out
 
 

@@ -15,7 +15,6 @@ failure. Numeric output uses 6 significant digits so reports diff cleanly.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -23,9 +22,9 @@ import sys
 import numpy as np
 
 from . import actuation, distill, flow, metrics
-from .env import ArmEnv, ExpertPolicy, load_env_config, merge_config
+from .env import ArmEnv, ExpertPolicy, load_env_config
 from .errors import ConfigError
-from .fileio import write_atomic
+from .fileio import check_like, merge_over, read_config, write_atomic
 from .motion import load_motion
 
 
@@ -51,8 +50,18 @@ def _motion_files(path: str) -> list[str]:
     raise ConfigError(f"motion path '{path}' is neither a file nor a directory")
 
 
+def _slot(node, part: str, key: str):
+    """The dict key or list index `part` of the --set path `key` names in `node`."""
+    if isinstance(node, dict) and part in node:
+        return part
+    if isinstance(node, list) and part.isdecimal() and int(part) < len(node):
+        return int(part)
+    raise ConfigError(f"--set: unknown config path '{key}' (no entry '{part}')")
+
+
 def _apply_sets(tree: dict, assignments: list[str]) -> None:
-    """Apply --set dot.path=value overrides onto a nested config tree."""
+    """Apply --set dot.path=value overrides onto a nested config tree. A value
+    must have the type of the entry it replaces; an object is merged into it."""
     for item in assignments or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got '{item}'")
@@ -62,29 +71,14 @@ def _apply_sets(tree: dict, assignments: list[str]) -> None:
         except json.JSONDecodeError:
             value = raw
         node = tree
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if isinstance(node, list):
-                node = node[int(part)]
-            elif part in node:
-                node = node[part]
-            else:
-                raise ConfigError(f"--set: unknown config path '{key}'")
-        leaf = parts[-1]
-        if isinstance(node, list):
-            node[int(leaf)] = value
-        elif leaf in node:
-            node[leaf] = value
+        *parents, leaf = key.split(".")
+        for part in parents:
+            node = node[_slot(node, part, key)]
+        slot = _slot(node, leaf, key)
+        if isinstance(node[slot], dict):
+            node[slot] = merge_over(node[slot], value, "--set", key)
         else:
-            raise ConfigError(f"--set: unknown config path '{key}'")
-
-
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+            node[slot] = check_like(value, node[slot], ConfigError, "--set", key)
 
 
 DEFAULT_TRAIN_CFG = {
@@ -109,18 +103,6 @@ DEFAULT_ES_CFG = {
     "residual_hidden": [24],
     "residual_bound": 0.4,
 }
-
-
-def _merge_over(defaults: dict, overrides: dict, origin: str) -> dict:
-    cfg = copy.deepcopy(defaults)
-    for key, value in (overrides or {}).items():
-        if key not in cfg:
-            raise ConfigError(f"{origin}: unknown key '{key}'")
-        if isinstance(cfg[key], dict) and isinstance(value, dict):
-            cfg[key] = _merge_over(cfg[key], value, f"{origin}.{key}")
-        else:
-            cfg[key] = value
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +176,7 @@ def cmd_actuator(args) -> int:
 
 
 def _build_env_and_motions(args, assignments_tree):
-    env_cfg = load_env_config(args.env) if args.env else merge_config(None)
+    env_cfg = load_env_config(args.env)
     assignments_tree["env"] = env_cfg
     _apply_sets(assignments_tree, args.set)
     env = ArmEnv(assignments_tree["env"])
@@ -212,8 +194,18 @@ def _build_env_and_motions(args, assignments_tree):
     return env, motions
 
 
+def _load_base_policy(path, env: ArmEnv) -> flow.VelocityFieldNet:
+    """The policy checkpoint at `path`, checked against the env's dims."""
+    net = flow.load_policy(path)
+    if net.obs_dim != env.obs_dim or net.action_dim != env.n_joints:
+        raise ConfigError(
+            f"checkpoint dims (obs {net.obs_dim}, act {net.action_dim}) do not match "
+            f"env (obs {env.obs_dim}, act {env.n_joints})")
+    return net
+
+
 def cmd_train(args) -> int:
-    cfg = _merge_over(DEFAULT_TRAIN_CFG, _load_json(args.cfg) if args.cfg else {}, "train cfg")
+    cfg = read_config(DEFAULT_TRAIN_CFG, args.cfg)
     tree = {"train": cfg}
     env, motions = _build_env_and_motions(args, tree)
     cfg = tree["train"]
@@ -222,12 +214,11 @@ def cmd_train(args) -> int:
     experts = [ExpertPolicy(c, lookahead=int(cfg["expert"]["lookahead"]),
                             action_limit=float(cfg["expert"]["action_limit"]))
                for c in clips]
-    sampler = flow.SamplerCfg(steps=int(cfg["sampler"]["steps"]),
-                              alpha=float(cfg["sampler"]["alpha"]),
-                              beta=float(cfg["sampler"]["beta"]))
+    sampler = flow.SamplerCfg(steps=int(cfg["sampler"]["steps"]))
     net = flow.init_net(env.n_joints, env.obs_dim, hidden=tuple(cfg["hidden"]),
                         time_embed_dim=int(cfg["time_embed_dim"]),
-                        alpha=sampler.alpha, beta=sampler.beta,
+                        alpha=float(cfg["sampler"]["alpha"]),
+                        beta=float(cfg["sampler"]["beta"]),
                         rng=np.random.default_rng(args.seed))
     dcfg = distill.DistillCfg(
         iterations=int(cfg["iterations"]),
@@ -263,32 +254,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     tree = {}
     env, motions = _build_env_and_motions(args, tree)
-    net = flow.load_policy(args.policy)
-    if net.obs_dim != env.obs_dim or net.action_dim != env.n_joints:
-        raise ConfigError(
-            f"checkpoint dims (obs {net.obs_dim}, act {net.action_dim}) do not match "
-            f"env (obs {env.obs_dim}, act {env.n_joints})")
+    net = _load_base_policy(args.policy, env)
     residual = distill.load_residual(args.residual) if args.residual else None
     results = distill.evaluate_policy(net, env, motions, residual=residual,
                                       n_rollouts=args.rollouts, seed=args.seed)
-    doc = {"motions": {}, "aggregate": {}}
-    for name in sorted(results):
-        m = results[name]
-        doc["motions"][name] = {
-            "mpjpe_mm": _round6(m.mpjpe_mm),
-            "dvel": _round6(m.dvel),
-            "dacc": _round6(m.dacc),
-            "success": _round6(m.success),
-            "n_episodes": m.n_episodes,
-        }
-    vals = list(results.values())
-    doc["aggregate"] = {
-        "mpjpe_mm": _round6(float(np.mean([m.mpjpe_mm for m in vals]))),
-        "dvel": _round6(float(np.mean([m.dvel for m in vals]))),
-        "dacc": _round6(float(np.mean([m.dacc for m in vals]))),
-        "success": _round6(float(np.mean([m.success for m in vals]))),
-        "n_episodes": sum(m.n_episodes for m in vals),
-    }
+    def row(m: metrics.TrackingMetrics) -> dict:
+        return {k: v if k == "n_episodes" else _round6(v) for k, v in vars(m).items()}
+
+    doc = {"motions": {name: row(results[name]) for name in sorted(results)},
+           "aggregate": row(metrics.mean_tracking(list(results.values())))}
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         write_atomic(args.out, text)
@@ -299,15 +273,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    cfg = _merge_over(DEFAULT_ES_CFG, _load_json(args.cfg) if args.cfg else {}, "refine cfg")
+    cfg = read_config(DEFAULT_ES_CFG, args.cfg)
     tree = {"es": cfg}
     env, motions = _build_env_and_motions(args, tree)
     cfg = tree["es"]
-    net = flow.load_policy(args.policy)
-    if net.obs_dim != env.obs_dim or net.action_dim != env.n_joints:
-        raise ConfigError(
-            f"checkpoint dims (obs {net.obs_dim}, act {net.action_dim}) do not match "
-            f"env (obs {env.obs_dim}, act {env.n_joints})")
+    net = _load_base_policy(args.policy, env)
     name = sorted(motions)[0]
     residual = distill.init_residual(env, hidden=tuple(cfg["residual_hidden"]),
                                      bound=float(cfg["residual_bound"]),

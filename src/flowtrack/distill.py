@@ -5,25 +5,22 @@ policy evaluation.
 
 The DAgger loop rolls out the *current* student (so training states match the
 deployment distribution), labels every visited state with the expert action,
-and fits the flow-matching objective on the freshly collected buffer. The
-buffer is cleared each iteration by default; pass accumulate=True in the
-config for the classical aggregating variant.
+and fits the flow-matching objective on the freshly collected buffer.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import flow, metrics
+from . import metrics
 from .env import ArmEnv, ExpertPolicy, expert_action
-from .errors import CheckpointError, ConfigError, DimensionError, ValidationError
-from .fileio import write_atomic
+from .errors import ConfigError, DimensionError, ValidationError
+from .fileio import load_checkpoint, save_checkpoint
 from .flow import (AdamState, FMBatch, SamplerCfg, VelocityFieldNet, adam_step,
-                   clone_net, euler_sample, fm_loss_and_grad, mlp_forward,
-                   mlp_init, mlp_zeros)
+                   check_layers, clone_net, euler_sample, fm_loss_and_grad,
+                   mlp_forward, mlp_init, mlp_zeros)
 from .motion import MotionClip, finite_difference, segment_clips
 
 
@@ -76,7 +73,6 @@ class DistillCfg:
     lr_decay: float = 1.0  # per-iteration geometric decay
     sampler: SamplerCfg = field(default_factory=SamplerCfg)
     seed: int = 0
-    accumulate: bool = False
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -112,8 +108,7 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], motions: list[MotionC
     opt_state = AdamState()
     losses: list[float] = []
     for it in range(cfg.iterations):
-        if not cfg.accumulate:
-            buffer.clear()
+        buffer.clear()
         for _ in range(cfg.episodes_per_iter):
             m = int(rng.integers(len(motions)))
             obs = env.reset(motions[m], rng, mode="base")
@@ -157,14 +152,11 @@ class ResidualPolicy:
     params: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.bound < 0:
+        if not self.bound >= 0:
             raise ValidationError("residual bound must be non-negative")
         if not self.params:
             self.params = mlp_zeros(self.layer_sizes)
-        sizes = self.layer_sizes
-        for i, (W, b) in enumerate(self.params):
-            if W.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
-                raise DimensionError(f"residual layer {i} inconsistent with {sizes}")
+        check_layers(self.params, self.layer_sizes, "residual layer")
 
     @property
     def input_dim(self) -> int:
@@ -381,29 +373,14 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict | list,
                     per_episode["dvel"].append(metrics.delta_vel(ref_v, rob_v, env.dt))
                     per_episode["dacc"].append(metrics.delta_acc(ref_v, rob_v, env.dt))
             clip_metrics.append(metrics.TrackingMetrics(
-                mpjpe_mm=aggregate_per_episode(per_episode["mpjpe"]),
-                dvel=aggregate_per_episode(per_episode["dvel"]) if per_episode["dvel"] else 0.0,
-                dacc=aggregate_per_episode(per_episode["dacc"]) if per_episode["dacc"] else 0.0,
+                mpjpe_mm=float(np.mean(per_episode["mpjpe"])),
+                dvel=float(np.mean(per_episode["dvel"])) if per_episode["dvel"] else 0.0,
+                dacc=float(np.mean(per_episode["dacc"])) if per_episode["dacc"] else 0.0,
                 success=float(np.mean(~log["terminated_early"])),
                 n_episodes=n_rollouts,
             ))
-        results[name] = metrics.TrackingMetrics(
-            mpjpe_mm=float(np.mean([m.mpjpe_mm for m in clip_metrics])),
-            dvel=float(np.mean([m.dvel for m in clip_metrics])),
-            dacc=float(np.mean([m.dacc for m in clip_metrics])),
-            success=float(np.mean([m.success for m in clip_metrics])),
-            n_episodes=sum(m.n_episodes for m in clip_metrics),
-        )
+        results[name] = metrics.mean_tracking(clip_metrics)
     return results
-
-
-def aggregate_per_episode(values) -> float:
-    """Episode-level metric aggregation: plain mean over per-episode values.
-
-    Kept as a named helper because the order matters: per-episode means are
-    averaged, never pooled over the frames of unequal-length episodes.
-    """
-    return float(np.mean(values))
 
 
 def hash_seed(*parts) -> int:
@@ -428,44 +405,27 @@ def closed_loop_joint_error(env: ArmEnv, net: VelocityFieldNet, motion: MotionCl
 # ---------------------------------------------------------------------------
 # Residual checkpoints.
 
+# Header fields of a residual checkpoint, in file order, each with an example
+# of its type (see `fileio.load_checkpoint`).
+RESIDUAL_HEADER = {"proprio_dim": 0, "command_dim": 0, "action_dim": 0, "hidden": [0],
+                   "bound": 0.0, "layer_shapes": [[0]]}
+
+
 def save_residual(res: ResidualPolicy, path) -> None:
-    doc = {
-        "version": flow.CHECKPOINT_VERSION,
-        "kind": "residual",
-        "proprio_dim": res.proprio_dim,
-        "command_dim": res.command_dim,
-        "action_dim": res.action_dim,
-        "hidden": list(res.hidden),
-        "bound": res.bound,
-        "layer_shapes": [list(W.shape) for W, _ in res.params],
-        "params": [[W.tolist(), b.tolist()] for W, b in res.params],
-    }
-    write_atomic(path, json.dumps(doc) + "\n")
+    save_checkpoint(path, "residual", RESIDUAL_HEADER, {
+        "proprio_dim": res.proprio_dim, "command_dim": res.command_dim,
+        "action_dim": res.action_dim, "hidden": list(res.hidden), "bound": res.bound},
+        res.params)
+
+
+def _build_residual(doc: dict, params: list) -> ResidualPolicy:
+    return ResidualPolicy(
+        proprio_dim=int(doc["proprio_dim"]), command_dim=int(doc["command_dim"]),
+        action_dim=int(doc["action_dim"]), hidden=tuple(int(h) for h in doc["hidden"]),
+        bound=float(doc["bound"]), params=params)
 
 
 def load_residual(path) -> ResidualPolicy:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
-    for key in ("version", "kind", "proprio_dim", "command_dim", "action_dim",
-                "hidden", "bound", "layer_shapes", "params"):
-        if key not in doc:
-            raise CheckpointError(f"{path}: missing checkpoint key '{key}'")
-    if doc["version"] != flow.CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {doc['version']}")
-    if doc["kind"] != "residual":
-        raise CheckpointError(f"{path}: not a residual checkpoint ({doc['kind']})")
-    params = flow.decode_params(doc, path)
-    try:
-        return ResidualPolicy(
-            proprio_dim=int(doc["proprio_dim"]),
-            command_dim=int(doc["command_dim"]),
-            action_dim=int(doc["action_dim"]),
-            hidden=tuple(int(h) for h in doc["hidden"]),
-            bound=float(doc["bound"]),
-            params=params,
-        )
-    except (DimensionError, ValidationError) as exc:
-        raise CheckpointError(f"{path}: inconsistent checkpoint ({exc})") from exc
+    """Load a residual checkpoint; anything malformed or inconsistent raises
+    CheckpointError naming the file."""
+    return load_checkpoint(path, "residual", RESIDUAL_HEADER, _build_residual)

@@ -17,8 +17,6 @@ the last link). That proxy is a stand-in, not a physical torso.
 
 from __future__ import annotations
 
-import copy
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +24,7 @@ import numpy as np
 from . import actuation
 from .actuation import ActuatorParams, PDGains, PowerPenaltyCfg
 from .errors import ConfigError, NumericalBlowupError, ValidationError
+from .fileio import merge_over, read_config
 from .metrics import TerminationThresholds, check_termination
 from .motion import MotionClip, arm_forward_kinematics, finite_difference
 
@@ -87,28 +86,15 @@ DEFAULT_ENV_CONFIG = {
 
 
 def load_env_config(path) -> dict:
-    """Read an env config JSON file and merge it over the defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return merge_config(doc)
+    """Read an env config JSON file (the defaults when `path` is None) and
+    merge it over the defaults."""
+    return read_config(DEFAULT_ENV_CONFIG, path)
 
 
 def merge_config(overrides: dict | None) -> dict:
-    cfg = copy.deepcopy(DEFAULT_ENV_CONFIG)
-    for key, value in (overrides or {}).items():
-        if key not in cfg:
-            raise ConfigError(f"unknown env config key '{key}'")
-        if isinstance(cfg[key], dict) and isinstance(value, dict):
-            for sub, sval in value.items():
-                if sub not in cfg[key]:
-                    raise ConfigError(f"unknown env config key '{key}.{sub}'")
-                cfg[key][sub] = sval
-        else:
-            cfg[key] = value
-    return cfg
+    """The defaults with `overrides` merged in (see `fileio.merge_over`)."""
+    return merge_over(DEFAULT_ENV_CONFIG, {} if overrides is None else overrides,
+                      "env config")
 
 
 class ArmEnv:
@@ -133,9 +119,7 @@ class ArmEnv:
         self.lengths = np.array([float(l["length"]) for l in links])
         if np.any(self.masses <= 0) or np.any(self.lengths <= 0):
             raise ConfigError("link masses and lengths must be positive")
-        self.gravity = float(cfg["gravity"])
-        if not np.isfinite(self.gravity):
-            raise ConfigError(f"gravity must be finite, got {cfg['gravity']}")
+        self.gravity = float(cfg["gravity"])  # finite: merge_config checks every number
         self.dt = CONTROL_DT
         self.n_substeps = int(cfg["n_substeps"])
         if self.n_substeps < 1:
@@ -150,9 +134,8 @@ class ArmEnv:
         if len(names) != self.n_joints:
             raise ConfigError(f"{self.n_joints} links but {len(names)} actuator names")
         scale = float(cfg["envelope_scale"])
-        if not (np.isfinite(scale) and scale > 0):
-            raise ConfigError(f"envelope_scale must be positive and finite, got "
-                              f"{cfg['envelope_scale']}")
+        if not scale > 0:
+            raise ConfigError(f"envelope_scale must be positive, got {cfg['envelope_scale']}")
         nominal: list[ActuatorParams] = []
         for name in names:
             if name not in catalog:
@@ -181,7 +164,11 @@ class ArmEnv:
             k: float(v) for k, v in cfg["randomization"].items()
         })
         pp = cfg["power_penalty"]
-        joints = pp.get("joints")
+        joints = pp["joints"]
+        if joints is not None and not (isinstance(joints, (list, tuple)) and all(
+                isinstance(j, (int, np.integer)) and 0 <= j < self.n_joints for j in joints)):
+            raise ConfigError(f"power_penalty.joints must be null or a list of joint "
+                              f"indices, got {joints}")
         self.power_cfg = PowerPenaltyCfg(
             deadband=float(pp["deadband"]),
             norm=float(pp["norm"]),
@@ -327,13 +314,6 @@ class ArmEnv:
         self._require_episode()
         return self._unbatch(self._command(self._rows()))
 
-    def build_observation(self) -> np.ndarray:
-        """obs = [proprio, command, history] of the running episodes; history
-        holds the H most recent past proprio states, most recent first (filled
-        with the initial state at reset)."""
-        self._require_episode()
-        return self._unbatch(self._observe(self._rows()))
-
     @property
     def proprio_dim(self) -> int:
         return 3 * self.n_joints
@@ -365,21 +345,11 @@ class ArmEnv:
         M_q, bias = self._terms(q, qdot, rows)
         return np.linalg.solve(M_q, (tau - bias)[..., None])[..., 0]
 
-    def gravity_torque(self, q) -> np.ndarray:
-        """Joint torques that statically balance gravity at pose q."""
-        q = np.asarray(q, dtype=float)
-        return self._unbatch(self._terms(q, np.zeros_like(q), slice(None))[1])
-
     def inverse_dynamics(self, q, qdot, qacc) -> np.ndarray:
         """Joint torques that produce qacc at (q, qdot), gravity included."""
         M_q, bias = self._terms(np.asarray(q, dtype=float), np.asarray(qdot, dtype=float),
                                 slice(None))
         return self._unbatch((M_q @ np.asarray(qacc, dtype=float)[..., None])[..., 0] + bias)
-
-    def body_positions(self, q=None) -> np.ndarray:
-        """Link endpoint positions (J, 3) at the current (or given) pose."""
-        return arm_forward_kinematics(
-            self._unbatch(self._q) if q is None else q, self.lengths, self.base_height)
 
     def mechanical_energy(self):
         """Kinetic + gravitational potential energy of the episode's arm."""
@@ -540,18 +510,13 @@ class ExpertPolicy:
     """Privileged PD tracker for one reference motion.
 
     Commands the reference pose `lookahead` frames ahead through the PD map,
-    with velocity feedforward plus a computed-torque feedforward (full inverse
-    dynamics at the reference, or gravity only when accel_ff is off). All
-    feedforward terms are privileged: they read the env's randomized defaults
-    and dynamics model.
+    with velocity feedforward plus computed-torque feedforward (full inverse
+    dynamics and friction at the reference). All feedforward terms are
+    privileged: they read the env's randomized defaults and dynamics model.
     """
 
     motion: MotionClip
     lookahead: int = 1
-    vel_ff: float = 1.0
-    accel_ff: bool = True
-    gravity_ff: bool = True
-    friction_ff: bool = True
     action_limit: float = 4.0
 
 
@@ -565,12 +530,8 @@ def expert_action(expert: ExpertPolicy, env: ArmEnv) -> np.ndarray:
     idx = env.ref_frame(env.step_count + expert.lookahead)
     q_ref = expert.motion.q[idx]
     qd_ref = env._ref_qdot[idx]
-    a = q_ref - env.q0_eff + expert.vel_ff * (env.kd / env.kp) * qd_ref
-    if expert.accel_ff:
-        a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx]) / env.kp
-    elif expert.gravity_ff:
-        a = a + env.gravity_torque(q_ref) / env.kp
-    if expert.friction_ff:
-        a = a + actuation.friction_torque(qd_ref, env._actuators_ep)[0] / env.kp
+    a = q_ref - env.q0_eff + (env.kd / env.kp) * qd_ref
+    a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx]) / env.kp
+    a = a + actuation.friction_torque(qd_ref, env._actuators_ep)[0] / env.kp
     a = a / env.action_scale
     return np.clip(a, -expert.action_limit, expert.action_limit)

@@ -1,8 +1,21 @@
-"""Atomic file output shared by the checkpoint, motion and report writers."""
+"""The program's file boundary. Every JSON input is parsed by `read_json`;
+configs merge over their defaults, which double as their schema
+(`merge_over`, `check_like`); both checkpoint kinds share one codec
+(`save_checkpoint`, `load_checkpoint`); every writer uses `write_atomic`.
+"""
 
 from __future__ import annotations
 
+import copy
+import json
 import os
+import sys
+
+import numpy as np
+
+from .errors import CheckpointError, ConfigError, DimensionError, ValidationError
+
+CHECKPOINT_VERSION = 1
 
 
 def write_atomic(path, text: str) -> None:
@@ -12,3 +25,160 @@ def write_atomic(path, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def read_json(path, error_type):
+    """The JSON document at `path`; a file that does not parse raises
+    `error_type` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error_type(f"{path}: not valid JSON ({exc})") from exc
+
+
+# ---------------------------------------------------------------------------
+# Typed documents: a default or example value stands for its JSON type, and
+# errors name the dotted key of the offending entry ("" is the top level).
+
+_EXPECTED = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+             float: "numeric and finite"}
+
+
+def _at(key: str) -> str:
+    return f"'{key}'" if key else "the top level"
+
+
+def _join(key: str, sub) -> str:
+    return f"{key}.{sub}" if key else str(sub)
+
+
+def check_like(value, example, error_type, origin, key: str = ""):
+    """Return `value` if it has the JSON type of `example`, else raise
+    `error_type` naming `origin` and the dotted `key`.
+
+    An integer example takes an integral number, a float example a finite
+    number (never a boolean), a list example a list whose items are like its
+    first item, a dict example an object with exactly its keys, each like its
+    example, and a None example anything.
+    """
+    if example is None:
+        return value
+    if isinstance(example, (dict, list, str)):
+        ok = isinstance(value, type(example))
+    elif isinstance(example, int):
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    else:  # the comparison is False for NaN, infinities and ints beyond float range
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if not ok or isinstance(value, bool):
+        raise error_type(f"{origin}: {_at(key)} must be {_EXPECTED[type(example)]}")
+    if isinstance(example, dict):
+        for k in {**example, **value}:
+            if k not in value or k not in example:
+                problem = "missing" if k not in value else "unknown"
+                raise error_type(f"{origin}: {problem} key '{_join(key, k)}'")
+            check_like(value[k], example[k], error_type, origin, _join(key, k))
+    for i, item in enumerate(value if isinstance(example, list) and example else ()):
+        check_like(item, example[0], error_type, origin, _join(key, i))
+    return value
+
+
+def read_config(defaults: dict, path) -> dict:
+    """`defaults` with the JSON config file at `path`, if one is given, merged in."""
+    return merge_over(defaults, read_json(path, ConfigError) if path else {}, path)
+
+
+def merge_over(defaults: dict, overrides, origin, key: str = "") -> dict:
+    """A deep copy of `defaults` with `overrides` merged in, key by key.
+
+    The defaults are the schema: an override key must exist there, an object
+    default takes an object (merged recursively), and any other default takes
+    a value of its type (see `check_like`). Errors are ConfigErrors naming
+    `origin` and the dotted key, such as `randomization.bogus`.
+    """
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{origin}: {_at(key)} must be an object")
+    cfg = copy.deepcopy(defaults)
+    for k, value in overrides.items():
+        if k not in cfg:
+            raise ConfigError(f"{origin}: unknown key '{_join(key, k)}'")
+        if isinstance(cfg[k], dict):
+            cfg[k] = merge_over(cfg[k], value, origin, _join(key, k))
+        else:
+            cfg[k] = check_like(value, cfg[k], ConfigError, origin, _join(key, k))
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints: {"version", "kind", <header fields in the kind's order>,
+# "params"}. A header lists each field with an example of its type; the
+# field "layer_shapes" is derived from the parameters.
+
+def save_checkpoint(path, kind: str, header: dict, values: dict, params: list) -> None:
+    """Write a `kind` checkpoint whose header fields, in the order of
+    `header`, take their values from `values`; parameters are written at full
+    precision, so they round-trip bit-exactly."""
+    doc = {"version": CHECKPOINT_VERSION, "kind": kind}
+    for key in header:
+        doc[key] = [list(W.shape) for W, _ in params] if key == "layer_shapes" else values[key]
+    doc["params"] = [[W.tolist(), b.tolist()] for W, b in params]
+    write_atomic(path, json.dumps(doc) + "\n")
+
+
+def load_checkpoint(path, kind: str, header: dict, build):
+    """Read a `kind` checkpoint and return `build(doc, params)`.
+
+    The version, the kind, every header field's presence and type, and the
+    parameter blocks are checked here; `build` may raise DimensionError or
+    ValidationError for a checkpoint that is well formed but inconsistent.
+    Every failure is a CheckpointError naming the file and the key.
+    """
+    doc = read_json(path, CheckpointError)
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: top level must be an object")
+    for key in ("version", "kind", *header, "params"):
+        if key not in doc:
+            raise CheckpointError(f"{path}: missing checkpoint key '{key}'")
+    if doc["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {doc['version']} "
+                              f"(expected {CHECKPOINT_VERSION})")
+    if doc["kind"] != kind:
+        raise CheckpointError(f"{path}: not a {kind} checkpoint ({doc['kind']})")
+    for key, example in header.items():
+        check_like(doc[key], example, CheckpointError, path, key)
+    params = _decode_params(doc, path)
+    try:
+        return build(doc, params)
+    except (DimensionError, ValidationError) as exc:
+        raise CheckpointError(f"{path}: inconsistent checkpoint ({exc})") from exc
+
+
+def _decode_params(doc: dict, path) -> list:
+    """The (W, b) blocks of a checkpoint document, checked against its header."""
+    shapes, blocks = doc["layer_shapes"], doc["params"]  # shapes: typed with the header
+    if not isinstance(blocks, list):
+        raise CheckpointError(f"{path}: 'params' must be a list")
+    if len(shapes) != len(blocks):
+        raise CheckpointError(
+            f"{path}: {len(shapes)} layer shapes but {len(blocks)} parameter blocks")
+    if not blocks:
+        raise CheckpointError(f"{path}: 'params' holds no layer")
+    params = []
+    for i, (shape, block) in enumerate(zip(shapes, blocks)):
+        if len(shape) != 2:
+            raise CheckpointError(f"{path}: 'layer_shapes[{i}]' must be [rows, cols]")
+        if not (isinstance(block, list) and len(block) == 2):
+            raise CheckpointError(f"{path}: 'params[{i}]' must be a [W, b] pair")
+        try:
+            W = np.array(block[0], dtype=float)
+            b = np.array(block[1], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(
+                f"{path}: 'params[{i}]' is not a rectangular numeric array ({exc})") from exc
+        if list(W.shape) != shape or b.shape != (W.shape[0],):
+            raise CheckpointError(
+                f"{path}: 'params[{i}]' does not match header shape {shape}")
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            raise CheckpointError(f"{path}: 'params[{i}]' holds non-finite values")
+        params.append((W, b))
+    return params

@@ -1,6 +1,7 @@
 """Flow-matching policy core: velocity-field network, training loss with exact
 analytic gradients, Beta timestep sampling, reverse-time Euler action
-sampling, Adam, and checkpoint serialization.
+sampling, Adam, the MLP layer check shared with the residual policy, and the
+velocity-field checkpoint adapter.
 
 The network regresses the straight-line transport direction u = eps - a_expert
 at interpolated points a_t = (1 - t) * a_expert + t * eps; actions are drawn
@@ -11,15 +12,12 @@ tight. The only nonlinearity used repo-wide is tanh.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CheckpointError, DimensionError, ValidationError
-from .fileio import write_atomic
-
-CHECKPOINT_VERSION = 1
+from .errors import DimensionError, ValidationError
+from .fileio import load_checkpoint, save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +34,18 @@ def mlp_init(sizes, rng) -> list:
 
 def mlp_zeros(sizes) -> list:
     return [(np.zeros((o, i)), np.zeros(o)) for i, o in zip(sizes[:-1], sizes[1:])]
+
+
+def check_layers(params, sizes, what: str = "layer") -> None:
+    """Raise DimensionError unless `params` holds one (W, b) block of shapes
+    (out, in) and (out,) for each consecutive pair of `sizes`."""
+    if len(params) != len(sizes) - 1:
+        raise DimensionError(f"expected {len(sizes) - 1} {what}s for sizes {sizes}, "
+                             f"got {len(params)}")
+    for i, (W, b) in enumerate(params):
+        if W.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
+            raise DimensionError(
+                f"{what} {i} shape {W.shape}/{b.shape} inconsistent with {sizes}")
 
 
 def mlp_forward(params, x: np.ndarray) -> np.ndarray:
@@ -91,11 +101,11 @@ class VelocityFieldNet:
     def __post_init__(self):
         if self.time_embed_dim % 2 != 0 or self.time_embed_dim <= 0:
             raise ValidationError("time_embed_dim must be a positive even number")
-        if self.alpha <= 0 or self.beta <= 0:
+        if not (self.alpha > 0 and self.beta > 0):
             raise ValidationError("Beta shape parameters must be positive")
         if not self.params:
             self.params = mlp_zeros(self.layer_sizes)
-        self._check_shapes()
+        check_layers(self.params, self.layer_sizes)
 
     @property
     def input_dim(self) -> int:
@@ -104,21 +114,6 @@ class VelocityFieldNet:
     @property
     def layer_sizes(self) -> list[int]:
         return [self.input_dim, *self.hidden, self.action_dim]
-
-    def _check_shapes(self):
-        sizes = self.layer_sizes
-        if len(self.params) != len(sizes) - 1:
-            raise DimensionError(
-                f"expected {len(sizes) - 1} layers, got {len(self.params)}"
-            )
-        for i, (W, b) in enumerate(self.params):
-            if W.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
-                raise DimensionError(
-                    f"layer {i} shape {W.shape}/{b.shape} inconsistent with {sizes}"
-                )
-
-    def n_params(self) -> int:
-        return sum(W.size + b.size for W, b in self.params)
 
 
 def init_net(action_dim: int, obs_dim: int, hidden=(256, 256), time_embed_dim: int = 8,
@@ -193,25 +188,14 @@ class FMBatch:
 
 @dataclass(frozen=True)
 class SamplerCfg:
-    """Euler-sampler and timestep-distribution configuration."""
+    """Euler-sampler configuration. The training timestep distribution is the
+    net's own Beta(alpha, beta)."""
 
     steps: int = 5
-    alpha: float = 1.5
-    beta: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError("need at least one integration step")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValidationError("Beta shape parameters must be positive")
-
-
-def sample_timestep(rng, alpha: float, beta: float):
-    """Flow timestep t in [0, 1] drawn from Beta(alpha, beta)."""
-    if alpha <= 0 or beta <= 0:
-        raise ValidationError(f"Beta shapes must be positive, got {alpha}, {beta}")
-    return rng.beta(alpha, beta)
 
 
 def fm_loss(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray, eps: np.ndarray) -> float:
@@ -312,87 +296,33 @@ def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3,
 # ---------------------------------------------------------------------------
 # Checkpoints.
 
+# Header fields of a velocity-field checkpoint, in file order, each with an
+# example of its type (see `fileio.load_checkpoint`).
+POLICY_HEADER = {"action_dim": 0, "obs_dim": 0, "layer_shapes": [[0]], "hidden": [0],
+                 "time_embed_dim": 0, "activation": "", "alpha": 0.0, "beta": 0.0}
+
+
 def save_policy(net: VelocityFieldNet, path) -> None:
     """Serialize the net to JSON; parameters round-trip bit-exactly."""
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "kind": "velocity_field",
-        "action_dim": net.action_dim,
-        "obs_dim": net.obs_dim,
-        "layer_shapes": [list(W.shape) for W, _ in net.params],
-        "hidden": list(net.hidden),
-        "time_embed_dim": net.time_embed_dim,
-        "activation": "tanh",
-        "alpha": net.alpha,
-        "beta": net.beta,
-        "params": [[W.tolist(), b.tolist()] for W, b in net.params],
-    }
-    write_atomic(path, json.dumps(doc) + "\n")
+    save_checkpoint(path, "velocity_field", POLICY_HEADER, {
+        "action_dim": net.action_dim, "obs_dim": net.obs_dim, "hidden": list(net.hidden),
+        "time_embed_dim": net.time_embed_dim, "activation": "tanh",
+        "alpha": net.alpha, "beta": net.beta}, net.params)
 
 
-def decode_params(doc: dict, path) -> list:
-    """The (W, b) blocks of a checkpoint document, checked against its header."""
-    shapes, blocks = doc["layer_shapes"], doc["params"]
-    for key, value in (("layer_shapes", shapes), ("params", blocks)):
-        if not isinstance(value, list):
-            raise CheckpointError(f"{path}: '{key}' must be a list")
-    if len(shapes) != len(blocks):
-        raise CheckpointError(
-            f"{path}: {len(shapes)} layer shapes but {len(blocks)} parameter blocks")
-    params = []
-    for i, (shape, block) in enumerate(zip(shapes, blocks)):
-        if not (isinstance(shape, list) and len(shape) == 2):
-            raise CheckpointError(f"{path}: 'layer_shapes[{i}]' must be [rows, cols]")
-        if not (isinstance(block, list) and len(block) == 2):
-            raise CheckpointError(f"{path}: 'params[{i}]' must be a [W, b] pair")
-        try:
-            W = np.array(block[0], dtype=float)
-            b = np.array(block[1], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"{path}: 'params[{i}]' is not a rectangular numeric array ({exc})") from exc
-        if list(W.shape) != shape or b.shape != (shape[0],):
-            raise CheckpointError(f"{path}: parameter block does not match header shape {shape}")
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-            raise CheckpointError(f"{path}: non-finite parameters")
-        params.append((W, b))
-    return params
+def _build_policy(doc: dict, params: list) -> VelocityFieldNet:
+    if doc["activation"] != "tanh":
+        raise ValidationError(f"unknown activation '{doc['activation']}'")
+    return VelocityFieldNet(
+        action_dim=int(doc["action_dim"]), obs_dim=int(doc["obs_dim"]),
+        hidden=tuple(int(h) for h in doc["hidden"]), time_embed_dim=int(doc["time_embed_dim"]),
+        alpha=float(doc["alpha"]), beta=float(doc["beta"]), params=params)
 
 
 def load_policy(path) -> VelocityFieldNet:
-    """Load a checkpoint, validating version, shapes, and parameter count."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
-    for key in ("version", "kind", "action_dim", "obs_dim", "layer_shapes",
-                "hidden", "time_embed_dim", "activation", "alpha", "beta", "params"):
-        if key not in doc:
-            raise CheckpointError(f"{path}: missing checkpoint key '{key}'")
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {doc['version']} "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    if doc["kind"] != "velocity_field":
-        raise CheckpointError(f"{path}: not a velocity-field checkpoint ({doc['kind']})")
-    if doc["activation"] != "tanh":
-        raise CheckpointError(f"{path}: unknown activation '{doc['activation']}'")
-    params = decode_params(doc, path)
-    try:
-        net = VelocityFieldNet(
-            action_dim=int(doc["action_dim"]),
-            obs_dim=int(doc["obs_dim"]),
-            hidden=tuple(int(h) for h in doc["hidden"]),
-            time_embed_dim=int(doc["time_embed_dim"]),
-            alpha=float(doc["alpha"]),
-            beta=float(doc["beta"]),
-            params=params,
-        )
-    except (DimensionError, ValidationError) as exc:
-        raise CheckpointError(f"{path}: inconsistent checkpoint ({exc})") from exc
-    return net
+    """Load a velocity-field checkpoint; anything malformed or inconsistent
+    raises CheckpointError naming the file."""
+    return load_checkpoint(path, "velocity_field", POLICY_HEADER, _build_policy)
 
 
 def clone_net(net: VelocityFieldNet) -> VelocityFieldNet:

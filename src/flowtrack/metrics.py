@@ -66,6 +66,13 @@ class TrackingMetrics:
     n_episodes: int = 0
 
 
+def mean_tracking(ms) -> TrackingMetrics:
+    """Field-wise mean of several TrackingMetrics; episode counts add up."""
+    return TrackingMetrics(*(float(np.mean([getattr(m, f) for m in ms]))
+                             for f in ("mpjpe_mm", "dvel", "dacc", "success")),
+                           n_episodes=sum(m.n_episodes for m in ms))
+
+
 @dataclass(frozen=True)
 class TerminationThresholds:
     """Early-termination limits on tracked-body height error and orientation.

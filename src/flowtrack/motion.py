@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SchemaError, ValidationError
-from .fileio import write_atomic
+from .fileio import check_like, read_json, write_atomic
 
 QUAT_NORM_TOL = 1e-3
 
-_TOP_KEYS = ("fps", "joint_names", "frames", "feet_indices")
+# top-level keys with an example of each type; frames are checked as arrays
+_TOP_EXAMPLE = {"fps": 0.0, "joint_names": [""], "frames": None, "feet_indices": [0]}
 _FRAME_KEYS = ("q", "base_pos", "base_quat", "body_pos", "contacts")
 
 
@@ -145,20 +146,9 @@ class MotionClip:
 
 
 def load_motion(path) -> MotionClip:
-    """Load a clip from the JSON motion format (see README / save_motion)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    missing = [k for k in _TOP_KEYS if k not in doc]
-    if missing:
-        raise SchemaError(f"{path}: missing required key '{missing[0]}'")
-    extra = [k for k in doc if k not in _TOP_KEYS]
-    if extra:
-        raise SchemaError(f"{path}: unknown key '{extra[0]}'")
+    """Load a clip from the JSON motion format (see README / save_motion);
+    every failure is a flowtrack error that names the file."""
+    doc = check_like(read_json(path, SchemaError), _TOP_EXAMPLE, SchemaError, path)
     frames = doc["frames"]
     if not isinstance(frames, list) or not frames:
         raise SchemaError(f"{path}: 'frames' must be a non-empty array")
@@ -177,32 +167,40 @@ def load_motion(path) -> MotionClip:
     _check_rect(cols["q"], "q", path)
     _check_rect(cols["body_pos"], "body_pos", path, depth=2)
     _check_rect(cols["contacts"], "contacts", path)
-    return MotionClip(
-        fps=_numeric(doc["fps"], "fps", path),
-        joint_names=doc["joint_names"],
-        q=_numeric(cols["q"], "q", path),
-        base_pos=_numeric(cols["base_pos"], "base_pos", path),
-        base_quat=_numeric(cols["base_quat"], "base_quat", path),
-        body_pos=_numeric(cols["body_pos"], "body_pos", path),
-        contacts=cols["contacts"],
-        feet_indices=doc["feet_indices"],
-    )
-
-
-def _numeric(value, name, path) -> np.ndarray:
-    """`value` as a float array, or a SchemaError naming the file and key."""
     try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return MotionClip(
+            fps=doc["fps"],
+            joint_names=doc["joint_names"],
+            q=_numeric(cols["q"], "q", path),
+            base_pos=_numeric(cols["base_pos"], "base_pos", path),
+            base_quat=_numeric(cols["base_quat"], "base_quat", path),
+            body_pos=_numeric(cols["body_pos"], "body_pos", path),
+            contacts=_numeric(cols["contacts"], "contacts", path, dtype=bool),
+            feet_indices=doc["feet_indices"],
+        )
+    except (DimensionError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _numeric(value, name, path, dtype=float) -> np.ndarray:
+    """`value` as a `dtype` array, or a SchemaError naming the file and key."""
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: '{name}' must be numeric ({exc})") from exc
 
 
 def _check_rect(rows, name, path, depth=1):
-    """Reject ragged per-frame arrays with a clear message instead of numpy's."""
+    """Reject ragged or non-array per-frame values with a clear message
+    instead of numpy's."""
+    if not all(isinstance(r, list) for r in rows):
+        raise SchemaError(f"{path}: '{name}' must be an array in every frame")
     lengths = {len(r) for r in rows}
     if len(lengths) > 1:
         raise DimensionError(f"{path}: '{name}' length differs across frames: {sorted(lengths)}")
     if depth == 2 and rows and rows[0]:
+        if not all(isinstance(v, list) for r in rows for v in r):
+            raise SchemaError(f"{path}: '{name}' entries must be xyz triples")
         inner = {len(v) for r in rows for v in r}
         if inner != {3}:
             raise DimensionError(f"{path}: '{name}' entries must be xyz triples")

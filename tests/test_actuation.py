@@ -42,6 +42,24 @@ class TestCatalog:
         with pytest.raises(SchemaError, match="gear"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("entry, key", [
+        (5, "a"),
+        (dict(dataclasses.asdict(M5020), tau_y1="x"), "a.tau_y1"),
+        (dict(dataclasses.asdict(M5020), tau_y1=None), "a.tau_y1"),
+        (dict(dataclasses.asdict(M5020), mu_d=True), "a.mu_d"),
+    ])
+    def test_malformed_entry_names_file_actuator_and_key(self, tmp_path, entry, key):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"a": entry}))
+        with pytest.raises(SchemaError, match=rf"cat\.json: '{key}' must be"):
+            load_catalog(path)
+
+    def test_invalid_constants_name_file_and_actuator(self, tmp_path):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"a": dict(dataclasses.asdict(M5020), v_x1=99.0)}))
+        with pytest.raises(ValidationError, match=r"cat\.json: actuator 'a'"):
+            load_catalog(path)
+
     def test_param_validation(self):
         with pytest.raises(ValidationError):
             ActuatorParams(1.0, 1.0, 5.0, 2.0, 0.1, 0.01, 0.1, 1e-3)  # v_x1 > v_x2

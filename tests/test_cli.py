@@ -156,6 +156,31 @@ class TestTrain:
                        "--out", str(tmp_path / "x"), "--set", "train.nope=1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, name, text", [
+        ("--env", "env.json", "[1]"),
+        ("--cfg", "train.json", "[1]"),
+        ("--env", "env.json", '{"pd": 3}'),
+        ("--cfg", "train.json", '{"sampler": [5]}'),
+    ])
+    def test_malformed_config_file_exits_1(self, motions_dir, tmp_path, capsys,
+                                           flag, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
+                       "--out", str(tmp_path / "x"), flag, str(path)])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment", [
+        "env.links.5.mass=1", "env.links.x.mass=1", "env.pd.f_hz.x=1", "env.pd=3",
+        "env.episode_len=\"long\"", "train.hidden=[\"a\"]",
+    ])
+    def test_bad_set_path_names_key(self, motions_dir, tmp_path, capsys, assignment):
+        rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
+                       "--out", str(tmp_path / "x"), "--set", assignment])
+        assert rc == 1
+        assert assignment.split("=")[0] in capsys.readouterr().err
+
     def test_joint_mismatch_exits_1(self, tmp_path):
         clip = synth_motion(SynthMotionSpec(3, 4.0, 50.0, amplitude=0.1, frequency=0.3))
         save_motion(clip, tmp_path / "three.json")

@@ -175,6 +175,40 @@ class TestResidualCheckpoint:
         with pytest.raises(CheckpointError, match="r.json"):
             distill.load_residual(path)
 
+    @staticmethod
+    def _edited_checkpoint(tmp_path, edit):
+        import json
+        res = init_residual(tiny_env(), hidden=(8,), bound=0.3, rng=np.random.default_rng(0))
+        path = tmp_path / "r.json"
+        distill.save_residual(res, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_extra_layer_in_header_and_params(self, tmp_path):
+        def edit(doc):
+            doc["layer_shapes"].append([2, 2])
+            doc["params"].append([[[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]])
+        path = self._edited_checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=r"r\.json.*expected 2 residual layers"):
+            distill.load_residual(path)
+
+    def test_dropped_output_layer(self, tmp_path):
+        def edit(doc):
+            del doc["layer_shapes"][-1], doc["params"][-1]
+        path = self._edited_checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=r"r\.json.*expected 2 residual layers"):
+            distill.load_residual(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", 8), ("proprio_dim", "x"), ("bound", None), ("action_dim", [2]),
+    ])
+    def test_header_field_of_wrong_type_named(self, tmp_path, key, value):
+        path = self._edited_checkpoint(tmp_path, lambda d: d.update({key: value}))
+        with pytest.raises(CheckpointError, match=rf"r\.json: '{key}"):
+            distill.load_residual(path)
+
     def test_malformed_block_named(self, tmp_path):
         import json
         res = init_residual(tiny_env(), hidden=(8,), bound=0.3, rng=np.random.default_rng(0))
@@ -244,19 +278,26 @@ class TestEvaluatePolicy:
         res = evaluate_policy(net, env, {"m": motion}, n_rollouts=1, seed=0)
         assert res["m"].n_episodes == 2  # 2 ten-second clips, 0.5 s remainder dropped
 
-    def test_aggregation_is_per_episode_first(self):
-        # two unequal-length episodes: averaging per episode first must differ
-        # from pooling all frames, and the helper must do the former
-        ep1_ref = np.zeros((1, 1, 3))
-        ep1_rob = ep1_ref + np.array([0.001, 0.0, 0.0])
-        ep2_ref = np.zeros((3, 1, 3))
-        ep2_rob = ep2_ref + np.array([0.002, 0.0, 0.0])
-        per_episode = [metrics.mpjpe(ep1_ref, ep1_rob), metrics.mpjpe(ep2_ref, ep2_rob)]
-        pooled = metrics.mpjpe(np.concatenate([ep1_ref, ep2_ref]),
-                               np.concatenate([ep1_rob, ep2_rob]))
-        assert distill.aggregate_per_episode(per_episode) == pytest.approx(1.5)
-        assert pooled == pytest.approx(1.75)
-        assert distill.aggregate_per_episode(per_episode) != pooled
+    def test_mpjpe_is_mean_of_episode_means(self):
+        # episodes that end at different steps: the clip's MPJPE is the mean of
+        # the per-episode MPJPEs, not the mean over all frames pooled
+        env = ArmEnv({"episode_len": 60,
+                      "thresholds": {"z_err_max": 0.02, "grav_err_max": 0.2}})
+        motion = make_sine(0.4, 0.5, duration=2.0)
+        net = init_net(2, env.obs_dim, hidden=(8,), rng=np.random.default_rng(3))
+        net.params = [(3.0 * W, b) for W, b in net.params]
+        n = 6
+        res = evaluate_policy(net, env, {"m": motion}, n_rollouts=n, seed=1)["m"]
+        log = distill.rollout_batch(env, net, motion,
+                                    [distill.hash_seed(1, "m", 0, r) for r in range(n)])
+        steps = log["steps"]
+        assert len(set(steps.tolist())) > 1
+        ref = [log["ref_body_pos"][:k, i] for i, k in enumerate(steps)]
+        rob = [log["body_pos"][:k, i] for i, k in enumerate(steps)]
+        per_episode = np.mean([metrics.mpjpe(a, b) for a, b in zip(ref, rob)])
+        pooled = metrics.mpjpe(np.concatenate(ref), np.concatenate(rob))
+        assert res.mpjpe_mm == float(per_episode)
+        assert abs(per_episode - pooled) > 1e-6
 
 
 class TestRolloutEpisode:

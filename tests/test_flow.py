@@ -6,7 +6,7 @@ from flowtrack.errors import CheckpointError, DimensionError, ValidationError
 from flowtrack.flow import (AdamState, FMBatch, SamplerCfg, adam_step,
                             euler_sample, fm_loss, fm_loss_and_grad,
                             fm_loss_and_grad_at, forward, init_net, load_policy,
-                            sample_timestep, save_policy)
+                            save_policy)
 
 
 def identity_on_action_net(action_dim=2, obs_dim=3):
@@ -113,24 +113,12 @@ class TestLoss:
 
 
 class TestTimestepSampling:
-    def test_uniform_special_case(self):
-        rng = np.random.default_rng(0)
-        draws = np.array([sample_timestep(rng, 1.0, 1.0) for _ in range(10)])
-        assert np.all((draws >= 0) & (draws <= 1))
-        big = rng.beta(1.0, 1.0, size=100_000)
-        assert abs(big.mean() - 0.5) < 0.01
-
     def test_beta22_variance(self):
         rng = np.random.default_rng(1)
         draws = rng.beta(2.0, 2.0, size=100_000)
         assert abs(draws.var() - 1.0 / 20.0) < 0.1 / 20.0
 
-    def test_invalid_shapes(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValidationError):
-            sample_timestep(rng, 0.0, 1.0)
-        with pytest.raises(ValidationError):
-            sample_timestep(rng, 1.0, -2.0)
+    def test_zero_steps_rejected(self):
         with pytest.raises(ValidationError):
             SamplerCfg(steps=0)
 
@@ -293,6 +281,29 @@ class TestCheckpoints:
     def test_ragged_weight_matrix(self, tmp_path):
         path = self._edited_checkpoint(tmp_path, lambda d: d["params"][1][0][0].append(1.0))
         with pytest.raises(CheckpointError, match=r"p\.json.*params\[1\]"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", 8), ("hidden", ["4"]), ("obs_dim", "x"), ("alpha", None),
+        ("beta", True), ("time_embed_dim", 2.5), ("activation", 3),
+    ])
+    def test_header_field_of_wrong_type_named(self, tmp_path, key, value):
+        path = self._edited_checkpoint(tmp_path, lambda d: d.update({key: value}))
+        with pytest.raises(CheckpointError, match=rf"p\.json: '{key}"):
+            load_policy(path)
+
+    def test_extra_layer_in_header_and_params(self, tmp_path):
+        def edit(doc):
+            doc["layer_shapes"].append([2, 2])
+            doc["params"].append([[[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]])
+        path = self._edited_checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=r"p\.json.*expected 2 layers"):
+            load_policy(path)
+
+    def test_top_level_not_an_object(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("[1]")
+        with pytest.raises(CheckpointError, match=r"p\.json"):
             load_policy(path)
 
     def test_truncated_file(self, tmp_path):
