@@ -152,7 +152,7 @@ def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0,
     offset; tau_max defaults to the actuator's motoring ceiling.
     """
     if f_hz <= 0:
-        raise ValidationError(f"natural frequency must be positive, got {f_hz}")
+        raise ValidationError(f"f_hz must be positive, got {f_hz}")
     if tau_max is None:
         tau_max = params.tau_y1
     if tau_max <= 0:

@@ -24,7 +24,8 @@ import numpy as np
 from . import actuation, distill, flow, metrics
 from .env import ArmEnv, ExpertPolicy, load_env_config
 from .errors import ConfigError
-from .fileio import check_like, merge_over, read_config, write_atomic
+from .fileio import (POSITIVE, at_least, check_like, check_ranges, config_section, merge_over,
+                     read_config, write_atomic)
 from .motion import load_motion
 
 
@@ -104,6 +105,20 @@ DEFAULT_ES_CFG = {
     "residual_bound": 0.4,
 }
 
+# Range of each numeric setting that no settings dataclass checks (see
+# `fileio.check_ranges`; the dataclasses' errors are named by
+# `fileio.config_section`).
+TRAIN_RANGES = {
+    "hidden.*": at_least(1),
+    "checkpoint_every": at_least(0),
+    "expert.lookahead": at_least(0),
+    "expert.action_limit": POSITIVE,
+}
+
+ES_RANGES = {
+    "residual_hidden.*": at_least(1),
+}
+
 
 # ---------------------------------------------------------------------------
 # Subcommands.
@@ -179,7 +194,7 @@ def _build_env_and_motions(args, assignments_tree):
     env_cfg = load_env_config(args.env)
     assignments_tree["env"] = env_cfg
     _apply_sets(assignments_tree, args.set)
-    env = ArmEnv(assignments_tree["env"])
+    env = ArmEnv(assignments_tree["env"], section="env")
     files = _motion_files(args.motions)
     if not files:
         raise ConfigError(f"no motion files in '{args.motions}'")
@@ -204,6 +219,33 @@ def _load_base_policy(path, env: ArmEnv) -> flow.VelocityFieldNet:
     return net
 
 
+def _train_setup(cfg: dict, env: ArmEnv, clips: list, seed: int):
+    """Experts, start net and DAgger settings of a `train` config section."""
+    check_ranges(cfg, TRAIN_RANGES, "train")
+    experts = [ExpertPolicy(c, lookahead=int(cfg["expert"]["lookahead"]),
+                            action_limit=float(cfg["expert"]["action_limit"]))
+               for c in clips]
+    with config_section("train", {k: f"sampler.{k}" for k in ("steps", "alpha", "beta")}):
+        sampler = flow.SamplerCfg(steps=int(cfg["sampler"]["steps"]))
+        net = flow.init_net(env.n_joints, env.obs_dim,
+                            hidden=tuple(int(h) for h in cfg["hidden"]),
+                            time_embed_dim=int(cfg["time_embed_dim"]),
+                            alpha=float(cfg["sampler"]["alpha"]),
+                            beta=float(cfg["sampler"]["beta"]),
+                            rng=np.random.default_rng(seed))
+        dcfg = distill.DistillCfg(
+            iterations=int(cfg["iterations"]),
+            episodes_per_iter=int(cfg["episodes_per_iter"]),
+            gradient_steps=int(cfg["gradient_steps"]),
+            batch_size=int(cfg["batch_size"]),
+            learning_rate=float(cfg["learning_rate"]),
+            lr_decay=float(cfg["lr_decay"]),
+            sampler=sampler,
+            seed=seed,
+        )
+    return experts, net, dcfg
+
+
 def cmd_train(args) -> int:
     cfg = read_config(DEFAULT_TRAIN_CFG, args.cfg)
     tree = {"train": cfg}
@@ -211,25 +253,7 @@ def cmd_train(args) -> int:
     cfg = tree["train"]
     names = list(motions)
     clips = [motions[n] for n in names]
-    experts = [ExpertPolicy(c, lookahead=int(cfg["expert"]["lookahead"]),
-                            action_limit=float(cfg["expert"]["action_limit"]))
-               for c in clips]
-    sampler = flow.SamplerCfg(steps=int(cfg["sampler"]["steps"]))
-    net = flow.init_net(env.n_joints, env.obs_dim, hidden=tuple(cfg["hidden"]),
-                        time_embed_dim=int(cfg["time_embed_dim"]),
-                        alpha=float(cfg["sampler"]["alpha"]),
-                        beta=float(cfg["sampler"]["beta"]),
-                        rng=np.random.default_rng(args.seed))
-    dcfg = distill.DistillCfg(
-        iterations=int(cfg["iterations"]),
-        episodes_per_iter=int(cfg["episodes_per_iter"]),
-        gradient_steps=int(cfg["gradient_steps"]),
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        lr_decay=float(cfg["lr_decay"]),
-        sampler=sampler,
-        seed=args.seed,
-    )
+    experts, net, dcfg = _train_setup(cfg, env, clips, args.seed)
     os.makedirs(args.out, exist_ok=True)
     every = int(cfg["checkpoint_every"])
     on_iteration = None
@@ -272,6 +296,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _es_setup(cfg: dict, env: ArmEnv, seed: int):
+    """Start residual and ES settings of an `es` config section."""
+    check_ranges(cfg, ES_RANGES, "es")
+    with config_section("es", {"bound": "residual_bound"}):
+        residual = distill.init_residual(env,
+                                         hidden=tuple(int(h) for h in cfg["residual_hidden"]),
+                                         bound=float(cfg["residual_bound"]),
+                                         rng=np.random.default_rng(seed))
+        escfg = distill.ESCfg(
+            generations=int(cfg["generations"]),
+            population=int(cfg["population"]),
+            sigma=float(cfg["sigma"]),
+            episodes_per_eval=int(cfg["episodes_per_eval"]),
+            seed=seed,
+        )
+    return residual, escfg
+
+
 def cmd_refine(args) -> int:
     cfg = read_config(DEFAULT_ES_CFG, args.cfg)
     tree = {"es": cfg}
@@ -279,16 +321,7 @@ def cmd_refine(args) -> int:
     cfg = tree["es"]
     net = _load_base_policy(args.policy, env)
     name = sorted(motions)[0]
-    residual = distill.init_residual(env, hidden=tuple(cfg["residual_hidden"]),
-                                     bound=float(cfg["residual_bound"]),
-                                     rng=np.random.default_rng(args.seed))
-    escfg = distill.ESCfg(
-        generations=int(cfg["generations"]),
-        population=int(cfg["population"]),
-        sigma=float(cfg["sigma"]),
-        episodes_per_eval=int(cfg["episodes_per_eval"]),
-        seed=args.seed,
-    )
+    residual, escfg = _es_setup(cfg, env, args.seed)
     refined, history = distill.es_refine(net, residual, env, motions[name], escfg)
     os.makedirs(args.out, exist_ok=True)
     distill.save_residual(refined, os.path.join(args.out, "residual.json"))

@@ -153,7 +153,7 @@ class ResidualPolicy:
 
     def __post_init__(self):
         if not self.bound >= 0:
-            raise ValidationError("residual bound must be non-negative")
+            raise ValidationError(f"bound must be non-negative, got {self.bound}")
         if not self.params:
             self.params = mlp_zeros(self.layer_sizes)
         check_layers(self.params, self.layer_sizes, "residual layer")
@@ -185,9 +185,17 @@ def residual_input(env: ArmEnv, a_flow) -> np.ndarray:
                            np.asarray(a_flow, dtype=float)], axis=-1)
 
 
-def residual_action(res: ResidualPolicy, env: ArmEnv, a_flow) -> np.ndarray:
+def residual_action(res: ResidualPolicy, env: ArmEnv, a_flow, blocks) -> np.ndarray:
+    """Residual actions of the env's running episodes, clamped to +/- res.bound.
+
+    `blocks` is a list of (pos, params): the rows at the positions `pos` in
+    `a_flow`, (G, m) for G groups of m rows, go through the per-group stacked
+    `params`; (m,) positions take one group's plain params (see `mlp_forward`).
+    """
     x = residual_input(env, a_flow)
-    raw = mlp_forward(res.params, np.atleast_2d(x)).reshape(np.shape(a_flow))
+    raw = np.empty_like(a_flow)
+    for pos, params in blocks:
+        raw[pos] = mlp_forward(params, x[pos])
     return np.clip(raw, -res.bound, res.bound)
 
 
@@ -227,8 +235,9 @@ class ESCfg:
     termination_floor: float = -1.0  # per missing step after early termination
 
     def __post_init__(self):
-        if self.generations < 0 or self.population < 0:
-            raise ValidationError("generations and population must be >= 0")
+        for name in ("generations", "population"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
         if self.sigma < 0:
             raise ValidationError("sigma must be non-negative")
         if self.episodes_per_eval < 1:
@@ -236,7 +245,7 @@ class ESCfg:
 
 
 def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
-                  residual: ResidualPolicy | None = None, mode: str = "base",
+                  residual: ResidualPolicy | list | None = None, mode: str = "base",
                   sampler: SamplerCfg | None = None) -> dict:
     """Seeded closed-loop episodes of `motion`, one per seed, stepped together.
 
@@ -245,9 +254,25 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
     batch it runs in. Returns (T, N, ...) trajectories (T = env.episode_len)
     whose rows past an episode's `steps` stay zero, plus per-episode `steps`
     and `terminated_early`.
+
+    `residual` may be a list of G residuals that differ only in their params:
+    the batch then runs G row groups, group g being every seed under residual
+    g (rows g * len(seeds) + i, so N = G * len(seeds)); a single residual, or
+    None, is one group. The policy products of a group's running rows are
+    computed as one group of a stacked product, so each group's rows are
+    bit-equal to a rollout of that residual alone.
     """
     sampler = sampler or SamplerCfg()
-    streams = [np.random.SeedSequence(s).spawn(2) for s in seeds]
+    groups = residual if isinstance(residual, list) else [residual]
+    residual = groups[0] if groups else None  # gives the shared bound
+    if not groups or residual is not None and any(
+            r.layer_sizes != residual.layer_sizes or r.bound != residual.bound for r in groups):
+        raise ValidationError("row groups need residuals of one layer sizes and bound")
+    if residual is not None:  # per-layer params stacked on a leading group axis
+        layers = [(np.stack([r.params[i][0] for r in groups]),
+                   np.stack([r.params[i][1] for r in groups])[:, None])
+                  for i in range(len(residual.params))]
+    streams = [np.random.SeedSequence(s).spawn(2) for s in seeds] * len(groups)
     policy_rngs = [np.random.default_rng(policy_seed) for _, policy_seed in streams]
     obs = env.reset(motion, [np.random.default_rng(env_seed) for env_seed, _ in streams],
                     mode=mode)
@@ -260,12 +285,23 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
         "steps": np.zeros(n, dtype=int),
         "terminated_early": np.zeros(n, dtype=bool),
     }
+    n_running = 0
     for t in range(T):
         rows = env.running
-        a_flow = euler_sample(net, obs, sampler, [policy_rngs[i] for i in rows])
+        if len(rows) != n_running:  # (re)group the running rows
+            n_running = len(rows)
+            split = _group_blocks(rows // len(seeds))
+            sample_blocks = [(pos, [policy_rngs[i] for i in rows[pos].ravel()])
+                             for pos, _ in split]
+            if residual is not None:
+                res_blocks = [(pos, [(W[g], b[g]) for W, b in layers]) for pos, g in split]
+        a_flow = np.empty((n_running, net.action_dim))
+        for pos, rngs in sample_blocks:
+            a_flow[pos] = euler_sample(net, obs[pos], sampler, rngs)
         a = a_flow
         if residual is not None:
-            a = residual_compose(a_flow, residual_action(residual, env, a_flow), residual.bound)
+            a_res = residual_action(residual, env, a_flow, res_blocks)
+            a = residual_compose(a_flow, a_res, residual.bound)
         obs, rewards, done, info = env.step_batch(a, base_actions=a_flow)
         log["rewards"][t, rows] = rewards
         log["q_err"][t, rows] = info["q_err"]
@@ -277,6 +313,21 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
         if not obs.shape[0]:
             break
     return log
+
+
+def _group_blocks(group_of_row):
+    """The rows of each group, bucketed by group size: one (positions, group
+    ids) pair per distinct size m, with (G, m) positions and (G,) ids, or (m,)
+    positions and one id for a lone group, whose products are then plain
+    (m, in) ones. `group_of_row` is sorted."""
+    starts = np.flatnonzero(np.diff(group_of_row, prepend=-1))
+    sizes = np.diff(starts, append=len(group_of_row))
+    blocks = []
+    for m in sorted(set(sizes.tolist())):
+        first = starts[sizes == m]
+        pos, ids = first[:, None] + np.arange(m), group_of_row[first]
+        blocks.append((pos[0], ids[0]) if len(first) == 1 else (pos, ids))
+    return blocks
 
 
 def rollout_episode(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seed: int,
@@ -301,6 +352,10 @@ def episode_return(log, episode_len: int, floor: float):
     return float(total) if np.ndim(total) == 0 else total
 
 
+# Candidates an ES batch decides: a block of B takes 2^B - 1 row groups.
+ES_BLOCK = 3
+
+
 def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
               motion: MotionClip, cfg: ESCfg,
               sampler: SamplerCfg | None = None):
@@ -308,29 +363,66 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
     aggressive env mode. Returns (refined residual, best-reward history).
 
     Every candidate is scored on the same seeded episode set (common random
-    numbers), so the recorded best reward never decreases.
+    numbers), so the recorded best reward never decreases. The algorithm is
+    the sequential loop: candidate k of a generation perturbs the best params
+    as they stand after candidates 0..k-1, and replaces them when it scores
+    strictly higher. It runs in blocks of `ES_BLOCK` candidates, each block
+    one `rollout_batch`: the block's candidate k is scored from each of the
+    2^k bests that the accept/reject outcomes of the block's earlier
+    candidates can leave, and the outcomes are then walked in order, so only
+    the scores of the path the sequential loop takes are used (generation 0's
+    first batch also scores the start point). Each group of a batch is
+    bit-equal to scoring its candidate alone, so the result is the sequential
+    one, bit for bit. A generation costs ceil(population / ES_BLOCK) batches,
+    2^b - 1 groups for a block of b, whatever is accepted, so the work of a
+    run does not depend on its seed.
     """
     sampler = sampler or SamplerCfg()
     rng = np.random.default_rng(cfg.seed)
     eval_seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
-
-    def fitness(candidate: ResidualPolicy) -> float:
-        log = rollout_batch(env, net, motion, eval_seeds, residual=candidate,
-                            mode="aggressive", sampler=sampler)
-        return float(np.mean(episode_return(log, env.episode_len, cfg.termination_floor)))
-
+    E = len(eval_seeds)
     best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
+
+    def scores(thetas) -> list[float]:
+        """Mean CRN return of each parameter vector, all in one batch."""
+        candidates = [replace(best, params=_unflatten(theta, best.params)) for theta in thetas]
+        log = rollout_batch(env, net, motion, eval_seeds, residual=candidates,
+                            mode="aggressive", sampler=sampler)
+        # each group's rewards as the contiguous (T, E) array a rollout of
+        # that candidate alone returns, so the sums round the same way
+        return [float(np.mean(episode_return(
+            {"rewards": log["rewards"][:, g * E:(g + 1) * E].copy(),
+             "steps": log["steps"][g * E:(g + 1) * E]},
+            env.episode_len, cfg.termination_floor))) for g in range(len(thetas))]
+
     theta_best = _flatten(best.params)
-    f_best = fitness(best)
-    history = [f_best]
+    f_best, history = None, []
     for _ in range(cfg.generations):
-        for _ in range(cfg.population):
-            theta = theta_best + cfg.sigma * rng.standard_normal(theta_best.shape)
-            candidate = replace(best, params=_unflatten(theta, best.params))
-            f = fitness(candidate)
-            if f > f_best:
-                f_best, theta_best = f, theta
+        noise = [rng.standard_normal(theta_best.shape) for _ in range(cfg.population)]
+        for i in range(0, cfg.population, ES_BLOCK):
+            block = noise[i:i + ES_BLOCK]
+            # bests[0] is the current best; candidate k adds one perturbation
+            # of each bests entry so far, at bests[2^k + j] for bests[j]
+            bests = [theta_best]
+            for z in block:
+                bests += [b + cfg.sigma * z for b in bests]
+            if f_best is None:  # the start point rides in the first batch
+                fs = scores(bests)
+                f_best = fs[0]
+                history.append(f_best)
+            else:
+                fs = [f_best, *scores(bests[1:])]
+            j = 0  # the path the sequential loop takes, as an index into bests
+            for k in range(len(block)):
+                if fs[2 ** k + j] > f_best:
+                    f_best, j = fs[2 ** k + j], 2 ** k + j
+            theta_best = bests[j]
+        if f_best is None:  # no candidates: the start point alone
+            f_best = scores([theta_best])[0]
+            history.append(f_best)
         history.append(f_best)
+    if not history:  # no generation: score the start point alone
+        history.append(scores([theta_best])[0])
     best = replace(best, params=_unflatten(theta_best, best.params))
     return best, history
 

@@ -24,11 +24,15 @@ import numpy as np
 from . import actuation
 from .actuation import ActuatorParams, PDGains, PowerPenaltyCfg
 from .errors import ConfigError, NumericalBlowupError, ValidationError
-from .fileio import merge_over, read_config
+from .fileio import (POSITIVE, at_least, check_ranges, config_section, join_key, merge_over,
+                     read_config, within)
 from .metrics import TerminationThresholds, check_termination
 from .motion import MotionClip, arm_forward_kinematics, finite_difference
 
 CONTROL_DT = 0.02  # 50 Hz control rate
+# Longest episode a config may ask for: 200 s at 50 Hz. Rollouts preallocate
+# (episode_len, rows, ...) logs, so a huge value would fail at allocation.
+MAX_EPISODE_LEN = 10_000
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,19 @@ DEFAULT_ENV_CONFIG = {
 }
 
 
+# Range of each numeric env setting that no settings dataclass checks (see
+# `fileio.check_ranges`).
+ENV_RANGES = {
+    "links.*.mass": POSITIVE,
+    "links.*.length": POSITIVE,
+    "n_substeps": at_least(1),
+    "episode_len": within(1, MAX_EPISODE_LEN),
+    "history_len": at_least(0),
+    "envelope_scale": POSITIVE,
+    "pd.zeta": POSITIVE,
+}
+
+
 def load_env_config(path) -> dict:
     """Read an env config JSON file (the defaults when `path` is None) and
     merge it over the defaults."""
@@ -105,10 +122,15 @@ class ArmEnv:
     `step_batch` with one action row per running episode. State is held as
     (N, J) arrays either way; a single episode is the case N = 1, for which
     `reset`, `step` and the accessors take and return unbatched shapes.
+
+    `section` is the dotted key of `config` in a larger config tree (the
+    CLI's is `env`); range errors name their key below it.
     """
 
-    def __init__(self, config: dict | None = None, catalog: dict | None = None):
+    def __init__(self, config: dict | None = None, catalog: dict | None = None,
+                 section: str = ""):
         cfg = merge_config(config)
+        check_ranges(cfg, ENV_RANGES, section)
         if catalog is None:
             catalog = actuation.default_catalog()
         links = cfg["links"]
@@ -117,37 +139,29 @@ class ArmEnv:
         self.n_joints = len(links)
         self.masses = np.array([float(l["mass"]) for l in links])
         self.lengths = np.array([float(l["length"]) for l in links])
-        if np.any(self.masses <= 0) or np.any(self.lengths <= 0):
-            raise ConfigError("link masses and lengths must be positive")
         self.gravity = float(cfg["gravity"])  # finite: merge_config checks every number
         self.dt = CONTROL_DT
         self.n_substeps = int(cfg["n_substeps"])
-        if self.n_substeps < 1:
-            raise ConfigError("n_substeps must be >= 1")
         self.episode_len = int(cfg["episode_len"])
-        if self.episode_len < 1:
-            raise ConfigError(f"episode_len must be >= 1, got {cfg['episode_len']}")
         self.history_len = int(cfg["history_len"])
-        if self.history_len < 0:
-            raise ConfigError(f"history_len must be >= 0, got {cfg['history_len']}")
         names = cfg["actuators"]
         if len(names) != self.n_joints:
             raise ConfigError(f"{self.n_joints} links but {len(names)} actuator names")
         scale = float(cfg["envelope_scale"])
-        if not scale > 0:
-            raise ConfigError(f"envelope_scale must be positive, got {cfg['envelope_scale']}")
         nominal: list[ActuatorParams] = []
-        for name in names:
+        for i, name in enumerate(names):
             if name not in catalog:
-                raise ConfigError(f"unknown actuator '{name}' (catalog: {sorted(catalog)})")
+                raise ConfigError(f"{join_key(section, f'actuators.{i}')}: unknown actuator "
+                                  f"'{name}' (catalog: {sorted(catalog)})")
             nominal.append(catalog[name])
         # PD gains come from the nominal catalog entry; envelope_scale only
         # weakens the physics, the controller is not told about it.
         pd = cfg["pd"]
-        self.gains: list[PDGains] = [
-            actuation.pd_gains(p, f_hz=float(pd["f_hz"]), zeta=float(pd["zeta"]))
-            for p in nominal
-        ]
+        with config_section(join_key(section, "pd")):
+            self.gains: list[PDGains] = [
+                actuation.pd_gains(p, f_hz=float(pd["f_hz"]), zeta=float(pd["zeta"]))
+                for p in nominal
+            ]
         self.actuators = [p.scaled(torque_scale=scale) for p in nominal]
         self._joint_params = actuation.stack(self.actuators)
         self.kp = np.array([g.kp for g in self.gains])
@@ -155,26 +169,29 @@ class ArmEnv:
         self.action_scale = np.array([g.action_scale for g in self.gains])
         self.q0 = np.zeros(self.n_joints)  # nominal default pose: straight down
         thr = cfg["thresholds"]
-        self.thresholds = TerminationThresholds(
-            z_err_max=float(thr["z_err_max"]),
-            grav_err_max=float(thr["grav_err_max"]),
-            relax_factor=float(thr["relax_factor"]),
-        )
-        self.randomization = RandomizationCfg(**{
-            k: float(v) for k, v in cfg["randomization"].items()
-        })
+        with config_section(join_key(section, "thresholds")):
+            self.thresholds = TerminationThresholds(
+                z_err_max=float(thr["z_err_max"]),
+                grav_err_max=float(thr["grav_err_max"]),
+                relax_factor=float(thr["relax_factor"]),
+            )
+        with config_section(join_key(section, "randomization")):
+            self.randomization = RandomizationCfg(**{
+                k: float(v) for k, v in cfg["randomization"].items()
+            })
         pp = cfg["power_penalty"]
         joints = pp["joints"]
         if joints is not None and not (isinstance(joints, (list, tuple)) and all(
                 isinstance(j, (int, np.integer)) and 0 <= j < self.n_joints for j in joints)):
-            raise ConfigError(f"power_penalty.joints must be null or a list of joint "
-                              f"indices, got {joints}")
-        self.power_cfg = PowerPenaltyCfg(
-            deadband=float(pp["deadband"]),
-            norm=float(pp["norm"]),
-            weight=float(pp["weight"]),
-            joint_selector=None if joints is None else tuple(int(j) for j in joints),
-        )
+            raise ConfigError(f"{join_key(section, 'power_penalty.joints')} must be null or a "
+                              f"list of joint indices, got {joints}")
+        with config_section(join_key(section, "power_penalty")):
+            self.power_cfg = PowerPenaltyCfg(
+                deadband=float(pp["deadband"]),
+                norm=float(pp["norm"]),
+                weight=float(pp["weight"]),
+                joint_selector=None if joints is None else tuple(int(j) for j in joints),
+            )
         self.base_height = float(np.sum(self.lengths))
         self.config = cfg
         self._armature_M = np.diag(self._joint_params.armature_I)

@@ -1,6 +1,7 @@
 """The program's file boundary. Every JSON input is parsed by `read_json`;
 configs merge over their defaults, which double as their schema
-(`merge_over`, `check_like`); both checkpoint kinds share one codec
+(`merge_over`, `check_like`), and range errors name the key
+(`check_ranges`, `config_section`); both checkpoint kinds share one codec
 (`save_checkpoint`, `load_checkpoint`); every writer uses `write_atomic`.
 """
 
@@ -10,6 +11,7 @@ import copy
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,7 +51,7 @@ def _at(key: str) -> str:
     return f"'{key}'" if key else "the top level"
 
 
-def _join(key: str, sub) -> str:
+def join_key(key: str, sub) -> str:
     return f"{key}.{sub}" if key else str(sub)
 
 
@@ -76,11 +78,63 @@ def check_like(value, example, error_type, origin, key: str = ""):
         for k in {**example, **value}:
             if k not in value or k not in example:
                 problem = "missing" if k not in value else "unknown"
-                raise error_type(f"{origin}: {problem} key '{_join(key, k)}'")
-            check_like(value[k], example[k], error_type, origin, _join(key, k))
+                raise error_type(f"{origin}: {problem} key '{join_key(key, k)}'")
+            check_like(value[k], example[k], error_type, origin, join_key(key, k))
     for i, item in enumerate(value if isinstance(example, list) and example else ()):
-        check_like(item, example[0], error_type, origin, _join(key, i))
+        check_like(item, example[0], error_type, origin, join_key(key, i))
     return value
+
+
+# Ranges for `check_ranges`: (description, test).
+POSITIVE = ("positive", lambda v: v > 0)
+
+
+def at_least(lo) -> tuple:
+    return f">= {lo}", lambda v: v >= lo
+
+
+def within(lo, hi) -> tuple:
+    return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
+
+
+def check_ranges(cfg: dict, ranges: dict, section: str = "") -> None:
+    """Raise a ConfigError naming the dotted key (below `section`) of the
+    first entry of `cfg` outside its range. `ranges` maps dotted keys, in
+    which `*` stands for every item of a list or object, to ranges such as
+    `POSITIVE`. Types are `check_like`'s business; this runs after it.
+    Settings whose dataclass checks its own range are left to
+    `config_section`."""
+    for pattern, (what, ok) in ranges.items():
+        for key, value in _entries(cfg, pattern.split("."), section):
+            if not ok(value):
+                raise ConfigError(f"{key} must be {what}, got {value}")
+
+
+@contextmanager
+def config_section(section: str, renamed: dict | None = None):
+    """Re-raise a ValidationError of the settings dataclasses built in the
+    block as a ConfigError naming the dotted key below `section`. Their
+    messages begin with the field name, which is the key unless `renamed`
+    maps it to another (`{"bound": "residual_bound"}`)."""
+    try:
+        yield
+    except ValidationError as exc:
+        name, _, rest = str(exc).partition(" ")
+        key = join_key(section, (renamed or {}).get(name, name))
+        raise ConfigError(f"{key} {rest}") from exc
+
+
+def _entries(node, parts: list, key: str):
+    if not parts:
+        yield key, node
+        return
+    head, *rest = parts
+    if head != "*":
+        items = [(head, node[head])]
+    else:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+    for sub, child in items:
+        yield from _entries(child, rest, join_key(key, sub))
 
 
 def read_config(defaults: dict, path) -> dict:
@@ -101,11 +155,11 @@ def merge_over(defaults: dict, overrides, origin, key: str = "") -> dict:
     cfg = copy.deepcopy(defaults)
     for k, value in overrides.items():
         if k not in cfg:
-            raise ConfigError(f"{origin}: unknown key '{_join(key, k)}'")
+            raise ConfigError(f"{origin}: unknown key '{join_key(key, k)}'")
         if isinstance(cfg[k], dict):
-            cfg[k] = merge_over(cfg[k], value, origin, _join(key, k))
+            cfg[k] = merge_over(cfg[k], value, origin, join_key(key, k))
         else:
-            cfg[k] = check_like(value, cfg[k], ConfigError, origin, _join(key, k))
+            cfg[k] = check_like(value, cfg[k], ConfigError, origin, join_key(key, k))
     return cfg
 
 

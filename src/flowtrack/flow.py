@@ -49,12 +49,19 @@ def check_layers(params, sizes, what: str = "layer") -> None:
 
 
 def mlp_forward(params, x: np.ndarray) -> np.ndarray:
-    """Forward pass; hidden layers tanh, final layer linear. x: (N, in)."""
+    """Forward pass; hidden layers tanh, final layer linear. x: (N, in).
+
+    x may also be (G, m, in): G groups of m rows, each group one matrix
+    product, bit-equal to calling with that group alone (a flat (G*m, in)
+    product is not: BLAS rounds rows differently at another row count). Each
+    (W, b) is then either shared or stacked per group, (G, out, in) with
+    (G, 1, out) biases.
+    """
     h = x
     for W, b in params[:-1]:
-        h = np.tanh(h @ W.T + b)
+        h = np.tanh(h @ W.mT + b)
     W, b = params[-1]
-    return h @ W.T + b
+    return h @ W.mT + b
 
 
 def _mlp_forward_cached(params, x):
@@ -101,8 +108,9 @@ class VelocityFieldNet:
     def __post_init__(self):
         if self.time_embed_dim % 2 != 0 or self.time_embed_dim <= 0:
             raise ValidationError("time_embed_dim must be a positive even number")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValidationError("Beta shape parameters must be positive")
+        for name in ("alpha", "beta"):  # the Beta shape parameters
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.params:
             self.params = mlp_zeros(self.layer_sizes)
         check_layers(self.params, self.layer_sizes)
@@ -142,11 +150,11 @@ def _input_rows(net: VelocityFieldNet, a, emb: np.ndarray, obs):
     time-embedding row per action row."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    if a.shape[1] != net.action_dim:
-        raise DimensionError(f"action dim {a.shape[1]} != net action dim {net.action_dim}")
-    if obs.shape[1] != net.obs_dim:
-        raise DimensionError(f"obs dim {obs.shape[1]} != net obs dim {net.obs_dim}")
-    return np.concatenate([a, emb, obs], axis=1)
+    if a.shape[-1] != net.action_dim:
+        raise DimensionError(f"action dim {a.shape[-1]} != net action dim {net.action_dim}")
+    if obs.shape[-1] != net.obs_dim:
+        raise DimensionError(f"obs dim {obs.shape[-1]} != net obs dim {net.obs_dim}")
+    return np.concatenate([a, emb, obs], axis=-1)
 
 
 def _assemble_input(net: VelocityFieldNet, a, t, obs):
@@ -195,7 +203,7 @@ class SamplerCfg:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ValidationError("need at least one integration step")
+            raise ValidationError(f"steps must be >= 1, got {self.steps}")
 
 
 def fm_loss(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray, eps: np.ndarray) -> float:
@@ -238,22 +246,24 @@ def euler_sample(net: VelocityFieldNet, obs, cfg: SamplerCfg, rng) -> np.ndarray
     at t = 1 - k/D. `obs` is one observation with one Generator, or (N,
     obs_dim) rows with a list of N Generators: each row draws its noise from
     its own stream, so its action does not depend on the rows beside it.
+    (G, m, obs_dim) rows with G*m Generators (row-major) are G groups, each
+    bit-equal to sampling its m rows alone (see `mlp_forward`).
     """
     D, A, E = cfg.steps, net.action_dim, net.time_embed_dim
     single = np.ndim(obs) == 1
     if single:
         x = rng.standard_normal(A)
     else:
-        x = np.array([r.standard_normal(A) for r in rng])
+        x = np.array([r.standard_normal(A) for r in rng]).reshape(*np.shape(obs)[:-1], A)
     # [x, time_embed(t), obs] rows, assembled and checked once; each step
-    # rewrites only the action and time-embedding columns in place
+    # writes the time-embedding columns and rewrites the action columns
     emb = time_embedding(1.0 - np.arange(D) / D, E)
-    inp = _input_rows(net, x, np.repeat(emb[:1], 1 if single else len(x), axis=0), obs)
+    inp = _input_rows(net, x, np.empty((*(np.shape(obs)[:-1] or (1,)), E)), obs)
     for k in range(D):
-        inp[:, A:A + E] = emb[k]
+        inp[..., A:A + E] = emb[k]
         v = mlp_forward(net.params, inp)
         x = x - (v[0] if single else v) / D
-        inp[:, :A] = x
+        inp[..., :A] = x
     return x
 
 

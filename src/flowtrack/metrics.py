@@ -86,8 +86,9 @@ class TerminationThresholds:
     relax_factor: float = 1.5
 
     def __post_init__(self):
-        if self.z_err_max <= 0 or self.grav_err_max <= 0 or self.relax_factor <= 0:
-            raise ValidationError("termination thresholds must be positive")
+        for name in ("z_err_max", "grav_err_max", "relax_factor"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def max_kinematics(q_series, dt: float) -> tuple[float, float, float]:

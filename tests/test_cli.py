@@ -181,6 +181,28 @@ class TestTrain:
         assert rc == 1
         assert assignment.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment", [
+        "env.pd.zeta=0", "env.pd.f_hz=0", "env.links.0.mass=-1", "env.thresholds.z_err_max=0",
+        "env.randomization.aggressive_factor=0.5", "env.power_penalty.norm=0",
+        "train.expert.lookahead=-1", "train.time_embed_dim=3", "train.hidden=[8,0]",
+        "train.sampler.alpha=0", "train.sampler.steps=0", "train.lr_decay=2",
+    ])
+    def test_out_of_range_set_names_key(self, motions_dir, tmp_path, capsys, assignment):
+        rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
+                       "--out", str(tmp_path / "x"), "--set", assignment])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert assignment.split("=")[0] in err and " must be " in err
+
+    def test_set_into_emptied_list_checks_items(self, motions_dir, tmp_path, capsys):
+        # the second --set replaces an empty list, which gives no item type;
+        # the env config's merge still checks the items
+        rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
+                       "--out", str(tmp_path / "x"),
+                       "--set", "env.links=[]", "--set", "env.links=[5]"])
+        assert rc == 1
+        assert "'links.0' must be an object" in capsys.readouterr().err
+
     def test_joint_mismatch_exits_1(self, tmp_path):
         clip = synth_motion(SynthMotionSpec(3, 4.0, 50.0, amplitude=0.1, frequency=0.3))
         save_motion(clip, tmp_path / "three.json")
@@ -213,6 +235,15 @@ class TestEval:
                        "--motions", str(motions_dir / "a_slow.json")])
         assert rc == 1
         assert "not match" in capsys.readouterr().err
+
+    def test_huge_episode_len_exits_1(self, motions_dir, tiny_policy_dir, capsys):
+        # rollouts preallocate (episode_len, ...) logs: without a ceiling this
+        # failed at allocation ("runtime failure", exit 2)
+        rc = cli.main(["--quiet", "eval", "--policy", str(tiny_policy_dir / "policy.json"),
+                       "--motions", str(motions_dir / "a_slow.json"),
+                       "--set", "env.episode_len=1000000000000"])
+        assert rc == 1
+        assert "env.episode_len must be in" in capsys.readouterr().err
 
     def test_runtime_failure_exits_2(self, motions_dir, tiny_policy_dir, monkeypatch):
         def boom(*a, **k):
@@ -262,3 +293,16 @@ class TestRefine:
                                       rng=np.random.default_rng(4))
         for (W1, b1), (W2, b2) in zip(saved.params, fresh.params):
             assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+
+    @pytest.mark.parametrize("assignment", [
+        "es.sigma=-0.1", "es.episodes_per_eval=0", "es.population=-1",
+        "es.residual_hidden=[0]", "es.residual_bound=-1",
+    ])
+    def test_out_of_range_set_names_key(self, motions_dir, tiny_policy_dir, tmp_path, capsys,
+                                        assignment):
+        rc = cli.main(["--quiet", "refine", "--policy", str(tiny_policy_dir / "policy.json"),
+                       "--motions", str(motions_dir / "a_slow.json"), "--out", str(tmp_path),
+                       "--set", assignment])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert assignment.split("=")[0] in err and " must be " in err

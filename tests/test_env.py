@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from flowtrack import actuation
-from flowtrack.env import (ArmEnv, ExpertPolicy, RandomizationCfg, expert_action,
-                           load_env_config, merge_config)
+from flowtrack.env import (MAX_EPISODE_LEN, ArmEnv, ExpertPolicy, RandomizationCfg,
+                           expert_action, load_env_config, merge_config)
 from flowtrack.errors import ConfigError, ValidationError
 from flowtrack.metrics import check_termination
 
@@ -60,6 +61,24 @@ class TestConfig:
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             ArmEnv({key: value})
+
+    @pytest.mark.parametrize("config, key", [
+        ({"links": [{"mass": 0.0, "length": 0.5}, {"mass": 1.0, "length": 0.4}]},
+         "links.0.mass"),
+        ({"links": [{"mass": 1.2, "length": 0.5}, {"mass": 1.0, "length": -0.4}]},
+         "links.1.length"),
+        ({"thresholds": {"z_err_max": 0.0}}, "thresholds.z_err_max"),
+        ({"pd": {"zeta": 0.0}}, "pd.zeta"),
+        ({"pd": {"f_hz": -1.0}}, "pd.f_hz"),
+        ({"randomization": {"pose_noise": -0.1}}, "randomization.pose_noise"),
+        ({"power_penalty": {"deadband": -1.0}}, "power_penalty.deadband"),
+        ({"episode_len": MAX_EPISODE_LEN + 1}, "episode_len"),
+    ])
+    def test_range_error_names_dotted_key(self, config, key):
+        with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
+            ArmEnv(config)
+        with pytest.raises(ConfigError, match=re.escape("env." + key) + " must be"):
+            ArmEnv(config, section="env")
 
 
 class TestReset:

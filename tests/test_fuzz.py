@@ -1,5 +1,6 @@
 """Fuzz tests of the input boundary: mutated valid documents either load or
-raise a flowtrack error that names the file.
+raise a flowtrack error that names the file, and `--set` assignments either
+load or raise one that names the key.
 
 Each case starts from a valid document (a policy or residual checkpoint, the
 built-in actuator catalog, an env config, a motion file), applies a few random
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowtrack import distill, errors, flow
+from flowtrack import cli, distill, errors, flow
 from flowtrack.actuation import default_catalog, load_catalog
 from flowtrack.env import DEFAULT_ENV_CONFIG, ArmEnv, load_env_config
 from flowtrack.motion import load_motion, save_motion
@@ -133,3 +134,60 @@ def test_env_config(documents, tmp_path, data):
             ArmEnv(cfg)
         except FLOWTRACK_ERRORS:
             pass
+
+
+# ---------------------------------------------------------------------------
+# --set assignments over the config tree of the train and refine commands.
+
+SET_TREE = {"env": DEFAULT_ENV_CONFIG, "es": cli.DEFAULT_ES_CFG, "train": cli.DEFAULT_TRAIN_CFG}
+
+
+def _entries(node, key=""):
+    """(dotted path, value) of every entry of a config tree, objects and list
+    items included."""
+    if key:
+        yield key, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for sub, child in items:
+        yield from _entries(child, f"{key}.{sub}" if key else str(sub))
+
+
+SET_ENTRIES = list(_entries(SET_TREE))
+
+
+@st.composite
+def assignments(draw):
+    """A --set KEY=VALUE: a path of the tree (sometimes with a bogus last
+    part) and a value of the tree (sometimes altered, or another JSON type)."""
+    key, value = draw(st.sampled_from(SET_ENTRIES))
+    if draw(st.integers(0, 9)) == 0:
+        key += draw(st.sampled_from([".x", ".0", ".7"]))
+    if draw(st.booleans()):
+        value = draw(st.sampled_from(SET_ENTRIES))[1]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = draw(st.sampled_from([value, -value, 0, value + 1, 2 * value, 0.5, -1]))
+    value = draw(st.sampled_from([value, value, [value], {"mass": value}, None, True, "x"]))
+    raw = json.dumps(value) if draw(st.booleans()) or value != "x" else "x"
+    return key, raw
+
+
+MOTION = make_sine((0.3, 0.2), 0.5, duration=1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(assignment=assignments())
+def test_set_assignment(assignment):
+    """The train and refine set-up of the assigned tree either loads or
+    raises a flowtrack error naming the --set key. The env config's merge
+    sees only the env section, so its errors may name the key below the
+    section (`links.0` for `env.links`)."""
+    key, raw = assignment
+    tree = copy.deepcopy(SET_TREE)
+    try:
+        cli._apply_sets(tree, [f"{key}={raw}"])
+        env = ArmEnv(tree["env"], section="env")
+        cli._es_setup(tree["es"], env, 0)
+        cli._train_setup(tree["train"], env, [MOTION], 0)
+    except FLOWTRACK_ERRORS as exc:
+        assert key.partition(".")[2] in str(exc), str(exc)

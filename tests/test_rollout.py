@@ -1,13 +1,19 @@
 """Batched rollout engine: every row of a `rollout_batch` is the episode that
-`rollout_episode` gives for the same seed alone."""
+`rollout_episode` gives for the same seed alone, every row group is the batch
+its residual gives alone, and the speculative ES is the sequential one."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtrack import distill
-from flowtrack.distill import ESCfg, es_refine, evaluate_policy, rollout_batch, rollout_episode
+from flowtrack.distill import (ESCfg, _flatten, _unflatten, episode_return, es_refine,
+                               evaluate_policy, rollout_batch, rollout_episode)
 from flowtrack.env import ArmEnv
+from flowtrack.errors import ValidationError
 from flowtrack.flow import init_net
 
 from conftest import make_sine
@@ -72,4 +78,166 @@ def test_seeded_es_refine_reruns_identical():
     runs = [es_refine(NET, RESIDUAL, ENV, MOTION, cfg) for _ in range(2)]
     assert runs[0][1] == runs[1][1]
     for (W1, b1), (W2, b2) in zip(runs[0][0].params, runs[1][0].params):
+        assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+
+
+def _variant(seed: int, scale: float = 0.3):
+    """RESIDUAL with every parameter perturbed by seeded noise."""
+    theta = _flatten(RESIDUAL.params)
+    theta = theta + scale * np.random.default_rng(seed).standard_normal(theta.shape)
+    return replace(RESIDUAL, params=_unflatten(theta, RESIDUAL.params))
+
+
+def test_row_groups_match_separate_batches():
+    """Each row group of a multi-group batch is bit-equal to a batch of its
+    residual alone, while episodes end at different steps within and across
+    groups (so the groups run ragged)."""
+    seeds = [3, 10, 9, 7]
+    groups = [RESIDUAL, _variant(1), _variant(2), _variant(3, scale=1.0), _variant(4)]
+    log = rollout_batch(ENV, NET, MOTION, seeds, residual=groups)
+    E = len(seeds)
+    assert log["rewards"].shape == (ENV.episode_len, len(groups) * E)
+    steps = log["steps"].reshape(len(groups), E)
+    assert log["terminated_early"].any() and not log["terminated_early"].all()
+    assert len({tuple(row) for row in steps}) > 1 and len(set(steps[0])) > 1
+    for g, res in enumerate(groups):
+        alone = rollout_batch(ENV, NET, MOTION, seeds, residual=res)
+        for key, value in alone.items():
+            assert np.array_equal(log[key][..., g * E:(g + 1) * E] if value.ndim == 1
+                                  else log[key][:, g * E:(g + 1) * E], value), key
+
+
+@pytest.mark.parametrize("groups", [
+    [], [RESIDUAL, distill.init_residual(ENV, hidden=(4,), bound=0.4)],
+    [RESIDUAL, replace(RESIDUAL, bound=0.1)],
+])
+def test_row_groups_need_one_shape(groups):
+    with pytest.raises(ValidationError, match="layer sizes and bound"):
+        rollout_batch(ENV, NET, MOTION, [1], residual=groups)
+
+
+# Aggressive mode relaxes the orientation limit; with a tighter one, some of
+# the ES's episodes still end early, at seed-dependent steps.
+ES_ENV = ArmEnv({"episode_len": 60,
+                 "thresholds": {"z_err_max": 0.25, "grav_err_max": 0.5, "relax_factor": 1.5}})
+
+
+def sequential_es(net, residual, env, motion, cfg):
+    """The (1+lambda) loop that scores one candidate per rollout, kept as the
+    oracle of `es_refine`. Also returns the index within its generation of
+    each accepted candidate."""
+    rng = np.random.default_rng(cfg.seed)
+    eval_seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
+
+    def fitness(candidate) -> float:
+        log = rollout_batch(env, net, motion, eval_seeds, residual=candidate,
+                            mode="aggressive")
+        return float(np.mean(episode_return(log, env.episode_len, cfg.termination_floor)))
+
+    best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
+    theta_best = _flatten(best.params)
+    f_best = fitness(best)
+    history = [f_best]
+    accepted = []
+    for _ in range(cfg.generations):
+        for k in range(cfg.population):
+            theta = theta_best + cfg.sigma * rng.standard_normal(theta_best.shape)
+            candidate = replace(best, params=_unflatten(theta, best.params))
+            f = fitness(candidate)
+            if f > f_best:
+                f_best, theta_best = f, theta
+                accepted.append(k)
+        history.append(f_best)
+    best = replace(best, params=_unflatten(theta_best, best.params))
+    return best, history, accepted
+
+
+def counted_es(cfg):
+    """`es_refine` on the ES test task, plus the number of row groups of each
+    `rollout_batch` call it made."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(kwargs["residual"]))
+        return rollout_batch(*args, **kwargs)
+
+    distill.rollout_batch = counted
+    try:
+        got, history = es_refine(NET, RESIDUAL, ES_ENV, MOTION, cfg)
+    finally:
+        distill.rollout_batch = rollout_batch
+    return got, history, calls
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), population=st.integers(0, 6),
+       generations=st.integers(0, 3), episodes=st.integers(1, 3),
+       sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_speculative_es_is_the_sequential_loop(seed, population, generations, episodes, sigma):
+    cfg = ESCfg(generations=generations, population=population, sigma=sigma,
+                episodes_per_eval=episodes, seed=seed)
+    want, want_history, _ = sequential_es(NET, RESIDUAL, ES_ENV, MOTION, cfg)
+    got, history, calls = counted_es(cfg)
+    assert history == want_history
+    for (W1, b1), (W2, b2) in zip(got.params, want.params):
+        assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+    assert calls == expected_calls(population, generations)
+
+
+def expected_calls(population, generations):
+    """Row groups of each batch: one batch per block of `ES_BLOCK` candidates,
+    2^b - 1 groups for a block of b; the start point rides in the first batch,
+    or runs alone when there are no candidates."""
+    B = distill.ES_BLOCK
+    blocks = [min(B, population - i) for i in range(0, population, B)] * generations
+    if not blocks:
+        return [1]
+    return [2 ** blocks[0], *[2 ** b - 1 for b in blocks[1:]]]
+
+
+def test_speculative_es_covers_acceptances_and_terminations():
+    """A fixed case of the oracle above that accepts a candidate in the middle
+    of a block, so the block's later candidates are taken from the scores
+    made from that candidate, and scores episodes that end early."""
+    cfg = ESCfg(generations=2, population=5, sigma=0.3, episodes_per_eval=3, seed=0)
+    want, want_history, accepted = sequential_es(NET, RESIDUAL, ES_ENV, MOTION, cfg)
+    got, history = es_refine(NET, RESIDUAL, ES_ENV, MOTION, cfg)
+    assert any(k % distill.ES_BLOCK < distill.ES_BLOCK - 1 for k in accepted)
+    assert history == want_history
+    assert all(np.array_equal(W1, W2) for (W1, _), (W2, _) in zip(got.params, want.params))
+    rng = np.random.default_rng(cfg.seed)
+    seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
+    log = rollout_batch(ES_ENV, NET, MOTION, seeds, residual=RESIDUAL, mode="aggressive")
+    assert log["terminated_early"].any() and not log["terminated_early"].all()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_batches_do_not_grow_with_the_population(sigma):
+    """A generation of many candidates takes them a block at a time, so no
+    batch, and no batch's (T, rows) logs, grows with the population, and the
+    number of batches does not depend on what is accepted; the result is
+    still the sequential loop's."""
+    cfg = ESCfg(generations=2, population=4 * distill.ES_BLOCK + 1, sigma=sigma,
+                episodes_per_eval=2, seed=1)
+    want, want_history, _ = sequential_es(NET, RESIDUAL, ES_ENV, MOTION, cfg)
+    got, history, calls = counted_es(cfg)
+    assert history == want_history
+    for (W1, b1), (W2, b2) in zip(got.params, want.params):
+        assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+    assert calls == expected_calls(cfg.population, cfg.generations)
+    assert max(calls) == 2 ** distill.ES_BLOCK
+
+
+def test_ties_keep_the_earlier_best():
+    """A residual whose output sits far past its bound acts the same after any
+    small perturbation, so every candidate ties with the best; a candidate
+    must score strictly higher to replace it, so the start point stays."""
+    W, b = RESIDUAL.params[-1]
+    saturated = replace(RESIDUAL, params=[*RESIDUAL.params[:-1],
+                                          (np.zeros_like(W), np.full_like(b, 100.0))])
+    cfg = ESCfg(generations=1, population=distill.ES_BLOCK + 1, sigma=0.05,
+                episodes_per_eval=2, seed=3)
+    got, history = es_refine(NET, saturated, ES_ENV, MOTION, cfg)
+    assert len(history) == 2 and history[0] == history[1]
+    for (W1, b1), (W2, b2) in zip(got.params, saturated.params):
         assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
