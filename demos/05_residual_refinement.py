@@ -57,7 +57,8 @@ def paired_mean(res):
     # the 10 episodes run as one batch; each row is the episode of its seed
     log = distill.rollout_batch(env_tight, net, motion, [9000 + s for s in range(10)],
                                 residual=res, mode="aggressive")
-    return float(np.mean(distill.episode_return(log, env_tight.episode_len, -1.0)))
+    return float(np.mean(distill.episode_return(log, env_tight.episode_len,
+                                                distill.TERMINATION_FLOOR)))
 
 base = paired_mean(None)
 ref = paired_mean(refined)

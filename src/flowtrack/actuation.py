@@ -159,6 +159,10 @@ def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0,
         raise ValidationError(f"tau_max must be positive, got {tau_max}")
     omega = 2.0 * np.pi * f_hz
     kp = params.armature_I * omega * omega
+    # an extreme f_hz under- or overflows kp, or the action scale through it
+    if not 0.0 < kp < np.inf or not 0.25 * tau_max / kp < np.inf:
+        raise ValidationError(f"f_hz must be a frequency whose kp and action scale are "
+                              f"finite and positive, got {f_hz}")
     kd = 2.0 * params.armature_I * zeta * omega
     return PDGains(kp=kp, kd=kd, action_scale=0.25 * tau_max / kp, q0=q0)
 

@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import actuation, distill, flow, metrics
-from .env import ArmEnv, ExpertPolicy, load_env_config
+from .env import MAX_LAYER_WIDTH, ArmEnv, ExpertPolicy, load_env_config
 from .errors import ConfigError
 from .fileio import (POSITIVE, at_least, check_like, check_ranges, config_section, merge_over,
-                     read_config, write_atomic)
+                     read_config, within, write_atomic)
 from .motion import load_motion
 
 
@@ -109,14 +109,14 @@ DEFAULT_ES_CFG = {
 # `fileio.check_ranges`; the dataclasses' errors are named by
 # `fileio.config_section`).
 TRAIN_RANGES = {
-    "hidden.*": at_least(1),
+    "hidden.*": within(1, MAX_LAYER_WIDTH),
     "checkpoint_every": at_least(0),
     "expert.lookahead": at_least(0),
     "expert.action_limit": POSITIVE,
 }
 
 ES_RANGES = {
-    "residual_hidden.*": at_least(1),
+    "residual_hidden.*": within(1, MAX_LAYER_WIDTH),
 }
 
 

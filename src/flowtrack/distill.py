@@ -185,18 +185,19 @@ def residual_input(env: ArmEnv, a_flow) -> np.ndarray:
                            np.asarray(a_flow, dtype=float)], axis=-1)
 
 
-def residual_action(res: ResidualPolicy, env: ArmEnv, a_flow, blocks) -> np.ndarray:
-    """Residual actions of the env's running episodes, clamped to +/- res.bound.
+def residual_action(env: ArmEnv, a_flow, blocks) -> np.ndarray:
+    """Raw (unclamped) residual outputs of the env's running episodes;
+    `residual_compose` applies the bound.
 
-    `blocks` is a list of (pos, params): the rows at the positions `pos` in
-    `a_flow`, (G, m) for G groups of m rows, go through the per-group stacked
-    `params`; (m,) positions take one group's plain params (see `mlp_forward`).
+    `blocks` is a list of (pos, params): the rows at the (G, m) positions `pos`
+    in `a_flow`, G groups of m rows, go through the per-group stacked `params`
+    (see `mlp_forward`).
     """
     x = residual_input(env, a_flow)
     raw = np.empty_like(a_flow)
     for pos, params in blocks:
         raw[pos] = mlp_forward(params, x[pos])
-    return np.clip(raw, -res.bound, res.bound)
+    return raw
 
 
 def residual_compose(a_flow, a_res, bound: float) -> np.ndarray:
@@ -232,7 +233,6 @@ class ESCfg:
     sigma: float = 0.05
     episodes_per_eval: int = 3
     seed: int = 0
-    termination_floor: float = -1.0  # per missing step after early termination
 
     def __post_init__(self):
         for name in ("generations", "population"):
@@ -245,9 +245,10 @@ class ESCfg:
 
 
 def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
-                  residual: ResidualPolicy | list | None = None, mode: str = "base",
-                  sampler: SamplerCfg | None = None) -> dict:
-    """Seeded closed-loop episodes of `motion`, one per seed, stepped together.
+                  residual: ResidualPolicy | list | None = None,
+                  mode: str = "base") -> dict:
+    """Seeded closed-loop episodes of `motion`, one per seed, stepped together
+    and sampled with the default `SamplerCfg()`.
 
     Each episode's env and policy noise come from independent child streams of
     its seed, so an episode's trajectory depends on its seed only, not on the
@@ -262,7 +263,7 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
     computed as one group of a stacked product, so each group's rows are
     bit-equal to a rollout of that residual alone.
     """
-    sampler = sampler or SamplerCfg()
+    sampler = SamplerCfg()
     groups = residual if isinstance(residual, list) else [residual]
     residual = groups[0] if groups else None  # gives the shared bound
     if not groups or residual is not None and any(
@@ -300,8 +301,8 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
             a_flow[pos] = euler_sample(net, obs[pos], sampler, rngs)
         a = a_flow
         if residual is not None:
-            a_res = residual_action(residual, env, a_flow, res_blocks)
-            a = residual_compose(a_flow, a_res, residual.bound)
+            a = residual_compose(a_flow, residual_action(env, a_flow, res_blocks),
+                                 residual.bound)
         obs, rewards, done, info = env.step_batch(a, base_actions=a_flow)
         log["rewards"][t, rows] = rewards
         log["q_err"][t, rows] = info["q_err"]
@@ -317,26 +318,22 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
 
 def _group_blocks(group_of_row):
     """The rows of each group, bucketed by group size: one (positions, group
-    ids) pair per distinct size m, with (G, m) positions and (G,) ids, or (m,)
-    positions and one id for a lone group, whose products are then plain
-    (m, in) ones. `group_of_row` is sorted."""
+    ids) pair per distinct size m, with (G, m) positions and (G,) ids.
+    `group_of_row` is sorted."""
     starts = np.flatnonzero(np.diff(group_of_row, prepend=-1))
     sizes = np.diff(starts, append=len(group_of_row))
     blocks = []
     for m in sorted(set(sizes.tolist())):
         first = starts[sizes == m]
-        pos, ids = first[:, None] + np.arange(m), group_of_row[first]
-        blocks.append((pos[0], ids[0]) if len(first) == 1 else (pos, ids))
+        blocks.append((first[:, None] + np.arange(m), group_of_row[first]))
     return blocks
 
 
 def rollout_episode(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seed: int,
-                    residual: ResidualPolicy | None = None, mode: str = "base",
-                    sampler: SamplerCfg | None = None) -> dict:
+                    residual: ResidualPolicy | None = None, mode: str = "base") -> dict:
     """One seeded closed-loop episode: `rollout_batch` with a single seed, its
     trajectories cut to the steps the episode ran."""
-    log = rollout_batch(env, net, motion, [seed], residual=residual, mode=mode,
-                        sampler=sampler)
+    log = rollout_batch(env, net, motion, [seed], residual=residual, mode=mode)
     steps = int(log["steps"][0])
     return {
         **{k: log[k][:steps, 0] for k in ("rewards", "q_err", "body_pos", "ref_body_pos")},
@@ -354,11 +351,12 @@ def episode_return(log, episode_len: int, floor: float):
 
 # Candidates an ES batch decides: a block of B takes 2^B - 1 row groups.
 ES_BLOCK = 3
+# ES return charged per step an episode misses after terminating early.
+TERMINATION_FLOOR = -1.0
 
 
 def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
-              motion: MotionClip, cfg: ESCfg,
-              sampler: SamplerCfg | None = None):
+              motion: MotionClip, cfg: ESCfg):
     """Elitist (1+lambda) ES on the residual parameters; rewards use the
     aggressive env mode. Returns (refined residual, best-reward history).
 
@@ -375,9 +373,9 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
     bit-equal to scoring its candidate alone, so the result is the sequential
     one, bit for bit. A generation costs ceil(population / ES_BLOCK) batches,
     2^b - 1 groups for a block of b, whatever is accepted, so the work of a
-    run does not depend on its seed.
+    run does not depend on its seed. With no candidates (no generation or an
+    empty population) the start point is scored alone.
     """
-    sampler = sampler or SamplerCfg()
     rng = np.random.default_rng(cfg.seed)
     eval_seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
     E = len(eval_seeds)
@@ -387,15 +385,17 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
         """Mean CRN return of each parameter vector, all in one batch."""
         candidates = [replace(best, params=_unflatten(theta, best.params)) for theta in thetas]
         log = rollout_batch(env, net, motion, eval_seeds, residual=candidates,
-                            mode="aggressive", sampler=sampler)
+                            mode="aggressive")
         # each group's rewards as the contiguous (T, E) array a rollout of
         # that candidate alone returns, so the sums round the same way
         return [float(np.mean(episode_return(
             {"rewards": log["rewards"][:, g * E:(g + 1) * E].copy(),
              "steps": log["steps"][g * E:(g + 1) * E]},
-            env.episode_len, cfg.termination_floor))) for g in range(len(thetas))]
+            env.episode_len, TERMINATION_FLOOR))) for g in range(len(thetas))]
 
     theta_best = _flatten(best.params)
+    if not cfg.generations or not cfg.population:
+        return best, [scores([theta_best])[0]] * (cfg.generations + 1)
     f_best, history = None, []
     for _ in range(cfg.generations):
         noise = [rng.standard_normal(theta_best.shape) for _ in range(cfg.population)]
@@ -417,12 +417,7 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
                 if fs[2 ** k + j] > f_best:
                     f_best, j = fs[2 ** k + j], 2 ** k + j
             theta_best = bests[j]
-        if f_best is None:  # no candidates: the start point alone
-            f_best = scores([theta_best])[0]
-            history.append(f_best)
         history.append(f_best)
-    if not history:  # no generation: score the start point alone
-        history.append(scores([theta_best])[0])
     best = replace(best, params=_unflatten(theta_best, best.params))
     return best, history
 
@@ -430,31 +425,25 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
 # ---------------------------------------------------------------------------
 # Evaluation.
 
-def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict | list,
+def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
                     residual: ResidualPolicy | None = None, n_rollouts: int = 10,
-                    seed: int = 0, segment_seconds: float = 10.0,
-                    sampler: SamplerCfg | None = None) -> dict:
-    """Closed-loop tracking metrics per motion.
+                    seed: int = 0) -> dict:
+    """Closed-loop tracking metrics per motion of the `{name: motion}` dict.
 
-    Motions are segmented into fixed-length clips first; each clip runs
-    `n_rollouts` seeded episodes. MPJPE / velocity / acceleration errors are
-    averaged within each episode first, then across episodes, then across a
-    motion's clips (never pooled over frames of unequal episodes).
+    Motions are segmented into 10 s clips first; each clip runs `n_rollouts`
+    seeded episodes as one `rollout_batch`. MPJPE / velocity / acceleration
+    errors are averaged within each episode first, then across episodes, then
+    across a motion's clips (never pooled over frames of unequal episodes).
     """
-    sampler = sampler or SamplerCfg()
     if n_rollouts < 1:
         raise ValidationError(f"n_rollouts must be >= 1, got {n_rollouts}")
-    if isinstance(motions, dict):
-        named = list(motions.items())
-    else:
-        named = [(f"motion_{i}", m) for i, m in enumerate(motions)]
     results = {}
-    for name, motion in named:
-        clips = segment_clips(motion, segment_seconds)
+    for name, motion in motions.items():
+        clips = segment_clips(motion, 10.0)
         clip_metrics = []
         for ci, clip in enumerate(clips):
             seeds = [hash_seed(seed, name, ci, r) for r in range(n_rollouts)]
-            log = rollout_batch(env, net, clip, seeds, residual=residual, sampler=sampler)
+            log = rollout_batch(env, net, clip, seeds, residual=residual)
             per_episode = {"mpjpe": [], "dvel": [], "dacc": []}
             for i, steps in enumerate(log["steps"]):
                 ref, rob = log["ref_body_pos"][:steps, i], log["body_pos"][:steps, i]
@@ -485,10 +474,10 @@ def hash_seed(*parts) -> int:
 
 
 def closed_loop_joint_error(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip,
-                            seed: int, residual: ResidualPolicy | None = None,
-                            sampler: SamplerCfg | None = None) -> float:
-    """Mean per-step joint tracking error of a seeded episode (rad)."""
-    log = rollout_episode(env, net, motion, seed, residual=residual, sampler=sampler)
+                            seed: int) -> float:
+    """Mean per-step joint tracking error of a seeded episode of the base
+    policy (rad)."""
+    log = rollout_episode(env, net, motion, seed)
     # charge un-run steps at a worst-case error so dying never helps
     missing = np.full(env.episode_len - log["steps"], np.pi)
     return float(np.mean(np.concatenate([log["q_err"], missing])))

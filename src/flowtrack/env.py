@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import actuation
-from .actuation import ActuatorParams, PDGains, PowerPenaltyCfg
+from .actuation import ActuatorParams, PowerPenaltyCfg
 from .errors import ConfigError, NumericalBlowupError, ValidationError
 from .fileio import (POSITIVE, at_least, check_ranges, config_section, join_key, merge_over,
                      read_config, within)
@@ -33,6 +33,13 @@ CONTROL_DT = 0.02  # 50 Hz control rate
 # Longest episode a config may ask for: 200 s at 50 Hz. Rollouts preallocate
 # (episode_len, rows, ...) logs, so a huge value would fail at allocation.
 MAX_EPISODE_LEN = 10_000
+# The same kind of ceiling on the other sizes a config sets that allocate:
+# observation history (the policy input is 6 x history_len wide), hidden-layer
+# widths of the flow and residual nets, and the flow net's time embedding
+# (its top frequency, pi 4^(dim/2 - 1), already passes 2^53 at dim 56).
+MAX_HISTORY_LEN = 1_000
+MAX_LAYER_WIDTH = 4_096
+MAX_TIME_EMBED_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ ENV_RANGES = {
     "links.*.length": POSITIVE,
     "n_substeps": at_least(1),
     "episode_len": within(1, MAX_EPISODE_LEN),
-    "history_len": at_least(0),
+    "history_len": within(0, MAX_HISTORY_LEN),
     "envelope_scale": POSITIVE,
     "pd.zeta": POSITIVE,
 }
@@ -127,12 +134,10 @@ class ArmEnv:
     CLI's is `env`); range errors name their key below it.
     """
 
-    def __init__(self, config: dict | None = None, catalog: dict | None = None,
-                 section: str = ""):
+    def __init__(self, config: dict | None = None, section: str = ""):
         cfg = merge_config(config)
         check_ranges(cfg, ENV_RANGES, section)
-        if catalog is None:
-            catalog = actuation.default_catalog()
+        catalog = actuation.default_catalog()
         links = cfg["links"]
         if not links:
             raise ConfigError("need at least one link")
@@ -158,15 +163,13 @@ class ArmEnv:
         # weakens the physics, the controller is not told about it.
         pd = cfg["pd"]
         with config_section(join_key(section, "pd")):
-            self.gains: list[PDGains] = [
-                actuation.pd_gains(p, f_hz=float(pd["f_hz"]), zeta=float(pd["zeta"]))
-                for p in nominal
-            ]
+            gains = [actuation.pd_gains(p, f_hz=float(pd["f_hz"]), zeta=float(pd["zeta"]))
+                     for p in nominal]
         self.actuators = [p.scaled(torque_scale=scale) for p in nominal]
         self._joint_params = actuation.stack(self.actuators)
-        self.kp = np.array([g.kp for g in self.gains])
-        self.kd = np.array([g.kd for g in self.gains])
-        self.action_scale = np.array([g.action_scale for g in self.gains])
+        self.kp = np.array([g.kp for g in gains])
+        self.kd = np.array([g.kd for g in gains])
+        self.action_scale = np.array([g.action_scale for g in gains])
         self.q0 = np.zeros(self.n_joints)  # nominal default pose: straight down
         thr = cfg["thresholds"]
         with config_section(join_key(section, "thresholds")):
@@ -193,7 +196,6 @@ class ArmEnv:
                 joint_selector=None if joints is None else tuple(int(j) for j in joints),
             )
         self.base_height = float(np.sum(self.lengths))
-        self.config = cfg
         self._armature_M = np.diag(self._joint_params.armature_I)
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
         self._episode_active = False

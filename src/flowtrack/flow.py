@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .env import MAX_TIME_EMBED_DIM
 from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, save_checkpoint
 
@@ -106,8 +107,9 @@ class VelocityFieldNet:
     params: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.time_embed_dim % 2 != 0 or self.time_embed_dim <= 0:
-            raise ValidationError("time_embed_dim must be a positive even number")
+        if self.time_embed_dim % 2 != 0 or not 0 < self.time_embed_dim <= MAX_TIME_EMBED_DIM:
+            raise ValidationError(f"time_embed_dim must be an even number in "
+                                  f"[2, {MAX_TIME_EMBED_DIM}], got {self.time_embed_dim}")
         for name in ("alpha", "beta"):  # the Beta shape parameters
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowtrack import cli, distill, flow
+from flowtrack.env import MAX_HISTORY_LEN, MAX_LAYER_WIDTH, MAX_TIME_EMBED_DIM
 from flowtrack.motion import SynthMotionSpec, save_motion, synth_motion
 
 
@@ -186,6 +187,11 @@ class TestTrain:
         "env.randomization.aggressive_factor=0.5", "env.power_penalty.norm=0",
         "train.expert.lookahead=-1", "train.time_embed_dim=3", "train.hidden=[8,0]",
         "train.sampler.alpha=0", "train.sampler.steps=0", "train.lr_decay=2",
+        # sizes that allocate, above their caps; uncapped, a huge one failed
+        # at allocation ("runtime failure", exit 2)
+        f"env.history_len={MAX_HISTORY_LEN + 1}", "env.history_len=100000000",
+        f"train.hidden=[8,{MAX_LAYER_WIDTH + 1}]",
+        f"train.time_embed_dim={MAX_TIME_EMBED_DIM + 2}", "train.time_embed_dim=2000000000",
     ])
     def test_out_of_range_set_names_key(self, motions_dir, tmp_path, capsys, assignment):
         rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
@@ -297,6 +303,7 @@ class TestRefine:
     @pytest.mark.parametrize("assignment", [
         "es.sigma=-0.1", "es.episodes_per_eval=0", "es.population=-1",
         "es.residual_hidden=[0]", "es.residual_bound=-1",
+        f"es.residual_hidden=[{MAX_LAYER_WIDTH + 1}]",
     ])
     def test_out_of_range_set_names_key(self, motions_dir, tiny_policy_dir, tmp_path, capsys,
                                         assignment):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from flowtrack import actuation
-from flowtrack.env import (MAX_EPISODE_LEN, ArmEnv, ExpertPolicy, RandomizationCfg,
-                           expert_action, load_env_config, merge_config)
+from flowtrack.env import (MAX_EPISODE_LEN, MAX_HISTORY_LEN, ArmEnv, ExpertPolicy,
+                           RandomizationCfg, expert_action, load_env_config, merge_config)
 from flowtrack.errors import ConfigError, ValidationError
 from flowtrack.metrics import check_termination
 
@@ -73,6 +73,8 @@ class TestConfig:
         ({"randomization": {"pose_noise": -0.1}}, "randomization.pose_noise"),
         ({"power_penalty": {"deadband": -1.0}}, "power_penalty.deadband"),
         ({"episode_len": MAX_EPISODE_LEN + 1}, "episode_len"),
+        ({"history_len": MAX_HISTORY_LEN + 1}, "history_len"),
+        ({"pd": {"f_hz": 1e-200}}, "pd.f_hz"),  # kp underflows to 0
     ])
     def test_range_error_names_dotted_key(self, config, key):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):

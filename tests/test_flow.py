@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtrack import flow
 from flowtrack.errors import CheckpointError, DimensionError, ValidationError
@@ -60,6 +62,25 @@ class TestForward:
         batch = forward(net, a, t, obs)
         for i in range(4):
             assert np.allclose(batch[i], forward(net, a[i], t[i], obs[i]), atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 24),
+           sizes=st.lists(st.integers(1, 140), min_size=2, max_size=4),
+           stacked=st.booleans())
+    def test_one_group_matches_plain_rows(self, seed, rows, sizes, stacked):
+        """A lone group, (1, m, in), is bit-equal to the plain (m, in) call,
+        with shared (out, in) weights or stacked (1, out, in) weights and
+        (1, 1, out) biases; the rollout engine relies on this to give every
+        row group the stacked form."""
+        rng = np.random.default_rng(seed)
+        params = flow.mlp_init(sizes, rng)
+        params = [(W, rng.standard_normal(b.shape)) for W, b in params]
+        x = rng.standard_normal((rows, sizes[0]))
+        grouped = [(W[None], b[None, None]) for W, b in params] if stacked else params
+        want = flow.mlp_forward(params, x)
+        got = flow.mlp_forward(grouped, x[None])
+        assert got.shape == (1, *want.shape)
+        assert np.array_equal(got[0], want)
 
 
 class TestLoss:

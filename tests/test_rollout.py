@@ -107,6 +107,21 @@ def test_row_groups_match_separate_batches():
                                   else log[key][:, g * E:(g + 1) * E], value), key
 
 
+@pytest.mark.parametrize("group_of_row, want", [
+    # a lone group keeps the stacked form: (1, m) positions, (1,) ids
+    ([0, 0, 0], [([[0, 1, 2]], [0])]),
+    ([4], [([[0]], [4])]),
+    # ragged sizes, one of them held by a lone group
+    ([0, 0, 1, 2, 2, 3, 3, 3], [([[2]], [1]), ([[0, 1], [3, 4]], [0, 2]),
+                                ([[5, 6, 7]], [3])]),
+])
+def test_group_blocks_are_stacked(group_of_row, want):
+    blocks = distill._group_blocks(np.array(group_of_row))
+    assert len(blocks) == len(want)
+    for (pos, ids), (want_pos, want_ids) in zip(blocks, want):
+        assert pos.tolist() == want_pos and ids.tolist() == want_ids
+
+
 @pytest.mark.parametrize("groups", [
     [], [RESIDUAL, distill.init_residual(ENV, hidden=(4,), bound=0.4)],
     [RESIDUAL, replace(RESIDUAL, bound=0.1)],
@@ -132,7 +147,7 @@ def sequential_es(net, residual, env, motion, cfg):
     def fitness(candidate) -> float:
         log = rollout_batch(env, net, motion, eval_seeds, residual=candidate,
                             mode="aggressive")
-        return float(np.mean(episode_return(log, env.episode_len, cfg.termination_floor)))
+        return float(np.mean(episode_return(log, env.episode_len, distill.TERMINATION_FLOOR)))
 
     best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
     theta_best = _flatten(best.params)
