@@ -38,7 +38,7 @@ cfg = distill.DistillCfg(iterations=10, episodes_per_iter=3, gradient_steps=250,
 print(f"distilling {len(motions)} experts into one policy "
       f"({cfg.iterations} DAgger iterations, D={cfg.sampler.steps} sampling steps)...")
 t0 = time.time()
-net, losses = distill.dagger_train(env, experts, motions, net0, cfg)
+net, losses = distill.dagger_train(env, experts, net0, cfg)
 print(f"done in {time.time() - t0:.0f}s; per-iteration loss:")
 print("  " + "  ".join(f"{l:.3f}" for l in losses))
 

@@ -31,7 +31,7 @@ net0 = flow.init_net(2, env_train.obs_dim, hidden=(96, 96), rng=np.random.defaul
 cfg = distill.DistillCfg(iterations=8, episodes_per_iter=3, gradient_steps=250,
                          batch_size=192, seed=0)
 t0 = time.time()
-net, losses = distill.dagger_train(env_train, [expert], [motion], net0, cfg)
+net, losses = distill.dagger_train(env_train, [expert], net0, cfg)
 print(f"  trained in {time.time() - t0:.0f}s, final loss {losses[-1]:.4f}")
 
 print()

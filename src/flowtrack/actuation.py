@@ -1,4 +1,4 @@
-"""Actuator-level physics: PD control law, torque-speed envelope clipping,
+"""Actuator-level physics: PD gains, torque-speed envelope clipping,
 friction losses, mechanical power, and the negative-power penalty.
 
 The envelope picks a motoring or braking torque ceiling from the sign
@@ -82,12 +82,11 @@ def stack(params) -> ActuatorParams:
 
 @dataclass(frozen=True)
 class PDGains:
-    """Joint PD gains plus the action-to-setpoint mapping q_tar = q0 + alpha*a."""
+    """Joint PD gains plus the action scale alpha of the setpoint q0 + alpha*a."""
 
     kp: float
     kd: float
     action_scale: float
-    q0: float = 0.0
 
     def __post_init__(self):
         if self.kp <= 0 or self.kd <= 0:
@@ -101,14 +100,14 @@ class PowerPenaltyCfg:
     """Deadbanded quadratic penalty on negative joint mechanical power.
 
     Defaults are the knee-joint constants: 150 W deadband, 500 W normalizer,
-    weight -10. joint_selector picks which joints the penalty applies to
-    (None = all).
+    weight -10. `joints` picks which joints the penalty applies to (None =
+    all).
     """
 
     deadband: float = 150.0
     norm: float = 500.0
     weight: float = -10.0
-    joint_selector: tuple[int, ...] | None = None
+    joints: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.deadband < 0:
@@ -144,33 +143,22 @@ def load_catalog(path) -> dict[str, ActuatorParams]:
     return out
 
 
-def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0,
-             tau_max: float | None = None, q0: float = 0.0) -> PDGains:
+def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0) -> PDGains:
     """Derive PD gains from armature inertia: kp = I*w^2, kd = 2*I*zeta*w.
 
-    The action scale maps a unit action to 0.25 * tau_max worth of position
-    offset; tau_max defaults to the actuator's motoring ceiling.
+    The action scale maps a unit action to 0.25 * tau_y1 worth of position
+    offset, a quarter of the actuator's motoring ceiling.
     """
     if f_hz <= 0:
         raise ValidationError(f"f_hz must be positive, got {f_hz}")
-    if tau_max is None:
-        tau_max = params.tau_y1
-    if tau_max <= 0:
-        raise ValidationError(f"tau_max must be positive, got {tau_max}")
     omega = 2.0 * np.pi * f_hz
     kp = params.armature_I * omega * omega
     # an extreme f_hz under- or overflows kp, or the action scale through it
-    if not 0.0 < kp < np.inf or not 0.25 * tau_max / kp < np.inf:
+    if not 0.0 < kp < np.inf or not 0.25 * params.tau_y1 / kp < np.inf:
         raise ValidationError(f"f_hz must be a frequency whose kp and action scale are "
                               f"finite and positive, got {f_hz}")
     kd = 2.0 * params.armature_I * zeta * omega
-    return PDGains(kp=kp, kd=kd, action_scale=0.25 * tau_max / kp, q0=q0)
-
-
-def pd_torque(action, q, qdot, g: PDGains):
-    """Pre-clip PD torque: kp*(q0 + alpha*action - q) - kd*qdot."""
-    q_tar = g.q0 + g.action_scale * np.asarray(action, dtype=float)
-    return g.kp * (q_tar - np.asarray(q, dtype=float)) - g.kd * np.asarray(qdot, dtype=float)
+    return PDGains(kp=kp, kd=kd, action_scale=0.25 * params.tau_y1 / kp)
 
 
 def torque_ceiling(v, tau_in, p: ActuatorParams):
@@ -224,8 +212,8 @@ def neg_power_penalty(powers, cfg: PowerPenaltyCfg = PowerPenaltyCfg()):
     two (N,) arrays, one cost per row.
     """
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    if cfg.joint_selector is not None:
-        powers = powers[..., list(cfg.joint_selector)]
+    if cfg.joints is not None:
+        powers = powers[..., list(cfg.joints)]
     over = np.maximum(-powers - cfg.deadband, 0.0)
     cost = np.sum((over / cfg.norm) ** 2, axis=-1)
     if cost.ndim == 0:

@@ -22,10 +22,11 @@ import sys
 import numpy as np
 
 from . import actuation, distill, flow, metrics
-from .env import MAX_LAYER_WIDTH, ArmEnv, ExpertPolicy, load_env_config
+from .env import ArmEnv, ExpertPolicy, load_env_config
 from .errors import ConfigError
 from .fileio import (POSITIVE, at_least, check_like, check_ranges, config_section, merge_over,
                      read_config, within, write_atomic)
+from .flow import MAX_LAYER_WIDTH
 from .motion import load_motion
 
 
@@ -194,7 +195,15 @@ def _build_env_and_motions(args, assignments_tree):
     env_cfg = load_env_config(args.env)
     assignments_tree["env"] = env_cfg
     _apply_sets(assignments_tree, args.set)
-    env = ArmEnv(assignments_tree["env"], section="env")
+    try:
+        env = ArmEnv(assignments_tree["env"], section="env")
+    except ConfigError as exc:
+        # an --env file is the one source of the env settings unless a --set
+        # reaches into them, so its errors can name it
+        if args.env and not any(a.split("=", 1)[0].split(".")[0] == "env"
+                                for a in args.set or []):
+            raise ConfigError(f"{args.env}: {exc}") from exc
+        raise
     files = _motion_files(args.motions)
     if not files:
         raise ConfigError(f"no motion files in '{args.motions}'")
@@ -261,8 +270,7 @@ def cmd_train(args) -> int:
         def on_iteration(it, snap, _loss):
             if (it + 1) % every == 0:
                 flow.save_policy(snap, os.path.join(args.out, f"policy_iter{it + 1}.json"))
-    net, losses = distill.dagger_train(env, experts, clips, net, dcfg,
-                                       on_iteration=on_iteration)
+    net, losses = distill.dagger_train(env, experts, net, dcfg, on_iteration=on_iteration)
     flow.save_policy(net, os.path.join(args.out, "policy.json"))
     csv = "iteration,loss\n" + "".join(
         f"{i},{_fmt(l)}\n" for i, l in enumerate(losses))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import metrics
 from .env import ArmEnv, ExpertPolicy, expert_action
-from .errors import ConfigError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, save_checkpoint
 from .flow import (AdamState, FMBatch, SamplerCfg, VelocityFieldNet, adam_step,
                    check_layers, clone_net, euler_sample, fm_loss_and_grad,
@@ -86,22 +86,16 @@ class DistillCfg:
             raise ValidationError("lr_decay must be in (0, 1]")
 
 
-def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], motions: list[MotionClip],
-                 net: VelocityFieldNet, cfg: DistillCfg,
-                 buffer: ReplayBuffer | None = None, on_iteration=None):
+def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet,
+                 cfg: DistillCfg, buffer: ReplayBuffer | None = None, on_iteration=None):
     """Distill the experts into `net`; returns (trained net, per-iter losses).
 
-    Each iteration: clear the buffer, roll out the current student on sampled
-    motions while labelling visited states with the matching expert, then run
-    `gradient_steps` flow-matching updates on buffer minibatches.
-    `on_iteration(index, net, mean_loss)`, when given, is called after every
-    iteration (checkpointing hook).
+    Each iteration: clear the buffer, roll out the current student on the
+    motions of sampled experts while labelling visited states with that
+    expert, then run `gradient_steps` flow-matching updates on buffer
+    minibatches. `on_iteration(index, net, mean_loss)`, when given, is called
+    after every iteration (checkpointing hook).
     """
-    if len(experts) != len(motions):
-        raise ConfigError(f"{len(motions)} motions but {len(experts)} experts")
-    for expert, motion in zip(experts, motions):
-        if expert.motion is not motion and not expert.motion.allclose(motion):
-            raise ConfigError("expert/motion lists are misaligned")
     net = clone_net(net)
     rng = np.random.default_rng(cfg.seed)
     buffer = buffer if buffer is not None else ReplayBuffer()
@@ -110,8 +104,8 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], motions: list[MotionC
     for it in range(cfg.iterations):
         buffer.clear()
         for _ in range(cfg.episodes_per_iter):
-            m = int(rng.integers(len(motions)))
-            obs = env.reset(motions[m], rng, mode="base")
+            m = int(rng.integers(len(experts)))
+            obs = env.reset(experts[m].motion, rng, mode="base")
             done = False
             while not done:
                 a_exp = expert_action(experts[m], env)
@@ -181,7 +175,7 @@ def init_residual(env: ArmEnv, hidden=(32,), bound: float = 0.3, rng=None) -> Re
 
 def residual_input(env: ArmEnv, a_flow) -> np.ndarray:
     """Residual inputs of the env's running episodes, one row per `a_flow` row."""
-    return np.concatenate([env.proprio(total_action=True), env.command(),
+    return np.concatenate([env.proprio(), env.command(),
                            np.asarray(a_flow, dtype=float)], axis=-1)
 
 

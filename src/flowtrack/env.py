@@ -17,7 +17,7 @@ the last link). That proxy is a stand-in, not a physical torso.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,13 +33,9 @@ CONTROL_DT = 0.02  # 50 Hz control rate
 # Longest episode a config may ask for: 200 s at 50 Hz. Rollouts preallocate
 # (episode_len, rows, ...) logs, so a huge value would fail at allocation.
 MAX_EPISODE_LEN = 10_000
-# The same kind of ceiling on the other sizes a config sets that allocate:
-# observation history (the policy input is 6 x history_len wide), hidden-layer
-# widths of the flow and residual nets, and the flow net's time embedding
-# (its top frequency, pi 4^(dim/2 - 1), already passes 2^53 at dim 56).
+# The same kind of ceiling on the observation history (the policy input is
+# 6 x history_len wide); `flow` caps the net sizes.
 MAX_HISTORY_LEN = 1_000
-MAX_LAYER_WIDTH = 4_096
-MAX_TIME_EMBED_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -83,16 +79,10 @@ DEFAULT_ENV_CONFIG = {
     "n_substeps": 8,
     "history_len": 5,
     "envelope_scale": 1.0,
-    "thresholds": {"z_err_max": 0.25, "grav_err_max": 0.8, "relax_factor": 1.5},
-    "randomization": {
-        "pose_noise": 0.05,
-        "disturbance": 0.5,
-        "mass_scale": 0.10,
-        "friction_scale": 0.20,
-        "q0_offset": 0.05,
-        "aggressive_factor": 1.5,
-    },
-    "power_penalty": {"deadband": 150.0, "norm": 500.0, "weight": -10.0, "joints": None},
+    # each section is its settings dataclass's defaults, so the two agree
+    "thresholds": asdict(TerminationThresholds()),
+    "randomization": asdict(RandomizationCfg()),
+    "power_penalty": asdict(PowerPenaltyCfg()),
 }
 
 
@@ -171,30 +161,24 @@ class ArmEnv:
         self.kd = np.array([g.kd for g in gains])
         self.action_scale = np.array([g.action_scale for g in gains])
         self.q0 = np.zeros(self.n_joints)  # nominal default pose: straight down
-        thr = cfg["thresholds"]
         with config_section(join_key(section, "thresholds")):
-            self.thresholds = TerminationThresholds(
-                z_err_max=float(thr["z_err_max"]),
-                grav_err_max=float(thr["grav_err_max"]),
-                relax_factor=float(thr["relax_factor"]),
-            )
+            self.thresholds = TerminationThresholds(**{
+                k: float(v) for k, v in cfg["thresholds"].items()
+            })
         with config_section(join_key(section, "randomization")):
             self.randomization = RandomizationCfg(**{
                 k: float(v) for k, v in cfg["randomization"].items()
             })
-        pp = cfg["power_penalty"]
-        joints = pp["joints"]
+        pp = dict(cfg["power_penalty"])
+        joints = pp.pop("joints")
         if joints is not None and not (isinstance(joints, (list, tuple)) and all(
                 isinstance(j, (int, np.integer)) and 0 <= j < self.n_joints for j in joints)):
             raise ConfigError(f"{join_key(section, 'power_penalty.joints')} must be null or a "
                               f"list of joint indices, got {joints}")
         with config_section(join_key(section, "power_penalty")):
             self.power_cfg = PowerPenaltyCfg(
-                deadband=float(pp["deadband"]),
-                norm=float(pp["norm"]),
-                weight=float(pp["weight"]),
-                joint_selector=None if joints is None else tuple(int(j) for j in joints),
-            )
+                **{k: float(v) for k, v in pp.items()},
+                joints=None if joints is None else tuple(int(j) for j in joints))
         self.base_height = float(np.sum(self.lengths))
         self._armature_M = np.diag(self._joint_params.armature_I)
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
@@ -321,12 +305,11 @@ class ArmEnv:
             hist.reshape(hist.shape[0], self.history_len * self.proprio_dim),
         ], axis=1)
 
-    def proprio(self, total_action: bool = False) -> np.ndarray:
-        """[q - q0, qdot, previous action] of the running episodes. The action
-        slot holds the base-policy component unless `total_action`."""
+    def proprio(self) -> np.ndarray:
+        """[q - q0, qdot, previous total action] of the running episodes (the
+        observation's proprio slot holds the base-policy action instead)."""
         self._require_episode()
-        prev = self._prev_action_total if total_action else self._prev_action_base
-        return self._unbatch(self._proprio(self._rows(), prev))
+        return self._unbatch(self._proprio(self._rows(), self._prev_action_total))
 
     def command(self) -> np.ndarray:
         """Reference joint targets one frame ahead plus the direction error."""
@@ -386,17 +369,13 @@ class ArmEnv:
 
     # -- control step ----------------------------------------------------------
 
-    def step(self, action, base_action=None):
-        """Advance the single episode one 50 Hz control step.
-
-        `base_action` is the flow-policy component when a residual is active;
-        it feeds the base policy's previous-action observation slot. Returns
-        (observation, reward, done, info).
-        """
+    def step(self, action):
+        """Advance the single episode one 50 Hz control step; returns
+        (observation, reward, done, info)."""
         self._require_episode()
         if self._batch:
             raise ValidationError("a batch of episodes steps through step_batch()")
-        obs, reward, done, info = self.step_batch(action, base_action)
+        obs, reward, done, info = self.step_batch(action)
         info = {k: v[0] for k, v in info.items()}
         for k in ("q_err", "neg_power_cost", "orient_err"):
             info[k] = float(info[k])
@@ -408,9 +387,12 @@ class ArmEnv:
         """Advance every running episode one 50 Hz control step.
 
         `actions` (and `base_actions`) hold one row per running episode, in the
-        order of `running`. Returns (observations, rewards, done, info) with one
-        row per episode that was running; `info` maps each field of the `step`
-        info to its per-row array. Episodes that finish here stop running.
+        order of `running`. `base_actions` is the flow-policy component when a
+        residual is active; it feeds the observation's previous-action slot
+        (the actions themselves when omitted). Returns (observations, rewards,
+        done, info) with one row per episode that was running; `info` maps each
+        field of the `step` info to its per-row array. Episodes that finish
+        here stop running.
         """
         self._require_episode()
         n, J = self._running.size, self.n_joints

@@ -16,9 +16,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .env import MAX_TIME_EMBED_DIM
 from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, save_checkpoint
+
+# Caps on the net sizes a config sets, which allocate: hidden-layer widths of
+# the flow and residual nets, and the flow net's time embedding (its top
+# frequency, pi 4^(dim/2 - 1), already passes 2^53 at dim 56).
+MAX_LAYER_WIDTH = 4_096
+MAX_TIME_EMBED_DIM = 64
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +284,15 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
+def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3):
+    """One bias-corrected Adam update with betas (0.9, 0.999) and eps 1e-8;
+    returns (new_params, new_state)."""
     if len(params) != len(grads):
         raise DimensionError("params and grads disagree on layer count")
     if not state.m:
         state.m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
         state.v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     step = state.step + 1
     c1 = 1.0 - b1 ** step
     c2 = 1.0 - b2 ** step

@@ -107,17 +107,10 @@ def max_kinematics(q_series, dt: float) -> tuple[float, float, float]:
     return float(np.max(np.abs(v))), float(np.max(np.abs(a))), float(np.max(np.abs(j)))
 
 
-def com_vertical_speed(clip: MotionClip, masses=None) -> float:
-    """Peak |vertical CoM velocity| with uniform body masses by default."""
-    if masses is None:
-        masses = np.ones(clip.n_bodies)
-    masses = np.asarray(masses, dtype=float)
-    if masses.shape != (clip.n_bodies,):
-        raise DimensionError(f"expected {clip.n_bodies} masses, got {masses.shape}")
-    total = masses.sum()
-    if total <= 0:
-        raise ValidationError("total mass must be positive")
-    z_com = clip.body_pos[:, :, 2] @ masses / total
+def com_vertical_speed(clip: MotionClip) -> float:
+    """Peak |vertical CoM velocity| with uniform body masses."""
+    B = clip.n_bodies
+    z_com = clip.body_pos[:, :, 2] @ np.ones(B) / B
     return float(np.max(np.abs(finite_difference(z_com, clip.dt))))
 
 
@@ -153,13 +146,12 @@ def difficulty_scores(v_max, a_max, ang_max, v_com_z_max, airborne, f_switch) ->
     ])
 
 
-def compute_complexity(clip: MotionClip, h_air: float = DEFAULT_H_AIR,
-                       masses=None) -> ComplexityScores:
+def compute_complexity(clip: MotionClip, h_air: float = DEFAULT_H_AIR) -> ComplexityScores:
     """All complexity metrics of a clip in one pass."""
     v_max, a_max, j_max = max_kinematics(clip.q, clip.dt)
     ang = quat_angular_speed(clip.base_quat, clip.dt)
     ang_max = float(np.max(np.abs(ang)))
-    v_com = com_vertical_speed(clip, masses)
+    v_com = com_vertical_speed(clip)
     air = airborne_ratio(clip, h_air)
     f_sw = contact_switch_freq(clip.contacts, clip.dt)
     s = difficulty_scores(v_max, a_max, ang_max, v_com, air, f_sw)
@@ -189,12 +181,11 @@ def delta_vel(ref_v, rob_v, dt: float) -> float:
     return 1000.0 * dt * _pairwise_mean_norm(ref_v, rob_v, "delta_vel")
 
 
-def delta_acc(ref_v, rob_v, dt: float, reset_steps=()) -> float:
+def delta_acc(ref_v, rob_v, dt: float) -> float:
     """Mean per-body acceleration discrepancy in mm/frame^2.
 
-    Accelerations are backward differences of the velocity series; step 0 and
-    the step immediately after each entry of `reset_steps` are excluded from
-    the average.
+    Accelerations are backward differences of the velocity series, so step 0
+    has none and the average runs over steps 1..T-1.
     """
     ref_v = np.asarray(ref_v, dtype=float)
     rob_v = np.asarray(rob_v, dtype=float)
@@ -206,15 +197,7 @@ def delta_acc(ref_v, rob_v, dt: float, reset_steps=()) -> float:
     ref_a = (ref_v[1:] - ref_v[:-1]) / dt
     rob_a = (rob_v[1:] - rob_v[:-1]) / dt
     err = np.mean(np.linalg.norm(ref_a - rob_a, axis=-1), axis=-1)  # index t=1..T-1
-    keep = np.ones(T, dtype=bool)
-    keep[0] = False
-    for r in reset_steps:
-        if 0 <= r + 1 < T:
-            keep[r + 1] = False
-    keep = keep[1:]
-    if not np.any(keep):
-        raise ValidationError("all acceleration steps excluded; metric undefined")
-    return 1000.0 * dt * dt * float(np.mean(err[keep]))
+    return 1000.0 * dt * dt * float(np.mean(err))
 
 
 def check_termination(z_errors, orient_err, thr: TerminationThresholds,
@@ -233,12 +216,9 @@ def check_termination(z_errors, orient_err, thr: TerminationThresholds,
 
 
 def success_rate(episodes) -> float:
-    """Fraction of episodes that ran to time-out instead of terminating early."""
+    """Fraction of episodes, dicts with a `terminated_early` flag, that ran to
+    time-out instead of terminating early."""
     episodes = list(episodes)
     if not episodes:
         raise ValidationError("success_rate needs at least one episode")
-    ok = 0
-    for ep in episodes:
-        terminated = ep["terminated_early"] if isinstance(ep, dict) else bool(ep.terminated_early)
-        ok += 0 if terminated else 1
-    return ok / len(episodes)
+    return sum(not ep["terminated_early"] for ep in episodes) / len(episodes)

@@ -111,11 +111,6 @@ class MotionClip:
     def dt(self) -> float:
         return 1.0 / self.fps
 
-    @property
-    def duration(self) -> float:
-        """Clip duration in seconds, counted as T frames of 1/fps each."""
-        return self.n_frames / self.fps
-
     def slice(self, start: int, stop: int) -> "MotionClip":
         return MotionClip(
             fps=self.fps,

@@ -71,7 +71,7 @@ def two_sine_setup():
                              batch_size=256, learning_rate=2e-3, lr_decay=0.93,
                              seed=0)
     t0 = time.monotonic()
-    net, losses = distill.dagger_train(env, experts, motions, net0, cfg)
+    net, losses = distill.dagger_train(env, experts, net0, cfg)
     train_time = time.monotonic() - t0
     return {
         "motions": motions, "env": env, "experts": experts,
@@ -90,7 +90,7 @@ def refine_setup():
     cfg = distill.DistillCfg(iterations=12, episodes_per_iter=3, gradient_steps=250,
                              batch_size=192, seed=0)
     t0 = time.monotonic()
-    net, losses = distill.dagger_train(env_train, [expert], [motion], net0, cfg)
+    net, losses = distill.dagger_train(env_train, [expert], net0, cfg)
     train_time = time.monotonic() - t0
     tight_cfg = {
         "episode_len": 500,

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from flowtrack.actuation import (ActuatorParams, PDGains, PowerPenaltyCfg, actuate,
+from flowtrack.actuation import (ActuatorParams, PowerPenaltyCfg, actuate,
                                  clip_torque, default_catalog, envelope_limit,
                                  friction_torque, joint_power, load_catalog,
-                                 neg_power_penalty, pd_gains, pd_torque, stack,
+                                 neg_power_penalty, pd_gains, stack,
                                  torque_ceiling)
 from flowtrack.errors import SchemaError, ValidationError
 
@@ -89,34 +89,6 @@ class TestPDGains:
         g1, g2 = pd_gains(M5020), pd_gains(doubled)
         assert abs(g2.kp - 2 * g1.kp) < 1e-9
         assert abs(g2.kd - 2 * g1.kd) < 1e-9
-
-    def test_bad_tau_max(self):
-        with pytest.raises(ValidationError):
-            pd_gains(M5020, tau_max=-1.0)
-
-
-class TestPDTorque:
-    g = PDGains(kp=50.0, kd=2.0, action_scale=0.3, q0=0.1)
-
-    def test_zero_at_default(self):
-        assert pd_torque(0.0, 0.1, 0.0, self.g) == 0.0
-
-    def test_unit_action_equals_quarter_tau_max(self):
-        gains = pd_gains(M5020)
-        tau = pd_torque(1.0, gains.q0, 0.0, gains)
-        assert abs(tau - 0.25 * M5020.tau_y1) < 1e-9
-
-    def test_damping_only(self):
-        tau = pd_torque(0.0, 0.1, 2.0, self.g)
-        assert abs(tau - (-2 * self.g.kd)) < 1e-12
-
-    def test_affine_coefficients(self):
-        rng = np.random.default_rng(0)
-        a, q, qd = rng.standard_normal(3)
-        base = pd_torque(a, q, qd, self.g)
-        assert abs(pd_torque(a + 1, q, qd, self.g) - base - self.g.kp * self.g.action_scale) < 1e-9
-        assert abs(pd_torque(a, q + 1, qd, self.g) - base + self.g.kp) < 1e-9
-        assert abs(pd_torque(a, q, qd + 1, self.g) - base + self.g.kd) < 1e-9
 
 
 class TestEnvelope:
@@ -214,7 +186,7 @@ class TestStackedParams:
             stack([M7522, M7522]).scaled(friction_scale=np.array([[1.0], [-1.0]]))
 
     def test_penalty_rows(self):
-        cfg = PowerPenaltyCfg(joint_selector=(1,))
+        cfg = PowerPenaltyCfg(joints=(1,))
         powers = np.array([[-1000.0, -400.0], [0.0, -650.0]])
         cost, reward = neg_power_penalty(powers, cfg)
         assert cost.shape == (2,)
@@ -245,7 +217,7 @@ class TestPower:
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
     def test_joint_selector(self):
-        cfg = PowerPenaltyCfg(joint_selector=(1,))
+        cfg = PowerPenaltyCfg(joints=(1,))
         cost, _ = neg_power_penalty([-1000.0, -400.0], cfg)
         assert abs(cost - 0.25) < 1e-12
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from flowtrack import cli, distill, flow
-from flowtrack.env import MAX_HISTORY_LEN, MAX_LAYER_WIDTH, MAX_TIME_EMBED_DIM
+from flowtrack.env import MAX_HISTORY_LEN
+from flowtrack.flow import MAX_LAYER_WIDTH, MAX_TIME_EMBED_DIM
 from flowtrack.motion import SynthMotionSpec, save_motion, synth_motion
 
 
@@ -171,6 +172,27 @@ class TestTrain:
                        "--out", str(tmp_path / "x"), flag, str(path)])
         assert rc == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, sets, message", [
+        # the key's range is checked by the env's table, or by its dataclass
+        ({"links": [{"mass": -1.0, "length": 0.5}, {"mass": 1.0, "length": 0.4}]}, [],
+         "{file}: env.links.0.mass must be positive, got -1.0"),
+        ({"thresholds": {"z_err_max": 0.0}}, [],
+         "{file}: env.thresholds.z_err_max must be positive, got 0.0"),
+        # with an env --set the value may come from either source
+        ({"thresholds": {"z_err_max": 0.0}}, ["env.episode_len=80"],
+         "env.thresholds.z_err_max must be positive, got 0.0"),
+    ], ids=["table_key", "dataclass_key", "env_set"])
+    def test_env_file_range_error_names_file(self, motions_dir, tmp_path, capsys,
+                                             doc, sets, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
+                "--out", str(tmp_path / "x"), "--env", str(path)]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message.format(file=path)}\n"
 
     @pytest.mark.parametrize("assignment", [
         "env.links.5.mass=1", "env.links.x.mass=1", "env.pd.f_hz.x=1", "env.pd=3",

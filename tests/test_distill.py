@@ -7,7 +7,7 @@ from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer,
                                evaluate_policy, init_residual, residual_compose,
                                rollout_episode)
 from flowtrack.env import ArmEnv, ExpertPolicy
-from flowtrack.errors import CheckpointError, ConfigError, DimensionError, ValidationError
+from flowtrack.errors import CheckpointError, DimensionError, ValidationError
 from flowtrack.flow import init_net
 
 from conftest import make_sine
@@ -64,7 +64,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer()
         cfg = DistillCfg(iterations=1, episodes_per_iter=2, gradient_steps=1,
                          batch_size=8, seed=0)
-        dagger_train(env, [expert], [motion], net, cfg, buffer=buf)
+        dagger_train(env, [expert], net, cfg, buffer=buf)
         # quiet task, no early termination: exactly episodes * steps records
         assert len(buf) == 2 * 30
 
@@ -74,21 +74,11 @@ class TestDaggerTrain:
         env = tiny_env()
         motion = make_sine(0.2, 0.25, duration=4.0)
         net = init_net(2, env.obs_dim, hidden=(8,), rng=np.random.default_rng(0))
-        out, losses = dagger_train(env, [ExpertPolicy(motion)], [motion], net,
+        out, losses = dagger_train(env, [ExpertPolicy(motion)], net,
                                    DistillCfg(iterations=0, seed=0))
         assert losses == []
         for (W1, b1), (W2, b2) in zip(net.params, out.params):
             assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
-
-    def test_misaligned_experts_rejected(self):
-        env = tiny_env()
-        m1 = make_sine(0.2, 0.25, duration=4.0)
-        m2 = make_sine(0.3, 0.4, duration=4.0)
-        net = init_net(2, env.obs_dim, hidden=(8,))
-        with pytest.raises(ConfigError):
-            dagger_train(env, [ExpertPolicy(m1)], [m2], net, DistillCfg(seed=0))
-        with pytest.raises(ConfigError):
-            dagger_train(env, [ExpertPolicy(m1)], [m1, m2], net, DistillCfg(seed=0))
 
     def test_single_motion_quick_improvement(self):
         env = ArmEnv({"episode_len": 150})
@@ -97,7 +87,7 @@ class TestDaggerTrain:
         net0 = init_net(2, env.obs_dim, hidden=(48, 48), rng=np.random.default_rng(1))
         cfg = DistillCfg(iterations=5, episodes_per_iter=2, gradient_steps=150,
                          batch_size=128, seed=0)
-        net, losses = dagger_train(env, [expert], [motion], net0, cfg)
+        net, losses = dagger_train(env, [expert], net0, cfg)
         assert losses[-1] < losses[0]
         e_untrained = closed_loop_joint_error(env, net0, motion, seed=11)
         e_trained = closed_loop_joint_error(env, net, motion, seed=11)
@@ -112,7 +102,7 @@ class TestDaggerTrain:
         runs = []
         for _ in range(2):
             net = init_net(2, env.obs_dim, hidden=(8,), rng=np.random.default_rng(0))
-            out, losses = dagger_train(env, [expert], [motion], net, cfg)
+            out, losses = dagger_train(env, [expert], net, cfg)
             runs.append((out, losses))
         assert runs[0][1] == runs[1][1]
         for (W1, b1), (W2, b2) in zip(runs[0][0].params, runs[1][0].params):

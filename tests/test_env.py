@@ -178,6 +178,21 @@ class TestStep:
                 break
         assert saw_clip
 
+    def test_logged_command_is_the_pd_law(self):
+        # randomized q0 offsets, so the setpoint's default pose is the episode's
+        env = ArmEnv({"episode_len": 60})
+        env.reset(make_sine(0.4, 0.8, duration=4.0), 5)
+        rng = np.random.default_rng(4)
+        done = False
+        while not done:
+            a = rng.uniform(-6, 6, 2)
+            q_pre, qdot_pre = env.q, env.qdot
+            _, _, done, info = env.step(a)
+            assert np.array_equal(info["qdot_pre"], qdot_pre)
+            expected = (env.kp * (env.q0_eff + env.action_scale * a - q_pre)
+                        - env.kd * info["qdot_pre"])
+            assert np.array_equal(info["tau_cmd"], expected)
+
     def test_timeout_success(self):
         env = quiet_env(episode_len=60)
         clip = make_sine(0.2, 0.25, duration=4.0)
