@@ -55,8 +55,8 @@ print()
 print("paired evaluation on 10 held-out seeded episodes (same seeds for both):")
 def paired_mean(res):
     # the 10 episodes run as one batch; each row is the episode of its seed
-    log = distill.rollout_batch(env_tight, net, motion, [9000 + s for s in range(10)],
-                                residual=res, mode="aggressive")
+    log = distill.rollout_batch(env_tight, net, [(motion, [9000 + s for s in range(10)], res)],
+                                mode="aggressive")
     return float(np.mean(distill.episode_return(log, env_tight.episode_len,
                                                 distill.TERMINATION_FLOOR)))
 

@@ -238,39 +238,41 @@ class ESCfg:
             raise ValidationError("episodes_per_eval must be positive")
 
 
-def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
-                  residual: ResidualPolicy | list | None = None,
+def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
                   mode: str = "base") -> dict:
-    """Seeded closed-loop episodes of `motion`, one per seed, stepped together
+    """Seeded closed-loop episodes of one or more row groups, stepped together
     and sampled with the default `SamplerCfg()`.
 
-    Each episode's env and policy noise come from independent child streams of
-    its seed, so an episode's trajectory depends on its seed only, not on the
-    batch it runs in. Returns (T, N, ...) trajectories (T = env.episode_len)
-    whose rows past an episode's `steps` stay zero, plus per-episode `steps`
-    and `terminated_early`.
+    `groups` is a list of (motion, seeds, residual) triples. Group g runs one
+    episode of its motion per seed under its residual, on the rows after
+    group g - 1's: the batch is every group's seeds in order. The residuals
+    are all None (the base policy alone), or all of one layer sizes and bound,
+    differing only in params.
 
-    `residual` may be a list of G residuals that differ only in their params:
-    the batch then runs G row groups, group g being every seed under residual
-    g (rows g * len(seeds) + i, so N = G * len(seeds)); a single residual, or
-    None, is one group. The policy products of a group's running rows are
-    computed as one group of a stacked product, so each group's rows are
-    bit-equal to a rollout of that residual alone.
+    Each episode's env and policy noise come from independent child streams of
+    its seed, so an episode's trajectory depends on its motion, residual and
+    seed only, not on the batch it runs in. Returns (T, N, ...) trajectories
+    (T = env.episode_len) whose rows past an episode's `steps` stay zero, plus
+    per-episode `steps` and `terminated_early`. The policy products of a
+    group's running rows are computed as one group of a stacked product, so
+    each group's rows are bit-equal to a batch of that triple alone.
     """
     sampler = SamplerCfg()
-    groups = residual if isinstance(residual, list) else [residual]
-    residual = groups[0] if groups else None  # gives the shared bound
-    if not groups or residual is not None and any(
-            r.layer_sizes != residual.layer_sizes or r.bound != residual.bound for r in groups):
+    residuals = [r for _, _, r in groups]
+    residual = residuals[0] if groups else None  # gives the shared bound
+    if not groups or any(r is not residual and (
+            r is None or residual is None or r.layer_sizes != residual.layer_sizes
+            or r.bound != residual.bound) for r in residuals):
         raise ValidationError("row groups need residuals of one layer sizes and bound")
     if residual is not None:  # per-layer params stacked on a leading group axis
-        layers = [(np.stack([r.params[i][0] for r in groups]),
-                   np.stack([r.params[i][1] for r in groups])[:, None])
+        layers = [(np.stack([r.params[i][0] for r in residuals]),
+                   np.stack([r.params[i][1] for r in residuals])[:, None])
                   for i in range(len(residual.params))]
-    streams = [np.random.SeedSequence(s).spawn(2) for s in seeds] * len(groups)
+    group_of_row = np.repeat(np.arange(len(groups)), [len(seeds) for _, seeds, _ in groups])
+    streams = [np.random.SeedSequence(s).spawn(2) for _, seeds, _ in groups for s in seeds]
     policy_rngs = [np.random.default_rng(policy_seed) for _, policy_seed in streams]
-    obs = env.reset(motion, [np.random.default_rng(env_seed) for env_seed, _ in streams],
-                    mode=mode)
+    obs = env.reset([motion for motion, seeds, _ in groups for _ in seeds],
+                    [np.random.default_rng(env_seed) for env_seed, _ in streams], mode=mode)
     n, T, J = len(streams), env.episode_len, env.n_joints
     log = {
         "rewards": np.zeros((T, n)),
@@ -285,7 +287,7 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seeds,
         rows = env.running
         if len(rows) != n_running:  # (re)group the running rows
             n_running = len(rows)
-            split = _group_blocks(rows // len(seeds))
+            split = _group_blocks(group_of_row[rows])
             sample_blocks = [(pos, [policy_rngs[i] for i in rows[pos].ravel()])
                              for pos, _ in split]
             if residual is not None:
@@ -327,7 +329,7 @@ def rollout_episode(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seed
                     residual: ResidualPolicy | None = None, mode: str = "base") -> dict:
     """One seeded closed-loop episode: `rollout_batch` with a single seed, its
     trajectories cut to the steps the episode ran."""
-    log = rollout_batch(env, net, motion, [seed], residual=residual, mode=mode)
+    log = rollout_batch(env, net, [(motion, [seed], residual)], mode=mode)
     steps = int(log["steps"][0])
     return {
         **{k: log[k][:steps, 0] for k in ("rewards", "q_err", "body_pos", "ref_body_pos")},
@@ -378,7 +380,7 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
     def scores(thetas) -> list[float]:
         """Mean CRN return of each parameter vector, all in one batch."""
         candidates = [replace(best, params=_unflatten(theta, best.params)) for theta in thetas]
-        log = rollout_batch(env, net, motion, eval_seeds, residual=candidates,
+        log = rollout_batch(env, net, [(motion, eval_seeds, c) for c in candidates],
                             mode="aggressive")
         # each group's rewards as the contiguous (T, E) array a rollout of
         # that candidate alone returns, so the sums round the same way
@@ -419,43 +421,61 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
 # ---------------------------------------------------------------------------
 # Evaluation.
 
+# Most episodes one `evaluate_policy` batch runs. Whole clips join a batch in
+# turn while their rows fit, so its (T, rows, J, 3) logs do not grow with the
+# motion set (about 56 KB per row at 500 steps); a clip with more rows runs
+# alone. A clip's rows are never split: its group would then be another row
+# count, whose products round differently.
+EVAL_MAX_ROWS = 256
+
+
 def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
                     residual: ResidualPolicy | None = None, n_rollouts: int = 10,
                     seed: int = 0) -> dict:
     """Closed-loop tracking metrics per motion of the `{name: motion}` dict.
 
     Motions are segmented into 10 s clips first; each clip runs `n_rollouts`
-    seeded episodes as one `rollout_batch`. MPJPE / velocity / acceleration
-    errors are averaged within each episode first, then across episodes, then
-    across a motion's clips (never pooled over frames of unequal episodes).
+    seeded episodes as one row group. The clips run in order as few
+    `rollout_batch` calls as keep each within `EVAL_MAX_ROWS` rows, so every
+    clip's metrics are those of a batch of that clip alone. MPJPE / velocity
+    / acceleration errors are averaged within each episode first, then across
+    episodes, then across a motion's clips (never pooled over frames of
+    unequal episodes).
     """
     if n_rollouts < 1:
         raise ValidationError(f"n_rollouts must be >= 1, got {n_rollouts}")
-    results = {}
-    for name, motion in motions.items():
-        clips = segment_clips(motion, 10.0)
-        clip_metrics = []
-        for ci, clip in enumerate(clips):
-            seeds = [hash_seed(seed, name, ci, r) for r in range(n_rollouts)]
-            log = rollout_batch(env, net, clip, seeds, residual=residual)
+    clips = [(name, ci, clip) for name, motion in motions.items()
+             for ci, clip in enumerate(segment_clips(motion, 10.0))]
+    clip_metrics = {name: [] for name in motions}
+    per_batch = max(1, EVAL_MAX_ROWS // n_rollouts)
+    for first in range(0, len(clips), per_batch):
+        batch = clips[first:first + per_batch]
+        log = rollout_batch(env, net, [
+            (clip, [hash_seed(seed, name, ci, r) for r in range(n_rollouts)], residual)
+            for name, ci, clip in batch])
+        for j, (name, _, _) in enumerate(batch):
+            # the clip's columns as the contiguous arrays a batch of it alone
+            # logs, so the metrics below round the same way
+            cols = slice(j * n_rollouts, (j + 1) * n_rollouts)
+            ref_pos = log["ref_body_pos"][:, cols].copy()
+            rob_pos = log["body_pos"][:, cols].copy()
             per_episode = {"mpjpe": [], "dvel": [], "dacc": []}
-            for i, steps in enumerate(log["steps"]):
-                ref, rob = log["ref_body_pos"][:steps, i], log["body_pos"][:steps, i]
+            for i, steps in enumerate(log["steps"][cols]):
+                ref, rob = ref_pos[:steps, i], rob_pos[:steps, i]
                 per_episode["mpjpe"].append(metrics.mpjpe(ref, rob))
                 if steps >= 3:
                     ref_v = finite_difference(ref, env.dt)
                     rob_v = finite_difference(rob, env.dt)
                     per_episode["dvel"].append(metrics.delta_vel(ref_v, rob_v, env.dt))
                     per_episode["dacc"].append(metrics.delta_acc(ref_v, rob_v, env.dt))
-            clip_metrics.append(metrics.TrackingMetrics(
+            clip_metrics[name].append(metrics.TrackingMetrics(
                 mpjpe_mm=float(np.mean(per_episode["mpjpe"])),
                 dvel=float(np.mean(per_episode["dvel"])) if per_episode["dvel"] else 0.0,
                 dacc=float(np.mean(per_episode["dacc"])) if per_episode["dacc"] else 0.0,
-                success=float(np.mean(~log["terminated_early"])),
+                success=float(np.mean(~log["terminated_early"][cols])),
                 n_episodes=n_rollouts,
             ))
-        results[name] = metrics.mean_tracking(clip_metrics)
-    return results
+    return {name: metrics.mean_tracking(ms) for name, ms in clip_metrics.items()}
 
 
 def hash_seed(*parts) -> int:

@@ -29,6 +29,15 @@ from .fileio import (POSITIVE, at_least, check_ranges, config_section, join_key,
 from .metrics import TerminationThresholds, check_termination
 from .motion import MotionClip, arm_forward_kinematics, finite_difference
 
+# The gufunc behind `np.linalg.solve`, without the wrapper's argument checks
+# and errstate (about 7 of its ~10 us per call); it gives the same bits, but a
+# singular system yields non-finite values instead of LinAlgError, which the
+# step's finiteness check then reports. It is private numpy API.
+try:
+    from numpy.linalg._umath_linalg import solve as _solve
+except ImportError:
+    _solve = np.linalg.solve
+
 CONTROL_DT = 0.02  # 50 Hz control rate
 # Longest episode a config may ask for: 200 s at 50 Hz. Rollouts preallocate
 # (episode_len, rows, ...) logs, so a huge value would fail at allocation.
@@ -114,11 +123,13 @@ def merge_config(overrides: dict | None) -> dict:
 class ArmEnv:
     """J-joint torque-controlled pendulum arm tracking a reference motion.
 
-    The env runs one episode, or a batch of independent episodes of the same
-    motion that step together: `reset` with a list of Generators, then
-    `step_batch` with one action row per running episode. State is held as
-    (N, J) arrays either way; a single episode is the case N = 1, for which
-    `reset`, `step` and the accessors take and return unbatched shapes.
+    The env runs one episode, or a batch of independent episodes that step
+    together: `reset` with a list of Generators (and one motion, or one per
+    episode), then `step_batch` with one action row per running episode.
+    State is held as (N, J) arrays either way, and the reference as (C, T, ...)
+    arrays of the batch's C distinct clips, padded to the longest; a single
+    episode is the case N = 1, for which `reset`, `step` and the accessors
+    take and return unbatched shapes.
 
     `section` is the dotted key of `config` in a larger config tree (the
     CLI's is `env`); range errors name their key below it.
@@ -186,42 +197,52 @@ class ArmEnv:
 
     # -- episode lifecycle ---------------------------------------------------
 
-    def reset(self, motion: MotionClip, rng, mode: str = "base") -> np.ndarray:
+    def reset(self, motion: MotionClip | list[MotionClip], rng,
+              mode: str = "base") -> np.ndarray:
         """Start an episode on `motion`; returns the initial observation.
 
         `rng` is a numpy Generator or a seed. A list of Generators (or seeds)
         starts a batch instead: one independent episode per entry, each drawing
         from its own stream in the order a single episode does, with (N,
-        obs_dim) observations. Aggressive mode widens every randomization range
-        by `aggressive_factor` and relaxes the termination thresholds by
-        `relax_factor`.
+        obs_dim) observations. `motion` is one `MotionClip` for every episode,
+        or a list of N clips, one per episode: each episode tracks its own
+        clip and holds that clip's last frame once it runs past it, so it is
+        the episode that its clip and stream give alone. Aggressive mode
+        widens every randomization range by `aggressive_factor` and relaxes
+        the termination thresholds by `relax_factor`.
         """
         if mode not in ("base", "aggressive"):
             raise ValidationError(f"mode must be 'base' or 'aggressive', got '{mode}'")
-        if motion.n_joints != self.n_joints:
-            raise ValidationError(
-                f"motion has {motion.n_joints} joints, env has {self.n_joints}"
-            )
-        if motion.n_bodies != self.n_joints:
-            raise ValidationError(
-                f"motion has {motion.n_bodies} bodies; expected one per link"
-            )
-        if abs(motion.fps * self.dt - 1.0) > 1e-9:
-            raise ConfigError(f"motion fps {motion.fps} does not match 50 Hz control")
         batch = isinstance(rng, list)
         rngs = [r if isinstance(r, np.random.Generator) else np.random.default_rng(r)
                 for r in (rng if batch else [rng])]
         if not rngs:
             raise ValidationError("a batch needs at least one episode")
+        per_row = isinstance(motion, list)
+        motions = motion if per_row else [motion] * len(rngs)
+        if len(motions) != len(rngs):
+            raise ValidationError(f"{len(motions)} motions for {len(rngs)} episodes")
+        # each distinct clip (by identity) once, in order of first use
+        clips, slot = [], {}
+        for i, clip in enumerate(motions):
+            if id(clip) not in slot:
+                self._check_motion(clip, f"row {i}: " if per_row else "")
+                slot[id(clip)] = len(clips)
+                clips.append(clip)
         n, J = len(rngs), self.n_joints
+        self._clip = np.array([slot[id(c)] for c in motions])
+        self._last = np.array([c.n_frames - 1 for c in clips])[self._clip]
+        self._clips = clips
+        qdot = [finite_difference(c.q, self.dt) for c in clips]
+        self._ref_q = _padded([c.q for c in clips])
+        self._ref_qdot = _padded(qdot)
+        self._ref_qacc = _padded([finite_difference(v, self.dt) for v in qdot])
+        self._ref_body = _padded([c.body_pos for c in clips])
         self._batch, self._rngs, self._mode = batch, rngs, mode
         rand = self.randomization
         if mode == "aggressive":
             rand = rand.scaled(rand.aggressive_factor)
         self._rand = rand
-        self.motion = motion
-        self._ref_qdot = finite_difference(motion.q, self.dt)
-        self._ref_qacc = finite_difference(self._ref_qdot, self.dt)
         # per-episode physical randomization, drawn episode by episode
         draws = [(r.uniform(-rand.mass_scale, rand.mass_scale, J),
                   r.uniform(-rand.friction_scale, rand.friction_scale),
@@ -235,8 +256,8 @@ class ArmEnv:
         joint = np.arange(J)
         self._c = np.outer(self.lengths, self.lengths) * mcum[:, np.maximum.outer(joint, joint)]
         self._gcoef = self.gravity * self.lengths * mcum
-        self._q = motion.q[0] + pose_noise
-        self._qdot = np.tile(self._ref_qdot[0], (n, 1))
+        self._q = self._ref_q[self._clip, 0] + pose_noise
+        self._qdot = self._ref_qdot[self._clip, 0]
         self._steps = np.zeros(n, dtype=int)
         self._prev_action_base = np.zeros((n, J))
         self._prev_action_total = np.zeros((n, J))
@@ -246,6 +267,18 @@ class ArmEnv:
         p0 = self._proprio(slice(None), self._prev_action_base)
         self._hist = np.repeat(p0[:, None, :], self.history_len, axis=1)
         return self._unbatch(self._observe(slice(None)))
+
+    def _check_motion(self, motion: MotionClip, where: str) -> None:
+        if motion.n_joints != self.n_joints:
+            raise ValidationError(
+                f"{where}motion has {motion.n_joints} joints, env has {self.n_joints}"
+            )
+        if motion.n_bodies != self.n_joints:
+            raise ValidationError(
+                f"{where}motion has {motion.n_bodies} bodies; expected one per link"
+            )
+        if abs(motion.fps * self.dt - 1.0) > 1e-9:
+            raise ConfigError(f"{where}motion fps {motion.fps} does not match 50 Hz control")
 
     def _unbatch(self, rows: np.ndarray) -> np.ndarray:
         return rows if self._batch else rows[0]
@@ -277,9 +310,11 @@ class ArmEnv:
     def q0_eff(self) -> np.ndarray:
         return self._unbatch(self._q0_eff).copy()
 
-    def ref_frame(self, k):
-        """Clamp step indices onto the reference clip (holds the last frame)."""
-        return np.minimum(k, self.motion.n_frames - 1)
+    def _frame(self, rows, steps):
+        """Index into the stacked reference arrays of the frame each episode
+        in `rows` tracks at `steps`: its own clip, held at that clip's last
+        frame."""
+        return self._clip[rows], np.minimum(steps, self._last[rows])
 
     # -- observation ---------------------------------------------------------
 
@@ -291,12 +326,12 @@ class ArmEnv:
         """Reference joint targets one frame ahead plus the 2-vector difference
         between the reference and current tip directions."""
         steps = self._steps[rows]
-        nxt = self.ref_frame(steps + 1)
-        th_ref = np.sum(self.motion.q[self.ref_frame(steps)], axis=1)
+        nxt = self._frame(rows, steps + 1)
+        th_ref = np.sum(self._ref_q[self._frame(rows, steps)], axis=1)
         th = np.sum(self._q[rows], axis=1)
         direction_error = np.stack([np.cos(th_ref) - np.cos(th), np.sin(th_ref) - np.sin(th)],
                                    axis=1)
-        return np.concatenate([self.motion.q[nxt], self._ref_qdot[nxt], direction_error], axis=1)
+        return np.concatenate([self._ref_q[nxt], self._ref_qdot[nxt], direction_error], axis=1)
 
     def _observe(self, rows) -> np.ndarray:
         hist = self._hist[rows]
@@ -345,7 +380,7 @@ class ArmEnv:
 
     def _qacc(self, q, qdot, tau, rows) -> np.ndarray:
         M_q, bias = self._terms(q, qdot, rows)
-        return np.linalg.solve(M_q, (tau - bias)[..., None])[..., 0]
+        return _solve(M_q, (tau - bias)[..., None])[..., 0]
 
     def inverse_dynamics(self, q, qdot, qacc) -> np.ndarray:
         """Joint torques that produce qacc at (q, qdot), gravity included."""
@@ -441,15 +476,15 @@ class ArmEnv:
         self._prev_action_base[rows] = base_actions
 
         steps = self._steps[rows]
-        k = self.ref_frame(steps)
-        q_ref = self.motion.q[k]
+        k = self._frame(rows, steps)
+        q_ref = self._ref_q[k]
         q_err = np.mean(np.abs(q - q_ref), axis=1)
         powers = tau_applied0 * qdot_pre
         pen_cost, pen_reward = actuation.neg_power_penalty(powers, self.power_cfg)
         reward = -q_err + pen_reward
 
         body = arm_forward_kinematics(q, self.lengths, self.base_height)
-        ref_body = self.motion.body_pos[k]
+        ref_body = self._ref_body[k]
         z_err = body[..., 2] - ref_body[..., 2]
         orient_err = np.abs(_wrap_angle(np.sum(q, axis=1) - np.sum(q_ref, axis=1)))
         relaxed = self._mode == "aggressive"
@@ -499,6 +534,15 @@ class ArmEnv:
             raise NumericalBlowupError("state became non-finite during passive step")
 
 
+def _padded(arrays) -> np.ndarray:
+    """Arrays of unequal length stacked on a new leading axis, zero-padded to
+    the longest."""
+    out = np.zeros((len(arrays), max(len(a) for a in arrays), *arrays[0].shape[1:]))
+    for row, a in zip(out, arrays):
+        row[:len(a)] = a
+    return out
+
+
 def _wrap_angle(x: float) -> float:
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
@@ -526,10 +570,11 @@ def expert_action(expert: ExpertPolicy, env: ArmEnv) -> np.ndarray:
     env._require_episode()
     if env._batch:
         raise ValidationError("expert labels need a single-episode env")
-    if expert.motion is not env.motion and not expert.motion.allclose(env.motion):
+    motion = env._clips[0]
+    if expert.motion is not motion and not expert.motion.allclose(motion):
         raise ValidationError("expert's motion does not match the env's reference")
-    idx = env.ref_frame(env.step_count + expert.lookahead)
-    q_ref = expert.motion.q[idx]
+    idx = env._frame(0, env.step_count + expert.lookahead)
+    q_ref = expert.motion.q[idx[1]]
     qd_ref = env._ref_qdot[idx]
     a = q_ref - env.q0_eff + (env.kd / env.kp) * qd_ref
     a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx]) / env.kp

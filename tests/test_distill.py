@@ -261,6 +261,24 @@ class TestEvaluatePolicy:
         r2 = evaluate_policy(net, env, {"m": motion}, n_rollouts=2, seed=9)
         assert r1 == r2
 
+    @pytest.mark.parametrize("motions, n_rollouts, error", [
+        ({}, 10, None),  # nothing to evaluate: no rollout, no metrics
+        ({}, 0, ValidationError),
+        ({"m": make_sine(0.2, 0.25, duration=4.0)}, 0, ValidationError),
+    ])
+    def test_input_checked_before_any_rollout(self, monkeypatch, motions, n_rollouts, error):
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("rolled out")
+
+        monkeypatch.setattr(distill, "rollout_batch", no_rollout)
+        env = tiny_env(episode_len=40)
+        net = init_net(2, env.obs_dim, hidden=(8,), rng=np.random.default_rng(1))
+        if error is None:
+            assert evaluate_policy(net, env, motions, n_rollouts=n_rollouts) == {}
+        else:
+            with pytest.raises(error, match="n_rollouts"):
+                evaluate_policy(net, env, motions, n_rollouts=n_rollouts)
+
     def test_segments_long_motion(self):
         env = tiny_env(episode_len=40)
         motion = make_sine(0.2, 0.25, duration=20.5)
@@ -278,8 +296,8 @@ class TestEvaluatePolicy:
         net.params = [(3.0 * W, b) for W, b in net.params]
         n = 6
         res = evaluate_policy(net, env, {"m": motion}, n_rollouts=n, seed=1)["m"]
-        log = distill.rollout_batch(env, net, motion,
-                                    [distill.hash_seed(1, "m", 0, r) for r in range(n)])
+        log = distill.rollout_batch(
+            env, net, [(motion, [distill.hash_seed(1, "m", 0, r) for r in range(n)], None)])
         steps = log["steps"]
         assert len(set(steps.tolist())) > 1
         ref = [log["ref_body_pos"][:k, i] for i, k in enumerate(steps)]

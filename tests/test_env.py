@@ -4,12 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtrack import actuation
 from flowtrack.env import (MAX_EPISODE_LEN, MAX_HISTORY_LEN, ArmEnv, ExpertPolicy,
-                           RandomizationCfg, expert_action, load_env_config, merge_config)
-from flowtrack.errors import ConfigError, ValidationError
+                           RandomizationCfg, _solve, expert_action, load_env_config,
+                           merge_config)
+from flowtrack.errors import ConfigError, NumericalBlowupError, ValidationError
 from flowtrack.metrics import check_termination
+from flowtrack.motion import SynthMotionSpec, synth_motion
 
 from conftest import NO_RANDOMIZATION, make_sine
 
@@ -130,6 +134,32 @@ class TestReset:
         env = quiet_env()
         with pytest.raises(ValidationError):
             env.reset(make_sine(0.3, 0.4, duration=4.0), 0, mode="wild")
+
+    @pytest.mark.parametrize("kind, error, message", [
+        ("count", ValidationError, "2 motions for 3 episodes"),
+        ("joints", ValidationError, "row 1: motion has 3 joints, env has 2"),
+        ("bodies", ValidationError, "row 1: motion has 1 bodies; expected one per link"),
+        ("fps", ConfigError, "row 1: motion fps 25.0 does not match 50 Hz control"),
+    ])
+    def test_per_row_motions_checked(self, kind, error, message):
+        """A per-episode motion list has one clip per Generator, and a clip
+        that does not fit the env is named by the first row that holds it."""
+        env = quiet_env()
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        if kind == "count":
+            motions = [clip, clip]
+        else:
+            bad = {
+                "joints": lambda: synth_motion(SynthMotionSpec(
+                    3, 4.0, 50.0, amplitude=0.1, frequency=0.2)),
+                "bodies": lambda: dataclasses.replace(
+                    clip, body_pos=clip.body_pos[:, :1], feet_indices=(0,)),
+                "fps": lambda: synth_motion(SynthMotionSpec(
+                    2, 4.0, 25.0, amplitude=0.1, frequency=0.2, link_lengths=(0.5, 0.4))),
+            }[kind]()
+            motions = [clip, bad, bad]
+        with pytest.raises(error, match=re.escape(message)):
+            env.reset(motions, [np.random.default_rng(s) for s in range(3)])
 
 
 class TestStep:
@@ -334,6 +364,32 @@ class TestBatch:
                 qs.append(info["q"])
             np.testing.assert_allclose(np.stack(batch_q[seed]), np.stack(qs), rtol=0, atol=1e-12)
 
+    def test_mixed_motion_rows_equal_single_episodes(self):
+        """Rows of different clips step together, bit-equal to each clip's
+        episode alone; the short clip's rows run past its end and hold its last
+        frame, while the long clip's rows go on reading theirs."""
+        env = ArmEnv({"episode_len": 40})
+        short = make_sine(0.3, 0.4, duration=0.5)  # 25 frames
+        clip = make_sine(0.5, 0.9, phase=(0.0, 0.6), duration=4.0)
+        motions, seeds = [clip, short, clip, short], [7, 8, 9, 10]
+        actions = np.random.default_rng(3).uniform(-2, 2, (40, 4, 2))
+        obs = env.reset(motions, [np.random.default_rng(s) for s in seeds])
+        rows, t, batch = env.running, 0, {i: [(obs[i], None)] for i in range(4)}
+        while rows.size:
+            obs, _, done, info = env.step_batch(actions[t, rows])
+            for j, r in enumerate(rows):
+                batch[r].append((obs[j], {k: v[j] for k, v in info.items()}))
+            rows, t = rows[~done], t + 1
+        assert len(batch[1]) > short.n_frames  # past the short clip's end
+        for i, seed in enumerate(seeds):
+            obs = env.reset(motions[i], seed)
+            assert np.array_equal(obs, batch[i][0][0])
+            for k, (want_obs, want_info) in enumerate(batch[i][1:]):
+                obs, _, _, info = env.step(actions[k, i])
+                assert np.array_equal(obs, want_obs)
+                for key, value in info.items():
+                    assert np.array_equal(value, want_info[key]), key
+
     def test_single_step_rejected_on_a_batch(self):
         env = quiet_env()
         env.reset(make_sine(0.3, 0.4, duration=4.0), [np.random.default_rng(0)])
@@ -419,3 +475,39 @@ class TestEnergyAndDeterminism:
 
         t1, t2 = run(), run()
         assert np.array_equal(t1, t2)
+
+
+class TestSolve:
+    """`ArmEnv._qacc` calls the gufunc behind `np.linalg.solve` directly."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_links=st.integers(1, 4), rows=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gufunc_is_the_numpy_solve(self, n_links, rows, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.uniform(0.2, 0.6, n_links)
+        env = ArmEnv({"links": [{"mass": float(m), "length": float(l)}
+                                for m, l in zip(rng.uniform(0.3, 2.0, n_links), lengths)],
+                      "actuators": ["5020-16"] * n_links})
+        clip = synth_motion(SynthMotionSpec(n_links, 1.0, 50.0, amplitude=0.2, frequency=0.5,
+                                            link_lengths=tuple(lengths)))
+        env.reset(clip, [np.random.default_rng(seed + i) for i in range(rows)])
+        q = rng.uniform(-np.pi, np.pi, (rows, n_links))
+        qdot = rng.uniform(-20.0, 20.0, (rows, n_links))
+        M_q, _ = env._terms(q, qdot, slice(None))
+        rhs = rng.uniform(-50.0, 50.0, (rows, n_links, 1))
+        assert np.array_equal(_solve(M_q, rhs), np.linalg.solve(M_q, rhs))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("field, value", [
+        ("_q", np.nan), ("_q", np.inf), ("_qdot", np.nan), ("_qdot", np.inf),
+    ])
+    def test_non_finite_state_is_a_blowup(self, field, value):
+        """The gufunc raises nothing on a non-finite system (the wrapper may
+        raise LinAlgError); the step's finiteness check reports it."""
+        env = ArmEnv({"episode_len": 20})
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        env.reset(clip, [np.random.default_rng(s) for s in range(3)])
+        env.step_batch(np.zeros((3, 2)))
+        getattr(env, field)[1, 0] = value
+        with pytest.raises(NumericalBlowupError, match="at step 2"):
+            env.step_batch(np.zeros((3, 2)))

@@ -1,6 +1,7 @@
 """Batched rollout engine: every row of a `rollout_batch` is the episode that
 `rollout_episode` gives for the same seed alone, every row group is the batch
-its residual gives alone, and the speculative ES is the sequential one."""
+its triple gives alone, `evaluate_policy` is the per-clip loop, and the
+speculative ES is the sequential one."""
 
 from dataclasses import replace
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtrack import distill
+from flowtrack import distill, metrics
 from flowtrack.distill import (ESCfg, _flatten, _unflatten, episode_return, es_refine,
-                               evaluate_policy, rollout_batch, rollout_episode)
+                               evaluate_policy, hash_seed, rollout_batch, rollout_episode)
 from flowtrack.env import ArmEnv
 from flowtrack.errors import ValidationError
 from flowtrack.flow import init_net
+from flowtrack.motion import finite_difference, segment_clips
 
 from conftest import make_sine
 
@@ -35,7 +37,7 @@ RESIDUAL.params[-1] = (np.random.default_rng(2).standard_normal(RESIDUAL.params[
        mode=st.sampled_from(["base", "aggressive"]), with_residual=st.booleans())
 def test_batch_rows_match_single_episodes(seeds, mode, with_residual):
     residual = RESIDUAL if with_residual else None
-    log = rollout_batch(ENV, NET, MOTION, seeds, residual=residual, mode=mode)
+    log = rollout_batch(ENV, NET, [(MOTION, seeds, residual)], mode=mode)
     T = ENV.episode_len
     assert log["rewards"].shape == (T, len(seeds))
     assert log["body_pos"].shape == (T, len(seeds), 2, 3)
@@ -51,7 +53,7 @@ def test_batch_rows_match_single_episodes(seeds, mode, with_residual):
 
 def test_motion_gives_both_outcomes():
     """The oracle above sees early terminations and time-outs in one batch."""
-    log = rollout_batch(ENV, NET, MOTION, list(range(12)))
+    log = rollout_batch(ENV, NET, [(MOTION, list(range(12)), None)])
     assert log["terminated_early"].any() and not log["terminated_early"].all()
     assert len(set(log["steps"].tolist())) > 2
 
@@ -94,17 +96,114 @@ def test_row_groups_match_separate_batches():
     groups (so the groups run ragged)."""
     seeds = [3, 10, 9, 7]
     groups = [RESIDUAL, _variant(1), _variant(2), _variant(3, scale=1.0), _variant(4)]
-    log = rollout_batch(ENV, NET, MOTION, seeds, residual=groups)
+    log = rollout_batch(ENV, NET, [(MOTION, seeds, res) for res in groups])
     E = len(seeds)
     assert log["rewards"].shape == (ENV.episode_len, len(groups) * E)
     steps = log["steps"].reshape(len(groups), E)
     assert log["terminated_early"].any() and not log["terminated_early"].all()
     assert len({tuple(row) for row in steps}) > 1 and len(set(steps[0])) > 1
     for g, res in enumerate(groups):
-        alone = rollout_batch(ENV, NET, MOTION, seeds, residual=res)
+        alone = rollout_batch(ENV, NET, [(MOTION, seeds, res)])
         for key, value in alone.items():
             assert np.array_equal(log[key][..., g * E:(g + 1) * E] if value.ndim == 1
                                   else log[key][:, g * E:(g + 1) * E], value), key
+
+
+# Clips of unequal length beside MOTION: SHORT ends before the episodes do, so
+# rows that outlive it hold its last frame; every HARD episode terminates
+# early; LONG is cut into a 10 s and a 1.2 s clip.
+SHORT = make_sine((0.4, 0.3), 0.5, duration=0.8)
+HARD = make_sine((0.8, 0.6), 1.2, phase=(0.0, 0.6), duration=2.0)
+LONG = make_sine((0.3, 0.2), 0.3, duration=11.2)
+POOL = {"motion": MOTION, "hard": HARD, "long": LONG}
+
+
+def test_clips_cover_padding_and_terminations():
+    """The oracles below see rows past SHORT's end and HARD's early ends."""
+    log = rollout_batch(ENV, NET, [(SHORT, list(range(8)), None), (HARD, [0, 1], None)])
+    assert SHORT.n_frames < ENV.episode_len and log["steps"][:8].max() > SHORT.n_frames
+    assert log["terminated_early"][8:].all()
+    assert len(segment_clips(LONG, 10.0)) == 2
+
+
+def per_clip_evaluate(net, env, motions, residual=None, n_rollouts=10, seed=0):
+    """`evaluate_policy` as one `rollout_batch` per clip, kept as its oracle."""
+    results = {}
+    for name, motion in motions.items():
+        clips = segment_clips(motion, 10.0)
+        clip_metrics = []
+        for ci, clip in enumerate(clips):
+            seeds = [hash_seed(seed, name, ci, r) for r in range(n_rollouts)]
+            log = rollout_batch(env, net, [(clip, seeds, residual)])
+            per_episode = {"mpjpe": [], "dvel": [], "dacc": []}
+            for i, steps in enumerate(log["steps"]):
+                ref, rob = log["ref_body_pos"][:steps, i], log["body_pos"][:steps, i]
+                per_episode["mpjpe"].append(metrics.mpjpe(ref, rob))
+                if steps >= 3:
+                    ref_v = finite_difference(ref, env.dt)
+                    rob_v = finite_difference(rob, env.dt)
+                    per_episode["dvel"].append(metrics.delta_vel(ref_v, rob_v, env.dt))
+                    per_episode["dacc"].append(metrics.delta_acc(ref_v, rob_v, env.dt))
+            clip_metrics.append(metrics.TrackingMetrics(
+                mpjpe_mm=float(np.mean(per_episode["mpjpe"])),
+                dvel=float(np.mean(per_episode["dvel"])) if per_episode["dvel"] else 0.0,
+                dacc=float(np.mean(per_episode["dacc"])) if per_episode["dacc"] else 0.0,
+                success=float(np.mean(~log["terminated_early"])),
+                n_episodes=n_rollouts,
+            ))
+        results[name] = metrics.mean_tracking(clip_metrics)
+    return results
+
+
+@settings(max_examples=10, deadline=None)
+@given(names=st.lists(st.sampled_from(sorted(POOL)), max_size=2, unique=True).flatmap(
+           lambda others: st.permutations(["short", *others])),
+       n_rollouts=st.integers(1, 4), with_residual=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_evaluate_is_the_per_clip_loop(names, n_rollouts, with_residual, seed):
+    motions = {name: {"short": SHORT, **POOL}[name] for name in names}
+    residual = RESIDUAL if with_residual else None
+    assert (evaluate_policy(NET, ENV, motions, residual, n_rollouts, seed)
+            == per_clip_evaluate(NET, ENV, motions, residual, n_rollouts, seed))
+
+
+@pytest.mark.parametrize("cap, n_rollouts, batches", [
+    (distill.EVAL_MAX_ROWS, 3, [[3, 3, 3, 3]]),  # every clip in one batch
+    (5, 2, [[2, 2], [2, 2]]),  # whole clips while their rows fit
+    (3, 4, [[4], [4], [4], [4]]),  # a clip with more rows than the cap runs alone
+])
+def test_row_cap_takes_whole_clips(monkeypatch, cap, n_rollouts, batches):
+    calls = []
+
+    def counted(env, net, groups, mode="base"):
+        calls.append([len(seeds) for _, seeds, _ in groups])
+        return rollout_batch(env, net, groups, mode)
+
+    monkeypatch.setattr(distill, "EVAL_MAX_ROWS", cap)
+    monkeypatch.setattr(distill, "rollout_batch", counted)
+    motions = {"short": SHORT, "long": LONG, "hard": HARD}
+    got = evaluate_policy(NET, ENV, motions, RESIDUAL, n_rollouts, seed=3)
+    assert calls == batches
+    assert got == per_clip_evaluate(NET, ENV, motions, RESIDUAL, n_rollouts, seed=3)
+
+
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_mixed_motion_groups_match_separate_batches(with_residual):
+    """Each group of a batch of several motions, seed counts and residuals is
+    bit-equal to a batch of its triple alone, while rows run past SHORT's end
+    and groups shrink unevenly."""
+    residuals = ([RESIDUAL, _variant(1), _variant(2), _variant(3)] if with_residual
+                 else [None] * 4)
+    groups = [(SHORT, [3, 4, 5], residuals[0]), (MOTION, [10, 9], residuals[1]),
+              (HARD, [7, 8, 1], residuals[2]), (MOTION, [2], residuals[3])]
+    log = rollout_batch(ENV, NET, groups)
+    first = 0
+    for triple in groups:
+        alone = rollout_batch(ENV, NET, [triple])
+        cols = slice(first, first + len(triple[1]))
+        for key, value in alone.items():
+            assert np.array_equal(log[key][cols] if value.ndim == 1 else log[key][:, cols],
+                                  value), key
+        first = cols.stop
 
 
 @pytest.mark.parametrize("group_of_row, want", [
@@ -124,11 +223,11 @@ def test_group_blocks_are_stacked(group_of_row, want):
 
 @pytest.mark.parametrize("groups", [
     [], [RESIDUAL, distill.init_residual(ENV, hidden=(4,), bound=0.4)],
-    [RESIDUAL, replace(RESIDUAL, bound=0.1)],
+    [RESIDUAL, replace(RESIDUAL, bound=0.1)], [None, RESIDUAL], [RESIDUAL, None],
 ])
 def test_row_groups_need_one_shape(groups):
     with pytest.raises(ValidationError, match="layer sizes and bound"):
-        rollout_batch(ENV, NET, MOTION, [1], residual=groups)
+        rollout_batch(ENV, NET, [(MOTION, [1], res) for res in groups])
 
 
 # Aggressive mode relaxes the orientation limit; with a tighter one, some of
@@ -145,8 +244,7 @@ def sequential_es(net, residual, env, motion, cfg):
     eval_seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
 
     def fitness(candidate) -> float:
-        log = rollout_batch(env, net, motion, eval_seeds, residual=candidate,
-                            mode="aggressive")
+        log = rollout_batch(env, net, [(motion, eval_seeds, candidate)], mode="aggressive")
         return float(np.mean(episode_return(log, env.episode_len, distill.TERMINATION_FLOOR)))
 
     best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
@@ -173,7 +271,7 @@ def counted_es(cfg):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(kwargs["residual"]))
+        calls.append(len(args[2]))
         return rollout_batch(*args, **kwargs)
 
     distill.rollout_batch = counted
@@ -222,7 +320,7 @@ def test_speculative_es_covers_acceptances_and_terminations():
     assert all(np.array_equal(W1, W2) for (W1, _), (W2, _) in zip(got.params, want.params))
     rng = np.random.default_rng(cfg.seed)
     seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
-    log = rollout_batch(ES_ENV, NET, MOTION, seeds, residual=RESIDUAL, mode="aggressive")
+    log = rollout_batch(ES_ENV, NET, [(MOTION, seeds, RESIDUAL)], mode="aggressive")
     assert log["terminated_early"].any() and not log["terminated_early"].all()
 
 
