@@ -157,7 +157,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _write_run(out: str, csv_name: str, header: str, values, snapshot: dict) -> None:
+    """A run's `index,value` CSV of `values` and its config.json snapshot."""
+    write_atomic(os.path.join(out, csv_name),
+                 f"{header}\n" + "".join(f"{i},{_fmt(v)}\n" for i, v in enumerate(values)))
+    write_atomic(os.path.join(out, "config.json"), json.dumps(snapshot, indent=2) + "\n")
+
+
 def cmd_actuator(args) -> int:
+    if args.sweep < 0:
+        raise ConfigError(f"--sweep must be >= 0, got {args.sweep}")
+    for flag in ("v", "tau"):
+        if not np.isfinite(getattr(args, flag)):
+            raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
     catalog = actuation.load_catalog(args.catalog) if args.catalog else actuation.default_catalog()
     if args.name not in catalog:
         print(f"unknown actuator '{args.name}'; catalog has: {', '.join(sorted(catalog))}",
@@ -211,9 +223,7 @@ def _build_env_and_motions(args, assignments_tree):
     for path in files:
         name = os.path.splitext(os.path.basename(path))[0]
         clip = load_motion(path)
-        if clip.n_joints != env.n_joints:
-            raise ConfigError(
-                f"{path}: motion has {clip.n_joints} joints, env has {env.n_joints}")
+        env.check_motion(clip, f"{path}: ")
         motions[name] = clip
     return env, motions
 
@@ -272,12 +282,8 @@ def cmd_train(args) -> int:
                 flow.save_policy(snap, os.path.join(args.out, f"policy_iter{it + 1}.json"))
     net, losses = distill.dagger_train(env, experts, net, dcfg, on_iteration=on_iteration)
     flow.save_policy(net, os.path.join(args.out, "policy.json"))
-    csv = "iteration,loss\n" + "".join(
-        f"{i},{_fmt(l)}\n" for i, l in enumerate(losses))
-    write_atomic(os.path.join(args.out, "loss.csv"), csv)
-    snapshot = {"train": cfg, "env": tree["env"], "seed": args.seed, "motions": names}
-    write_atomic(os.path.join(args.out, "config.json"),
-                 json.dumps(snapshot, indent=2) + "\n")
+    _write_run(args.out, "loss.csv", "iteration,loss", losses,
+               {"train": cfg, "env": tree["env"], "seed": args.seed, "motions": names})
     final = losses[-1] if losses else float("nan")
     _say(args, f"trained on {len(clips)} motion(s); final loss {_fmt(final)}")
     return 0
@@ -333,12 +339,8 @@ def cmd_refine(args) -> int:
     refined, history = distill.es_refine(net, residual, env, motions[name], escfg)
     os.makedirs(args.out, exist_ok=True)
     distill.save_residual(refined, os.path.join(args.out, "residual.json"))
-    csv = "generation,best_reward\n" + "".join(
-        f"{i},{_fmt(r)}\n" for i, r in enumerate(history))
-    write_atomic(os.path.join(args.out, "reward.csv"), csv)
-    snapshot = {"es": cfg, "env": tree["env"], "seed": args.seed, "motion": name}
-    write_atomic(os.path.join(args.out, "config.json"),
-                 json.dumps(snapshot, indent=2) + "\n")
+    _write_run(args.out, "reward.csv", "generation,best_reward", history,
+               {"es": cfg, "env": tree["env"], "seed": args.seed, "motion": name})
     _say(args, f"refined on '{name}'; best reward {_fmt(history[-1])} "
                f"(started {_fmt(history[0])})")
     return 0

@@ -173,21 +173,16 @@ def init_residual(env: ArmEnv, hidden=(32,), bound: float = 0.3, rng=None) -> Re
     return res
 
 
-def residual_input(env: ArmEnv, a_flow) -> np.ndarray:
-    """Residual inputs of the env's running episodes, one row per `a_flow` row."""
-    return np.concatenate([env.proprio(), env.command(),
-                           np.asarray(a_flow, dtype=float)], axis=-1)
-
-
-def residual_action(env: ArmEnv, a_flow, blocks) -> np.ndarray:
-    """Raw (unclamped) residual outputs of the env's running episodes;
-    `residual_compose` applies the bound.
-
-    `blocks` is a list of (pos, params): the rows at the (G, m) positions `pos`
-    in `a_flow`, G groups of m rows, go through the per-group stacked `params`
-    (see `mlp_forward`).
+def residual_action(env: ArmEnv, obs, a_prev, a_flow, blocks) -> np.ndarray:
+    """Raw (unclamped) residual outputs of the running episodes;
+    `residual_compose` applies the bound. The input rows are cut from `obs`:
+    [q - q0, qdot, `a_prev` (the total action applied last step), command,
+    `a_flow`]. `blocks` is a list of (pos, params): the rows at the (G, m)
+    positions `pos`, G groups of m rows, go through the per-group stacked
+    `params` (see `mlp_forward`).
     """
-    x = residual_input(env, a_flow)
+    J, P = env.n_joints, env.proprio_dim
+    x = np.concatenate([obs[:, :2 * J], a_prev, obs[:, P:P + env.command_dim], a_flow], axis=1)
     raw = np.empty_like(a_flow)
     for pos, params in blocks:
         raw[pos] = mlp_forward(params, x[pos])
@@ -255,7 +250,8 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
     (T = env.episode_len) whose rows past an episode's `steps` stay zero, plus
     per-episode `steps` and `terminated_early`. The policy products of a
     group's running rows are computed as one group of a stacked product, so
-    each group's rows are bit-equal to a batch of that triple alone.
+    each group's rows are bit-equal to a batch of that triple alone. A
+    residual sees each row's observation and last applied action.
     """
     sampler = SamplerCfg()
     residuals = [r for _, _, r in groups]
@@ -274,6 +270,7 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
     obs = env.reset([motion for motion, seeds, _ in groups for _ in seeds],
                     [np.random.default_rng(env_seed) for env_seed, _ in streams], mode=mode)
     n, T, J = len(streams), env.episode_len, env.n_joints
+    a_prev = np.zeros((n, J))  # the total action each running row applied last
     log = {
         "rewards": np.zeros((T, n)),
         "q_err": np.zeros((T, n)),
@@ -297,7 +294,7 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
             a_flow[pos] = euler_sample(net, obs[pos], sampler, rngs)
         a = a_flow
         if residual is not None:
-            a = residual_compose(a_flow, residual_action(env, a_flow, res_blocks),
+            a = residual_compose(a_flow, residual_action(env, obs, a_prev, a_flow, res_blocks),
                                  residual.bound)
         obs, rewards, done, info = env.step_batch(a, base_actions=a_flow)
         log["rewards"][t, rows] = rewards
@@ -306,7 +303,7 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
         log["ref_body_pos"][t, rows] = info["ref_body_pos"]
         log["steps"][rows] = t + 1
         log["terminated_early"][rows] = info["terminated_early"]
-        obs = obs[~done]
+        obs, a_prev = obs[~done], a[~done]
         if not obs.shape[0]:
             break
     return log

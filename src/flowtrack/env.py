@@ -190,7 +190,6 @@ class ArmEnv:
             self.power_cfg = PowerPenaltyCfg(
                 **{k: float(v) for k, v in pp.items()},
                 joints=None if joints is None else tuple(int(j) for j in joints))
-        self.base_height = float(np.sum(self.lengths))
         self._armature_M = np.diag(self._joint_params.armature_I)
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
         self._episode_active = False
@@ -226,7 +225,7 @@ class ArmEnv:
         clips, slot = [], {}
         for i, clip in enumerate(motions):
             if id(clip) not in slot:
-                self._check_motion(clip, f"row {i}: " if per_row else "")
+                self.check_motion(clip, f"row {i}: " if per_row else "")
                 slot[id(clip)] = len(clips)
                 clips.append(clip)
         n, J = len(rngs), self.n_joints
@@ -260,15 +259,15 @@ class ArmEnv:
         self._qdot = self._ref_qdot[self._clip, 0]
         self._steps = np.zeros(n, dtype=int)
         self._prev_action_base = np.zeros((n, J))
-        self._prev_action_total = np.zeros((n, J))
         self._running = np.arange(n)
         self._episode_active = True
         # (N, H, P) past proprio states, most recent first
-        p0 = self._proprio(slice(None), self._prev_action_base)
+        p0 = self._proprio(slice(None))
         self._hist = np.repeat(p0[:, None, :], self.history_len, axis=1)
         return self._unbatch(self._observe(slice(None)))
 
-    def _check_motion(self, motion: MotionClip, where: str) -> None:
+    def check_motion(self, motion: MotionClip, where: str = "") -> None:
+        """Raise unless `motion` fits the arm and control rate; `where` prefixes the message."""
         if motion.n_joints != self.n_joints:
             raise ValidationError(
                 f"{where}motion has {motion.n_joints} joints, env has {self.n_joints}"
@@ -318,9 +317,9 @@ class ArmEnv:
 
     # -- observation ---------------------------------------------------------
 
-    def _proprio(self, rows, prev_action) -> np.ndarray:
-        return np.concatenate([self._q[rows] - self.q0, self._qdot[rows], prev_action[rows]],
-                              axis=1)
+    def _proprio(self, rows) -> np.ndarray:
+        return np.concatenate([self._q[rows] - self.q0, self._qdot[rows],
+                               self._prev_action_base[rows]], axis=1)
 
     def _command(self, rows) -> np.ndarray:
         """Reference joint targets one frame ahead plus the 2-vector difference
@@ -336,20 +335,9 @@ class ArmEnv:
     def _observe(self, rows) -> np.ndarray:
         hist = self._hist[rows]
         return np.concatenate([
-            self._proprio(rows, self._prev_action_base), self._command(rows),
+            self._proprio(rows), self._command(rows),
             hist.reshape(hist.shape[0], self.history_len * self.proprio_dim),
         ], axis=1)
-
-    def proprio(self) -> np.ndarray:
-        """[q - q0, qdot, previous total action] of the running episodes (the
-        observation's proprio slot holds the base-policy action instead)."""
-        self._require_episode()
-        return self._unbatch(self._proprio(self._rows(), self._prev_action_total))
-
-    def command(self) -> np.ndarray:
-        """Reference joint targets one frame ahead plus the direction error."""
-        self._require_episode()
-        return self._unbatch(self._command(self._rows()))
 
     @property
     def proprio_dim(self) -> int:
@@ -389,12 +377,12 @@ class ArmEnv:
         return self._unbatch((M_q @ np.asarray(qacc, dtype=float)[..., None])[..., 0] + bias)
 
     def mechanical_energy(self):
-        """Kinetic + gravitational potential energy of the episode's arm."""
-        # a single episode's state may have been set directly as (J,) vectors
-        q, qdot = np.atleast_2d(self._q), np.atleast_2d(self._qdot)
+        """Kinetic + gravitational potential energy of each episode's arm (a
+        float for a single episode)."""
+        q, qdot = self._q, self._qdot
         M_q, _ = self._terms(q, qdot, slice(None))
         ke = 0.5 * np.einsum("ni,nij,nj->n", qdot, M_q, qdot)
-        z = arm_forward_kinematics(q, self.lengths, self.base_height)[..., 2]
+        z = arm_forward_kinematics(q, self.lengths)[..., 2]
         energy = ke + self.gravity * np.sum(self._masses_ep * z, axis=1)
         return energy if self._batch else float(energy[0])
 
@@ -442,7 +430,7 @@ class ArmEnv:
 
         if self.history_len:
             self._hist[rows] = np.concatenate([
-                self._proprio(rows, self._prev_action_base)[:, None], self._hist[rows, :-1],
+                self._proprio(rows)[:, None], self._hist[rows, :-1],
             ], axis=1)
 
         bound = self._rand.disturbance
@@ -472,7 +460,6 @@ class ArmEnv:
 
         self._q[rows], self._qdot[rows] = q, qdot
         self._steps[rows] += 1
-        self._prev_action_total[rows] = actions
         self._prev_action_base[rows] = base_actions
 
         steps = self._steps[rows]
@@ -483,7 +470,7 @@ class ArmEnv:
         pen_cost, pen_reward = actuation.neg_power_penalty(powers, self.power_cfg)
         reward = -q_err + pen_reward
 
-        body = arm_forward_kinematics(q, self.lengths, self.base_height)
+        body = arm_forward_kinematics(q, self.lengths)
         ref_body = self._ref_body[k]
         z_err = body[..., 2] - ref_body[..., 2]
         orient_err = np.abs(_wrap_angle(np.sum(q, axis=1) - np.sum(q_ref, axis=1)))
@@ -513,25 +500,6 @@ class ArmEnv:
             "relaxed": np.full(n, relaxed),
         }
         return obs, reward, done, info
-
-    def step_passive(self) -> None:
-        """Advance one control step with zero commanded torque.
-
-        No PD, no disturbances; friction is the only actuator effect. Useful
-        for free-swing demos and dissipation checks. With the semi-implicit
-        substep integration, per-step energy decrease is guaranteed when
-        (dt / n_substeps) * (mu_s / v_act + mu_d) < 2 * lambda_min(M).
-        """
-        self._require_episode()
-        h = self.dt / self.n_substeps
-        q, qdot = self._q, self._qdot
-        for _ in range(self.n_substeps):
-            tau = -actuation.friction_torque(qdot, self._actuators_ep)
-            qdot = qdot + h * self._qacc(q, qdot, tau, slice(None))
-            q = q + h * qdot
-        self._q, self._qdot = q, qdot
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-            raise NumericalBlowupError("state became non-finite during passive step")
 
 
 def _padded(arrays) -> np.ndarray:

@@ -63,25 +63,22 @@ def mlp_forward(params, x: np.ndarray) -> np.ndarray:
     (W, b) is then either shared or stacked per group, (G, out, in) with
     (G, 1, out) biases.
     """
-    h = x
-    for W, b in params[:-1]:
-        h = np.tanh(h @ W.mT + b)
-    W, b = params[-1]
-    return h @ W.mT + b
+    return _mlp_layers(params, x)[-1]
 
 
-def _mlp_forward_cached(params, x):
+def _mlp_layers(params, x) -> list:
+    """[x, hidden activations..., output] of the `mlp_forward` pass."""
     acts = [x]
-    h = x
     for W, b in params[:-1]:
-        h = np.tanh(h @ W.T + b)
-        acts.append(h)
+        acts.append(np.tanh(acts[-1] @ W.mT + b))
     W, b = params[-1]
-    return h @ W.T + b, acts
+    acts.append(acts[-1] @ W.mT + b)
+    return acts
 
 
 def _mlp_backward(params, acts, d_out):
-    """Gradients of all (W, b) given d(loss)/d(output); returns same structure."""
+    """Gradients of all (W, b) given d(loss)/d(output) and the layer inputs
+    `acts` (`_mlp_layers` without its output); returns same structure."""
     grads = [None] * len(params)
     d = d_out
     for layer in range(len(params) - 1, -1, -1):
@@ -228,7 +225,7 @@ def fm_loss_and_grad_at(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray,
     a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
     u = eps - batch.expert_actions
     x = _assemble_input(net, a_t, t, batch.observations)
-    v, acts = _mlp_forward_cached(net.params, x)
+    *acts, v = _mlp_layers(net.params, x)
     resid = v - u
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
     grads = _mlp_backward(net.params, acts, 2.0 * resid / n)

@@ -302,7 +302,7 @@ def _per_joint(value, n: int) -> tuple[float, ...]:
     return vals
 
 
-def arm_forward_kinematics(q, link_lengths, base_height: float | None = None) -> np.ndarray:
+def arm_forward_kinematics(q, link_lengths) -> np.ndarray:
     """Planar serial-arm link-endpoint positions in the x-z plane.
 
     Joint angles are relative, measured from the downward vertical; q = 0 hangs
@@ -313,13 +313,11 @@ def arm_forward_kinematics(q, link_lengths, base_height: float | None = None) ->
     L = np.asarray(link_lengths, dtype=float)
     if q.shape[-1] != L.shape[0]:
         raise DimensionError(f"q has {q.shape[-1]} joints but {L.shape[0]} link lengths")
-    if base_height is None:
-        base_height = float(np.sum(L))
     theta = np.cumsum(q, axis=-1)
     dx = L * np.sin(theta)
     dz = -L * np.cos(theta)
     x = np.cumsum(dx, axis=-1)
-    z = base_height + np.cumsum(dz, axis=-1)
+    z = float(np.sum(L)) + np.cumsum(dz, axis=-1)
     out = np.zeros(q.shape + (3,))
     out[..., 0] = x
     out[..., 2] = z

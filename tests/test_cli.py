@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from flowtrack import cli, distill, flow
-from flowtrack.env import MAX_HISTORY_LEN
+from flowtrack.env import MAX_HISTORY_LEN, ArmEnv
 from flowtrack.flow import MAX_LAYER_WIDTH, MAX_TIME_EMBED_DIM
 from flowtrack.motion import SynthMotionSpec, save_motion, synth_motion
 
@@ -36,6 +37,53 @@ def tiny_policy_dir(tmp_path_factory, motions_dir):
     ])
     assert rc == 0
     return out
+
+
+# A motion file the env cannot track, and the error naming it: a frame rate
+# other than the 50 Hz control rate, a body count other than one per link, or
+# a joint count other than the env's.
+MISMATCHES = {
+    "fps": "motion fps 25.0 does not match 50 Hz control",
+    "bodies": "motion has 3 bodies; expected one per link",
+    "joints": "motion has 3 joints, env has 2",
+}
+
+
+def mismatched_motions(tmp_path, kind):
+    """A directory holding a good motion file and, after it, one of `kind`."""
+    d = tmp_path / "motions"
+    d.mkdir()
+    spec = SynthMotionSpec(2, 4.0, 50.0, amplitude=0.3, frequency=0.25, link_lengths=(0.5, 0.4))
+    save_motion(synth_motion(spec), d / "a_good.json")
+    if kind == "fps":
+        clip = synth_motion(dataclasses.replace(spec, fps=25.0))
+    elif kind == "bodies":
+        clip = synth_motion(spec)
+        clip = dataclasses.replace(clip, body_pos=np.concatenate(
+            [clip.body_pos, clip.body_pos[:, -1:]], axis=1))
+    else:
+        clip = synth_motion(SynthMotionSpec(3, 4.0, 50.0, amplitude=0.3, frequency=0.25))
+    save_motion(clip, d / f"b_{kind}.json")
+    return d, d / f"b_{kind}.json"
+
+
+@pytest.mark.parametrize("kind", sorted(MISMATCHES))
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_mismatched_motion_file_exits_1(tmp_path, tiny_policy_dir, monkeypatch, capsys,
+                                        command, kind):
+    """The env's own motion check runs on every file at load, before any
+    episode starts (train with zero iterations included), and names the file."""
+    d, path = mismatched_motions(tmp_path, kind)
+    resets = []
+    monkeypatch.setattr(ArmEnv, "reset", lambda *args, **kwargs: resets.append(args))
+    argv = ["--quiet", command, "--motions", str(d), "--set", "env.episode_len=50"]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "out"), "--set", "train.iterations=0"]
+    else:
+        argv += ["--policy", str(tiny_policy_dir / "policy.json"), "--rollouts", "1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {MISMATCHES[kind]}\n"
+    assert not resets and not (tmp_path / "out").exists()
 
 
 class TestAnalyze:
@@ -105,6 +153,17 @@ class TestActuator:
         assert rc == 1
         err = capsys.readouterr().err
         assert "7520-22.5" in err and "5020-16" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sweep", "-3"], "--sweep must be >= 0, got -3"),
+        (["--v", "nan"], "--v must be finite, got nan"),
+        (["--tau", "inf"], "--tau must be finite, got inf"),
+        (["--sweep", "5", "--tau=-inf"], "--tau must be finite, got -inf"),
+    ])
+    def test_bad_flag_exits_1(self, capsys, flags, message):
+        assert cli.main(["actuator", "5020-16", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out
 
     def test_sweep_limit_non_increasing(self, capsys):
         rc = cli.main(["actuator", "5020-16", "--tau", "100", "--sweep", "50"])

@@ -131,8 +131,9 @@ class TestResidual:
         env = tiny_env()
         res = init_residual(env, hidden=(16,), bound=0.3, rng=np.random.default_rng(0))
         motion = make_sine(0.2, 0.25, duration=4.0)
-        env.reset(motion, [0])
-        out = distill.residual_action(env, np.zeros((1, 2)), [(np.array([[0]]), res.params)])
+        obs = env.reset(motion, [0])
+        out = distill.residual_action(env, obs, np.zeros((1, 2)), np.zeros((1, 2)),
+                                      [(np.array([[0]]), res.params)])
         assert out.shape == (1, 2) and np.all(out == 0.0)
 
     def test_zero_bound_equals_base_exactly(self):

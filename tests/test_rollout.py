@@ -109,6 +109,52 @@ def test_row_groups_match_separate_batches():
                                   else log[key][:, g * E:(g + 1) * E], value), key
 
 
+def test_residual_input_is_cut_from_the_observation(monkeypatch):
+    """At every step the residual's input rows are [q - q0, qdot, the total
+    action the episode applied last step (zeros at step 0), command, base
+    action] of the running episodes, rebuilt here from the env state, while
+    the middle episode terminates early and the batch shrinks."""
+    env = ArmEnv({"episode_len": 60})
+    applied = np.zeros((3, 2))  # last total action of each episode
+    step_batch = env.step_batch
+
+    def recording_step(actions, base_actions=None):
+        applied[env.running] = actions
+        return step_batch(actions, base_actions)
+
+    fed = []  # the input of each residual product of the current step
+    mlp_forward = distill.mlp_forward
+
+    def recording_forward(params, x):
+        fed.append(x)
+        return mlp_forward(params, x)
+
+    seen, want = [], []
+    residual_action = distill.residual_action
+
+    def recording_action(env_, obs, a_prev, a_flow, blocks):
+        rows = env.running
+        want.append(np.concatenate([env._q[rows] - env.q0, env._qdot[rows], applied[rows],
+                                    env._command(rows), a_flow], axis=1))
+        fed.clear()
+        out = residual_action(env_, obs, a_prev, a_flow, blocks)
+        x = np.empty_like(want[-1])
+        for (pos, _), block in zip(blocks, fed):
+            x[pos] = block
+        seen.append(x)
+        return out
+
+    monkeypatch.setattr(env, "step_batch", recording_step)
+    monkeypatch.setattr(distill, "mlp_forward", recording_forward)
+    monkeypatch.setattr(distill, "residual_action", recording_action)
+    log = rollout_batch(env, NET, [(MOTION, [24, 25, 26], RESIDUAL)])
+    assert log["terminated_early"].tolist() == [False, True, False]
+    assert len(seen) == env.episode_len and seen[-1].shape[0] == 2
+    assert not want[0][:, 4:6].any()  # no action applied before step 0
+    for got, expected in zip(seen, want):
+        assert np.array_equal(got, expected)
+
+
 # Clips of unequal length beside MOTION: SHORT ends before the episodes do, so
 # rows that outlive it hold its last frame; every HARD episode terminates
 # early; LONG is cut into a 10 s and a 1.2 s clip.
