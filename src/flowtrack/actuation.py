@@ -12,16 +12,13 @@ so one call evaluates every joint of a batch of episodes at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
 from .fileio import check_like, read_json
-
-_PARAM_FIELDS = ("tau_y1", "tau_y2", "v_x1", "v_x2", "mu_s", "v_act", "mu_d", "armature_I")
-
 
 @dataclass(frozen=True)
 class ActuatorParams:
@@ -58,16 +55,11 @@ class ActuatorParams:
 
     def scaled(self, torque_scale: float = 1.0, friction_scale: float = 1.0) -> "ActuatorParams":
         """Copy with torque ceilings and/or friction coefficients rescaled."""
-        return ActuatorParams(
-            tau_y1=self.tau_y1 * torque_scale,
-            tau_y2=self.tau_y2 * torque_scale,
-            v_x1=self.v_x1,
-            v_x2=self.v_x2,
-            mu_s=self.mu_s * friction_scale,
-            v_act=self.v_act,
-            mu_d=self.mu_d * friction_scale,
-            armature_I=self.armature_I,
-        )
+        return replace(self, tau_y1=self.tau_y1 * torque_scale, tau_y2=self.tau_y2 * torque_scale,
+                       mu_s=self.mu_s * friction_scale, mu_d=self.mu_d * friction_scale)
+
+
+_PARAM_FIELDS = tuple(f.name for f in fields(ActuatorParams))
 
 
 def stack(params) -> ActuatorParams:
@@ -111,9 +103,9 @@ class PowerPenaltyCfg:
 
     def __post_init__(self):
         if self.deadband < 0:
-            raise ValidationError("deadband must be non-negative")
+            raise ValidationError(f"deadband must be non-negative, got {self.deadband}")
         if self.norm <= 0:
-            raise ValidationError("norm must be positive")
+            raise ValidationError(f"norm must be positive, got {self.norm}")
 
 
 def default_catalog() -> dict[str, ActuatorParams]:

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -203,19 +204,26 @@ def cmd_actuator(args) -> int:
     return 0
 
 
+@contextmanager
+def _naming_file(path, section: str, assignments):
+    """Prefix a ConfigError raised in the block with `path`, the config file
+    of the `section` settings, unless no file was given or a --set reaches
+    into the section: the value may then come from either source."""
+    try:
+        yield
+    except ConfigError as exc:
+        if path and not any(a.split("=", 1)[0].split(".")[0] == section
+                            for a in assignments or []):
+            raise ConfigError(f"{path}: {exc}") from exc
+        raise
+
+
 def _build_env_and_motions(args, assignments_tree):
     env_cfg = load_env_config(args.env)
     assignments_tree["env"] = env_cfg
     _apply_sets(assignments_tree, args.set)
-    try:
+    with _naming_file(args.env, "env", args.set):
         env = ArmEnv(assignments_tree["env"], section="env")
-    except ConfigError as exc:
-        # an --env file is the one source of the env settings unless a --set
-        # reaches into them, so its errors can name it
-        if args.env and not any(a.split("=", 1)[0].split(".")[0] == "env"
-                                for a in args.set or []):
-            raise ConfigError(f"{args.env}: {exc}") from exc
-        raise
     files = _motion_files(args.motions)
     if not files:
         raise ConfigError(f"no motion files in '{args.motions}'")
@@ -272,7 +280,8 @@ def cmd_train(args) -> int:
     cfg = tree["train"]
     names = list(motions)
     clips = [motions[n] for n in names]
-    experts, net, dcfg = _train_setup(cfg, env, clips, args.seed)
+    with _naming_file(args.cfg, "train", args.set):
+        experts, net, dcfg = _train_setup(cfg, env, clips, args.seed)
     os.makedirs(args.out, exist_ok=True)
     every = int(cfg["checkpoint_every"])
     on_iteration = None
@@ -335,7 +344,8 @@ def cmd_refine(args) -> int:
     cfg = tree["es"]
     net = _load_base_policy(args.policy, env)
     name = sorted(motions)[0]
-    residual, escfg = _es_setup(cfg, env, args.seed)
+    with _naming_file(args.cfg, "es", args.set):
+        residual, escfg = _es_setup(cfg, env, args.seed)
     refined, history = distill.es_refine(net, residual, env, motions[name], escfg)
     os.makedirs(args.out, exist_ok=True)
     distill.save_residual(refined, os.path.join(args.out, "residual.json"))
@@ -400,9 +410,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may be negative. argparse reads a token after an option
+# as a negative number only in the form -<digits>[.<digits>], and otherwise as
+# another option, so `main` joins any number to its option ("--v=-1e1").
+_NUMBER_OPTIONS = ("--v", "--tau")
+
+
+def _join_numbers(argv: list[str]) -> list[str]:
+    out = []
+    for token in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and _is_number(token):
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -76,14 +76,14 @@ class DistillCfg:
 
     def __post_init__(self):
         if self.iterations < 0:
-            raise ValidationError("iterations must be >= 0")
+            raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
         for name in ("episodes_per_iter", "gradient_steps", "batch_size"):
             if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 < self.lr_decay <= 1.0:
-            raise ValidationError("lr_decay must be in (0, 1]")
+            raise ValidationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
 
 def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet,
@@ -226,11 +226,12 @@ class ESCfg:
     def __post_init__(self):
         for name in ("generations", "population"):
             if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.sigma < 0:
-            raise ValidationError("sigma must be non-negative")
+            raise ValidationError(f"sigma must be non-negative, got {self.sigma}")
         if self.episodes_per_eval < 1:
-            raise ValidationError("episodes_per_eval must be positive")
+            raise ValidationError(
+                f"episodes_per_eval must be positive, got {self.episodes_per_eval}")
 
 
 def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,

@@ -17,7 +17,7 @@ the last link). That proxy is a stand-in, not a physical torso.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -62,21 +62,19 @@ class RandomizationCfg:
     aggressive_factor: float = 1.5
 
     def __post_init__(self):
-        for name in ("pose_noise", "disturbance", "mass_scale", "friction_scale", "q0_offset"):
+        for name in _RANGE_FIELDS:
             if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+                raise ValidationError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.aggressive_factor < 1.0:
-            raise ValidationError("aggressive_factor must be >= 1")
+            raise ValidationError(f"aggressive_factor must be >= 1, got {self.aggressive_factor}")
 
     def scaled(self, factor: float) -> "RandomizationCfg":
-        return RandomizationCfg(
-            pose_noise=self.pose_noise * factor,
-            disturbance=self.disturbance * factor,
-            mass_scale=self.mass_scale * factor,
-            friction_scale=self.friction_scale * factor,
-            q0_offset=self.q0_offset * factor,
-            aggressive_factor=self.aggressive_factor,
-        )
+        """Copy with every range multiplied by `factor`."""
+        return replace(self, **{name: getattr(self, name) * factor for name in _RANGE_FIELDS})
+
+
+# the fields of RandomizationCfg that are ranges: all but the factor
+_RANGE_FIELDS = tuple(f.name for f in fields(RandomizationCfg) if f.name != "aggressive_factor")
 
 
 DEFAULT_ENV_CONFIG = {

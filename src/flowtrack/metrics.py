@@ -12,7 +12,7 @@ is the caller's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,15 +46,8 @@ class ComplexityScores:
     s: np.ndarray
 
     def raw_dict(self) -> dict:
-        return {
-            "v_max": self.v_max,
-            "a_max": self.a_max,
-            "j_max": self.j_max,
-            "ang_max": self.ang_max,
-            "v_com_z_max": self.v_com_z_max,
-            "airborne": self.airborne,
-            "f_switch": self.f_switch,
-        }
+        """The raw maxima by field name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "s"}
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,20 +21,25 @@ QUAT_NORM_TOL = 1e-3
 
 # top-level keys with an example of each type; frames are checked as arrays
 _TOP_EXAMPLE = {"fps": 0.0, "joint_names": [""], "frames": None, "feet_indices": [0]}
-_FRAME_KEYS = ("q", "base_pos", "base_quat", "body_pos", "contacts")
+
+# The per-frame arrays, in file order: key -> (dtype, per-frame shape...). A
+# letter is a size the clip chooses (J is the number of joint names); every
+# array also has the leading time dimension T.
+_FRAMES = {
+    "q": (float, "J"),              # joint positions, rad
+    "base_pos": (float, 3),         # base position, m
+    "base_quat": (float, 4),        # unit quaternion (w, x, y, z)
+    "body_pos": (float, "B", 3),    # body positions, m
+    "contacts": (bool, "K"),        # True = end-effector in ground contact
+}
+# the array kinds a JSON value of each dtype may load as
+_KINDS = {float: "iuf", bool: "b"}
 
 
 @dataclass(frozen=True)
 class MotionClip:
-    """Time-indexed reference motion.
-
-    Arrays all share the leading time dimension T >= 2:
-      q:         (T, J) joint positions, rad
-      base_pos:  (T, 3) base position, m
-      base_quat: (T, 4) unit quaternion (w, x, y, z)
-      body_pos:  (T, B, 3) body positions, m
-      contacts:  (T, K) bool, True = end-effector in ground contact
-    """
+    """Time-indexed reference motion: the per-frame arrays of `_FRAMES`,
+    each (T, ...) with T >= 2 frames."""
 
     fps: float
     joint_names: tuple[str, ...]
@@ -49,43 +54,31 @@ class MotionClip:
         object.__setattr__(self, "fps", float(self.fps))
         object.__setattr__(self, "joint_names", tuple(str(n) for n in self.joint_names))
         object.__setattr__(self, "feet_indices", tuple(int(i) for i in self.feet_indices))
-        object.__setattr__(self, "q", np.array(self.q, dtype=float))
-        object.__setattr__(self, "base_pos", np.array(self.base_pos, dtype=float))
-        object.__setattr__(self, "base_quat", np.array(self.base_quat, dtype=float))
-        object.__setattr__(self, "body_pos", np.array(self.body_pos, dtype=float))
-        object.__setattr__(self, "contacts", np.array(self.contacts, dtype=bool))
+        for key, (dtype, *_) in _FRAMES.items():
+            object.__setattr__(self, key, np.array(getattr(self, key), dtype=dtype))
         self._validate()
-        for arr in (self.q, self.base_pos, self.base_quat, self.body_pos, self.contacts):
-            arr.setflags(write=False)
+        for key in _FRAMES:
+            getattr(self, key).setflags(write=False)
 
     def _validate(self):
         if self.fps <= 0:
             raise ValidationError(f"fps must be positive, got {self.fps}")
-        T = self.q.shape[0] if self.q.ndim >= 1 else 0
-        if self.q.ndim != 2:
-            raise DimensionError(f"q must be (T, J), got shape {self.q.shape}")
-        if T < 2:
-            raise DimensionError(f"clips need at least 2 frames, got {T}")
-        if self.q.shape[1] != len(self.joint_names):
-            raise DimensionError(
-                f"q has {self.q.shape[1]} joints but {len(self.joint_names)} names"
-            )
-        if self.base_pos.shape != (T, 3):
-            raise DimensionError(f"base_pos must be ({T}, 3), got {self.base_pos.shape}")
-        if self.base_quat.shape != (T, 4):
-            raise DimensionError(f"base_quat must be ({T}, 4), got {self.base_quat.shape}")
-        if self.body_pos.ndim != 3 or self.body_pos.shape[0] != T or self.body_pos.shape[2] != 3:
-            raise DimensionError(f"body_pos must be ({T}, B, 3), got {self.body_pos.shape}")
-        if self.contacts.ndim != 2 or self.contacts.shape[0] != T:
-            raise DimensionError(f"contacts must be ({T}, K), got {self.contacts.shape}")
-        for arr, name in ((self.q, "q"), (self.base_pos, "base_pos"),
-                          (self.base_quat, "base_quat"), (self.body_pos, "body_pos")):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"non-finite values in {name}")
-        B = self.body_pos.shape[1]
+        # a letter other than J takes its size from the first array with it
+        sizes = {"J": len(self.joint_names)}
+        for key, (dtype, *dims) in _FRAMES.items():
+            arr, want = getattr(self, key), ("T", *dims)
+            if arr.ndim != len(want) or not all(
+                    sizes.setdefault(d, n) == n if isinstance(d, str) else d == n
+                    for d, n in zip(want, arr.shape)):
+                expected = ", ".join(str(sizes.get(d, d)) for d in want)
+                raise DimensionError(f"{key} must be ({expected}), got {arr.shape}")
+            if dtype is float and not np.all(np.isfinite(arr)):
+                raise ValidationError(f"non-finite values in {key}")
+        if sizes["T"] < 2:
+            raise DimensionError(f"clips need at least 2 frames, got {sizes['T']}")
         for i in self.feet_indices:
-            if not 0 <= i < B:
-                raise ValidationError(f"foot index {i} outside [0, {B})")
+            if not 0 <= i < sizes["B"]:
+                raise ValidationError(f"foot index {i} outside [0, {sizes['B']})")
         norms = np.linalg.norm(self.base_quat, axis=1)
         worst = float(np.max(np.abs(norms - 1.0)))
         if worst > QUAT_NORM_TOL:
@@ -112,32 +105,23 @@ class MotionClip:
         return 1.0 / self.fps
 
     def slice(self, start: int, stop: int) -> "MotionClip":
-        return MotionClip(
-            fps=self.fps,
-            joint_names=self.joint_names,
-            q=self.q[start:stop],
-            base_pos=self.base_pos[start:stop],
-            base_quat=self.base_quat[start:stop],
-            body_pos=self.body_pos[start:stop],
-            contacts=self.contacts[start:stop],
-            feet_indices=self.feet_indices,
-        )
+        return replace(self, **{key: getattr(self, key)[start:stop] for key in _FRAMES})
 
     def allclose(self, other: "MotionClip", tol: float = 0.0) -> bool:
         if self.joint_names != other.joint_names or self.feet_indices != other.feet_indices:
             return False
         if self.fps != other.fps:
             return False
-        for a, b in ((self.q, other.q), (self.base_pos, other.base_pos),
-                     (self.base_quat, other.base_quat), (self.body_pos, other.body_pos)):
+        for key, (dtype, *_) in _FRAMES.items():
+            a, b = getattr(self, key), getattr(other, key)
             if a.shape != b.shape:
                 return False
-            if tol == 0.0:
+            if tol == 0.0 or dtype is bool:
                 if not np.array_equal(a, b):
                     return False
             elif not np.allclose(a, b, atol=tol, rtol=0.0):
                 return False
-        return np.array_equal(self.contacts, other.contacts)
+        return True
 
 
 def load_motion(path) -> MotionClip:
@@ -147,79 +131,48 @@ def load_motion(path) -> MotionClip:
     frames = doc["frames"]
     if not isinstance(frames, list) or not frames:
         raise SchemaError(f"{path}: 'frames' must be a non-empty array")
-    cols = {k: [] for k in _FRAME_KEYS}
     for i, fr in enumerate(frames):
         if not isinstance(fr, dict):
             raise SchemaError(f"{path}: frame {i} is not an object")
-        fmissing = [k for k in _FRAME_KEYS if k not in fr]
+        fmissing = [k for k in _FRAMES if k not in fr]
         if fmissing:
             raise SchemaError(f"{path}: frame {i} missing required key '{fmissing[0]}'")
-        fextra = [k for k in fr if k not in _FRAME_KEYS]
+        fextra = [k for k in fr if k not in _FRAMES]
         if fextra:
             raise SchemaError(f"{path}: frame {i} unknown key '{fextra[0]}'")
-        for k in _FRAME_KEYS:
-            cols[k].append(fr[k])
-    _check_rect(cols["q"], "q", path)
-    _check_rect(cols["body_pos"], "body_pos", path, depth=2)
-    _check_rect(cols["contacts"], "contacts", path)
+    arrays = {key: _numeric([fr[key] for fr in frames], key, dtype, path)
+              for key, (dtype, *_) in _FRAMES.items()}
     try:
-        return MotionClip(
-            fps=doc["fps"],
-            joint_names=doc["joint_names"],
-            q=_numeric(cols["q"], "q", path),
-            base_pos=_numeric(cols["base_pos"], "base_pos", path),
-            base_quat=_numeric(cols["base_quat"], "base_quat", path),
-            body_pos=_numeric(cols["body_pos"], "body_pos", path),
-            contacts=_numeric(cols["contacts"], "contacts", path, dtype=bool),
-            feet_indices=doc["feet_indices"],
-        )
+        return MotionClip(fps=doc["fps"], joint_names=doc["joint_names"],
+                          feet_indices=doc["feet_indices"], **arrays)
     except (DimensionError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _numeric(value, name, path, dtype=float) -> np.ndarray:
-    """`value` as a `dtype` array, or a SchemaError naming the file and key."""
+def _numeric(rows, key, dtype, path) -> np.ndarray:
+    """The per-frame values `rows` of `key` as one `dtype` array. Rows of
+    unequal shape raise a DimensionError, and values other than numbers (JSON
+    booleans for a bool key) a SchemaError, each naming the file and key."""
     try:
-        return np.array(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: '{name}' must be numeric ({exc})") from exc
-
-
-def _check_rect(rows, name, path, depth=1):
-    """Reject ragged or non-array per-frame values with a clear message
-    instead of numpy's."""
-    if not all(isinstance(r, list) for r in rows):
-        raise SchemaError(f"{path}: '{name}' must be an array in every frame")
-    lengths = {len(r) for r in rows}
-    if len(lengths) > 1:
-        raise DimensionError(f"{path}: '{name}' length differs across frames: {sorted(lengths)}")
-    if depth == 2 and rows and rows[0]:
-        if not all(isinstance(v, list) for r in rows for v in r):
-            raise SchemaError(f"{path}: '{name}' entries must be xyz triples")
-        inner = {len(v) for r in rows for v in r}
-        if inner != {3}:
-            raise DimensionError(f"{path}: '{name}' entries must be xyz triples")
+        arr = np.array(rows)
+    except ValueError as exc:
+        raise DimensionError(f"{path}: '{key}' rows differ in shape across frames") from exc
+    if arr.size and arr.dtype.kind not in _KINDS[dtype]:
+        raise SchemaError(f"{path}: '{key}' must be numeric"
+                          + (" (JSON booleans)" if dtype is bool else ""))
+    return arr.astype(dtype, copy=False)
 
 
 def save_motion(clip: MotionClip, path) -> None:
     """Write a clip to JSON at full double precision (round-trips bit-exactly)."""
-    for arr, name in ((clip.q, "q"), (clip.base_pos, "base_pos"),
-                      (clip.base_quat, "base_quat"), (clip.body_pos, "body_pos")):
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"refusing to serialize non-finite {name}")
-    frames = []
-    for t in range(clip.n_frames):
-        frames.append({
-            "q": clip.q[t].tolist(),
-            "base_pos": clip.base_pos[t].tolist(),
-            "base_quat": clip.base_quat[t].tolist(),
-            "body_pos": clip.body_pos[t].tolist(),
-            "contacts": clip.contacts[t].tolist(),
-        })
+    for key, (dtype, *_) in _FRAMES.items():
+        if dtype is float and not np.all(np.isfinite(getattr(clip, key))):
+            raise ValidationError(f"refusing to serialize non-finite {key}")
+    columns = {key: getattr(clip, key).tolist() for key in _FRAMES}
     doc = {
         "fps": clip.fps,
         "joint_names": list(clip.joint_names),
-        "frames": frames,
+        "frames": [dict(zip(columns, row)) for row in zip(*columns.values())],
         "feet_indices": list(clip.feet_indices),
     }
     write_atomic(path, json.dumps(doc) + "\n")

@@ -159,11 +159,20 @@ class TestActuator:
         (["--v", "nan"], "--v must be finite, got nan"),
         (["--tau", "inf"], "--tau must be finite, got inf"),
         (["--sweep", "5", "--tau=-inf"], "--tau must be finite, got -inf"),
+        # negative values that argparse alone takes for options
+        (["--v", "-inf"], "--v must be finite, got -inf"),
+        (["--tau", "-1e400", "--v", "-1e1"], "--tau must be finite, got -inf"),
     ])
     def test_bad_flag_exits_1(self, capsys, flags, message):
         assert cli.main(["actuator", "5020-16", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and not captured.out
+
+    def test_negative_exponent_value(self, capsys):
+        assert cli.main(["actuator", "5020-16", "--v", "-1e1", "--tau", "5"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main(["actuator", "5020-16", "--v=-10", "--tau=5"]) == 0
+        assert capsys.readouterr().out == joined and "v=-10 rad/s" in joined
 
     def test_sweep_limit_non_increasing(self, capsys):
         rc = cli.main(["actuator", "5020-16", "--tau", "100", "--sweep", "50"])
@@ -232,22 +241,39 @@ class TestTrain:
         assert rc == 1
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc, sets, message", [
+    @pytest.mark.parametrize("command, flag, doc, sets, message", [
         # the key's range is checked by the env's table, or by its dataclass
-        ({"links": [{"mass": -1.0, "length": 0.5}, {"mass": 1.0, "length": 0.4}]}, [],
+        ("train", "--env",
+         {"links": [{"mass": -1.0, "length": 0.5}, {"mass": 1.0, "length": 0.4}]}, [],
          "{file}: env.links.0.mass must be positive, got -1.0"),
-        ({"thresholds": {"z_err_max": 0.0}}, [],
+        ("train", "--env", {"thresholds": {"z_err_max": 0.0}}, [],
          "{file}: env.thresholds.z_err_max must be positive, got 0.0"),
         # with an env --set the value may come from either source
-        ({"thresholds": {"z_err_max": 0.0}}, ["env.episode_len=80"],
+        ("train", "--env", {"thresholds": {"z_err_max": 0.0}}, ["env.episode_len=80"],
          "env.thresholds.z_err_max must be positive, got 0.0"),
-    ], ids=["table_key", "dataclass_key", "env_set"])
-    def test_env_file_range_error_names_file(self, motions_dir, tmp_path, capsys,
-                                             doc, sets, message):
+        # the same rule for the train and es sections of a --cfg file
+        ("train", "--cfg", {"hidden": [0, 8]}, [],
+         f"{{file}}: train.hidden.0 must be in [1, {MAX_LAYER_WIDTH}], got 0"),
+        ("train", "--cfg", {"lr_decay": 2.0}, [],
+         "{file}: train.lr_decay must be in (0, 1], got 2.0"),
+        ("train", "--cfg", {"hidden": [0, 8]}, ["train.iterations=1"],
+         f"train.hidden.0 must be in [1, {MAX_LAYER_WIDTH}], got 0"),
+        ("refine", "--cfg", {"sigma": -1}, [], "{file}: es.sigma must be non-negative, got -1.0"),
+        ("refine", "--cfg", {"residual_hidden": [0]}, ["env.episode_len=80"],
+         f"{{file}}: es.residual_hidden.0 must be in [1, {MAX_LAYER_WIDTH}], got 0"),
+        ("refine", "--cfg", {"sigma": -1}, ["es.generations=1"],
+         "es.sigma must be non-negative, got -1.0"),
+    ], ids=["table_key", "dataclass_key", "env_set", "train_cfg_table_key",
+            "train_cfg_dataclass_key", "train_cfg_set", "es_cfg_dataclass_key",
+            "es_cfg_table_key", "es_cfg_set"])
+    def test_env_file_range_error_names_file(self, motions_dir, tiny_policy_dir, tmp_path,
+                                             capsys, command, flag, doc, sets, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        argv = ["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
-                "--out", str(tmp_path / "x"), "--env", str(path)]
+        argv = ["--quiet", command, "--motions", str(motions_dir / "a_slow.json"),
+                "--out", str(tmp_path / "x"), flag, str(path)]
+        if command == "refine":
+            argv += ["--policy", str(tiny_policy_dir / "policy.json")]
         for assignment in sets:
             argv += ["--set", assignment]
         assert cli.main(argv) == 1

@@ -60,25 +60,44 @@ class TestLoadSave:
         with pytest.raises(SchemaError, match="contacts"):
             load_motion(path)
 
-    def test_ragged_contacts_is_dimension_error(self, tmp_path):
+    @pytest.mark.parametrize("key, rows", [
+        ("q", [[0.0], [0.0, 0.1]]),
+        ("q", [[0.0], 0.1]),  # a scalar in place of a row
+        ("base_pos", [[0.0, 0.0, 0.0], [0.0, 0.0]]),
+        ("base_quat", [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        ("body_pos", [[[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.1], [0.0, 0.0]]]),
+        ("body_pos", [[[0.0, 0.0]], [[0.0, 0.1]]]),  # pairs in place of xyz triples
+        ("contacts", [[True], [True, False]]),
+    ], ids=["q", "q-scalar_row", "base_pos", "base_quat", "body_pos", "body_pos-pairs",
+            "contacts"])
+    def test_ragged_frames_are_dimension_errors(self, tmp_path, key, rows):
         doc = minimal_doc()
-        doc["frames"][1]["contacts"] = [True, False]
+        for frame, row in zip(doc["frames"], rows):
+            frame[key] = row
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DimensionError, match="contacts"):
+        with pytest.raises(DimensionError, match=rf"m\.json: '?{key}'? ") as info:
             load_motion(path)
+        assert str(info.value).count("m.json") == 1
 
     @pytest.mark.parametrize("key, edit", [
         ("fps", lambda d: d.update(fps="fast")),
         ("q", lambda d: d["frames"][1].update(q=["x"])),
+        pytest.param("q", lambda d: d["frames"][1].update(q=["0.1"]), id="q-string"),
+        pytest.param("q", lambda d: d["frames"][1].update(q=[None]), id="q-null"),
+        pytest.param("contacts", lambda d: d["frames"][1].update(contacts=["false"]),
+                     id="contacts-string"),
+        pytest.param("contacts", lambda d: d["frames"][1].update(contacts=[0]),
+                     id="contacts-number"),
     ])
     def test_non_numeric_value_named(self, tmp_path, key, edit):
         doc = minimal_doc()
         edit(doc)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match=rf"m\.json: '{key}' must be numeric"):
+        with pytest.raises(SchemaError, match=rf"m\.json: '{key}' must be numeric") as info:
             load_motion(path)
+        assert str(info.value).count("m.json") == 1
 
     def test_quat_norm_error(self, tmp_path):
         doc = minimal_doc()
