@@ -410,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Options whose value may be negative. argparse reads a token after an option
-# as a negative number only in the form -<digits>[.<digits>], and otherwise as
-# another option, so `main` joins any number to its option ("--v=-1e1").
-_NUMBER_OPTIONS = ("--v", "--tau")
+# Options whose value may be negative, with the prefixes argparse takes for
+# them. argparse reads a token after an option as a negative number only as
+# -<digits>[.<digits>], so `main` joins any number to its option ("--ta=-1e1").
+_NUMBER_OPTIONS = ("--v", "--t", "--ta", "--tau")
 
 
 def _join_numbers(argv: list[str]) -> list[str]:

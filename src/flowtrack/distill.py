@@ -27,9 +27,9 @@ from .motion import MotionClip, finite_difference, segment_clips
 class ReplayBuffer:
     """Flat store of (observation, expert action) records.
 
-    Records live in preallocated (rows, dim) arrays that double when full;
-    the row width is fixed by the first record added. `clear` keeps the
-    arrays for reuse.
+    `add` appends (n, dim) rows (a 1-D pair is one row) to preallocated
+    arrays that double until they fit; the row width is fixed by the first
+    rows added. `clear` keeps the arrays for reuse.
     """
 
     INITIAL_ROWS = 1024
@@ -46,15 +46,17 @@ class ReplayBuffer:
         self._size = 0
 
     def add(self, obs, a_expert) -> None:
+        obs, a_expert = np.atleast_2d(obs), np.atleast_2d(a_expert)
         if self._obs is None:
-            self._obs = np.empty((self.INITIAL_ROWS, np.size(obs)))
-            self._act = np.empty((self.INITIAL_ROWS, np.size(a_expert)))
-        elif self._size == len(self._obs):
+            self._obs = np.empty((self.INITIAL_ROWS, obs.shape[1]))
+            self._act = np.empty((self.INITIAL_ROWS, a_expert.shape[1]))
+        end = self._size + len(obs)
+        while end > len(self._obs):
             self._obs = np.concatenate([self._obs, np.empty_like(self._obs)])
             self._act = np.concatenate([self._act, np.empty_like(self._act)])
-        self._obs[self._size] = obs
-        self._act[self._size] = a_expert
-        self._size += 1
+        self._obs[self._size:end] = obs
+        self._act[self._size:end] = a_expert
+        self._size = end
 
     def sample_batch(self, batch_size: int, rng) -> FMBatch:
         if not self._size:
@@ -87,31 +89,30 @@ class DistillCfg:
 
 
 def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet,
-                 cfg: DistillCfg, buffer: ReplayBuffer | None = None, on_iteration=None):
+                 cfg: DistillCfg, on_iteration=None):
     """Distill the experts into `net`; returns (trained net, per-iter losses).
 
     Each iteration: clear the buffer, roll out the current student on the
-    motions of sampled experts while labelling visited states with that
-    expert, then run `gradient_steps` flow-matching updates on buffer
-    minibatches. `on_iteration(index, net, mean_loss)`, when given, is called
-    after every iteration (checkpointing hook).
+    motions of sampled experts, label the visited states with that expert,
+    then run `gradient_steps` flow-matching updates on buffer minibatches.
+    Each episode is a one-row `rollout_batch` seeded with the run's one
+    Generator, so the draws keep the order of an episode-by-episode loop, and
+    one `expert_action` call labels all its steps. `on_iteration(index, net,
+    mean_loss)`, when given, is called after every iteration (checkpointing).
     """
     net = clone_net(net)
     rng = np.random.default_rng(cfg.seed)
-    buffer = buffer if buffer is not None else ReplayBuffer()
+    buffer = ReplayBuffer()
     opt_state = AdamState()
     losses: list[float] = []
     for it in range(cfg.iterations):
         buffer.clear()
         for _ in range(cfg.episodes_per_iter):
-            m = int(rng.integers(len(experts)))
-            obs = env.reset(experts[m].motion, rng, mode="base")
-            done = False
-            while not done:
-                a_exp = expert_action(experts[m], env)
-                buffer.add(obs, a_exp)
-                a = euler_sample(net, obs, cfg.sampler, rng)
-                obs, _, done, _ = env.step(a)
+            expert = experts[int(rng.integers(len(experts)))]
+            log = rollout_batch(env, net, [(expert.motion, [rng], None)], sampler=cfg.sampler,
+                                keep_obs=True)
+            steps = int(log["steps"][0])
+            buffer.add(log["obs"][:steps, 0], expert_action(expert, env, np.arange(steps)))
         lr = cfg.learning_rate * cfg.lr_decay ** it
         iter_losses = []
         for _ in range(cfg.gradient_steps):
@@ -234,10 +235,10 @@ class ESCfg:
                 f"episodes_per_eval must be positive, got {self.episodes_per_eval}")
 
 
-def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
-                  mode: str = "base") -> dict:
+def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = "base",
+                  sampler: SamplerCfg = SamplerCfg(), keep_obs: bool = False) -> dict:
     """Seeded closed-loop episodes of one or more row groups, stepped together
-    and sampled with the default `SamplerCfg()`.
+    and sampled with `sampler`.
 
     `groups` is a list of (motion, seeds, residual) triples. Group g runs one
     episode of its motion per seed under its residual, on the rows after
@@ -247,14 +248,16 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
 
     Each episode's env and policy noise come from independent child streams of
     its seed, so an episode's trajectory depends on its motion, residual and
-    seed only, not on the batch it runs in. Returns (T, N, ...) trajectories
-    (T = env.episode_len) whose rows past an episode's `steps` stay zero, plus
-    per-episode `steps` and `terminated_early`. The policy products of a
-    group's running rows are computed as one group of a stacked product, so
-    each group's rows are bit-equal to a batch of that triple alone. A
-    residual sees each row's observation and last applied action.
+    seed only, not on the batch it runs in. A seed may be a Generator instead,
+    which is then both streams, drawn in the order of a single episode. Returns
+    (T, N, ...) trajectories (T = env.episode_len) whose rows past an
+    episode's `steps` stay zero, plus per-episode `steps` and
+    `terminated_early`; with `keep_obs`, also the (T, N, obs_dim) observations
+    the policy sampled from, as "obs". The policy products of a group's
+    running rows are computed as one group of a stacked product, so each
+    group's rows are bit-equal to a batch of that triple alone. A residual
+    sees each row's observation and last applied action.
     """
-    sampler = SamplerCfg()
     residuals = [r for _, _, r in groups]
     residual = residuals[0] if groups else None  # gives the shared bound
     if not groups or any(r is not residual and (
@@ -266,10 +269,11 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
                    np.stack([r.params[i][1] for r in residuals])[:, None])
                   for i in range(len(residual.params))]
     group_of_row = np.repeat(np.arange(len(groups)), [len(seeds) for _, seeds, _ in groups])
-    streams = [np.random.SeedSequence(s).spawn(2) for _, seeds, _ in groups for s in seeds]
-    policy_rngs = [np.random.default_rng(policy_seed) for _, policy_seed in streams]
+    streams = [(s, s) if isinstance(s, np.random.Generator) else np.random.default_rng(s).spawn(2)
+               for _, seeds, _ in groups for s in seeds]
+    policy_rngs = [policy_rng for _, policy_rng in streams]
     obs = env.reset([motion for motion, seeds, _ in groups for _ in seeds],
-                    [np.random.default_rng(env_seed) for env_seed, _ in streams], mode=mode)
+                    [env_rng for env_rng, _ in streams], mode=mode)
     n, T, J = len(streams), env.episode_len, env.n_joints
     a_prev = np.zeros((n, J))  # the total action each running row applied last
     log = {
@@ -279,6 +283,7 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
         "ref_body_pos": np.zeros((T, n, J, 3)),
         "steps": np.zeros(n, dtype=int),
         "terminated_early": np.zeros(n, dtype=bool),
+        **({"obs": np.zeros((T, n, env.obs_dim))} if keep_obs else {}),
     }
     n_running = 0
     for t in range(T):
@@ -293,6 +298,8 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list,
         a_flow = np.empty((n_running, net.action_dim))
         for pos, rngs in sample_blocks:
             a_flow[pos] = euler_sample(net, obs[pos], sampler, rngs)
+        if keep_obs:
+            log["obs"][t, rows] = obs
         a = a_flow
         if residual is not None:
             a = residual_compose(a_flow, residual_action(env, obs, a_prev, a_flow, res_blocks),

@@ -313,6 +313,11 @@ class ArmEnv:
         frame."""
         return self._clip[rows], np.minimum(steps, self._last[rows])
 
+    def _actuators(self, rows):
+        """The randomized actuator params of the episodes in `rows`."""
+        p = self._actuators_ep
+        return p if isinstance(rows, slice) else replace(p, mu_s=p.mu_s[rows], mu_d=p.mu_d[rows])
+
     # -- observation ---------------------------------------------------------
 
     def _proprio(self, rows) -> np.ndarray:
@@ -368,11 +373,11 @@ class ArmEnv:
         M_q, bias = self._terms(q, qdot, rows)
         return _solve(M_q, (tau - bias)[..., None])[..., 0]
 
-    def inverse_dynamics(self, q, qdot, qacc) -> np.ndarray:
-        """Joint torques that produce qacc at (q, qdot), gravity included."""
-        M_q, bias = self._terms(np.asarray(q, dtype=float), np.asarray(qdot, dtype=float),
-                                slice(None))
-        return self._unbatch((M_q @ np.asarray(qacc, dtype=float)[..., None])[..., 0] + bias)
+    def inverse_dynamics(self, q, qdot, qacc, rows) -> np.ndarray:
+        """Joint torques that produce qacc at (q, qdot), gravity included, for
+        the episodes `rows` (one row index takes (..., J) states)."""
+        M_q, bias = self._terms(np.asarray(q, dtype=float), np.asarray(qdot, dtype=float), rows)
+        return (M_q @ np.asarray(qacc, dtype=float)[..., None])[..., 0] + bias
 
     def mechanical_energy(self):
         """Kinetic + gravitational potential energy of each episode's arm (a
@@ -433,9 +438,7 @@ class ArmEnv:
 
         bound = self._rand.disturbance
         disturbance = np.array([self._rngs[i].uniform(-bound, bound, J) for i in self._running])
-        params = self._actuators_ep
-        if not isinstance(rows, slice):
-            params = replace(params, mu_s=params.mu_s[rows], mu_d=params.mu_d[rows])
+        params = self._actuators(rows)
         # a copy: the write-back below would change a view of the state
         q, qdot_pre = self._q[rows], self._qdot[rows].copy()
         q_tar = self._q0_eff[rows] + self.action_scale * actions
@@ -531,19 +534,19 @@ class ExpertPolicy:
     action_limit: float = 4.0
 
 
-def expert_action(expert: ExpertPolicy, env: ArmEnv) -> np.ndarray:
-    """Expert label for the current state of a single-episode env."""
+def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -> np.ndarray:
+    """Labels of episode `row` at the control steps `steps` (one per entry), or a
+    (J,) label at its current step when None. A label reads the row's clip and
+    randomization, never its state, so a finished episode is labelled at once."""
     env._require_episode()
-    if env._batch:
-        raise ValidationError("expert labels need a single-episode env")
-    motion = env._clips[0]
-    if expert.motion is not motion and not expert.motion.allclose(motion):
+    clip = env._clips[env._clip[row]]
+    if expert.motion is not clip and not expert.motion.allclose(clip):
         raise ValidationError("expert's motion does not match the env's reference")
-    idx = env._frame(0, env.step_count + expert.lookahead)
-    q_ref = expert.motion.q[idx[1]]
-    qd_ref = env._ref_qdot[idx]
-    a = q_ref - env.q0_eff + (env.kd / env.kp) * qd_ref
-    a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx]) / env.kp
-    a = a + actuation.friction_torque(qd_ref, env._actuators_ep)[0] / env.kp
+    idx = env._frame(row, (env._steps[row] if steps is None else np.asarray(steps))
+                     + expert.lookahead)
+    q_ref, qd_ref = env._ref_q[idx], env._ref_qdot[idx]
+    a = q_ref - env._q0_eff[row] + (env.kd / env.kp) * qd_ref
+    a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx], row) / env.kp
+    a = a + actuation.friction_torque(qd_ref, env._actuators(row)) / env.kp
     a = a / env.action_scale
     return np.clip(a, -expert.action_limit, expert.action_limit)

@@ -173,6 +173,11 @@ class TestActuator:
         joined = capsys.readouterr().out
         assert cli.main(["actuator", "5020-16", "--v=-10", "--tau=5"]) == 0
         assert capsys.readouterr().out == joined and "v=-10 rad/s" in joined
+        # an abbreviated option that argparse accepts takes the number too
+        assert cli.main(["actuator", "5020-16", "--ta", "-1e1", "--v", "1"]) == 0
+        abbreviated = capsys.readouterr().out
+        assert cli.main(["actuator", "5020-16", "--tau=-1e1", "--v=1"]) == 0
+        assert capsys.readouterr().out == abbreviated
 
     def test_sweep_limit_non_increasing(self, capsys):
         rc = cli.main(["actuator", "5020-16", "--tau", "100", "--sweep", "50"])

@@ -56,17 +56,38 @@ class TestReplayBuffer:
         assert np.array_equal(batch.observations, np.full((1, 3), 9.0))
         assert np.array_equal(batch.expert_actions, np.full((1, 2), 8.0))
 
-    def test_collected_record_count(self):
+    def test_one_add_larger_than_the_initial_rows(self):
+        n = 3 * ReplayBuffer.INITIAL_ROWS + 5
+        rng = np.random.default_rng(2)
+        obs, act = rng.standard_normal((n, 4)), rng.standard_normal((n, 2))
+        buf = ReplayBuffer()
+        buf.add(obs[:3], act[:3])
+        buf.add(obs[3:], act[3:])
+        assert len(buf) == n and len(buf._obs) == 4 * ReplayBuffer.INITIAL_ROWS
+        batch = buf.sample_batch(n, np.random.default_rng(0))
+        idx = np.random.default_rng(0).integers(0, n, size=n)
+        assert np.array_equal(batch.observations, obs[idx])
+        assert np.array_equal(batch.expert_actions, act[idx])
+
+    def test_collected_record_count(self, monkeypatch):
         env = tiny_env(episode_len=30)
         motion = make_sine(0.2, 0.25, duration=4.0)
         expert = ExpertPolicy(motion)
         net = init_net(2, env.obs_dim, hidden=(8,), rng=np.random.default_rng(0))
-        buf = ReplayBuffer()
+        added = []
+        add = ReplayBuffer.add
+
+        def counted(buf, obs, a_expert):
+            added.append(len(obs))
+            add(buf, obs, a_expert)
+
+        monkeypatch.setattr(ReplayBuffer, "add", counted)
         cfg = DistillCfg(iterations=1, episodes_per_iter=2, gradient_steps=1,
                          batch_size=8, seed=0)
-        dagger_train(env, [expert], net, cfg, buffer=buf)
-        # quiet task, no early termination: exactly episodes * steps records
-        assert len(buf) == 2 * 30
+        dagger_train(env, [expert], net, cfg)
+        # quiet task, no early termination: exactly episodes * steps records,
+        # added once per episode
+        assert len(added) == 2 and sum(added) == 2 * 30
 
 
 class TestDaggerTrain:

@@ -1,7 +1,8 @@
 """Batched rollout engine: every row of a `rollout_batch` is the episode that
 `rollout_episode` gives for the same seed alone, every row group is the batch
-its triple gives alone, `evaluate_policy` is the per-clip loop, and the
-speculative ES is the sequential one."""
+its triple gives alone, `evaluate_policy` is the per-clip loop, the
+speculative ES is the sequential one, and DAgger on `rollout_batch` is the
+episode-by-episode loop with per-step labels."""
 
 from dataclasses import replace
 
@@ -11,14 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtrack import distill, metrics
-from flowtrack.distill import (ESCfg, _flatten, _unflatten, episode_return, es_refine,
-                               evaluate_policy, hash_seed, rollout_batch, rollout_episode)
-from flowtrack.env import ArmEnv
+from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer, _flatten, _unflatten,
+                               dagger_train, episode_return, es_refine, evaluate_policy,
+                               hash_seed, rollout_batch, rollout_episode)
+from flowtrack.env import ArmEnv, ExpertPolicy, expert_action
 from flowtrack.errors import ValidationError
-from flowtrack.flow import init_net
+from flowtrack.flow import (AdamState, SamplerCfg, adam_step, clone_net, euler_sample,
+                            fm_loss_and_grad, init_net)
 from flowtrack.motion import finite_difference, segment_clips
 
-from conftest import make_sine
+from conftest import NO_RANDOMIZATION, make_sine
 
 # A 0.9 Hz motion the untrained policy below tracks for a while: in base mode
 # some of its episodes run to time-out and the others terminate early, at
@@ -400,3 +403,129 @@ def test_ties_keep_the_earlier_best():
     assert len(history) == 2 and history[0] == history[1]
     for (W1, b1), (W2, b2) in zip(got.params, saturated.params):
         assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+
+
+# DAgger. Early termination off puts the thresholds out of reach.
+NO_TERMINATION = {"z_err_max": 1e9, "grav_err_max": 1e9}
+CLIPS = {"motion": MOTION, "hard": HARD, "short": SHORT}
+
+
+def serial_dagger(env, experts, net, cfg):
+    """`dagger_train` as the episode-by-episode loop it was, kept as its
+    oracle: reset, then per step an `expert_action` label of the current
+    state, an `euler_sample` action and an `env.step`, every draw from one
+    Generator. Also returns the (obs, label) rows it added, in order."""
+    net = clone_net(net)
+    rng = np.random.default_rng(cfg.seed)
+    buffer = ReplayBuffer()
+    opt_state = AdamState()
+    losses, rows = [], []
+    for it in range(cfg.iterations):
+        buffer.clear()
+        for _ in range(cfg.episodes_per_iter):
+            m = int(rng.integers(len(experts)))
+            obs = env.reset(experts[m].motion, rng, mode="base")
+            done = False
+            while not done:
+                a_exp = expert_action(experts[m], env)
+                buffer.add(obs, a_exp)
+                rows.append((obs, a_exp))
+                a = euler_sample(net, obs, cfg.sampler, rng)
+                obs, _, done, _ = env.step(a)
+        lr = cfg.learning_rate * cfg.lr_decay ** it
+        iter_losses = []
+        for _ in range(cfg.gradient_steps):
+            batch = buffer.sample_batch(cfg.batch_size, rng)
+            loss, grads = fm_loss_and_grad(net, batch, rng)
+            net.params, opt_state = adam_step(net.params, grads, opt_state, lr=lr)
+            iter_losses.append(loss)
+        losses.append(float(np.mean(iter_losses)))
+    return net, losses, rows
+
+
+def recorded_dagger(env, experts, net, cfg):
+    """`dagger_train`, plus the rows of each `ReplayBuffer.add` call."""
+    adds = []
+    add = ReplayBuffer.add
+
+    def recording(buf, obs, a_expert):
+        adds.append((obs, a_expert))
+        add(buf, obs, a_expert)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReplayBuffer, "add", recording)
+        out, losses = dagger_train(env, experts, net, cfg)
+    return out, losses, adds
+
+
+def assert_dagger_is_serial(env, experts, cfg):
+    """Losses `==`, params and every buffer row bit-equal to the oracle's;
+    returns the number of rows of each `add`."""
+    want, want_losses, want_rows = serial_dagger(env, experts, NET, cfg)
+    got, losses, adds = recorded_dagger(env, experts, NET, cfg)
+    assert losses == want_losses
+    for (W1, b1), (W2, b2) in zip(got.params, want.params):
+        assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+    assert np.array_equal(np.concatenate([o for o, _ in adds]), [o for o, _ in want_rows])
+    assert np.array_equal(np.concatenate([a for _, a in adds]), [a for _, a in want_rows])
+    return [len(o) for o, _ in adds]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), episodes=st.integers(1, 4),
+       experts=st.lists(st.tuples(st.sampled_from(sorted(CLIPS)), st.integers(0, 2)),
+                        min_size=1, max_size=3),
+       sampler_steps=st.integers(1, 5), early=st.booleans(), randomize=st.booleans())
+def test_dagger_is_the_serial_loop(seed, episodes, experts, sampler_steps, early, randomize):
+    env = ArmEnv({"episode_len": 40,
+                  **({} if early else {"thresholds": NO_TERMINATION}),
+                  **({} if randomize else {"randomization": NO_RANDOMIZATION})})
+    cfg = DistillCfg(iterations=2, episodes_per_iter=episodes, gradient_steps=3,
+                     batch_size=16, sampler=SamplerCfg(steps=sampler_steps), seed=seed)
+    experts = [ExpertPolicy(CLIPS[name], lookahead=lookahead) for name, lookahead in experts]
+    assert_dagger_is_serial(env, experts, cfg)
+
+
+def test_dagger_oracle_covers_early_ends_and_held_frames():
+    """A fixed case of the oracle above whose episodes end early and at
+    time-out, on a clip shorter than the episode."""
+    env = ArmEnv({"episode_len": 60})
+    experts = [ExpertPolicy(MOTION), ExpertPolicy(HARD, lookahead=2),
+               ExpertPolicy(SHORT, lookahead=0)]
+    cfg = DistillCfg(iterations=2, episodes_per_iter=4, gradient_steps=3, batch_size=16,
+                     seed=1)
+    sizes = assert_dagger_is_serial(env, experts, cfg)
+    assert len(sizes) == 8 and min(sizes) < SHORT.n_frames < max(sizes) == env.episode_len
+
+
+def per_step_labels(expert, env, clip, rng, mode):
+    """A single episode's labels, one `expert_action` call per step, the
+    episode driven by them."""
+    env.reset(clip, rng, mode=mode)
+    labels, done = [], False
+    while not done:
+        labels.append(expert_action(expert, env))
+        _, _, done, _ = env.step(labels[-1])
+    return np.array(labels)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), lookahead=st.integers(0, 2),
+       mode=st.sampled_from(["base", "aggressive"]), row=st.integers(0, 2))
+def test_episode_labels_are_the_per_step_labels(seed, lookahead, mode, row):
+    """The labels of a row of a batch of mixed clips (SHORT ends before the
+    episode does, so its rows hold the last frame), taken in one call after
+    the batch has run, are bit-equal to the per-step labels of that row's
+    episode run alone; each row has its own randomized friction."""
+    clips = [SHORT, MOTION, HARD]
+    experts = [ExpertPolicy(clip, lookahead=lookahead) for clip in clips]
+    want = per_step_labels(experts[row], ArmEnv({"episode_len": 60}), clips[row],
+                           np.random.default_rng(seed + row), mode)
+    env = ArmEnv({"episode_len": 60})
+    env.reset(clips, [np.random.default_rng(seed + i) for i in range(3)], mode=mode)
+    while env.running.size:
+        env.step_batch([expert_action(experts[i], env, row=i) for i in env.running])
+    got = expert_action(experts[row], env, np.arange(len(want)), row=row)
+    assert np.array_equal(got, want)
+    if row == 0:
+        assert len(want) > SHORT.n_frames
