@@ -143,6 +143,8 @@ def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0) -> P
     """
     if f_hz <= 0:
         raise ValidationError(f"f_hz must be positive, got {f_hz}")
+    if not zeta > 0:
+        raise ValidationError(f"zeta must be positive, got {zeta}")
     omega = 2.0 * np.pi * f_hz
     kp = params.armature_I * omega * omega
     # an extreme f_hz under- or overflows kp, or the action scale through it

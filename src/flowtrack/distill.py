@@ -19,7 +19,7 @@ from .env import ArmEnv, ExpertPolicy, expert_action
 from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, save_checkpoint
 from .flow import (AdamState, FMBatch, SamplerCfg, VelocityFieldNet, adam_step,
-                   check_layers, clone_net, euler_sample, fm_loss_and_grad,
+                   check_layers, check_widths, clone_net, euler_sample, fm_loss_and_grad,
                    mlp_forward, mlp_init, mlp_zeros)
 from .motion import MotionClip, finite_difference, segment_clips
 
@@ -147,6 +147,8 @@ class ResidualPolicy:
     params: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.hidden = tuple(self.hidden)
+        check_widths(self.hidden)
         if not self.bound >= 0:
             raise ValidationError(f"bound must be non-negative, got {self.bound}")
         if not self.params:
@@ -162,10 +164,11 @@ class ResidualPolicy:
         return [self.input_dim, *self.hidden, self.action_dim]
 
 
-def init_residual(env: ArmEnv, hidden=(32,), bound: float = 0.3, rng=None) -> ResidualPolicy:
-    """Residual with random hidden layers and a zero output layer."""
-    res = ResidualPolicy(env.proprio_dim, env.command_dim, env.n_joints,
-                         tuple(hidden), bound)
+def init_residual(env: ArmEnv, *, rng=None, **settings) -> ResidualPolicy:
+    """Residual with random hidden layers and a zero output layer (all zero
+    when rng is None); `settings` are `ResidualPolicy` fields (hidden, bound),
+    each defaulting to the dataclass's."""
+    res = ResidualPolicy(env.proprio_dim, env.command_dim, env.n_joints, **settings)
     if rng is not None:
         params = mlp_init(res.layer_sizes, rng)
         W_last, b_last = params[-1]
@@ -214,6 +217,14 @@ def _unflatten(vector: np.ndarray, template: list) -> list:
     return out
 
 
+# Caps on the ES sizes a config sets, which allocate: each generation draws
+# all `population` noise vectors up front, and each batch preallocates
+# (episode_len, rows, ...) logs for 2^ES_BLOCK - 1 groups of
+# `episodes_per_eval` rows.
+MAX_POPULATION = 1_000
+MAX_EPISODES_PER_EVAL = 1_000
+
+
 @dataclass(frozen=True)
 class ESCfg:
     """(1+lambda) evolution strategy over residual parameters."""
@@ -225,14 +236,16 @@ class ESCfg:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("generations", "population"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.generations < 0:
+            raise ValidationError(f"generations must be >= 0, got {self.generations}")
+        if not 0 <= self.population <= MAX_POPULATION:
+            raise ValidationError(
+                f"population must be in [0, {MAX_POPULATION}], got {self.population}")
         if self.sigma < 0:
             raise ValidationError(f"sigma must be non-negative, got {self.sigma}")
-        if self.episodes_per_eval < 1:
-            raise ValidationError(
-                f"episodes_per_eval must be positive, got {self.episodes_per_eval}")
+        if not 1 <= self.episodes_per_eval <= MAX_EPISODES_PER_EVAL:
+            raise ValidationError(f"episodes_per_eval must be in [1, {MAX_EPISODES_PER_EVAL}], "
+                                  f"got {self.episodes_per_eval}")
 
 
 def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = "base",

@@ -24,8 +24,7 @@ import numpy as np
 from . import actuation
 from .actuation import ActuatorParams, PowerPenaltyCfg
 from .errors import ConfigError, NumericalBlowupError, ValidationError
-from .fileio import (POSITIVE, at_least, check_ranges, config_section, join_key, merge_over,
-                     read_config, within)
+from .fileio import config_section, join_key, merge_over, read_config
 from .metrics import TerminationThresholds, check_termination
 from .motion import MotionClip, arm_forward_kinematics, finite_difference
 
@@ -40,7 +39,8 @@ except ImportError:
 
 CONTROL_DT = 0.02  # 50 Hz control rate
 # Longest episode a config may ask for: 200 s at 50 Hz. Rollouts preallocate
-# (episode_len, rows, ...) logs, so a huge value would fail at allocation.
+# (episode_len, rows, ...) logs, so a huge value would fail at allocation. It
+# caps an expert's lookahead too, whose frame index is an int64.
 MAX_EPISODE_LEN = 10_000
 # The same kind of ceiling on the observation history (the policy input is
 # 6 x history_len wide); `flow` caps the net sizes.
@@ -93,19 +93,6 @@ DEFAULT_ENV_CONFIG = {
 }
 
 
-# Range of each numeric env setting that no settings dataclass checks (see
-# `fileio.check_ranges`).
-ENV_RANGES = {
-    "links.*.mass": POSITIVE,
-    "links.*.length": POSITIVE,
-    "n_substeps": at_least(1),
-    "episode_len": within(1, MAX_EPISODE_LEN),
-    "history_len": within(0, MAX_HISTORY_LEN),
-    "envelope_scale": POSITIVE,
-    "pd.zeta": POSITIVE,
-}
-
-
 def load_env_config(path) -> dict:
     """Read an env config JSON file (the defaults when `path` is None) and
     merge it over the defaults."""
@@ -135,23 +122,38 @@ class ArmEnv:
 
     def __init__(self, config: dict | None = None, section: str = ""):
         cfg = merge_config(config)
-        check_ranges(cfg, ENV_RANGES, section)
         catalog = actuation.default_catalog()
         links = cfg["links"]
         if not links:
-            raise ConfigError("need at least one link")
+            raise ConfigError(f"{join_key(section, 'links')}: need at least one link")
+
+        def check(key: str, value, ok: bool, what: str) -> None:
+            if not ok:
+                raise ConfigError(f"{join_key(section, key)} must be {what}, got {value}")
+
+        for i, link in enumerate(links):
+            for k in ("mass", "length"):
+                check(f"links.{i}.{k}", link[k], link[k] > 0, "positive")
+        n_substeps, episode_len, history_len, scale = (
+            cfg[k] for k in ("n_substeps", "episode_len", "history_len", "envelope_scale"))
+        check("n_substeps", n_substeps, n_substeps >= 1, ">= 1")
+        check("episode_len", episode_len, 1 <= episode_len <= MAX_EPISODE_LEN,
+              f"in [1, {MAX_EPISODE_LEN}]")
+        check("history_len", history_len, 0 <= history_len <= MAX_HISTORY_LEN,
+              f"in [0, {MAX_HISTORY_LEN}]")
+        check("envelope_scale", scale, scale > 0, "positive")
         self.n_joints = len(links)
         self.masses = np.array([float(l["mass"]) for l in links])
         self.lengths = np.array([float(l["length"]) for l in links])
         self.gravity = float(cfg["gravity"])  # finite: merge_config checks every number
         self.dt = CONTROL_DT
-        self.n_substeps = int(cfg["n_substeps"])
-        self.episode_len = int(cfg["episode_len"])
-        self.history_len = int(cfg["history_len"])
+        self.n_substeps = int(n_substeps)
+        self.episode_len = int(episode_len)
+        self.history_len = int(history_len)
         names = cfg["actuators"]
         if len(names) != self.n_joints:
-            raise ConfigError(f"{self.n_joints} links but {len(names)} actuator names")
-        scale = float(cfg["envelope_scale"])
+            raise ConfigError(f"{join_key(section, 'actuators')}: {self.n_joints} links but "
+                              f"{len(names)} actuator names")
         nominal: list[ActuatorParams] = []
         for i, name in enumerate(names):
             if name not in catalog:
@@ -164,7 +166,7 @@ class ArmEnv:
         with config_section(join_key(section, "pd")):
             gains = [actuation.pd_gains(p, f_hz=float(pd["f_hz"]), zeta=float(pd["zeta"]))
                      for p in nominal]
-        self.actuators = [p.scaled(torque_scale=scale) for p in nominal]
+        self.actuators = [p.scaled(torque_scale=float(scale)) for p in nominal]
         self._joint_params = actuation.stack(self.actuators)
         self.kp = np.array([g.kp for g in gains])
         self.kd = np.array([g.kd for g in gains])
@@ -532,6 +534,13 @@ class ExpertPolicy:
     motion: MotionClip
     lookahead: int = 1
     action_limit: float = 4.0
+
+    def __post_init__(self):
+        if not 0 <= self.lookahead <= MAX_EPISODE_LEN:
+            raise ValidationError(
+                f"lookahead must be in [0, {MAX_EPISODE_LEN}], got {self.lookahead}")
+        if not self.action_limit > 0:
+            raise ValidationError(f"action_limit must be positive, got {self.action_limit}")
 
 
 def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The program's file boundary. Every JSON input is parsed by `read_json`;
 configs merge over their defaults, which double as their schema
-(`merge_over`, `check_like`), and range errors name the key
-(`check_ranges`, `config_section`); both checkpoint kinds share one codec
-(`save_checkpoint`, `load_checkpoint`); every writer uses `write_atomic`.
+(`merge_over`, `check_like`); each setting's range is checked by the object
+it configures, and `config_section` names the key of one that fails; both
+checkpoint kinds share one codec (`save_checkpoint`, `load_checkpoint`);
+every writer uses `write_atomic`.
 """
 
 from __future__ import annotations
@@ -85,56 +86,20 @@ def check_like(value, example, error_type, origin, key: str = ""):
     return value
 
 
-# Ranges for `check_ranges`: (description, test).
-POSITIVE = ("positive", lambda v: v > 0)
-
-
-def at_least(lo) -> tuple:
-    return f">= {lo}", lambda v: v >= lo
-
-
-def within(lo, hi) -> tuple:
-    return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
-
-
-def check_ranges(cfg: dict, ranges: dict, section: str = "") -> None:
-    """Raise a ConfigError naming the dotted key (below `section`) of the
-    first entry of `cfg` outside its range. `ranges` maps dotted keys, in
-    which `*` stands for every item of a list or object, to ranges such as
-    `POSITIVE`. Types are `check_like`'s business; this runs after it.
-    Settings whose dataclass checks its own range are left to
-    `config_section`."""
-    for pattern, (what, ok) in ranges.items():
-        for key, value in _entries(cfg, pattern.split("."), section):
-            if not ok(value):
-                raise ConfigError(f"{key} must be {what}, got {value}")
-
-
 @contextmanager
 def config_section(section: str, renamed: dict | None = None):
-    """Re-raise a ValidationError of the settings dataclasses built in the
-    block as a ConfigError naming the dotted key below `section`. Their
-    messages begin with the field name, which is the key unless `renamed`
-    maps it to another (`{"bound": "residual_bound"}`)."""
+    """Re-raise a ValidationError of the settings objects built in the block
+    as a ConfigError naming the dotted key below `section`. Their messages
+    begin with the field name, such as `bound` or `hidden.0`, which is the key
+    unless `renamed` maps its part before the first dot to another
+    (`{"hidden": "residual_hidden"}` gives `residual_hidden.0`)."""
     try:
         yield
     except ValidationError as exc:
         name, _, rest = str(exc).partition(" ")
-        key = join_key(section, (renamed or {}).get(name, name))
+        head, dot, tail = name.partition(".")
+        key = join_key(section, (renamed or {}).get(head, head) + dot + tail)
         raise ConfigError(f"{key} {rest}") from exc
-
-
-def _entries(node, parts: list, key: str):
-    if not parts:
-        yield key, node
-        return
-    head, *rest = parts
-    if head != "*":
-        items = [(head, node[head])]
-    else:
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-    for sub, child in items:
-        yield from _entries(child, rest, join_key(key, sub))
 
 
 def read_config(defaults: dict, path) -> dict:

@@ -20,10 +20,20 @@ from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, save_checkpoint
 
 # Caps on the net sizes a config sets, which allocate: hidden-layer widths of
-# the flow and residual nets, and the flow net's time embedding (its top
-# frequency, pi 4^(dim/2 - 1), already passes 2^53 at dim 56).
+# the flow and residual nets (see `check_widths`), the flow net's time
+# embedding (its top frequency, pi 4^(dim/2 - 1), already passes 2^53 at dim
+# 56), and the sampler's step count (each sample embeds every step's time).
 MAX_LAYER_WIDTH = 4_096
 MAX_TIME_EMBED_DIM = 64
+MAX_SAMPLER_STEPS = 10_000
+
+
+def check_widths(hidden) -> None:
+    """Raise a ValidationError naming `hidden.<i>` for a hidden-layer width
+    outside [1, MAX_LAYER_WIDTH]; a net calls it before allocating its layers."""
+    for i, width in enumerate(hidden):
+        if not 1 <= width <= MAX_LAYER_WIDTH:
+            raise ValidationError(f"hidden.{i} must be in [1, {MAX_LAYER_WIDTH}], got {width}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +119,8 @@ class VelocityFieldNet:
     params: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.hidden = tuple(self.hidden)
+        check_widths(self.hidden)
         if self.time_embed_dim % 2 != 0 or not 0 < self.time_embed_dim <= MAX_TIME_EMBED_DIM:
             raise ValidationError(f"time_embed_dim must be an even number in "
                                   f"[2, {MAX_TIME_EMBED_DIM}], got {self.time_embed_dim}")
@@ -128,10 +140,11 @@ class VelocityFieldNet:
         return [self.input_dim, *self.hidden, self.action_dim]
 
 
-def init_net(action_dim: int, obs_dim: int, hidden=(256, 256), time_embed_dim: int = 8,
-             alpha: float = 1.5, beta: float = 1.0, rng=None) -> VelocityFieldNet:
-    """Randomly initialized velocity field (zero-initialized when rng is None)."""
-    net = VelocityFieldNet(action_dim, obs_dim, tuple(hidden), time_embed_dim, alpha, beta)
+def init_net(action_dim: int, obs_dim: int, *, rng=None, **settings) -> VelocityFieldNet:
+    """Randomly initialized velocity field (zero-initialized when rng is None);
+    `settings` are `VelocityFieldNet` fields (hidden, time_embed_dim, alpha,
+    beta), each defaulting to the dataclass's."""
+    net = VelocityFieldNet(action_dim, obs_dim, **settings)
     if rng is not None:
         net.params = mlp_init(net.layer_sizes, rng)
     return net
@@ -206,8 +219,8 @@ class SamplerCfg:
     steps: int = 5
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_SAMPLER_STEPS:
+            raise ValidationError(f"steps must be in [1, {MAX_SAMPLER_STEPS}], got {self.steps}")
 
 
 def fm_loss(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray, eps: np.ndarray) -> float:

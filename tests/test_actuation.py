@@ -80,6 +80,10 @@ class TestPDGains:
         assert abs(g.kp - 14.25) < 0.01
         assert abs(g.kd - 0.9073) < 0.0001
 
+    def test_zero_damping_names_zeta(self):
+        with pytest.raises(ValidationError, match="^zeta must be positive"):
+            pd_gains(M5020, zeta=0)
+
     def test_action_scale(self):
         g = pd_gains(M7522)
         assert abs(g.action_scale - 0.25 * 111.0 / g.kp) < 1e-12

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from flowtrack import cli, distill, flow
+from flowtrack.distill import MAX_POPULATION
 from flowtrack.env import MAX_HISTORY_LEN, ArmEnv
-from flowtrack.flow import MAX_LAYER_WIDTH, MAX_TIME_EMBED_DIM
+from flowtrack.flow import MAX_LAYER_WIDTH, MAX_SAMPLER_STEPS, MAX_TIME_EMBED_DIM
 from flowtrack.motion import SynthMotionSpec, save_motion, synth_motion
 
 
@@ -123,6 +124,14 @@ class TestAnalyze:
                        str(tmp_path / "r.json")])
         assert rc == 0
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_h_air_exits_1(self, motions_dir, capsys, value):
+        # a NaN threshold scored every clip 0 airborne and exited 0
+        assert cli.main(["analyze", "--motions", str(motions_dir), f"--h-air={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --h-air must be finite, got {value}\n"
+        assert not captured.out
 
     def test_all_bad_files_exit_1(self, tmp_path, capsys):
         d = tmp_path / "allbad"
@@ -304,6 +313,10 @@ class TestTrain:
         f"env.history_len={MAX_HISTORY_LEN + 1}", "env.history_len=100000000",
         f"train.hidden=[8,{MAX_LAYER_WIDTH + 1}]",
         f"train.time_embed_dim={MAX_TIME_EMBED_DIM + 2}", "train.time_embed_dim=2000000000",
+        f"train.sampler.steps={MAX_SAMPLER_STEPS + 1}", "train.sampler.steps=1000000000000",
+        # too large for the int64 frame index ("Python int too large to convert to C long")
+        "train.expert.lookahead=100000000000000000000",
+        "train.expert.action_limit=0", "train.checkpoint_every=-1",
     ])
     def test_out_of_range_set_names_key(self, motions_dir, tmp_path, capsys, assignment):
         rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
@@ -416,6 +429,9 @@ class TestRefine:
         "es.sigma=-0.1", "es.episodes_per_eval=0", "es.population=-1",
         "es.residual_hidden=[0]", "es.residual_bound=-1",
         f"es.residual_hidden=[{MAX_LAYER_WIDTH + 1}]",
+        # uncapped, these failed at run time: 1e12 episodes at allocation
+        # (exit 2), and the population's noise vectors are all drawn up front
+        "es.episodes_per_eval=1000000000000", f"es.population={MAX_POPULATION + 1}",
     ])
     def test_out_of_range_set_names_key(self, motions_dir, tiny_policy_dir, tmp_path, capsys,
                                         assignment):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from flowtrack import distill, metrics
-from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer,
+from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer, ResidualPolicy,
                                closed_loop_joint_error, dagger_train, es_refine,
                                evaluate_policy, init_residual, residual_compose,
                                rollout_episode)
 from flowtrack.env import ArmEnv, ExpertPolicy
 from flowtrack.errors import CheckpointError, DimensionError, ValidationError
-from flowtrack.flow import init_net
+from flowtrack.flow import MAX_LAYER_WIDTH, init_net
 
 from conftest import make_sine
 
@@ -147,6 +147,10 @@ class TestResidual:
     def test_compose_dim_mismatch(self):
         with pytest.raises(DimensionError):
             residual_compose(np.zeros(2), np.zeros(3), 0.3)
+
+    def test_width_out_of_range_names_layer(self):
+        with pytest.raises(ValidationError, match=r"^hidden\.0 must be in "):
+            ResidualPolicy(6, 6, 2, hidden=(MAX_LAYER_WIDTH + 1,))
 
     def test_fresh_residual_outputs_zero(self):
         env = tiny_env()

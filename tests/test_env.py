@@ -60,7 +60,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("history_len", -1), ("episode_len", 0), ("gravity", float("nan")),
         ("gravity", float("inf")), ("envelope_scale", float("nan")),
-        ("envelope_scale", 0.0),
+        ("envelope_scale", 0.0), ("links", []), ("actuators", ["5020-16"]),
     ])
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -408,6 +408,14 @@ class TestExpert:
         a = expert_action(expert, env)
         q_tar = env.q0_eff + env.action_scale * a
         assert np.allclose(q_tar, clip.q[0], atol=1e-12)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lookahead", -1), ("lookahead", MAX_EPISODE_LEN + 1),
+        ("action_limit", 0.0), ("action_limit", -1.0),
+    ])
+    def test_out_of_range_setting_names_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be "):
+            ExpertPolicy(make_sine(0.3, 0.4, duration=1.0), **{field: value})
 
     def test_wrong_motion_rejected(self):
         env = quiet_env()

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from flowtrack import flow
 from flowtrack.errors import CheckpointError, DimensionError, ValidationError
-from flowtrack.flow import (AdamState, FMBatch, SamplerCfg, adam_step,
-                            euler_sample, fm_loss, fm_loss_and_grad,
-                            fm_loss_and_grad_at, forward, init_net, load_policy,
-                            save_policy)
+from flowtrack.flow import (MAX_LAYER_WIDTH, AdamState, FMBatch, SamplerCfg,
+                            VelocityFieldNet, adam_step, euler_sample, fm_loss,
+                            fm_loss_and_grad, fm_loss_and_grad_at, forward, init_net,
+                            load_policy, save_policy)
 
 
 def identity_on_action_net(action_dim=2, obs_dim=3):
@@ -45,6 +45,11 @@ class TestForward:
         o1 = forward(net, a, 0.3, obs)
         o2 = forward(net, a, 0.3, obs)
         assert np.array_equal(o1, o2)
+
+    @pytest.mark.parametrize("hidden", [(0,), (8, MAX_LAYER_WIDTH + 1)])
+    def test_width_out_of_range_names_layer(self, hidden):
+        with pytest.raises(ValidationError, match=rf"^hidden\.{len(hidden) - 1} must be in "):
+            VelocityFieldNet(2, 5, hidden=hidden)
 
     def test_dim_mismatch(self):
         net = init_net(2, 3)

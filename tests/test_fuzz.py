@@ -166,7 +166,8 @@ def assignments(draw):
     if draw(st.booleans()):
         value = draw(st.sampled_from(SET_ENTRIES))[1]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = draw(st.sampled_from([value, -value, 0, value + 1, 2 * value, 0.5, -1]))
+        # 10**12 is a size no set-up may try to allocate or overflow on
+        value = draw(st.sampled_from([value, -value, 0, value + 1, 2 * value, 0.5, -1, 10**12]))
     value = draw(st.sampled_from([value, value, [value], {"mass": value}, None, True, "x"]))
     raw = json.dumps(value) if draw(st.booleans()) or value != "x" else "x"
     return key, raw
