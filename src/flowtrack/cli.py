@@ -291,8 +291,9 @@ def cmd_eval(args) -> int:
     env, motions = _build_env_and_motions(args, tree)
     net = _load_base_policy(args.policy, env)
     residual = distill.load_residual(args.residual) if args.residual else None
-    results = distill.evaluate_policy(net, env, motions, residual=residual,
-                                      n_rollouts=args.rollouts, seed=args.seed)
+    with config_section("", {"n_rollouts": "--rollouts"}):
+        results = distill.evaluate_policy(net, env, motions, residual=residual,
+                                          n_rollouts=args.rollouts, seed=args.seed)
     def row(m: metrics.TrackingMetrics) -> dict:
         return {k: v if k == "n_episodes" else _round6(v) for k, v in vars(m).items()}
 

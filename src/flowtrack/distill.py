@@ -10,6 +10,7 @@ and fits the flow-matching objective on the freshly collected buffer.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,6 +66,11 @@ class ReplayBuffer:
         return FMBatch(self._obs[idx], self._act[idx])
 
 
+# Most episodes a DAgger iteration runs. They run as one batch, which
+# preallocates (episode_len, episodes, ...) logs and a Generator copy each.
+MAX_EPISODES_PER_ITER = 1_000
+
+
 @dataclass(frozen=True)
 class DistillCfg:
     iterations: int = 12
@@ -79,7 +85,10 @@ class DistillCfg:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
-        for name in ("episodes_per_iter", "gradient_steps", "batch_size"):
+        if not 1 <= self.episodes_per_iter <= MAX_EPISODES_PER_ITER:
+            raise ValidationError(f"episodes_per_iter must be in [1, {MAX_EPISODES_PER_ITER}], "
+                                  f"got {self.episodes_per_iter}")
+        for name in ("gradient_steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.learning_rate <= 0:
@@ -95,24 +104,50 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet
     Each iteration: clear the buffer, roll out the current student on the
     motions of sampled experts, label the visited states with that expert,
     then run `gradient_steps` flow-matching updates on buffer minibatches.
-    Each episode is a one-row `rollout_batch` seeded with the run's one
-    Generator, so the draws keep the order of an episode-by-episode loop, and
-    one `expert_action` call labels all its steps. `on_iteration(index, net,
-    mean_loss)`, when given, is called after every iteration (checkpointing).
+    `on_iteration(index, net, mean_loss)`, when given, is called after every
+    iteration (checkpointing).
+
+    The algorithm is the episode-by-episode loop on the run's one Generator:
+    each episode draws its expert, then its reset and per-step noise, from
+    where the previous episode left the stream. An iteration's episodes run
+    as one `rollout_batch` of one-row groups, each on a copy of the stream
+    advanced past the draws of the episodes before it, taken as full length
+    (`ArmEnv.skip_episode`). A row that ends early, unless last, leaves the
+    later rows on the wrong streams: the rows up to it are kept and the later
+    episodes run again as a new batch from its stream, which stands where the
+    loop's would. One row's products in a batch are bit-equal to its episode
+    alone, so the result is the loop's, bit for bit, in 1 + (episodes ending
+    early before the last) batches per iteration. Each kept episode is
+    labelled by one `expert_action` call and added to the buffer in episode
+    order; the gradient steps draw from the last episode's stream.
     """
     net = clone_net(net)
     rng = np.random.default_rng(cfg.seed)
     buffer = ReplayBuffer()
     opt_state = AdamState()
     losses: list[float] = []
+    T, K = env.episode_len, cfg.episodes_per_iter
     for it in range(cfg.iterations):
         buffer.clear()
-        for _ in range(cfg.episodes_per_iter):
-            expert = experts[int(rng.integers(len(experts)))]
-            log = rollout_batch(env, net, [(expert.motion, [rng], None)], sampler=cfg.sampler,
-                                keep_obs=True)
-            steps = int(log["steps"][0])
-            buffer.add(log["obs"][:steps, 0], expert_action(expert, env, np.arange(steps)))
+        start = 0  # the first episode of the iteration not yet kept
+        while start < K:
+            stream = copy.deepcopy(rng)
+            rows = []  # (expert, Generator) of episodes start..K-1
+            for e in range(start, K):
+                expert = experts[int(stream.integers(len(experts)))]
+                rows.append((expert, copy.deepcopy(stream)))
+                if e < K - 1:
+                    env.skip_episode(stream, net.action_dim)
+            log = rollout_batch(env, net, [(expert.motion, [row_rng], None)
+                                           for expert, row_rng in rows],
+                                sampler=cfg.sampler, keep_obs=True)
+            steps = log["steps"].tolist()
+            kept = next((i + 1 for i, n in enumerate(steps[:-1]) if n < T), len(rows))
+            for i, (expert, _) in enumerate(rows[:kept]):  # labelled before a rerun resets env
+                buffer.add(log["obs"][:steps[i], i],
+                           expert_action(expert, env, np.arange(steps[i]), i))
+            rng = rows[kept - 1][1]
+            start += kept
         lr = cfg.learning_rate * cfg.lr_decay ** it
         iter_losses = []
         for _ in range(cfg.gradient_steps):
@@ -445,6 +480,10 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
 # alone. A clip's rows are never split: its group would then be another row
 # count, whose products round differently.
 EVAL_MAX_ROWS = 256
+# Most episodes `evaluate_policy` runs per clip. Those rows run as one batch
+# above EVAL_MAX_ROWS, so this caps the batch's logs (about 56 MB at 500
+# steps).
+MAX_ROLLOUTS = 1_000
 
 
 def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
@@ -460,8 +499,8 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
     episodes, then across a motion's clips (never pooled over frames of
     unequal episodes).
     """
-    if n_rollouts < 1:
-        raise ValidationError(f"n_rollouts must be >= 1, got {n_rollouts}")
+    if not 1 <= n_rollouts <= MAX_ROLLOUTS:
+        raise ValidationError(f"n_rollouts must be in [1, {MAX_ROLLOUTS}], got {n_rollouts}")
     clips = [(name, ci, clip) for name, motion in motions.items()
              for ci, clip in enumerate(segment_clips(motion, 10.0))]
     clip_metrics = {name: [] for name in motions}

@@ -45,6 +45,9 @@ MAX_EPISODE_LEN = 10_000
 # The same kind of ceiling on the observation history (the policy input is
 # 6 x history_len wide); `flow` caps the net sizes.
 MAX_HISTORY_LEN = 1_000
+# Most integration substeps per control step: each is a pass of Python-level
+# dynamics, so a huge value would run for hours, not fail.
+MAX_SUBSTEPS = 1_000
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,8 @@ class ArmEnv:
                 check(f"links.{i}.{k}", link[k], link[k] > 0, "positive")
         n_substeps, episode_len, history_len, scale = (
             cfg[k] for k in ("n_substeps", "episode_len", "history_len", "envelope_scale"))
-        check("n_substeps", n_substeps, n_substeps >= 1, ">= 1")
+        check("n_substeps", n_substeps, 1 <= n_substeps <= MAX_SUBSTEPS,
+              f"in [1, {MAX_SUBSTEPS}]")
         check("episode_len", episode_len, 1 <= episode_len <= MAX_EPISODE_LEN,
               f"in [1, {MAX_EPISODE_LEN}]")
         check("history_len", history_len, 0 <= history_len <= MAX_HISTORY_LEN,
@@ -237,16 +241,11 @@ class ArmEnv:
         self._ref_qdot = _padded(qdot)
         self._ref_qacc = _padded([finite_difference(v, self.dt) for v in qdot])
         self._ref_body = _padded([c.body_pos for c in clips])
-        self._batch, self._rngs, self._mode = batch, rngs, mode
         rand = self.randomization
         if mode == "aggressive":
             rand = rand.scaled(rand.aggressive_factor)
-        self._rand = rand
-        # per-episode physical randomization, drawn episode by episode
-        draws = [(r.uniform(-rand.mass_scale, rand.mass_scale, J),
-                  r.uniform(-rand.friction_scale, rand.friction_scale),
-                  r.uniform(-rand.q0_offset, rand.q0_offset, J),
-                  r.uniform(-rand.pose_noise, rand.pose_noise, J)) for r in self._rngs]
+        self._batch, self._rngs, self._mode, self._rand = batch, rngs, mode, rand
+        draws = [_episode_draws(r, rand, J) for r in self._rngs]
         mass, friction, q0_offset, pose_noise = (np.array(d) for d in zip(*draws))
         self._masses_ep = self.masses * (1.0 + mass)
         self._actuators_ep = self._joint_params.scaled(friction_scale=(1.0 + friction)[:, None])
@@ -265,6 +264,20 @@ class ArmEnv:
         p0 = self._proprio(slice(None))
         self._hist = np.repeat(p0[:, None, :], self.history_len, axis=1)
         return self._unbatch(self._observe(slice(None)))
+
+    def skip_episode(self, rng: np.random.Generator, noise_dim: int) -> None:
+        """Advance `rng` past every draw of a full-length base-mode episode
+        that uses it as its one stream, as a `rollout_batch` episode seeded
+        with a Generator does: reset's randomization, then per control step
+        the policy's `noise_dim` starting normals (`flow.euler_sample`) and
+        the step's disturbance. It makes the episode's calls rather than
+        counting doubles, because `standard_normal` takes a variable number
+        of words. The env's own episode is untouched."""
+        rand, J = self.randomization, self.n_joints
+        _episode_draws(rng, rand, J)
+        for _ in range(self.episode_len):
+            rng.standard_normal(noise_dim)
+            _disturbances([rng], [0], rand, J)
 
     def check_motion(self, motion: MotionClip, where: str = "") -> None:
         """Raise unless `motion` fits the arm and control rate; `where` prefixes the message."""
@@ -438,8 +451,7 @@ class ArmEnv:
                 self._proprio(rows)[:, None], self._hist[rows, :-1],
             ], axis=1)
 
-        bound = self._rand.disturbance
-        disturbance = np.array([self._rngs[i].uniform(-bound, bound, J) for i in self._running])
+        disturbance = _disturbances(self._rngs, self._running, self._rand, J)
         params = self._actuators(rows)
         # a copy: the write-back below would change a view of the state
         q, qdot_pre = self._q[rows], self._qdot[rows].copy()
@@ -503,6 +515,23 @@ class ArmEnv:
             "relaxed": np.full(n, relaxed),
         }
         return obs, reward, done, info
+
+
+def _episode_draws(rng, rand: RandomizationCfg, J: int):
+    """An episode's physical randomization, drawn from its stream at reset in
+    this order: link-mass scales, friction scale, PD default offsets and
+    initial pose noise."""
+    return (rng.uniform(-rand.mass_scale, rand.mass_scale, J),
+            rng.uniform(-rand.friction_scale, rand.friction_scale),
+            rng.uniform(-rand.q0_offset, rand.q0_offset, J),
+            rng.uniform(-rand.pose_noise, rand.pose_noise, J))
+
+
+def _disturbances(rngs, rows, rand: RandomizationCfg, J: int) -> np.ndarray:
+    """A control step's (len(rows), J) external joint torques, one row drawn
+    from the stream `rngs[i]` of each episode i in `rows`."""
+    bound = rand.disturbance
+    return np.array([rngs[i].uniform(-bound, bound, J) for i in rows])
 
 
 def _padded(arrays) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flowtrack import cli, distill, flow
-from flowtrack.distill import MAX_POPULATION
+from flowtrack.distill import MAX_EPISODES_PER_ITER, MAX_POPULATION
 from flowtrack.env import MAX_HISTORY_LEN, ArmEnv
 from flowtrack.flow import MAX_LAYER_WIDTH, MAX_SAMPLER_STEPS, MAX_TIME_EMBED_DIM
 from flowtrack.motion import SynthMotionSpec, save_motion, synth_motion
@@ -317,6 +317,9 @@ class TestTrain:
         # too large for the int64 frame index ("Python int too large to convert to C long")
         "train.expert.lookahead=100000000000000000000",
         "train.expert.action_limit=0", "train.checkpoint_every=-1",
+        # an iteration's episodes run as one batch, its logs preallocated
+        f"train.episodes_per_iter={MAX_EPISODES_PER_ITER + 1}",
+        "train.episodes_per_iter=1000000000000",
     ])
     def test_out_of_range_set_names_key(self, motions_dir, tmp_path, capsys, assignment):
         rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
@@ -375,6 +378,21 @@ class TestEval:
                        "--set", "env.episode_len=1000000000000"])
         assert rc == 1
         assert "env.episode_len must be in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, key", [
+        # uncapped, each control step looped n_substeps times, and a clip's
+        # seed list was built whole before its batch: both ran without end
+        (["--set", "env.n_substeps=1000000000000"], "env.n_substeps"),
+        (["--rollouts", "1000000000000"], "--rollouts"),
+        (["--rollouts", str(distill.MAX_ROLLOUTS + 1)], "--rollouts"),
+        (["--rollouts", "0"], "--rollouts"),
+    ])
+    def test_out_of_range_exits_1(self, motions_dir, tiny_policy_dir, capsys, args, key):
+        rc = cli.main(["--quiet", "eval", "--policy", str(tiny_policy_dir / "policy.json"),
+                       "--motions", str(motions_dir / "a_slow.json"),
+                       "--set", "env.episode_len=20", *args])
+        assert rc == 1
+        assert f"{key} must be in" in capsys.readouterr().err
 
     def test_runtime_failure_exits_2(self, motions_dir, tiny_policy_dir, monkeypatch):
         def boom(*a, **k):

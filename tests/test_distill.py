@@ -291,6 +291,7 @@ class TestEvaluatePolicy:
         ({}, 10, None),  # nothing to evaluate: no rollout, no metrics
         ({}, 0, ValidationError),
         ({"m": make_sine(0.2, 0.25, duration=4.0)}, 0, ValidationError),
+        ({"m": make_sine(0.2, 0.25, duration=4.0)}, distill.MAX_ROLLOUTS + 1, ValidationError),
     ])
     def test_input_checked_before_any_rollout(self, monkeypatch, motions, n_rollouts, error):
         def no_rollout(*args, **kwargs):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtrack import actuation
-from flowtrack.env import (MAX_EPISODE_LEN, MAX_HISTORY_LEN, ArmEnv, ExpertPolicy,
-                           RandomizationCfg, _solve, expert_action, load_env_config,
-                           merge_config)
+from flowtrack.env import (MAX_EPISODE_LEN, MAX_HISTORY_LEN, MAX_SUBSTEPS, ArmEnv,
+                           ExpertPolicy, RandomizationCfg, _solve, expert_action,
+                           load_env_config, merge_config)
 from flowtrack.errors import ConfigError, NumericalBlowupError, ValidationError
 from flowtrack.metrics import check_termination
 from flowtrack.motion import SynthMotionSpec, synth_motion
@@ -79,6 +79,7 @@ class TestConfig:
         ({"episode_len": MAX_EPISODE_LEN + 1}, "episode_len"),
         ({"history_len": MAX_HISTORY_LEN + 1}, "history_len"),
         ({"pd": {"f_hz": 1e-200}}, "pd.f_hz"),  # kp underflows to 0
+        ({"n_substeps": MAX_SUBSTEPS + 1}, "n_substeps"),
     ])
     def test_range_error_names_dotted_key(self, config, key):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):

@@ -1,7 +1,7 @@
 """Batched rollout engine: every row of a `rollout_batch` is the episode that
 `rollout_episode` gives for the same seed alone, every row group is the batch
 its triple gives alone, `evaluate_policy` is the per-clip loop, the
-speculative ES is the sequential one, and DAgger on `rollout_batch` is the
+speculative ES is the sequential one, and the speculative DAgger is the
 episode-by-episode loop with per-step labels."""
 
 from dataclasses import replace
@@ -444,31 +444,50 @@ def serial_dagger(env, experts, net, cfg):
 
 
 def recorded_dagger(env, experts, net, cfg):
-    """`dagger_train`, plus the rows of each `ReplayBuffer.add` call."""
-    adds = []
+    """`dagger_train`, plus the rows of each `ReplayBuffer.add` call and the
+    number of row groups of each `rollout_batch` call."""
+    adds, calls = [], []
     add = ReplayBuffer.add
 
     def recording(buf, obs, a_expert):
         adds.append((obs, a_expert))
         add(buf, obs, a_expert)
 
+    def counted(env_, net_, groups, **kwargs):
+        calls.append(len(groups))
+        return rollout_batch(env_, net_, groups, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ReplayBuffer, "add", recording)
+        mp.setattr(distill, "rollout_batch", counted)
         out, losses = dagger_train(env, experts, net, cfg)
-    return out, losses, adds
+    return out, losses, adds, calls
+
+
+def dagger_batches(sizes, K, T):
+    """Row groups of each `rollout_batch` call `dagger_train` makes, given the
+    lengths of its episodes: per iteration, one batch of its K episodes, and
+    a rerun of the episodes after each one that ends early, unless it is the
+    iteration's last."""
+    return [n for i in range(0, len(sizes), K)
+            for n in [K, *[K - 1 - e for e, steps in enumerate(sizes[i:i + K - 1])
+                           if steps < T]]]
 
 
 def assert_dagger_is_serial(env, experts, cfg):
-    """Losses `==`, params and every buffer row bit-equal to the oracle's;
-    returns the number of rows of each `add`."""
+    """Losses `==`, params and every buffer row bit-equal to the oracle's, and
+    the batches `dagger_batches` gives; returns the number of rows of each
+    `add`."""
     want, want_losses, want_rows = serial_dagger(env, experts, NET, cfg)
-    got, losses, adds = recorded_dagger(env, experts, NET, cfg)
+    got, losses, adds, calls = recorded_dagger(env, experts, NET, cfg)
     assert losses == want_losses
     for (W1, b1), (W2, b2) in zip(got.params, want.params):
         assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
     assert np.array_equal(np.concatenate([o for o, _ in adds]), [o for o, _ in want_rows])
     assert np.array_equal(np.concatenate([a for _, a in adds]), [a for _, a in want_rows])
-    return [len(o) for o, _ in adds]
+    sizes = [len(o) for o, _ in adds]
+    assert calls == dagger_batches(sizes, cfg.episodes_per_iter, env.episode_len)
+    return sizes
 
 
 @settings(max_examples=10, deadline=None)
@@ -496,6 +515,61 @@ def test_dagger_oracle_covers_early_ends_and_held_frames():
                      seed=1)
     sizes = assert_dagger_is_serial(env, experts, cfg)
     assert len(sizes) == 8 and min(sizes) < SHORT.n_frames < max(sizes) == env.episode_len
+
+
+def test_dagger_reruns_after_each_early_end():
+    """Episodes 0 and 1 of an iteration both end early: the first batch keeps
+    row 0, its rerun keeps row 1 (taken from row 0's stream), and the second
+    rerun keeps the rest, including a last episode that ends early."""
+    env = ArmEnv({"episode_len": 60})
+    cfg = DistillCfg(iterations=1, episodes_per_iter=4, gradient_steps=3, batch_size=16,
+                     seed=31)
+    sizes = assert_dagger_is_serial(env, [ExpertPolicy(MOTION), ExpertPolicy(HARD)], cfg)
+    assert sizes == [11, 10, 60, 10]
+    assert dagger_batches(sizes, 4, 60) == [4, 3, 2]
+
+
+def test_dagger_episode_ending_at_step_1():
+    """Wide initial pose noise ends episodes 2 and 3 at their first step: the
+    first heads a rerun and ends it early, the second is the iteration's last."""
+    env = ArmEnv({"episode_len": 40, "randomization": {"pose_noise": 1.0}})
+    cfg = DistillCfg(iterations=1, episodes_per_iter=4, gradient_steps=3, batch_size=16,
+                     seed=3)
+    sizes = assert_dagger_is_serial(env, [ExpertPolicy(MOTION), ExpertPolicy(SHORT)], cfg)
+    assert sizes == [40, 19, 1, 1]
+    assert dagger_batches(sizes, 4, 40) == [4, 2, 1]
+
+
+def test_dagger_one_episode_per_iteration():
+    """With one episode an iteration is one batch, whether it ends early or not."""
+    env = ArmEnv({"episode_len": 60})
+    cfg = DistillCfg(iterations=4, episodes_per_iter=1, gradient_steps=3, batch_size=16,
+                     seed=1)
+    sizes = assert_dagger_is_serial(env, [ExpertPolicy(MOTION), ExpertPolicy(HARD)], cfg)
+    assert min(sizes) < 60 == max(sizes)
+    assert dagger_batches(sizes, 1, 60) == [1, 1, 1, 1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(ranges=st.fixed_dictionaries({
+           "pose_noise": st.floats(0.0, 0.5), "disturbance": st.floats(0.0, 2.0),
+           "mass_scale": st.floats(0.0, 0.5), "friction_scale": st.floats(0.0, 0.5),
+           "q0_offset": st.floats(0.0, 0.5)}),
+       sampler_steps=st.integers(1, 5), n_experts=st.integers(1, 4),
+       episode_len=st.integers(1, 40), seed=st.integers(0, 2 ** 16))
+def test_skip_episode_is_a_full_episode(ranges, sampler_steps, n_experts, episode_len, seed):
+    """`ArmEnv.skip_episode` leaves a Generator where DAgger's expert draw and a
+    full-length one-row episode on it do, so a draw added to either path
+    without the other fails here."""
+    env = ArmEnv({"episode_len": episode_len, "thresholds": NO_TERMINATION,
+                  "randomization": ranges})
+    ran, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
+    ran.integers(n_experts)
+    log = rollout_batch(env, NET, [(MOTION, [ran], None)], sampler=SamplerCfg(steps=sampler_steps))
+    assert log["steps"][0] == episode_len
+    skipped.integers(n_experts)
+    env.skip_episode(skipped, NET.action_dim)
+    assert skipped.bit_generator.state == ran.bit_generator.state
 
 
 def per_step_labels(expert, env, clip, rng, mode):
