@@ -127,9 +127,8 @@ def load_catalog(path) -> dict[str, ActuatorParams]:
     example = dict.fromkeys(_PARAM_FIELDS, 0.0)
     out = {}
     for name, fields in doc.items():
-        check_like(fields, example, SchemaError, path, name)
         try:
-            out[name] = ActuatorParams(**{k: float(fields[k]) for k in _PARAM_FIELDS})
+            out[name] = ActuatorParams(**check_like(fields, example, SchemaError, path, name))
         except ValidationError as exc:
             raise ValidationError(f"{path}: actuator '{name}': {exc}") from exc
     return out

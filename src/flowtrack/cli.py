@@ -82,6 +82,8 @@ def _apply_sets(tree: dict, assignments: list[str]) -> None:
             node[slot] = check_like(value, node[slot], ConfigError, "--set", key)
 
 
+MAX_SWEEP = 1_000_000  # most points of an `actuator --sweep`, one CSV row each
+
 DEFAULT_TRAIN_CFG = {
     "iterations": 12,
     "episodes_per_iter": 3,
@@ -154,6 +156,8 @@ def _write_run(out: str, csv_name: str, header: str, values, snapshot: dict) -> 
 def cmd_actuator(args) -> int:
     if args.sweep < 0:
         raise ConfigError(f"--sweep must be >= 0, got {args.sweep}")
+    if args.sweep > MAX_SWEEP:
+        raise ConfigError(f"--sweep must be <= {MAX_SWEEP}, got {args.sweep}")
     for flag in ("v", "tau"):
         if not np.isfinite(getattr(args, flag)):
             raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
@@ -238,26 +242,16 @@ def _train_setup(cfg: dict, env: ArmEnv, clips: list, seed: int):
                                   for k in cfg[sub]}):
         if cfg["checkpoint_every"] < 0:
             raise ValidationError(f"checkpoint_every must be >= 0, got {cfg['checkpoint_every']}")
-        experts = [ExpertPolicy(c, lookahead=int(cfg["expert"]["lookahead"]),
-                                action_limit=float(cfg["expert"]["action_limit"]))
-                   for c in clips]
-        sampler = flow.SamplerCfg(steps=int(cfg["sampler"]["steps"]))
-        net = flow.init_net(env.n_joints, env.obs_dim,
-                            hidden=tuple(int(h) for h in cfg["hidden"]),
-                            time_embed_dim=int(cfg["time_embed_dim"]),
-                            alpha=float(cfg["sampler"]["alpha"]),
-                            beta=float(cfg["sampler"]["beta"]),
-                            rng=np.random.default_rng(seed))
+        experts = [ExpertPolicy(c, **cfg["expert"]) for c in clips]
+        sampler = cfg["sampler"]
+        net = flow.init_net(env.n_joints, env.obs_dim, hidden=cfg["hidden"],
+                            time_embed_dim=cfg["time_embed_dim"], alpha=sampler["alpha"],
+                            beta=sampler["beta"], rng=np.random.default_rng(seed))
         dcfg = distill.DistillCfg(
-            iterations=int(cfg["iterations"]),
-            episodes_per_iter=int(cfg["episodes_per_iter"]),
-            gradient_steps=int(cfg["gradient_steps"]),
-            batch_size=int(cfg["batch_size"]),
-            learning_rate=float(cfg["learning_rate"]),
-            lr_decay=float(cfg["lr_decay"]),
-            sampler=sampler,
-            seed=seed,
-        )
+            iterations=cfg["iterations"], episodes_per_iter=cfg["episodes_per_iter"],
+            gradient_steps=cfg["gradient_steps"], batch_size=cfg["batch_size"],
+            learning_rate=cfg["learning_rate"], lr_decay=cfg["lr_decay"],
+            sampler=flow.SamplerCfg(steps=sampler["steps"]), seed=seed)
     return experts, net, dcfg
 
 
@@ -271,7 +265,7 @@ def cmd_train(args) -> int:
     with _naming_file(args.cfg, "train", args.set):
         experts, net, dcfg = _train_setup(cfg, env, clips, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    every = int(cfg["checkpoint_every"])
+    every = cfg["checkpoint_every"]
     on_iteration = None
     if every > 0:
         def on_iteration(it, snap, _loss):
@@ -311,17 +305,12 @@ def cmd_eval(args) -> int:
 def _es_setup(cfg: dict, env: ArmEnv, seed: int):
     """Start residual and ES settings of an `es` config section."""
     with config_section("es", {"bound": "residual_bound", "hidden": "residual_hidden"}):
-        residual = distill.init_residual(env,
-                                         hidden=tuple(int(h) for h in cfg["residual_hidden"]),
-                                         bound=float(cfg["residual_bound"]),
+        residual = distill.init_residual(env, hidden=cfg["residual_hidden"],
+                                         bound=cfg["residual_bound"],
                                          rng=np.random.default_rng(seed))
-        escfg = distill.ESCfg(
-            generations=int(cfg["generations"]),
-            population=int(cfg["population"]),
-            sigma=float(cfg["sigma"]),
-            episodes_per_eval=int(cfg["episodes_per_eval"]),
-            seed=seed,
-        )
+        escfg = distill.ESCfg(generations=cfg["generations"], population=cfg["population"],
+                              sigma=cfg["sigma"], episodes_per_eval=cfg["episodes_per_eval"],
+                              seed=seed)
     return residual, escfg
 
 

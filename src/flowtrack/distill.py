@@ -570,11 +570,8 @@ def save_residual(res: ResidualPolicy, path) -> None:
         res.params)
 
 
-def _build_residual(doc: dict, params: list) -> ResidualPolicy:
-    return ResidualPolicy(
-        proprio_dim=int(doc["proprio_dim"]), command_dim=int(doc["command_dim"]),
-        action_dim=int(doc["action_dim"]), hidden=tuple(int(h) for h in doc["hidden"]),
-        bound=float(doc["bound"]), params=params)
+def _build_residual(header: dict, params: list) -> ResidualPolicy:
+    return ResidualPolicy(**header, params=params)
 
 
 def load_residual(path) -> ResidualPolicy:

@@ -70,10 +70,19 @@ class RandomizationCfg:
                 raise ValidationError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.aggressive_factor < 1.0:
             raise ValidationError(f"aggressive_factor must be >= 1, got {self.aggressive_factor}")
+        factor = self.aggressive_factor  # masses scale by 1 + U(-s, s), s = mass_scale * factor
+        if not self.mass_scale * factor < 1.0:  # so a mass stays positive
+            raise ValidationError(f"mass_scale must be in [0, 1 / aggressive_factor), got "
+                                  f"{self.mass_scale} with aggressive_factor={factor}")
+        if not self.friction_scale * factor <= 1.0:  # and friction non-negative
+            raise ValidationError(f"friction_scale must be in [0, 1 / aggressive_factor], got "
+                                  f"{self.friction_scale} with aggressive_factor={factor}")
 
     def scaled(self, factor: float) -> "RandomizationCfg":
-        """Copy with every range multiplied by `factor`."""
-        return replace(self, **{name: getattr(self, name) * factor for name in _RANGE_FIELDS})
+        """Copy with every range multiplied by `factor` and an aggressive factor
+        of 1: the copy's ranges are the ones it randomizes with."""
+        return replace(self, aggressive_factor=1.0,
+                       **{name: getattr(self, name) * factor for name in _RANGE_FIELDS})
 
 
 # the fields of RandomizationCfg that are ranges: all but the factor
@@ -137,23 +146,20 @@ class ArmEnv:
         for i, link in enumerate(links):
             for k in ("mass", "length"):
                 check(f"links.{i}.{k}", link[k], link[k] > 0, "positive")
-        n_substeps, episode_len, history_len, scale = (
+        self.n_substeps, self.episode_len, self.history_len, scale = (
             cfg[k] for k in ("n_substeps", "episode_len", "history_len", "envelope_scale"))
-        check("n_substeps", n_substeps, 1 <= n_substeps <= MAX_SUBSTEPS,
+        check("n_substeps", self.n_substeps, 1 <= self.n_substeps <= MAX_SUBSTEPS,
               f"in [1, {MAX_SUBSTEPS}]")
-        check("episode_len", episode_len, 1 <= episode_len <= MAX_EPISODE_LEN,
+        check("episode_len", self.episode_len, 1 <= self.episode_len <= MAX_EPISODE_LEN,
               f"in [1, {MAX_EPISODE_LEN}]")
-        check("history_len", history_len, 0 <= history_len <= MAX_HISTORY_LEN,
+        check("history_len", self.history_len, 0 <= self.history_len <= MAX_HISTORY_LEN,
               f"in [0, {MAX_HISTORY_LEN}]")
         check("envelope_scale", scale, scale > 0, "positive")
         self.n_joints = len(links)
-        self.masses = np.array([float(l["mass"]) for l in links])
-        self.lengths = np.array([float(l["length"]) for l in links])
-        self.gravity = float(cfg["gravity"])  # finite: merge_config checks every number
+        self.masses = np.array([l["mass"] for l in links])
+        self.lengths = np.array([l["length"] for l in links])
+        self.gravity = cfg["gravity"]  # finite: merge_config checks every number
         self.dt = CONTROL_DT
-        self.n_substeps = int(n_substeps)
-        self.episode_len = int(episode_len)
-        self.history_len = int(history_len)
         names = cfg["actuators"]
         if len(names) != self.n_joints:
             raise ConfigError(f"{join_key(section, 'actuators')}: {self.n_joints} links but "
@@ -166,24 +172,18 @@ class ArmEnv:
             nominal.append(catalog[name])
         # PD gains come from the nominal catalog entry; envelope_scale only
         # weakens the physics, the controller is not told about it.
-        pd = cfg["pd"]
         with config_section(join_key(section, "pd")):
-            gains = [actuation.pd_gains(p, f_hz=float(pd["f_hz"]), zeta=float(pd["zeta"]))
-                     for p in nominal]
-        self.actuators = [p.scaled(torque_scale=float(scale)) for p in nominal]
+            gains = [actuation.pd_gains(p, **cfg["pd"]) for p in nominal]
+        self.actuators = [p.scaled(torque_scale=scale) for p in nominal]
         self._joint_params = actuation.stack(self.actuators)
         self.kp = np.array([g.kp for g in gains])
         self.kd = np.array([g.kd for g in gains])
         self.action_scale = np.array([g.action_scale for g in gains])
         self.q0 = np.zeros(self.n_joints)  # nominal default pose: straight down
         with config_section(join_key(section, "thresholds")):
-            self.thresholds = TerminationThresholds(**{
-                k: float(v) for k, v in cfg["thresholds"].items()
-            })
+            self.thresholds = TerminationThresholds(**cfg["thresholds"])
         with config_section(join_key(section, "randomization")):
-            self.randomization = RandomizationCfg(**{
-                k: float(v) for k, v in cfg["randomization"].items()
-            })
+            self.randomization = RandomizationCfg(**cfg["randomization"])
         pp = dict(cfg["power_penalty"])
         joints = pp.pop("joints")
         if joints is not None and not (isinstance(joints, (list, tuple)) and all(
@@ -192,8 +192,7 @@ class ArmEnv:
                               f"list of joint indices, got {joints}")
         with config_section(join_key(section, "power_penalty")):
             self.power_cfg = PowerPenaltyCfg(
-                **{k: float(v) for k, v in pp.items()},
-                joints=None if joints is None else tuple(int(j) for j in joints))
+                **pp, joints=None if joints is None else tuple(int(j) for j in joints))
         self._armature_M = np.diag(self._joint_params.armature_I)
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
         self._episode_active = False

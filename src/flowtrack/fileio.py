@@ -1,7 +1,8 @@
 """The program's file boundary. Every JSON input is parsed by `read_json`;
 configs merge over their defaults, which double as their schema
-(`merge_over`, `check_like`); each setting's range is checked by the object
-it configures, and `config_section` names the key of one that fails; both
+(`merge_over`, `check_like`) and come back in their types, so no caller
+re-types a setting; each setting's range is checked by the object it
+configures, and `config_section` names the key of one that fails; both
 checkpoint kinds share one codec (`save_checkpoint`, `load_checkpoint`);
 every writer uses `write_atomic`.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 
@@ -57,13 +59,13 @@ def join_key(key: str, sub) -> str:
 
 
 def check_like(value, example, error_type, origin, key: str = ""):
-    """Return `value` if it has the JSON type of `example`, else raise
-    `error_type` naming `origin` and the dotted `key`.
+    """`value` in the types of `example`; `error_type` naming `origin` and the
+    dotted `key` if it does not have the JSON type of `example`.
 
-    An integer example takes an integral number, a float example a finite
-    number (never a boolean), a list example a list whose items are like its
-    first item, a dict example an object with exactly its keys, each like its
-    example, and a None example anything.
+    An integer example takes an integral number as an int, a float example a
+    finite number as a float (never a boolean), a list example a list whose
+    items are like its first item, a dict example an object with exactly its
+    keys, each like its example, and a None example anything, unchanged.
     """
     if example is None:
         return value
@@ -80,10 +82,12 @@ def check_like(value, example, error_type, origin, key: str = ""):
             if k not in value or k not in example:
                 problem = "missing" if k not in value else "unknown"
                 raise error_type(f"{origin}: {problem} key '{join_key(key, k)}'")
-            check_like(value[k], example[k], error_type, origin, join_key(key, k))
-    for i, item in enumerate(value if isinstance(example, list) and example else ()):
-        check_like(item, example[0], error_type, origin, join_key(key, i))
-    return value
+        return {k: check_like(v, example[k], error_type, origin, join_key(key, k))
+                for k, v in value.items()}
+    if isinstance(example, list):
+        return [check_like(item, example[0], error_type, origin, join_key(key, i))
+                for i, item in enumerate(value)] if example else value
+    return type(example)(value)
 
 
 @contextmanager
@@ -92,14 +96,16 @@ def config_section(section: str, renamed: dict | None = None):
     as a ConfigError naming the dotted key below `section`. Their messages
     begin with the field name, such as `bound` or `hidden.0`, which is the key
     unless `renamed` maps its part before the first dot to another
-    (`{"hidden": "residual_hidden"}` gives `residual_hidden.0`)."""
+    (`{"hidden": "residual_hidden"}` gives `residual_hidden.0`). A field that
+    a message names later as `name=value`, the other side of a bound on two
+    fields, becomes its key the same way."""
     try:
         yield
     except ValidationError as exc:
-        name, _, rest = str(exc).partition(" ")
-        head, dot, tail = name.partition(".")
-        key = join_key(section, (renamed or {}).get(head, head) + dot + tail)
-        raise ConfigError(f"{key} {rest}") from exc
+        def qualify(match):
+            head, dot, tail = match[0].partition(".")
+            return join_key(section, (renamed or {}).get(head, head) + dot + tail)
+        raise ConfigError(re.sub(r"^\S+|\b[A-Za-z_]\w*(?==)", qualify, str(exc))) from exc
 
 
 def read_config(defaults: dict, path) -> dict:
@@ -145,7 +151,9 @@ def save_checkpoint(path, kind: str, header: dict, values: dict, params: list) -
 
 
 def load_checkpoint(path, kind: str, header: dict, build):
-    """Read a `kind` checkpoint and return `build(doc, params)`.
+    """Read a `kind` checkpoint and return `build(fields, params)`, where
+    `fields` holds its header fields in the types of `header`, all but the
+    derived "layer_shapes".
 
     The version, the kind, every header field's presence and type, and the
     parameter blocks are checked here; `build` may raise DimensionError or
@@ -164,10 +172,10 @@ def load_checkpoint(path, kind: str, header: dict, build):
     if doc["kind"] != kind:
         raise CheckpointError(f"{path}: not a {kind} checkpoint ({doc['kind']})")
     for key, example in header.items():
-        check_like(doc[key], example, CheckpointError, path, key)
+        doc[key] = check_like(doc[key], example, CheckpointError, path, key)
     params = _decode_params(doc, path)
     try:
-        return build(doc, params)
+        return build({k: doc[k] for k in header if k != "layer_shapes"}, params)
     except (DimensionError, ValidationError) as exc:
         raise CheckpointError(f"{path}: inconsistent checkpoint ({exc})") from exc
 

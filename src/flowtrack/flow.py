@@ -337,13 +337,11 @@ def save_policy(net: VelocityFieldNet, path) -> None:
         "alpha": net.alpha, "beta": net.beta}, net.params)
 
 
-def _build_policy(doc: dict, params: list) -> VelocityFieldNet:
-    if doc["activation"] != "tanh":
-        raise ValidationError(f"unknown activation '{doc['activation']}'")
-    return VelocityFieldNet(
-        action_dim=int(doc["action_dim"]), obs_dim=int(doc["obs_dim"]),
-        hidden=tuple(int(h) for h in doc["hidden"]), time_embed_dim=int(doc["time_embed_dim"]),
-        alpha=float(doc["alpha"]), beta=float(doc["beta"]), params=params)
+def _build_policy(header: dict, params: list) -> VelocityFieldNet:
+    activation = header.pop("activation")
+    if activation != "tanh":
+        raise ValidationError(f"unknown activation '{activation}'")
+    return VelocityFieldNet(**header, params=params)
 
 
 def load_policy(path) -> VelocityFieldNet:

@@ -133,6 +133,22 @@ class TestAnalyze:
         assert captured.err == f"error: --h-air must be finite, got {value}\n"
         assert not captured.out
 
+    def test_non_finite_metric_skips_file(self, motions_dir, tmp_path, capsys):
+        # at fps 1e308 the finite differences overflow; the report held
+        # "a_max": Infinity and "j_max": NaN, which is not JSON
+        d = tmp_path / "huge_fps"
+        d.mkdir()
+        doc = json.loads((motions_dir / "a_slow.json").read_text())
+        (d / "a_slow.json").write_text(json.dumps(doc))
+        (d / "fast.json").write_text(json.dumps({**doc, "fps": 1e308}))
+        out = tmp_path / "r.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["--quiet", "analyze", "--motions", str(d), "--out", str(out)])
+        assert rc == 0
+        assert f"warning: skipping {d / 'fast.json'}: a_max is not finite" in capsys.readouterr().err
+        report = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
+        assert [e["motion"] for e in report] == ["a_slow"]
+
     def test_all_bad_files_exit_1(self, tmp_path, capsys):
         d = tmp_path / "allbad"
         d.mkdir()
@@ -171,6 +187,10 @@ class TestActuator:
         # negative values that argparse alone takes for options
         (["--v", "-inf"], "--v must be finite, got -inf"),
         (["--tau", "-1e400", "--v", "-1e1"], "--tau must be finite, got -inf"),
+        # uncapped, a huge sweep failed at allocation (exit 2)
+        (["--sweep", "1000000000000"], f"--sweep must be <= {cli.MAX_SWEEP}, got 1000000000000"),
+        (["--sweep", str(cli.MAX_SWEEP + 1)],
+         f"--sweep must be <= {cli.MAX_SWEEP}, got {cli.MAX_SWEEP + 1}"),
     ])
     def test_bad_flag_exits_1(self, capsys, flags, message):
         assert cli.main(["actuator", "5020-16", *flags]) == 1
@@ -234,6 +254,21 @@ class TestTrain:
         assert (out / "policy_iter4.json").exists()
         mid = flow.load_policy(out / "policy_iter2.json")
         assert mid.action_dim == 2
+
+    def test_config_snapshot_has_default_types(self, motions_dir, tmp_path):
+        # settings come back in their defaults' types: an integer for the
+        # float gravity is written as 10.0, an integral 1.0 for a width as 1
+        out = tmp_path / "typed"
+        rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
+                       "--out", str(out), "--set", "env.gravity=10",
+                       "--set", "train.hidden=[8,1.0]", "--set", "train.iterations=1",
+                       "--set", "train.gradient_steps=2", "--set", "env.episode_len=20"])
+        assert rc == 0
+        text = (out / "config.json").read_text()
+        assert '"gravity": 10.0,' in text
+        snapshot = json.loads(text)
+        assert snapshot["train"]["hidden"] == [8, 1]
+        assert all(type(h) is int for h in snapshot["train"]["hidden"])
 
     def test_bad_set_path_exits_1(self, motions_dir, tmp_path, capsys):
         rc = cli.main(["--quiet", "train", "--motions", str(motions_dir),
@@ -386,6 +421,10 @@ class TestEval:
         (["--rollouts", "1000000000000"], "--rollouts"),
         (["--rollouts", str(distill.MAX_ROLLOUTS + 1)], "--rollouts"),
         (["--rollouts", "0"], "--rollouts"),
+        # a link mass could turn non-positive (exit 0 on non-physical
+        # episodes), a friction coefficient negative (an unnamed error at reset)
+        (["--set", "env.randomization.mass_scale=3"], "env.randomization.mass_scale"),
+        (["--set", "env.randomization.friction_scale=3"], "env.randomization.friction_scale"),
     ])
     def test_out_of_range_exits_1(self, motions_dir, tiny_policy_dir, capsys, args, key):
         rc = cli.main(["--quiet", "eval", "--policy", str(tiny_policy_dir / "policy.json"),

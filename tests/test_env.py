@@ -80,6 +80,13 @@ class TestConfig:
         ({"history_len": MAX_HISTORY_LEN + 1}, "history_len"),
         ({"pd": {"f_hz": 1e-200}}, "pd.f_hz"),  # kp underflows to 0
         ({"n_substeps": MAX_SUBSTEPS + 1}, "n_substeps"),
+        # aggressive ranges (times aggressive_factor 1.5) that could make a link
+        # mass non-positive or a friction coefficient negative
+        ({"randomization": {"mass_scale": 0.9}}, "randomization.mass_scale"),
+        ({"randomization": {"mass_scale": 2.0 / 3.0}}, "randomization.mass_scale"),
+        ({"randomization": {"friction_scale": 0.7}}, "randomization.friction_scale"),
+        ({"randomization": {"mass_scale": 0.5, "aggressive_factor": 2.0}},
+         "randomization.mass_scale"),
     ])
     def test_range_error_names_dotted_key(self, config, key):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
@@ -130,6 +137,24 @@ class TestReset:
             worst = max(worst, float(np.max(np.abs(env.q - clip.q[0]))))
         assert worst <= base.aggressive_factor * base.pose_noise + 1e-12
         assert worst > base.pose_noise  # aggressive mode actually widens the range
+
+    def test_widest_aggressive_ranges_stay_physical(self):
+        """At the largest ranges RandomizationCfg takes, aggressive resets keep
+        every link mass positive and every friction coefficient non-negative
+        (ActuatorParams refuses a negative one)."""
+        env = ArmEnv({"episode_len": 50, "randomization": {
+            "mass_scale": 0.49, "friction_scale": 0.5, "aggressive_factor": 2.0}})
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        for seed in range(50):
+            env.reset(clip, seed, mode="aggressive")
+            assert np.all(env._masses_ep > 0)
+
+    def test_bound_on_two_fields_names_both_keys(self):
+        with pytest.raises(ConfigError) as info:
+            ArmEnv({"randomization": {"aggressive_factor": 10.0}}, section="env")
+        assert str(info.value) == (
+            "env.randomization.mass_scale must be in [0, 1 / aggressive_factor), got 0.1 "
+            "with env.randomization.aggressive_factor=10.0")
 
     def test_bad_mode(self):
         env = quiet_env()

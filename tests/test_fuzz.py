@@ -68,6 +68,21 @@ def _fuzzed(data, doc, path):
     return path
 
 
+def _assert_typed_like(value, default, key="top level"):
+    """`value` has the type of `default` at every leaf: lists item by item
+    against the default's first item, objects key by key; a None default
+    takes anything."""
+    if default is None:
+        return
+    assert type(value) is type(default), f"{key}: {value!r} is not a {type(default).__name__}"
+    if isinstance(default, dict):
+        assert value.keys() == default.keys(), key
+        for k in default:
+            _assert_typed_like(value[k], default[k], f"{key}.{k}")
+    for i, item in enumerate(value if isinstance(default, list) and default else ()):
+        _assert_typed_like(item, default[0], f"{key}.{i}")
+
+
 def _loads_or_names_file(load, path):
     try:
         return load(path)
@@ -130,6 +145,7 @@ def test_env_config(documents, tmp_path, data):
     if cfg is not None:
         # a config that merges has the default's types everywhere; building
         # the env checks ranges and raises only flowtrack errors
+        _assert_typed_like(cfg, DEFAULT_ENV_CONFIG)
         try:
             ArmEnv(cfg)
         except FLOWTRACK_ERRORS:
@@ -180,13 +196,15 @@ MOTION = make_sine((0.3, 0.2), 0.5, duration=1.0)
 @given(assignment=assignments())
 def test_set_assignment(assignment):
     """The train and refine set-up of the assigned tree either loads or
-    raises a flowtrack error naming the --set key. The env config's merge
+    raises a flowtrack error naming the --set key; a tree that takes the
+    assignment has its defaults' types at every leaf. The env config's merge
     sees only the env section, so its errors may name the key below the
     section (`links.0` for `env.links`)."""
     key, raw = assignment
     tree = copy.deepcopy(SET_TREE)
     try:
         cli._apply_sets(tree, [f"{key}={raw}"])
+        _assert_typed_like(tree, SET_TREE)
         env = ArmEnv(tree["env"], section="env")
         cli._es_setup(tree["es"], env, 0)
         cli._train_setup(tree["train"], env, [MOTION], 0)
