@@ -22,9 +22,9 @@ from flowtrack.motion import SynthMotionSpec, synth_motion
 LINKS = (0.5, 0.4)
 motions = [
     synth_motion(SynthMotionSpec(2, 10.0, 50.0, amplitude=0.3, frequency=0.25,
-                                 link_lengths=LINKS, name="slow")),
+                                 link_lengths=LINKS)),
     synth_motion(SynthMotionSpec(2, 10.0, 50.0, amplitude=0.3, frequency=0.4,
-                                 phase=(0.0, 1.0), link_lengths=LINKS, name="mid")),
+                                 phase=(0.0, 1.0), link_lengths=LINKS)),
 ]
 env = ArmEnv({"episode_len": 300, "randomization": {
     "pose_noise": 0.05, "disturbance": 0.5,

@@ -22,7 +22,7 @@ from flowtrack.motion import SynthMotionSpec, synth_motion
 
 motion = synth_motion(SynthMotionSpec(2, 10.0, 50.0, amplitude=(0.6, 0.45),
                                       frequency=1.0, phase=(0.0, 0.6),
-                                      link_lengths=(0.5, 0.4), name="fast1hz"))
+                                      link_lengths=(0.5, 0.4)))
 
 print("stage 1: distill a base policy with the nominal actuator model...")
 env_train = ArmEnv({"episode_len": 300})

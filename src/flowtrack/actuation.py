@@ -80,12 +80,6 @@ class PDGains:
     kd: float
     action_scale: float
 
-    def __post_init__(self):
-        if self.kp <= 0 or self.kd <= 0:
-            raise ValidationError("kp and kd must be positive")
-        if self.action_scale <= 0:
-            raise ValidationError("action_scale must be positive")
-
 
 @dataclass(frozen=True)
 class PowerPenaltyCfg:
@@ -147,10 +141,13 @@ def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0) -> P
     omega = 2.0 * np.pi * f_hz
     kp = params.armature_I * omega * omega
     # an extreme f_hz under- or overflows kp, or the action scale through it
-    if not 0.0 < kp < np.inf or not 0.25 * params.tau_y1 / kp < np.inf:
+    if not 0.0 < kp < np.inf or not 0.0 < 0.25 * params.tau_y1 / kp < np.inf:
         raise ValidationError(f"f_hz must be a frequency whose kp and action scale are "
                               f"finite and positive, got {f_hz}")
     kd = 2.0 * params.armature_I * zeta * omega
+    if not 0.0 < kd < np.inf:  # and an extreme zeta kd
+        raise ValidationError(f"zeta must be a damping ratio whose kd is finite and "
+                              f"positive, got {zeta}")
     return PDGains(kp=kp, kd=kd, action_scale=0.25 * params.tau_y1 / kp)
 
 

@@ -23,9 +23,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import actuation, distill, flow, metrics
-from .env import ArmEnv, ExpertPolicy, load_env_config
+from .env import DEFAULT_ENV_CONFIG, ArmEnv, ExpertPolicy, load_env_config
 from .errors import ConfigError, ValidationError
-from .fileio import check_like, config_section, merge_over, read_config, write_atomic
+from .fileio import check_like, config_section, overlay, read_config, write_atomic
 from .motion import load_motion
 
 
@@ -60,9 +60,11 @@ def _slot(node, part: str, key: str):
     raise ConfigError(f"--set: unknown config path '{key}' (no entry '{part}')")
 
 
-def _apply_sets(tree: dict, assignments: list[str]) -> None:
-    """Apply --set dot.path=value overrides onto a nested config tree. A value
-    must have the type of the entry it replaces; an object is merged into it."""
+def _apply_sets(tree: dict, assignments: list[str]) -> dict:
+    """The config tree with the --set dot.path=value overrides put in place,
+    each by `fileio.overlay` (an object is merged into the object there), and
+    then typed once against the defaults of its sections (`SECTIONS`): a value
+    takes its default's type even where an earlier --set emptied a list."""
     for item in assignments or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got '{item}'")
@@ -76,10 +78,8 @@ def _apply_sets(tree: dict, assignments: list[str]) -> None:
         for part in parents:
             node = node[_slot(node, part, key)]
         slot = _slot(node, leaf, key)
-        if isinstance(node[slot], dict):
-            node[slot] = merge_over(node[slot], value, "--set", key)
-        else:
-            node[slot] = check_like(value, node[slot], ConfigError, "--set", key)
+        node[slot] = overlay(node[slot], value)
+    return check_like(tree, {name: SECTIONS[name] for name in tree}, ConfigError, "--set")
 
 
 MAX_SWEEP = 1_000_000  # most points of an `actuator --sweep`, one CSV row each
@@ -106,6 +106,10 @@ DEFAULT_ES_CFG = {
     "residual_hidden": [24],
     "residual_bound": 0.4,
 }
+
+# Each config section's defaults, which are its schema. `--env` holds the env
+# section, and `--cfg` that of the command: `train` for train, `es` for refine.
+SECTIONS = {"env": DEFAULT_ENV_CONFIG, "train": DEFAULT_TRAIN_CFG, "es": DEFAULT_ES_CFG}
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +212,18 @@ def _naming_file(path, section: str, assignments):
         raise
 
 
-def _build_env_and_motions(args, assignments_tree):
-    env_cfg = load_env_config(args.env)
-    assignments_tree["env"] = env_cfg
-    _apply_sets(assignments_tree, args.set)
+def _setup(args, section: str | None = None):
+    """The config tree, env and motions of a train, eval or refine run.
+
+    The tree holds the command's `section`, if it has one, read from `--cfg`,
+    and `env`, read from `--env`, each over its defaults, with the --set
+    values then put in place (`_apply_sets`). Every motion is checked against
+    the env as it loads."""
+    tree = {section: read_config(SECTIONS[section], args.cfg)} if section else {}
+    tree["env"] = load_env_config(args.env)
+    tree = _apply_sets(tree, args.set)
     with _naming_file(args.env, "env", args.set):
-        env = ArmEnv(assignments_tree["env"], section="env")
+        env = ArmEnv(tree["env"], section="env")
     files = _motion_files(args.motions)
     if not files:
         raise ConfigError(f"no motion files in '{args.motions}'")
@@ -223,7 +233,7 @@ def _build_env_and_motions(args, assignments_tree):
         clip = load_motion(path)
         env.check_motion(clip, f"{path}: ")
         motions[name] = clip
-    return env, motions
+    return tree, env, motions
 
 
 def _load_base_policy(path, env: ArmEnv) -> flow.VelocityFieldNet:
@@ -256,9 +266,7 @@ def _train_setup(cfg: dict, env: ArmEnv, clips: list, seed: int):
 
 
 def cmd_train(args) -> int:
-    cfg = read_config(DEFAULT_TRAIN_CFG, args.cfg)
-    tree = {"train": cfg}
-    env, motions = _build_env_and_motions(args, tree)
+    tree, env, motions = _setup(args, "train")
     cfg = tree["train"]
     names = list(motions)
     clips = [motions[n] for n in names]
@@ -281,8 +289,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    tree = {}
-    env, motions = _build_env_and_motions(args, tree)
+    _, env, motions = _setup(args)
     net = _load_base_policy(args.policy, env)
     residual = distill.load_residual(args.residual) if args.residual else None
     with config_section("", {"n_rollouts": "--rollouts"}):
@@ -315,9 +322,7 @@ def _es_setup(cfg: dict, env: ArmEnv, seed: int):
 
 
 def cmd_refine(args) -> int:
-    cfg = read_config(DEFAULT_ES_CFG, args.cfg)
-    tree = {"es": cfg}
-    env, motions = _build_env_and_motions(args, tree)
+    tree, env, motions = _setup(args, "es")
     cfg = tree["es"]
     net = _load_base_policy(args.policy, env)
     name = sorted(motions)[0]

@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import actuation
-from .actuation import ActuatorParams, PowerPenaltyCfg
+from .actuation import PowerPenaltyCfg
 from .errors import ConfigError, NumericalBlowupError, ValidationError
-from .fileio import config_section, join_key, merge_over, read_config
+from .fileio import config_section, merge_over, read_config
 from .metrics import TerminationThresholds, check_termination
 from .motion import MotionClip, arm_forward_kinematics, finite_difference
 
@@ -135,64 +135,60 @@ class ArmEnv:
     def __init__(self, config: dict | None = None, section: str = ""):
         cfg = merge_config(config)
         catalog = actuation.default_catalog()
-        links = cfg["links"]
-        if not links:
-            raise ConfigError(f"{join_key(section, 'links')}: need at least one link")
+        links, names = cfg["links"], cfg["actuators"]
+        self.n_substeps, self.episode_len, self.history_len, scale = (
+            cfg[k] for k in ("n_substeps", "episode_len", "history_len", "envelope_scale"))
 
         def check(key: str, value, ok: bool, what: str) -> None:
             if not ok:
-                raise ConfigError(f"{join_key(section, key)} must be {what}, got {value}")
+                raise ValidationError(f"{key} must be {what}, got {value}")
 
-        for i, link in enumerate(links):
-            for k in ("mass", "length"):
-                check(f"links.{i}.{k}", link[k], link[k] > 0, "positive")
-        self.n_substeps, self.episode_len, self.history_len, scale = (
-            cfg[k] for k in ("n_substeps", "episode_len", "history_len", "envelope_scale"))
-        check("n_substeps", self.n_substeps, 1 <= self.n_substeps <= MAX_SUBSTEPS,
-              f"in [1, {MAX_SUBSTEPS}]")
-        check("episode_len", self.episode_len, 1 <= self.episode_len <= MAX_EPISODE_LEN,
-              f"in [1, {MAX_EPISODE_LEN}]")
-        check("history_len", self.history_len, 0 <= self.history_len <= MAX_HISTORY_LEN,
-              f"in [0, {MAX_HISTORY_LEN}]")
-        check("envelope_scale", scale, scale > 0, "positive")
+        # a sub-section's fields are named below it, as `pd.zeta`
+        with config_section(section, {k: f"{sub}.{k}" for sub, fields in cfg.items()
+                                      if isinstance(fields, dict) for k in fields}):
+            if not links:
+                raise ValidationError("links: need at least one link")
+            for i, link in enumerate(links):
+                for k in ("mass", "length"):
+                    check(f"links.{i}.{k}", link[k], link[k] > 0, "positive")
+            check("n_substeps", self.n_substeps, 1 <= self.n_substeps <= MAX_SUBSTEPS,
+                  f"in [1, {MAX_SUBSTEPS}]")
+            check("episode_len", self.episode_len, 1 <= self.episode_len <= MAX_EPISODE_LEN,
+                  f"in [1, {MAX_EPISODE_LEN}]")
+            check("history_len", self.history_len, 0 <= self.history_len <= MAX_HISTORY_LEN,
+                  f"in [0, {MAX_HISTORY_LEN}]")
+            check("envelope_scale", scale, scale > 0, "positive")
+            if len(names) != len(links):  # the fault of either key, so both are named
+                raise ValidationError(f"actuators must hold one name per link, got "
+                                      f"{len(names)} names with links={links}")
+            for i, name in enumerate(names):
+                if name not in catalog:
+                    raise ValidationError(f"actuators.{i}: unknown actuator '{name}' "
+                                          f"(catalog: {sorted(catalog)})")
+            nominal = [catalog[name] for name in names]
+            # PD gains come from the nominal catalog entry; envelope_scale only
+            # weakens the physics, the controller is not told about it.
+            gains = [actuation.pd_gains(p, **cfg["pd"]) for p in nominal]
+            self.thresholds = TerminationThresholds(**cfg["thresholds"])
+            self.randomization = RandomizationCfg(**cfg["randomization"])
+            pp = dict(cfg["power_penalty"])
+            joints = pp.pop("joints")
+            check("joints", joints, joints is None or isinstance(joints, (list, tuple)) and all(
+                isinstance(j, (int, np.integer)) and 0 <= j < len(links) for j in joints),
+                "null or a list of joint indices")
+            self.power_cfg = PowerPenaltyCfg(
+                **pp, joints=None if joints is None else tuple(int(j) for j in joints))
         self.n_joints = len(links)
         self.masses = np.array([l["mass"] for l in links])
         self.lengths = np.array([l["length"] for l in links])
         self.gravity = cfg["gravity"]  # finite: merge_config checks every number
         self.dt = CONTROL_DT
-        names = cfg["actuators"]
-        if len(names) != self.n_joints:
-            raise ConfigError(f"{join_key(section, 'actuators')}: {self.n_joints} links but "
-                              f"{len(names)} actuator names")
-        nominal: list[ActuatorParams] = []
-        for i, name in enumerate(names):
-            if name not in catalog:
-                raise ConfigError(f"{join_key(section, f'actuators.{i}')}: unknown actuator "
-                                  f"'{name}' (catalog: {sorted(catalog)})")
-            nominal.append(catalog[name])
-        # PD gains come from the nominal catalog entry; envelope_scale only
-        # weakens the physics, the controller is not told about it.
-        with config_section(join_key(section, "pd")):
-            gains = [actuation.pd_gains(p, **cfg["pd"]) for p in nominal]
         self.actuators = [p.scaled(torque_scale=scale) for p in nominal]
         self._joint_params = actuation.stack(self.actuators)
         self.kp = np.array([g.kp for g in gains])
         self.kd = np.array([g.kd for g in gains])
         self.action_scale = np.array([g.action_scale for g in gains])
         self.q0 = np.zeros(self.n_joints)  # nominal default pose: straight down
-        with config_section(join_key(section, "thresholds")):
-            self.thresholds = TerminationThresholds(**cfg["thresholds"])
-        with config_section(join_key(section, "randomization")):
-            self.randomization = RandomizationCfg(**cfg["randomization"])
-        pp = dict(cfg["power_penalty"])
-        joints = pp.pop("joints")
-        if joints is not None and not (isinstance(joints, (list, tuple)) and all(
-                isinstance(j, (int, np.integer)) and 0 <= j < self.n_joints for j in joints)):
-            raise ConfigError(f"{join_key(section, 'power_penalty.joints')} must be null or a "
-                              f"list of joint indices, got {joints}")
-        with config_section(join_key(section, "power_penalty")):
-            self.power_cfg = PowerPenaltyCfg(
-                **pp, joints=None if joints is None else tuple(int(j) for j in joints))
         self._armature_M = np.diag(self._joint_params.armature_I)
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
         self._episode_active = False

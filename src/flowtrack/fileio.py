@@ -1,15 +1,15 @@
 """The program's file boundary. Every JSON input is parsed by `read_json`;
-configs merge over their defaults, which double as their schema
-(`merge_over`, `check_like`) and come back in their types, so no caller
-re-types a setting; each setting's range is checked by the object it
-configures, and `config_section` names the key of one that fails; both
-checkpoint kinds share one codec (`save_checkpoint`, `load_checkpoint`);
-every writer uses `write_atomic`.
+a config file or a `--set` value is laid over what it overrides (`overlay`),
+and the result is typed once against the defaults, which are the schema
+(`merge_over`, `check_like`), so no caller re-types a setting; each
+setting's range is checked by the object it configures, and
+`config_section` names the key of one that fails; both checkpoint kinds
+share one codec (`save_checkpoint`, `load_checkpoint`); every writer uses
+`write_atomic`.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import re
@@ -98,14 +98,18 @@ def config_section(section: str, renamed: dict | None = None):
     unless `renamed` maps its part before the first dot to another
     (`{"hidden": "residual_hidden"}` gives `residual_hidden.0`). A field that
     a message names later as `name=value`, the other side of a bound on two
-    fields, becomes its key the same way."""
+    fields, becomes its key the same way; quoted text, such as an actuator
+    name, is a value and stays as it is."""
     try:
         yield
     except ValidationError as exc:
         def qualify(match):
+            if match[0][0] in "'\"":
+                return match[0]
             head, dot, tail = match[0].partition(".")
             return join_key(section, (renamed or {}).get(head, head) + dot + tail)
-        raise ConfigError(re.sub(r"^\S+|\b[A-Za-z_]\w*(?==)", qualify, str(exc))) from exc
+        raise ConfigError(re.sub(r"'[^']*'|\"[^\"]*\"|^\S+|\b[A-Za-z_]\w*(?==)", qualify,
+                                 str(exc))) from exc
 
 
 def read_config(defaults: dict, path) -> dict:
@@ -113,25 +117,24 @@ def read_config(defaults: dict, path) -> dict:
     return merge_over(defaults, read_json(path, ConfigError) if path else {}, path)
 
 
-def merge_over(defaults: dict, overrides, origin, key: str = "") -> dict:
-    """A deep copy of `defaults` with `overrides` merged in, key by key.
+def overlay(node, value):
+    """`value` put in place of `node`: an object is merged into an object key
+    by key, anything else replaces what is there. Nothing is typed here."""
+    if isinstance(node, dict) and isinstance(value, dict):
+        return {**node, **{k: overlay(node.get(k), v) for k, v in value.items()}}
+    return value
 
-    The defaults are the schema: an override key must exist there, an object
-    default takes an object (merged recursively), and any other default takes
-    a value of its type (see `check_like`). Errors are ConfigErrors naming
+
+def merge_over(defaults: dict, overrides, origin) -> dict:
+    """`defaults` with `overrides` laid over them (`overlay`), in the types of
+    `defaults`.
+
+    The defaults are the schema (see `check_like`): an override key must exist
+    there, an object default takes an object, merged key by key, and any
+    other default a value of its type. Errors are ConfigErrors naming
     `origin` and the dotted key, such as `randomization.bogus`.
     """
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{origin}: {_at(key)} must be an object")
-    cfg = copy.deepcopy(defaults)
-    for k, value in overrides.items():
-        if k not in cfg:
-            raise ConfigError(f"{origin}: unknown key '{join_key(key, k)}'")
-        if isinstance(cfg[k], dict):
-            cfg[k] = merge_over(cfg[k], value, origin, join_key(key, k))
-        else:
-            cfg[k] = check_like(value, cfg[k], ConfigError, origin, join_key(key, k))
-    return cfg
+    return check_like(overlay(defaults, overrides), defaults, ConfigError, origin)
 
 
 # ---------------------------------------------------------------------------

@@ -141,14 +141,16 @@ def difficulty_scores(v_max, a_max, ang_max, v_com_z_max, airborne, f_switch) ->
 
 def compute_complexity(clip: MotionClip, h_air: float = DEFAULT_H_AIR) -> ComplexityScores:
     """All complexity metrics of a clip in one pass; a raw maximum that is not
-    finite (a huge fps overflows them) raises ValidationError naming it."""
-    v_max, a_max, j_max = max_kinematics(clip.q, clip.dt)
-    ang = quat_angular_speed(clip.base_quat, clip.dt)
-    ang_max = float(np.max(np.abs(ang)))
-    v_com = com_vertical_speed(clip)
-    air = airborne_ratio(clip, h_air)
-    f_sw = contact_switch_freq(clip.contacts, clip.dt)
-    s = difficulty_scores(v_max, a_max, ang_max, v_com, air, f_sw)
+    finite (a huge fps overflows them) raises ValidationError naming it, and
+    numpy's overflow warnings are silenced so that this is the one report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_max, a_max, j_max = max_kinematics(clip.q, clip.dt)
+        ang = quat_angular_speed(clip.base_quat, clip.dt)
+        ang_max = float(np.max(np.abs(ang)))
+        v_com = com_vertical_speed(clip)
+        air = airborne_ratio(clip, h_air)
+        f_sw = contact_switch_freq(clip.contacts, clip.dt)
+        s = difficulty_scores(v_max, a_max, ang_max, v_com, air, f_sw)
     scores = ComplexityScores(v_max, a_max, j_max, ang_max, v_com, air, f_sw, s)
     for name, value in scores.raw_dict().items():
         if not np.isfinite(value):

@@ -107,21 +107,13 @@ class MotionClip:
     def slice(self, start: int, stop: int) -> "MotionClip":
         return replace(self, **{key: getattr(self, key)[start:stop] for key in _FRAMES})
 
-    def allclose(self, other: "MotionClip", tol: float = 0.0) -> bool:
+    def allclose(self, other: "MotionClip") -> bool:
+        """True when the clips are equal: names, fps and every frame array."""
         if self.joint_names != other.joint_names or self.feet_indices != other.feet_indices:
             return False
         if self.fps != other.fps:
             return False
-        for key, (dtype, *_) in _FRAMES.items():
-            a, b = getattr(self, key), getattr(other, key)
-            if a.shape != b.shape:
-                return False
-            if tol == 0.0 or dtype is bool:
-                if not np.array_equal(a, b):
-                    return False
-            elif not np.allclose(a, b, atol=tol, rtol=0.0):
-                return False
-        return True
+        return all(np.array_equal(getattr(self, key), getattr(other, key)) for key in _FRAMES)
 
 
 def load_motion(path) -> MotionClip:
@@ -231,7 +223,6 @@ class SynthMotionSpec:
     frequency: tuple[float, ...]
     phase: tuple[float, ...] = ()
     link_lengths: tuple[float, ...] = ()
-    name: str = "synth"
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", _per_joint(self.amplitude, self.n_joints))

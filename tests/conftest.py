@@ -21,10 +21,10 @@ NO_RANDOMIZATION = {
 }
 
 
-def make_sine(amplitude, frequency, phase=0.0, duration=10.0, name="synth") -> MotionClip:
+def make_sine(amplitude, frequency, phase=0.0, duration=10.0) -> MotionClip:
     return synth_motion(SynthMotionSpec(
         n_joints=2, duration=duration, fps=50.0, amplitude=amplitude,
-        frequency=frequency, phase=phase, link_lengths=LINKS, name=name))
+        frequency=frequency, phase=phase, link_lengths=LINKS))
 
 
 def random_clip(rng, T=None, J=None, B=None, K=None) -> MotionClip:
@@ -57,8 +57,8 @@ def two_sine_setup():
     privileged experts instead of sampling their hidden-parameter spread.
     """
     motions = [
-        make_sine(0.3, 0.25, name="slow"),
-        make_sine(0.3, 0.4, phase=(0.0, 1.0), name="mid"),
+        make_sine(0.3, 0.25),
+        make_sine(0.3, 0.4, phase=(0.0, 1.0)),
     ]
     env = ArmEnv({"episode_len": 500, "randomization": {
         "pose_noise": 0.05, "disturbance": 0.5,
@@ -82,7 +82,7 @@ def two_sine_setup():
 @pytest.fixture(scope="session")
 def refine_setup():
     """Torque-hungry 1 Hz task: base policy plus the tightened-envelope env."""
-    motion = make_sine((0.6, 0.45), 1.0, phase=(0.0, 0.6), name="fast1hz")
+    motion = make_sine((0.6, 0.45), 1.0, phase=(0.0, 0.6))
     env_train = ArmEnv({"episode_len": 500})
     expert = ExpertPolicy(motion, action_limit=6.0)
     net0 = flow.init_net(2, env_train.obs_dim, hidden=(96, 96),

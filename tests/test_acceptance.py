@@ -220,8 +220,8 @@ def test_criterion_8_success_rate_protocol():
     t0 = time.monotonic()
     env = ArmEnv()  # defaults: 500-step episodes at 50 Hz
     ok = env.episode_len == 500 and abs(env.dt - 0.02) < 1e-12
-    motion_easy = make_sine(0.3, 0.25, name="easy")
-    motion_hard = make_sine(0.55, 0.95, phase=(0.0, 0.8), name="hard")
+    motion_easy = make_sine(0.3, 0.25)
+    motion_hard = make_sine(0.55, 0.95, phase=(0.0, 0.8))
     expert = ExpertPolicy(motion_easy)
     rng = np.random.default_rng(0)
     episodes = []
@@ -306,7 +306,7 @@ def test_criterion_10_round_trips_and_determinism(tmp_path):
     for seed in range(5):
         clip = random_clip(np.random.default_rng(seed))
         save_motion(clip, tmp_path / "clip.json")
-        ok &= load_motion(tmp_path / "clip.json").allclose(clip, tol=0.0)
+        ok &= load_motion(tmp_path / "clip.json").allclose(clip)
     net = flow.init_net(2, 7, hidden=(12, 9), rng=rng)
     flow.save_policy(net, tmp_path / "net.json")
     back = flow.load_policy(tmp_path / "net.json")

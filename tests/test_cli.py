@@ -87,6 +87,21 @@ def test_mismatched_motion_file_exits_1(tmp_path, tiny_policy_dir, monkeypatch, 
     assert not resets and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, item", [
+    ("train", "train.hidden", '"x"'), ("refine", "es.residual_hidden", "1.5")])
+def test_set_after_emptied_list_types_items(tmp_path, motions_dir, tiny_policy_dir, capsys,
+                                            command, key, item):
+    # the tree is typed against the defaults, not the list the first --set
+    # left; typed against that empty list, the item reached the net's set-up
+    # and failed there with a TypeError (exit 2)
+    argv = ["--quiet", command, "--motions", str(motions_dir / "a_slow.json"),
+            "--out", str(tmp_path / "x"), "--set", f"{key}=[]", "--set", f"{key}=[{item}]"]
+    if command == "refine":
+        argv += ["--policy", str(tiny_policy_dir / "policy.json")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: --set: '{key}.0' must be an integer\n"
+
+
 class TestAnalyze:
     def test_report_entries_sorted(self, motions_dir, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -142,10 +157,11 @@ class TestAnalyze:
         (d / "a_slow.json").write_text(json.dumps(doc))
         (d / "fast.json").write_text(json.dumps({**doc, "fps": 1e308}))
         out = tmp_path / "r.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli.main(["--quiet", "analyze", "--motions", str(d), "--out", str(out)])
+        rc = cli.main(["--quiet", "analyze", "--motions", str(d), "--out", str(out)])
         assert rc == 0
-        assert f"warning: skipping {d / 'fast.json'}: a_max is not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"warning: skipping {d / 'fast.json'}: a_max is not finite" in err
+        assert "RuntimeWarning" not in err
         report = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
         assert [e["motion"] for e in report] == ["a_slow"]
 
@@ -365,12 +381,12 @@ class TestTrain:
 
     def test_set_into_emptied_list_checks_items(self, motions_dir, tmp_path, capsys):
         # the second --set replaces an empty list, which gives no item type;
-        # the env config's merge still checks the items
+        # the tree is typed against the defaults, whose list has one
         rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),
                        "--out", str(tmp_path / "x"),
                        "--set", "env.links=[]", "--set", "env.links=[5]"])
         assert rc == 1
-        assert "'links.0' must be an object" in capsys.readouterr().err
+        assert "--set: 'env.links.0' must be an object" in capsys.readouterr().err
 
     def test_joint_mismatch_exits_1(self, tmp_path):
         clip = synth_motion(SynthMotionSpec(3, 4.0, 50.0, amplitude=0.1, frequency=0.3))

@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown actuator"):
             ArmEnv({"actuators": ["nope", "nope"]})
 
+    def test_unknown_actuator_name_kept_as_given(self):
+        # a quoted name that reads like `key=value` is a value, not a key
+        with pytest.raises(ConfigError, match=re.escape(
+                "env.actuators.0: unknown actuator 'x=1' (catalog: [")):
+            ArmEnv({"actuators": ["x=1", "5020-16"]}, section="env")
+
     def test_gains_follow_nominal_catalog_under_envelope_scale(self):
         base = ArmEnv()
         tight = ArmEnv({"envelope_scale": 0.7})
@@ -87,6 +93,7 @@ class TestConfig:
         ({"randomization": {"friction_scale": 0.7}}, "randomization.friction_scale"),
         ({"randomization": {"mass_scale": 0.5, "aggressive_factor": 2.0}},
          "randomization.mass_scale"),
+        ({"pd": {"zeta": 5e-324}}, "pd.zeta"),  # kd underflows to 0
     ])
     def test_range_error_names_dotted_key(self, config, key):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):

@@ -147,7 +147,7 @@ class TestLoadSave:
         path = tmp_path_factory.mktemp("rt") / "m.json"
         save_motion(clip, path)
         back = load_motion(path)
-        assert back.allclose(clip, tol=0.0)
+        assert back.allclose(clip)
         assert back.fps == clip.fps
 
 
