@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .fileio import check_like, read_json
+from .fileio import check_like, read_json, require
 
 @dataclass(frozen=True)
 class ActuatorParams:
@@ -42,16 +42,12 @@ class ActuatorParams:
 
     def __post_init__(self):
         # np.all keeps the checks valid for the array-valued form of `stack`
-        if not np.all((0 < self.v_x1) & (self.v_x1 < self.v_x2)):
-            raise ValidationError(f"need 0 < v_x1 < v_x2, got {self.v_x1}, {self.v_x2}")
-        if not np.all((self.tau_y1 > 0) & (self.tau_y2 > 0)):
-            raise ValidationError("torque ceilings must be positive")
-        if not np.all((self.mu_s >= 0) & (self.mu_d >= 0)):
-            raise ValidationError("friction coefficients must be non-negative")
-        if not np.all(self.v_act > 0):
-            raise ValidationError("v_act must be positive")
-        if not np.all(self.armature_I > 0):
-            raise ValidationError("armature inertia must be positive")
+        for name in ("tau_y1", "tau_y2", "v_act", "armature_I"):
+            require(name, getattr(self, name), np.all(getattr(self, name) > 0), "positive")
+        for name in ("mu_s", "mu_d"):
+            require(name, getattr(self, name), np.all(getattr(self, name) >= 0), "non-negative")
+        require("v_x1", self.v_x1, np.all((0 < self.v_x1) & (self.v_x1 < self.v_x2)),
+                "in (0, v_x2)", v_x2=self.v_x2)
 
     def scaled(self, torque_scale: float = 1.0, friction_scale: float = 1.0) -> "ActuatorParams":
         """Copy with torque ceilings and/or friction coefficients rescaled."""
@@ -96,10 +92,8 @@ class PowerPenaltyCfg:
     joints: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.deadband < 0:
-            raise ValidationError(f"deadband must be non-negative, got {self.deadband}")
-        if self.norm <= 0:
-            raise ValidationError(f"norm must be positive, got {self.norm}")
+        require("deadband", self.deadband, self.deadband >= 0, "non-negative")
+        require("norm", self.norm, self.norm > 0, "positive")
 
 
 def default_catalog() -> dict[str, ActuatorParams]:
@@ -134,20 +128,16 @@ def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0) -> P
     The action scale maps a unit action to 0.25 * tau_y1 worth of position
     offset, a quarter of the actuator's motoring ceiling.
     """
-    if f_hz <= 0:
-        raise ValidationError(f"f_hz must be positive, got {f_hz}")
-    if not zeta > 0:
-        raise ValidationError(f"zeta must be positive, got {zeta}")
+    require("f_hz", f_hz, f_hz > 0, "positive")
+    require("zeta", zeta, zeta > 0, "positive")
     omega = 2.0 * np.pi * f_hz
     kp = params.armature_I * omega * omega
     # an extreme f_hz under- or overflows kp, or the action scale through it
-    if not 0.0 < kp < np.inf or not 0.0 < 0.25 * params.tau_y1 / kp < np.inf:
-        raise ValidationError(f"f_hz must be a frequency whose kp and action scale are "
-                              f"finite and positive, got {f_hz}")
+    require("f_hz", f_hz, 0.0 < kp < np.inf and 0.0 < 0.25 * params.tau_y1 / kp < np.inf,
+            "a frequency whose kp and action scale are finite and positive")
     kd = 2.0 * params.armature_I * zeta * omega
-    if not 0.0 < kd < np.inf:  # and an extreme zeta kd
-        raise ValidationError(f"zeta must be a damping ratio whose kd is finite and "
-                              f"positive, got {zeta}")
+    require("zeta", zeta, 0.0 < kd < np.inf,  # and an extreme zeta kd
+            "a damping ratio whose kd is finite and positive")
     return PDGains(kp=kp, kd=kd, action_scale=0.25 * params.tau_y1 / kp)
 
 

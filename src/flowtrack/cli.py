@@ -24,8 +24,8 @@ import numpy as np
 
 from . import actuation, distill, flow, metrics
 from .env import DEFAULT_ENV_CONFIG, ArmEnv, ExpertPolicy, load_env_config
-from .errors import ConfigError, ValidationError
-from .fileio import check_like, config_section, overlay, read_config, write_atomic
+from .errors import ConfigError
+from .fileio import check_like, config_section, overlay, read_config, require, write_atomic
 from .motion import load_motion
 
 
@@ -116,8 +116,7 @@ SECTIONS = {"env": DEFAULT_ENV_CONFIG, "train": DEFAULT_TRAIN_CFG, "es": DEFAULT
 # Subcommands.
 
 def cmd_analyze(args) -> int:
-    if not np.isfinite(args.h_air):
-        raise ConfigError(f"--h-air must be finite, got {args.h_air}")
+    require("--h-air", args.h_air, np.isfinite(args.h_air), "finite")
     files = _motion_files(args.motions)
     if not files:
         print("no motion files found", file=sys.stderr)
@@ -158,13 +157,10 @@ def _write_run(out: str, csv_name: str, header: str, values, snapshot: dict) -> 
 
 
 def cmd_actuator(args) -> int:
-    if args.sweep < 0:
-        raise ConfigError(f"--sweep must be >= 0, got {args.sweep}")
-    if args.sweep > MAX_SWEEP:
-        raise ConfigError(f"--sweep must be <= {MAX_SWEEP}, got {args.sweep}")
+    require("--sweep", args.sweep, args.sweep >= 0, ">= 0")
+    require("--sweep", args.sweep, args.sweep <= MAX_SWEEP, f"<= {MAX_SWEEP}")
     for flag in ("v", "tau"):
-        if not np.isfinite(getattr(args, flag)):
-            raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
+        require(f"--{flag}", getattr(args, flag), np.isfinite(getattr(args, flag)), "finite")
     catalog = actuation.load_catalog(args.catalog) if args.catalog else actuation.default_catalog()
     if args.name not in catalog:
         print(f"unknown actuator '{args.name}'; catalog has: {', '.join(sorted(catalog))}",
@@ -236,22 +232,27 @@ def _setup(args, section: str | None = None):
     return tree, env, motions
 
 
+def _matching_env(path, model, **dims):
+    """`model`, loaded from the checkpoint at `path`, if each attribute that
+    `dims` names holds the env's value given there; else a ConfigError
+    naming the file."""
+    got = {k: getattr(model, k) for k in dims}
+    if got != dims:
+        raise ConfigError(f"{path}: checkpoint dims {got} do not match env {dims}")
+    return model
+
+
 def _load_base_policy(path, env: ArmEnv) -> flow.VelocityFieldNet:
     """The policy checkpoint at `path`, checked against the env's dims."""
-    net = flow.load_policy(path)
-    if net.obs_dim != env.obs_dim or net.action_dim != env.n_joints:
-        raise ConfigError(
-            f"checkpoint dims (obs {net.obs_dim}, act {net.action_dim}) do not match "
-            f"env (obs {env.obs_dim}, act {env.n_joints})")
-    return net
+    return _matching_env(path, flow.load_policy(path), obs_dim=env.obs_dim,
+                         action_dim=env.n_joints)
 
 
 def _train_setup(cfg: dict, env: ArmEnv, clips: list, seed: int):
     """Experts, start net and DAgger settings of a `train` config section."""
     with config_section("train", {k: f"{sub}.{k}" for sub in ("sampler", "expert")
                                   for k in cfg[sub]}):
-        if cfg["checkpoint_every"] < 0:
-            raise ValidationError(f"checkpoint_every must be >= 0, got {cfg['checkpoint_every']}")
+        require("checkpoint_every", cfg["checkpoint_every"], cfg["checkpoint_every"] >= 0, ">= 0")
         experts = [ExpertPolicy(c, **cfg["expert"]) for c in clips]
         sampler = cfg["sampler"]
         net = flow.init_net(env.n_joints, env.obs_dim, hidden=cfg["hidden"],
@@ -291,7 +292,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _, env, motions = _setup(args)
     net = _load_base_policy(args.policy, env)
-    residual = distill.load_residual(args.residual) if args.residual else None
+    residual = _matching_env(
+        args.residual, distill.load_residual(args.residual), proprio_dim=env.proprio_dim,
+        command_dim=env.command_dim, action_dim=env.n_joints) if args.residual else None
     with config_section("", {"n_rollouts": "--rollouts"}):
         results = distill.evaluate_policy(net, env, motions, residual=residual,
                                           n_rollouts=args.rollouts, seed=args.seed)

@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics
 from .env import ArmEnv, ExpertPolicy, expert_action
 from .errors import DimensionError, ValidationError
-from .fileio import load_checkpoint, save_checkpoint
+from .fileio import load_checkpoint, require, save_checkpoint
 from .flow import (AdamState, FMBatch, SamplerCfg, VelocityFieldNet, adam_step,
                    check_layers, check_widths, clone_net, euler_sample, fm_loss_and_grad,
                    mlp_forward, mlp_init, mlp_zeros)
@@ -83,18 +83,14 @@ class DistillCfg:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
-        if not 1 <= self.episodes_per_iter <= MAX_EPISODES_PER_ITER:
-            raise ValidationError(f"episodes_per_iter must be in [1, {MAX_EPISODES_PER_ITER}], "
-                                  f"got {self.episodes_per_iter}")
+        require("iterations", self.iterations, self.iterations >= 0, ">= 0")
+        require("episodes_per_iter", self.episodes_per_iter,
+                1 <= self.episodes_per_iter <= MAX_EPISODES_PER_ITER,
+                f"in [1, {MAX_EPISODES_PER_ITER}]")
         for name in ("gradient_steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValidationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+            require(name, getattr(self, name), getattr(self, name) >= 1, "positive")
+        require("learning_rate", self.learning_rate, self.learning_rate > 0, "positive")
+        require("lr_decay", self.lr_decay, 0.0 < self.lr_decay <= 1.0, "in (0, 1]")
 
 
 def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet,
@@ -184,8 +180,7 @@ class ResidualPolicy:
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
         check_widths(self.hidden)
-        if not self.bound >= 0:
-            raise ValidationError(f"bound must be non-negative, got {self.bound}")
+        require("bound", self.bound, self.bound >= 0, "non-negative")
         if not self.params:
             self.params = mlp_zeros(self.layer_sizes)
         check_layers(self.params, self.layer_sizes, "residual layer")
@@ -271,16 +266,13 @@ class ESCfg:
     seed: int = 0
 
     def __post_init__(self):
-        if self.generations < 0:
-            raise ValidationError(f"generations must be >= 0, got {self.generations}")
-        if not 0 <= self.population <= MAX_POPULATION:
-            raise ValidationError(
-                f"population must be in [0, {MAX_POPULATION}], got {self.population}")
-        if self.sigma < 0:
-            raise ValidationError(f"sigma must be non-negative, got {self.sigma}")
-        if not 1 <= self.episodes_per_eval <= MAX_EPISODES_PER_EVAL:
-            raise ValidationError(f"episodes_per_eval must be in [1, {MAX_EPISODES_PER_EVAL}], "
-                                  f"got {self.episodes_per_eval}")
+        require("generations", self.generations, self.generations >= 0, ">= 0")
+        require("population", self.population, 0 <= self.population <= MAX_POPULATION,
+                f"in [0, {MAX_POPULATION}]")
+        require("sigma", self.sigma, self.sigma >= 0, "non-negative")
+        require("episodes_per_eval", self.episodes_per_eval,
+                1 <= self.episodes_per_eval <= MAX_EPISODES_PER_EVAL,
+                f"in [1, {MAX_EPISODES_PER_EVAL}]")
 
 
 def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = "base",
@@ -499,8 +491,7 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
     episodes, then across a motion's clips (never pooled over frames of
     unequal episodes).
     """
-    if not 1 <= n_rollouts <= MAX_ROLLOUTS:
-        raise ValidationError(f"n_rollouts must be in [1, {MAX_ROLLOUTS}], got {n_rollouts}")
+    require("n_rollouts", n_rollouts, 1 <= n_rollouts <= MAX_ROLLOUTS, f"in [1, {MAX_ROLLOUTS}]")
     clips = [(name, ci, clip) for name, motion in motions.items()
              for ci, clip in enumerate(segment_clips(motion, 10.0))]
     clip_metrics = {name: [] for name in motions}

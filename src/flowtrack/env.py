@@ -24,7 +24,7 @@ import numpy as np
 from . import actuation
 from .actuation import PowerPenaltyCfg
 from .errors import ConfigError, NumericalBlowupError, ValidationError
-from .fileio import config_section, merge_over, read_config
+from .fileio import config_section, merge_over, read_config, require
 from .metrics import TerminationThresholds, check_termination
 from .motion import MotionClip, arm_forward_kinematics, finite_difference
 
@@ -66,17 +66,15 @@ class RandomizationCfg:
 
     def __post_init__(self):
         for name in _RANGE_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.aggressive_factor < 1.0:
-            raise ValidationError(f"aggressive_factor must be >= 1, got {self.aggressive_factor}")
-        factor = self.aggressive_factor  # masses scale by 1 + U(-s, s), s = mass_scale * factor
-        if not self.mass_scale * factor < 1.0:  # so a mass stays positive
-            raise ValidationError(f"mass_scale must be in [0, 1 / aggressive_factor), got "
-                                  f"{self.mass_scale} with aggressive_factor={factor}")
-        if not self.friction_scale * factor <= 1.0:  # and friction non-negative
-            raise ValidationError(f"friction_scale must be in [0, 1 / aggressive_factor], got "
-                                  f"{self.friction_scale} with aggressive_factor={factor}")
+            require(name, getattr(self, name), getattr(self, name) >= 0, "non-negative")
+        factor = self.aggressive_factor
+        require("aggressive_factor", factor, factor >= 1.0, ">= 1")
+        # masses scale by 1 + U(-s, s), s = mass_scale * factor, so below 1 a
+        # mass stays positive; friction likewise stays non-negative up to 1
+        require("mass_scale", self.mass_scale, self.mass_scale * factor < 1.0,
+                "in [0, 1 / aggressive_factor)", aggressive_factor=factor)
+        require("friction_scale", self.friction_scale, self.friction_scale * factor <= 1.0,
+                "in [0, 1 / aggressive_factor]", aggressive_factor=factor)
 
     def scaled(self, factor: float) -> "RandomizationCfg":
         """Copy with every range multiplied by `factor` and an aggressive factor
@@ -139,25 +137,20 @@ class ArmEnv:
         self.n_substeps, self.episode_len, self.history_len, scale = (
             cfg[k] for k in ("n_substeps", "episode_len", "history_len", "envelope_scale"))
 
-        def check(key: str, value, ok: bool, what: str) -> None:
-            if not ok:
-                raise ValidationError(f"{key} must be {what}, got {value}")
-
         # a sub-section's fields are named below it, as `pd.zeta`
         with config_section(section, {k: f"{sub}.{k}" for sub, fields in cfg.items()
                                       if isinstance(fields, dict) for k in fields}):
-            if not links:
-                raise ValidationError("links: need at least one link")
+            require("links", links, len(links) > 0, "non-empty")
             for i, link in enumerate(links):
                 for k in ("mass", "length"):
-                    check(f"links.{i}.{k}", link[k], link[k] > 0, "positive")
-            check("n_substeps", self.n_substeps, 1 <= self.n_substeps <= MAX_SUBSTEPS,
-                  f"in [1, {MAX_SUBSTEPS}]")
-            check("episode_len", self.episode_len, 1 <= self.episode_len <= MAX_EPISODE_LEN,
-                  f"in [1, {MAX_EPISODE_LEN}]")
-            check("history_len", self.history_len, 0 <= self.history_len <= MAX_HISTORY_LEN,
-                  f"in [0, {MAX_HISTORY_LEN}]")
-            check("envelope_scale", scale, scale > 0, "positive")
+                    require(f"links.{i}.{k}", link[k], link[k] > 0, "positive")
+            require("n_substeps", self.n_substeps, 1 <= self.n_substeps <= MAX_SUBSTEPS,
+                    f"in [1, {MAX_SUBSTEPS}]")
+            require("episode_len", self.episode_len, 1 <= self.episode_len <= MAX_EPISODE_LEN,
+                    f"in [1, {MAX_EPISODE_LEN}]")
+            require("history_len", self.history_len, 0 <= self.history_len <= MAX_HISTORY_LEN,
+                    f"in [0, {MAX_HISTORY_LEN}]")
+            require("envelope_scale", scale, scale > 0, "positive")
             if len(names) != len(links):  # the fault of either key, so both are named
                 raise ValidationError(f"actuators must hold one name per link, got "
                                       f"{len(names)} names with links={links}")
@@ -173,7 +166,7 @@ class ArmEnv:
             self.randomization = RandomizationCfg(**cfg["randomization"])
             pp = dict(cfg["power_penalty"])
             joints = pp.pop("joints")
-            check("joints", joints, joints is None or isinstance(joints, (list, tuple)) and all(
+            require("joints", joints, joints is None or isinstance(joints, (list, tuple)) and all(
                 isinstance(j, (int, np.integer)) and 0 <= j < len(links) for j in joints),
                 "null or a list of joint indices")
             self.power_cfg = PowerPenaltyCfg(
@@ -209,8 +202,7 @@ class ArmEnv:
         widens every randomization range by `aggressive_factor` and relaxes
         the termination thresholds by `relax_factor`.
         """
-        if mode not in ("base", "aggressive"):
-            raise ValidationError(f"mode must be 'base' or 'aggressive', got '{mode}'")
+        require("mode", f"'{mode}'", mode in ("base", "aggressive"), "'base' or 'aggressive'")
         batch = isinstance(rng, list)
         rngs = [r if isinstance(r, np.random.Generator) else np.random.default_rng(r)
                 for r in (rng if batch else [rng])]
@@ -560,11 +552,9 @@ class ExpertPolicy:
     action_limit: float = 4.0
 
     def __post_init__(self):
-        if not 0 <= self.lookahead <= MAX_EPISODE_LEN:
-            raise ValidationError(
-                f"lookahead must be in [0, {MAX_EPISODE_LEN}], got {self.lookahead}")
-        if not self.action_limit > 0:
-            raise ValidationError(f"action_limit must be positive, got {self.action_limit}")
+        require("lookahead", self.lookahead, 0 <= self.lookahead <= MAX_EPISODE_LEN,
+                f"in [0, {MAX_EPISODE_LEN}]")
+        require("action_limit", self.action_limit, self.action_limit > 0, "positive")
 
 
 def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -> np.ndarray:

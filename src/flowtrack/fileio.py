@@ -2,10 +2,10 @@
 a config file or a `--set` value is laid over what it overrides (`overlay`),
 and the result is typed once against the defaults, which are the schema
 (`merge_over`, `check_like`), so no caller re-types a setting; each
-setting's range is checked by the object it configures, and
-`config_section` names the key of one that fails; both checkpoint kinds
-share one codec (`save_checkpoint`, `load_checkpoint`); every writer uses
-`write_atomic`.
+setting's range is checked by the object it configures, every check through
+`require`, which writes the one message form that `config_section` parses to
+name the key of one that fails; both checkpoint kinds share one codec
+(`save_checkpoint`, `load_checkpoint`); every writer uses `write_atomic`.
 """
 
 from __future__ import annotations
@@ -88,6 +88,18 @@ def check_like(value, example, error_type, origin, key: str = ""):
         return [check_like(item, example[0], error_type, origin, join_key(key, i))
                 for i, item in enumerate(value)] if example else value
     return type(example)(value)
+
+
+def require(key: str, value, ok, what: str, **bound_by) -> None:
+    """Raise `ValidationError("<key> must be <what>, got <value>")` unless
+    `ok`, the condition a valid value meets, so that NaN, which meets none,
+    fails. `key` is the field's name; `bound_by` holds the other field of a
+    bound on two, whose value the message gives after `value` (`got 0.9 with
+    aggressive_factor=1.5`). `config_section` turns both names into keys.
+    Nothing is formatted unless the check fails."""
+    if not ok:
+        raise ValidationError(f"{key} must be {what}, got {value}"
+                              + "".join(f" with {k}={v}" for k, v in bound_by.items()))
 
 
 @contextmanager

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .fileio import load_checkpoint, save_checkpoint
+from .fileio import load_checkpoint, require, save_checkpoint
 
 # Caps on the net sizes a config sets, which allocate: hidden-layer widths of
 # the flow and residual nets (see `check_widths`), the flow net's time
@@ -32,8 +32,7 @@ def check_widths(hidden) -> None:
     """Raise a ValidationError naming `hidden.<i>` for a hidden-layer width
     outside [1, MAX_LAYER_WIDTH]; a net calls it before allocating its layers."""
     for i, width in enumerate(hidden):
-        if not 1 <= width <= MAX_LAYER_WIDTH:
-            raise ValidationError(f"hidden.{i} must be in [1, {MAX_LAYER_WIDTH}], got {width}")
+        require(f"hidden.{i}", width, 1 <= width <= MAX_LAYER_WIDTH, f"in [1, {MAX_LAYER_WIDTH}]")
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +120,11 @@ class VelocityFieldNet:
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
         check_widths(self.hidden)
-        if self.time_embed_dim % 2 != 0 or not 0 < self.time_embed_dim <= MAX_TIME_EMBED_DIM:
-            raise ValidationError(f"time_embed_dim must be an even number in "
-                                  f"[2, {MAX_TIME_EMBED_DIM}], got {self.time_embed_dim}")
+        dim = self.time_embed_dim
+        require("time_embed_dim", dim, dim % 2 == 0 and 0 < dim <= MAX_TIME_EMBED_DIM,
+                f"an even number in [2, {MAX_TIME_EMBED_DIM}]")
         for name in ("alpha", "beta"):  # the Beta shape parameters
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+            require(name, getattr(self, name), getattr(self, name) > 0, "positive")
         if not self.params:
             self.params = mlp_zeros(self.layer_sizes)
         check_layers(self.params, self.layer_sizes)
@@ -219,8 +217,8 @@ class SamplerCfg:
     steps: int = 5
 
     def __post_init__(self):
-        if not 1 <= self.steps <= MAX_SAMPLER_STEPS:
-            raise ValidationError(f"steps must be in [1, {MAX_SAMPLER_STEPS}], got {self.steps}")
+        require("steps", self.steps, 1 <= self.steps <= MAX_SAMPLER_STEPS,
+                f"in [1, {MAX_SAMPLER_STEPS}]")
 
 
 def fm_loss(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray, eps: np.ndarray) -> float:

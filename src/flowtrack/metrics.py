@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionError, ValidationError
+from .fileio import require
 from .motion import MotionClip, finite_difference, quat_angular_speed
 
 # Difficulty-score normalizers: raw value at which each axis saturates to 1.
@@ -80,8 +81,7 @@ class TerminationThresholds:
 
     def __post_init__(self):
         for name in ("z_err_max", "grav_err_max", "relax_factor"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+            require(name, getattr(self, name), getattr(self, name) > 0, "positive")
 
 
 def max_kinematics(q_series, dt: float) -> tuple[float, float, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, SchemaError, ValidationError
-from .fileio import check_like, read_json, write_atomic
+from .fileio import check_like, read_json, require, write_atomic
 
 QUAT_NORM_TOL = 1e-3
 
@@ -61,8 +61,7 @@ class MotionClip:
             getattr(self, key).setflags(write=False)
 
     def _validate(self):
-        if self.fps <= 0:
-            raise ValidationError(f"fps must be positive, got {self.fps}")
+        require("fps", self.fps, self.fps > 0, "positive")
         # a letter other than J takes its size from the first array with it
         sizes = {"J": len(self.joint_names)}
         for key, (dtype, *dims) in _FRAMES.items():
@@ -179,8 +178,7 @@ def finite_difference(series, dt: float) -> np.ndarray:
     arr = np.asarray(series, dtype=float)
     if arr.shape[0] < 2:
         raise DimensionError(f"need at least 2 rows to difference, got {arr.shape[0]}")
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    require("dt", dt, dt > 0, "positive")
     d = np.diff(arr, axis=0) / dt
     return np.concatenate([d, d[-1:]], axis=0)
 
@@ -192,8 +190,7 @@ def segment_clips(clip: MotionClip, seconds: float = 10.0) -> list[MotionClip]:
     trailing partial segment when at least one second of frames remains;
     shorter remainders are dropped.
     """
-    if seconds <= 0:
-        raise ValidationError(f"segment length must be positive, got {seconds}")
+    require("seconds", seconds, seconds > 0, "positive")
     seg = int(round(seconds * clip.fps))
     T = clip.n_frames
     if T <= seg:
@@ -231,10 +228,9 @@ class SynthMotionSpec:
         object.__setattr__(
             self, "link_lengths", _per_joint(self.link_lengths or 0.5, self.n_joints)
         )
-        if self.duration * self.fps < 2:
-            raise ValidationError("duration * fps must cover at least 2 frames")
-        if not all(np.isfinite(self.amplitude)):
-            raise ValidationError("amplitudes must be finite")
+        require("duration", self.duration, self.duration * self.fps >= 2,
+                "at least 2 frames long", fps=self.fps)
+        require("amplitude", self.amplitude, all(np.isfinite(self.amplitude)), "finite")
 
 
 def _per_joint(value, n: int) -> tuple[float, ...]:

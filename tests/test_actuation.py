@@ -60,6 +60,19 @@ class TestCatalog:
         with pytest.raises(ValidationError, match=r"cat\.json: actuator 'a'"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau_y2", -1.0, "tau_y2 must be positive, got -1.0"),
+        ("mu_d", -0.5, "mu_d must be non-negative, got -0.5"),
+        ("armature_I", 0.0, "armature_I must be positive, got 0.0"),
+        ("v_x1", 99.0, "v_x1 must be in (0, v_x2), got 99.0 with v_x2=40.13"),
+    ])
+    def test_invalid_constant_names_its_field(self, tmp_path, field, value, message):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"a": dict(dataclasses.asdict(M5020), **{field: value})}))
+        with pytest.raises(ValidationError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"{path}: actuator 'a': {message}"
+
     def test_param_validation(self):
         with pytest.raises(ValidationError):
             ActuatorParams(1.0, 1.0, 5.0, 2.0, 0.1, 0.01, 0.1, 1e-3)  # v_x1 > v_x2

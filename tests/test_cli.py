@@ -419,7 +419,23 @@ class TestEval:
         rc = cli.main(["--quiet", "eval", "--policy", str(path),
                        "--motions", str(motions_dir / "a_slow.json")])
         assert rc == 1
-        assert "not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not match" in err
+        assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("dims", [
+        (9, 8, 3),
+        (7, 5, 2),  # the env's input width, 6 + 6 + 2: it ran on the wrong column split
+    ])
+    def test_residual_dim_mismatch_exits_1(self, motions_dir, tiny_policy_dir, tmp_path,
+                                           capsys, dims):
+        path = tmp_path / "r.json"
+        distill.save_residual(distill.ResidualPolicy(*dims, hidden=(4,)), path)
+        rc = cli.main(["--quiet", "eval", "--policy", str(tiny_policy_dir / "policy.json"),
+                       "--residual", str(path), "--motions", str(motions_dir / "a_slow.json"),
+                       "--rollouts", "1", "--set", "env.episode_len=20"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: checkpoint dims ")
 
     def test_huge_episode_len_exits_1(self, motions_dir, tiny_policy_dir, capsys):
         # rollouts preallocate (episode_len, ...) logs: without a ceiling this

@@ -1,5 +1,6 @@
 """The typed file boundary: `check_like` returns a document in its example's
-types, and both checkpoint kinds load their header fields typed."""
+types, both checkpoint kinds load their header fields typed, and `require`
+writes every range error, which NaN fails."""
 
 import json
 
@@ -7,9 +8,13 @@ import numpy as np
 import pytest
 
 from flowtrack import distill, flow
-from flowtrack.env import ArmEnv
-from flowtrack.errors import ConfigError
-from flowtrack.fileio import check_like
+from flowtrack.actuation import PowerPenaltyCfg
+from flowtrack.env import ArmEnv, RandomizationCfg
+from flowtrack.errors import ConfigError, ValidationError
+from flowtrack.fileio import check_like, config_section, require
+from flowtrack.motion import SynthMotionSpec
+
+NAN = float("nan")
 
 
 @pytest.mark.parametrize("value, example, expected", [
@@ -84,3 +89,45 @@ def test_residual_header_loads_typed(tmp_path):
     dims = (loaded.proprio_dim, loaded.command_dim, loaded.action_dim, *loaded.hidden)
     assert dims == (res.proprio_dim, res.command_dim, 2, 3)
     assert all(type(d) is int for d in dims) and type(loaded.bound) is float
+
+
+def test_require_message():
+    require("k", 1.0, True, "positive")
+    with pytest.raises(ValidationError) as info:
+        require("k", -1.0, False, "positive")
+    assert str(info.value) == "k must be positive, got -1.0"
+
+
+def test_require_rejects_nan():
+    with pytest.raises(ValidationError, match=r"^k must be positive, got nan$"):
+        require("k", NAN, NAN > 0, "positive")
+
+
+@pytest.mark.parametrize("value, bound_by", [
+    ("0.9 with aggressive_factor=1.5", {}),  # pre-formatted
+    (0.9, {"aggressive_factor": 1.5}),
+])
+def test_require_names_the_other_field_of_a_bound(value, bound_by):
+    with pytest.raises(ConfigError) as info, config_section("env.randomization"):
+        require("mass_scale", value, False, "in [0, 1 / aggressive_factor)", **bound_by)
+    assert str(info.value) == ("env.randomization.mass_scale must be in [0, 1 / "
+                               "aggressive_factor), got 0.9 with "
+                               "env.randomization.aggressive_factor=1.5")
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: distill.DistillCfg(learning_rate=NAN), "learning_rate"),
+    (lambda: distill.ESCfg(sigma=NAN), "sigma"),
+    (lambda: PowerPenaltyCfg(deadband=NAN), "deadband"),
+    (lambda: PowerPenaltyCfg(norm=NAN), "norm"),
+    (lambda: RandomizationCfg(pose_noise=NAN), "pose_noise"),
+    (lambda: RandomizationCfg(disturbance=NAN), "disturbance"),
+    (lambda: RandomizationCfg(q0_offset=NAN), "q0_offset"),
+    # NaN passed its old check and failed the next, which named mass_scale
+    (lambda: RandomizationCfg(aggressive_factor=NAN), "aggressive_factor"),
+    # and this one reached int(), a bare "cannot convert float NaN to integer"
+    (lambda: SynthMotionSpec(2, NAN, 50.0, amplitude=0.1, frequency=0.2), "duration"),
+])
+def test_nan_setting_is_a_range_error_naming_it(build, key):
+    with pytest.raises(ValidationError, match=rf"^{key} must be .*, got nan"):
+        build()
