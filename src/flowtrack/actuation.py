@@ -54,6 +54,15 @@ class ActuatorParams:
         return replace(self, tau_y1=self.tau_y1 * torque_scale, tau_y2=self.tau_y2 * torque_scale,
                        mu_s=self.mu_s * friction_scale, mu_d=self.mu_d * friction_scale)
 
+    def derived(self, **changes) -> "ActuatorParams":
+        """`dataclasses.replace` without re-running the checks, for a copy of
+        checked params whose new values keep every invariant by how they are
+        made: rows of a stacked copy, or friction scaled by a non-negative
+        factor."""
+        new = object.__new__(ActuatorParams)
+        new.__dict__.update(self.__dict__, **changes)
+        return new
+
 
 _PARAM_FIELDS = tuple(f.name for f in fields(ActuatorParams))
 

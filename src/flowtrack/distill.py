@@ -19,9 +19,9 @@ from . import metrics
 from .env import ArmEnv, ExpertPolicy, expert_action
 from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, require, save_checkpoint
-from .flow import (AdamState, FMBatch, SamplerCfg, VelocityFieldNet, adam_step,
-                   check_layers, check_widths, clone_net, euler_sample, fm_loss_and_grad,
-                   mlp_forward, mlp_init, mlp_zeros)
+from .flow import (AdamState, FMBatch, GradWorkspace, SamplerCfg, VelocityFieldNet,
+                   adam_step, check_layers, check_widths, clone_net, euler_sample,
+                   fm_loss_and_grad, mlp_forward, mlp_init, mlp_zeros)
 from .motion import MotionClip, finite_difference, segment_clips
 
 
@@ -59,11 +59,20 @@ class ReplayBuffer:
         self._act[self._size:end] = a_expert
         self._size = end
 
-    def sample_batch(self, batch_size: int, rng) -> FMBatch:
+    def sample_batch(self, batch_size: int, rng, out: FMBatch | None = None) -> FMBatch:
+        """`batch_size` rows drawn with replacement (as many as the buffer
+        holds, if fewer), written into `out`, a batch of that many rows, when
+        given."""
         if not self._size:
             raise ValidationError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=min(batch_size, self._size))
-        return FMBatch(self._obs[idx], self._act[idx])
+        if out is None:
+            out = FMBatch(np.empty((len(idx), self._obs.shape[1])),
+                          np.empty((len(idx), self._act.shape[1])))
+        # the indices are in range; mode "raise" would gather through a copy
+        np.take(self._obs, idx, axis=0, out=out.observations, mode="clip")
+        np.take(self._act, idx, axis=0, out=out.expert_actions, mode="clip")
+        return out
 
 
 # Most episodes a DAgger iteration runs. They run as one batch, which
@@ -115,12 +124,15 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet
     alone, so the result is the loop's, bit for bit, in 1 + (episodes ending
     early before the last) batches per iteration. Each kept episode is
     labelled by one `expert_action` call and added to the buffer in episode
-    order; the gradient steps draw from the last episode's stream.
+    order; the gradient steps draw from the last episode's stream. They run
+    in one `GradWorkspace`, built again only when an iteration's batch row
+    count differs from the last one's, and Adam updates the net in place.
     """
     net = clone_net(net)
     rng = np.random.default_rng(cfg.seed)
     buffer = ReplayBuffer()
     opt_state = AdamState()
+    ws = None
     losses: list[float] = []
     T, K = env.episode_len, cfg.episodes_per_iter
     for it in range(cfg.iterations):
@@ -145,11 +157,14 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet
             rng = rows[kept - 1][1]
             start += kept
         lr = cfg.learning_rate * cfg.lr_decay ** it
+        rows = min(cfg.batch_size, len(buffer))
+        if ws is None or ws.rows != rows:
+            ws = GradWorkspace(net, rows)
         iter_losses = []
         for _ in range(cfg.gradient_steps):
-            batch = buffer.sample_batch(cfg.batch_size, rng)
-            loss, grads = fm_loss_and_grad(net, batch, rng)
-            net.params, opt_state = adam_step(net.params, grads, opt_state, lr=lr)
+            batch = buffer.sample_batch(cfg.batch_size, rng, ws.batch)
+            loss, grads = fm_loss_and_grad(net, batch, rng, ws)
+            adam_step(net.params, grads, opt_state, lr=lr)
             iter_losses.append(loss)
         losses.append(float(np.mean(iter_losses)))
         if on_iteration is not None:

@@ -48,6 +48,9 @@ MAX_HISTORY_LEN = 1_000
 # Most integration substeps per control step: each is a pass of Python-level
 # dynamics, so a huge value would run for hours, not fail.
 MAX_SUBSTEPS = 1_000
+# Largest gravity magnitude, m/s^2 (about 100 g). Far above it the arm's
+# torques overflow, and a step fails as non-finite rather than as a range error.
+MAX_GRAVITY = 1_000.0
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,8 @@ class ArmEnv:
             require("history_len", self.history_len, 0 <= self.history_len <= MAX_HISTORY_LEN,
                     f"in [0, {MAX_HISTORY_LEN}]")
             require("envelope_scale", scale, scale > 0, "positive")
+            require("gravity", cfg["gravity"], abs(cfg["gravity"]) <= MAX_GRAVITY,
+                    f"in [-{MAX_GRAVITY}, {MAX_GRAVITY}]")
             if len(names) != len(links):  # the fault of either key, so both are named
                 raise ValidationError(f"actuators must hold one name per link, got "
                                       f"{len(names)} names with links={links}")
@@ -174,7 +179,7 @@ class ArmEnv:
         self.n_joints = len(links)
         self.masses = np.array([l["mass"] for l in links])
         self.lengths = np.array([l["length"] for l in links])
-        self.gravity = cfg["gravity"]  # finite: merge_config checks every number
+        self.gravity = cfg["gravity"]  # a float (merge_config), in range (above)
         self.dt = CONTROL_DT
         self.actuators = [p.scaled(torque_scale=scale) for p in nominal]
         self._joint_params = actuation.stack(self.actuators)
@@ -235,7 +240,10 @@ class ArmEnv:
         draws = [_episode_draws(r, rand, J) for r in self._rngs]
         mass, friction, q0_offset, pose_noise = (np.array(d) for d in zip(*draws))
         self._masses_ep = self.masses * (1.0 + mass)
-        self._actuators_ep = self._joint_params.scaled(friction_scale=(1.0 + friction)[:, None])
+        # 1 + friction >= 0, as RandomizationCfg bounds friction_scale by 1, so
+        # the scaled friction needs none of the catalog's checks again
+        p, friction_scale = self._joint_params, (1.0 + friction)[:, None]
+        self._actuators_ep = p.derived(mu_s=p.mu_s * friction_scale, mu_d=p.mu_d * friction_scale)
         self._q0_eff = self.q0 + q0_offset
         mcum = np.cumsum(self._masses_ep[:, ::-1], axis=1)[:, ::-1]
         joint = np.arange(J)
@@ -318,7 +326,7 @@ class ArmEnv:
     def _actuators(self, rows):
         """The randomized actuator params of the episodes in `rows`."""
         p = self._actuators_ep
-        return p if isinstance(rows, slice) else replace(p, mu_s=p.mu_s[rows], mu_d=p.mu_d[rows])
+        return p if isinstance(rows, slice) else p.derived(mu_s=p.mu_s[rows], mu_d=p.mu_d[rows])
 
     # -- observation ---------------------------------------------------------
 

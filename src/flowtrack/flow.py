@@ -75,27 +75,45 @@ def mlp_forward(params, x: np.ndarray) -> np.ndarray:
     return _mlp_layers(params, x)[-1]
 
 
-def _mlp_layers(params, x) -> list:
-    """[x, hidden activations..., output] of the `mlp_forward` pass."""
+def _mlp_layers(params, x, out=None) -> list:
+    """[x, hidden activations..., output] of the `mlp_forward` pass.
+
+    Each layer is computed in place: its product goes to a buffer, then the
+    bias and the tanh are applied to that buffer. `out`, when given, holds one
+    buffer per layer (a `GradWorkspace`'s `acts`); without it each product
+    allocates its own."""
     acts = [x]
-    for W, b in params[:-1]:
-        acts.append(np.tanh(acts[-1] @ W.mT + b))
-    W, b = params[-1]
-    acts.append(acts[-1] @ W.mT + b)
+    last = len(params) - 1
+    for i, ((W, b), buf) in enumerate(zip(params, out or [None] * len(params))):
+        h = np.matmul(acts[-1], W.mT, out=buf)
+        np.add(h, b, out=h)
+        if i < last:
+            np.tanh(h, out=h)
+        acts.append(h)
     return acts
 
 
-def _mlp_backward(params, acts, d_out):
+def _mlp_backward(params, acts, d_out, ws=None):
     """Gradients of all (W, b) given d(loss)/d(output) and the layer inputs
-    `acts` (`_mlp_layers` without its output); returns same structure."""
+    `acts` (`_mlp_layers` without its output); returns same structure.
+
+    Each product, sum and slope is computed in place: into the buffers of
+    `ws`, a `GradWorkspace`, whose `grads` blocks are then returned, or into
+    fresh arrays without one. A hidden activation is overwritten by its tanh
+    slope 1 - a*a once its layer's gradient is taken.
+    """
     grads = [None] * len(params)
     d = d_out
     for layer in range(len(params) - 1, -1, -1):
         W, _ = params[layer]
         a_prev = acts[layer]
-        grads[layer] = (d.T @ a_prev, d.sum(axis=0))
+        gW, gb = (None, None) if ws is None else ws.grads[layer]
+        grads[layer] = (np.matmul(d.T, a_prev, out=gW), np.sum(d, axis=0, out=gb))
         if layer > 0:
-            d = (d @ W) * (1.0 - acts[layer] ** 2)
+            slope = np.multiply(a_prev, a_prev, out=a_prev)
+            np.subtract(1.0, slope, out=slope)
+            d = np.matmul(d, W, out=None if ws is None else ws.deltas[layer])
+            np.multiply(d, slope, out=d)
     return grads
 
 
@@ -160,16 +178,16 @@ def time_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _input_rows(net: VelocityFieldNet, a, emb: np.ndarray, obs):
-    """[a, emb, obs] rows checked against the net's dims; `emb` holds one
-    time-embedding row per action row."""
+def _input_rows(net: VelocityFieldNet, a, emb: np.ndarray, obs, out=None):
+    """[a, emb, obs] rows checked against the net's dims, written into `out`
+    when given; `emb` holds one time-embedding row per action row."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     if a.shape[-1] != net.action_dim:
         raise DimensionError(f"action dim {a.shape[-1]} != net action dim {net.action_dim}")
     if obs.shape[-1] != net.obs_dim:
         raise DimensionError(f"obs dim {obs.shape[-1]} != net obs dim {net.obs_dim}")
-    return np.concatenate([a, emb, obs], axis=-1)
+    return np.concatenate([a, emb, obs], axis=-1, out=out)
 
 
 def _assemble_input(net: VelocityFieldNet, a, t, obs):
@@ -221,6 +239,25 @@ class SamplerCfg:
                 f"in [1, {MAX_SAMPLER_STEPS}]")
 
 
+class GradWorkspace:
+    """The buffers of one flow-matching gradient step of `net` on `rows`
+    rows: the sampled batch (`ReplayBuffer.sample_batch`), the [a_t, time
+    embedding, obs] input, each layer's activations, each hidden layer's
+    backpropagated gradient and the (W, b) gradient blocks. A step that uses
+    it allocates no array of the batch's size; the gradients it returns are
+    the `grads` buffers, which the next step overwrites."""
+
+    def __init__(self, net: VelocityFieldNet, rows: int):
+        sizes = net.layer_sizes
+        self.sizes, self.rows = sizes, rows
+        self.batch = FMBatch(np.empty((rows, net.obs_dim)), np.empty((rows, net.action_dim)))
+        self.x = np.empty((rows, sizes[0]))
+        self.acts = [np.empty((rows, width)) for width in sizes[1:]]
+        # deltas[i] is d(loss)/d(hidden activation i); the input has none
+        self.deltas = [None, *(np.empty((rows, width)) for width in sizes[1:-1])]
+        self.grads = [(np.empty((o, i)), np.empty(o)) for i, o in zip(sizes[:-1], sizes[1:])]
+
+
 def fm_loss(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray, eps: np.ndarray) -> float:
     """Flow-matching loss for given noise draws (used by gradient oracles)."""
     a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
@@ -230,25 +267,37 @@ def fm_loss(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray, eps: np.ndarra
 
 
 def fm_loss_and_grad_at(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray,
-                        eps: np.ndarray) -> tuple[float, list]:
-    """Loss and exact parameter gradients at fixed (t, eps) draws."""
+                        eps: np.ndarray, ws: GradWorkspace | None = None) -> tuple[float, list]:
+    """Loss and exact parameter gradients at fixed (t, eps) draws.
+
+    The step's input, activations and gradients are written into `ws`, a
+    `GradWorkspace` for the net's layer sizes and the batch's row count, and
+    the returned gradients alias it. Without one every array is fresh, so
+    the gradients are the caller's own.
+    """
     n = len(batch)
+    if ws is not None and (ws.rows, ws.sizes) != (n, net.layer_sizes):
+        raise DimensionError(f"workspace for {ws.rows} rows of sizes {ws.sizes} used for "
+                             f"{n} rows of sizes {net.layer_sizes}")
     a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
     u = eps - batch.expert_actions
-    x = _assemble_input(net, a_t, t, batch.observations)
-    *acts, v = _mlp_layers(net.params, x)
+    x = _input_rows(net, a_t, time_embedding(t, net.time_embed_dim), batch.observations,
+                    out=None if ws is None else ws.x)
+    *acts, v = _mlp_layers(net.params, x, None if ws is None else ws.acts)
     resid = v - u
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grads = _mlp_backward(net.params, acts, 2.0 * resid / n)
+    grads = _mlp_backward(net.params, acts, 2.0 * resid / n, ws)
     return loss, grads
 
 
-def fm_loss_and_grad(net: VelocityFieldNet, batch: FMBatch, rng) -> tuple[float, list]:
-    """Draw per-sample (t, eps) and return the loss with exact gradients."""
+def fm_loss_and_grad(net: VelocityFieldNet, batch: FMBatch, rng,
+                     ws: GradWorkspace | None = None) -> tuple[float, list]:
+    """Draw per-sample (t, eps) and return the loss with exact gradients
+    (written into `ws` when given, see `fm_loss_and_grad_at`)."""
     n = len(batch)
     t = rng.beta(net.alpha, net.beta, size=n)
     eps = rng.standard_normal((n, net.action_dim))
-    return fm_loss_and_grad_at(net, batch, t, eps)
+    return fm_loss_and_grad_at(net, batch, t, eps, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -287,35 +336,45 @@ def euler_sample(net: VelocityFieldNet, obs, cfg: SamplerCfg, rng) -> np.ndarray
 
 @dataclass
 class AdamState:
+    """Step count and per-block first and second moments. `scratch` holds the
+    update's two temporaries: flat buffers the size of the largest block."""
+
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    scratch: tuple = ()
 
 
 def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3):
-    """One bias-corrected Adam update with betas (0.9, 0.999) and eps 1e-8;
-    returns (new_params, new_state)."""
+    """One bias-corrected Adam update with betas (0.9, 0.999) and eps 1e-8,
+    made in place on the arrays of `params` and `state`; returns (params,
+    state). Each moment and parameter is the plain expression of its comment,
+    evaluated in the same order into a buffer, so the bits are those of it."""
     if len(params) != len(grads):
         raise DimensionError("params and grads disagree on layer count")
     if not state.m:
         state.m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
         state.v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+        size = max(W.size for W, _ in params)
+        state.scratch = (np.empty(size), np.empty(size))
     b1, b2, eps = 0.9, 0.999, 1e-8
-    step = state.step + 1
-    c1 = 1.0 - b1 ** step
-    c2 = 1.0 - b2 ** step
-    new_params, new_m, new_v = [], [], []
-    for (W, b), (gW, gb), (mW, mb), (vW, vb) in zip(params, grads, state.m, state.v):
-        mW = b1 * mW + (1 - b1) * gW
-        mb = b1 * mb + (1 - b1) * gb
-        vW = b2 * vW + (1 - b2) * gW ** 2
-        vb = b2 * vb + (1 - b2) * gb ** 2
-        W = W - lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
-        b = b - lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
-        new_params.append((W, b))
-        new_m.append((mW, mb))
-        new_v.append((vW, vb))
-    return new_params, AdamState(step=step, m=new_m, v=new_v)
+    state.step += 1
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    for blocks in zip(params, grads, state.m, state.v):
+        for p, g, m, v in zip(*blocks):
+            s, r = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(b1, m, out=m)
+            np.add(m, np.multiply(1 - b1, g, out=s), out=m)
+            # v = b2 * v + (1 - b2) * g ** 2
+            np.multiply(b2, v, out=v)
+            np.add(v, np.multiply(1 - b2, np.multiply(g, g, out=s), out=s), out=v)
+            # p = p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            np.add(np.sqrt(np.divide(v, c2, out=s), out=s), eps, out=s)
+            np.divide(np.multiply(lr, np.divide(m, c1, out=r), out=r), s, out=r)
+            np.subtract(p, r, out=p)
+    return params, state
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from flowtrack import cli, distill, flow
 from flowtrack.distill import MAX_EPISODES_PER_ITER, MAX_POPULATION
-from flowtrack.env import MAX_HISTORY_LEN, ArmEnv
+from flowtrack.env import MAX_GRAVITY, MAX_HISTORY_LEN, ArmEnv
 from flowtrack.flow import MAX_LAYER_WIDTH, MAX_SAMPLER_STEPS, MAX_TIME_EMBED_DIM
 from flowtrack.motion import SynthMotionSpec, save_motion, synth_motion
 
@@ -85,6 +85,18 @@ def test_mismatched_motion_file_exits_1(tmp_path, tiny_policy_dir, monkeypatch, 
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {path}: {MISMATCHES[kind]}\n"
     assert not resets and not (tmp_path / "out").exists()
+
+
+def test_gravity_out_of_range_exits_1(motions_dir, tiny_policy_dir, capsys):
+    # uncapped, 1e308 passed set-up, overflowed the first step's dynamics and
+    # exited 2 with "state became non-finite at step 1"
+    argv = ["--quiet", "eval", "--policy", str(tiny_policy_dir / "policy.json"),
+            "--motions", str(motions_dir / "a_slow.json"), "--rollouts", "1",
+            "--set", "env.episode_len=20"]
+    assert cli.main([*argv, "--set", "env.gravity=1e308"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: env.gravity must be in [-{MAX_GRAVITY}, {MAX_GRAVITY}], got 1e+308\n")
+    assert cli.main([*argv, "--set", f"env.gravity={-MAX_GRAVITY}"]) == 0
 
 
 @pytest.mark.parametrize("command, key, item", [

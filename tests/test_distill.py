@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer, ResidualPolicy,
                                rollout_episode)
 from flowtrack.env import ArmEnv, ExpertPolicy
 from flowtrack.errors import CheckpointError, DimensionError, ValidationError
-from flowtrack.flow import MAX_LAYER_WIDTH, init_net
+from flowtrack.flow import MAX_LAYER_WIDTH, FMBatch, init_net
 
 from conftest import make_sine
 
@@ -69,6 +71,19 @@ class TestReplayBuffer:
         assert np.array_equal(batch.observations, obs[idx])
         assert np.array_equal(batch.expert_actions, act[idx])
 
+    def test_sample_into_given_batch(self):
+        """A batch given as `out` receives the rows a fresh one would hold."""
+        rng = np.random.default_rng(5)
+        obs, act = rng.standard_normal((40, 4)), rng.standard_normal((40, 2))
+        buf = ReplayBuffer()
+        buf.add(obs, act)
+        out = FMBatch(np.empty((16, 4)), np.empty((16, 2)))
+        got = buf.sample_batch(16, np.random.default_rng(9), out)
+        want = buf.sample_batch(16, np.random.default_rng(9))
+        assert got is out
+        assert np.array_equal(got.observations, want.observations)
+        assert np.array_equal(got.expert_actions, want.expert_actions)
+
     def test_collected_record_count(self, monkeypatch):
         env = tiny_env(episode_len=30)
         motion = make_sine(0.2, 0.25, duration=4.0)
@@ -113,6 +128,53 @@ class TestDaggerTrain:
         e_untrained = closed_loop_joint_error(env, net0, motion, seed=11)
         e_trained = closed_loop_joint_error(env, net, motion, seed=11)
         assert e_trained < 0.2 * e_untrained
+
+    def test_given_net_unchanged(self):
+        """Adam updates the trained net in place; that net is a copy."""
+        env = tiny_env(episode_len=30)
+        net = init_net(2, env.obs_dim, hidden=(8,), rng=np.random.default_rng(0))
+        before = [(W.copy(), b.copy()) for W, b in net.params]
+        out, _ = dagger_train(env, [ExpertPolicy(make_sine(0.2, 0.25, duration=4.0))], net,
+                              DistillCfg(iterations=1, episodes_per_iter=1, gradient_steps=5,
+                                         batch_size=8, seed=0))
+        for (W, b), (W0, b0), (W1, b1) in zip(net.params, before, out.params):
+            assert np.array_equal(W, W0) and np.array_equal(b, b0)
+            assert not np.array_equal(W1, W0)
+
+    def test_gradient_step_allocates_no_batch_sized_array(self, monkeypatch):
+        """At the distill benchmark's sizes (input 52, hidden 128x128, batch
+        256), a warmed-up gradient step of `dagger_train`, from its
+        `sample_batch` call to the end of its `adam_step`, leaves the traced
+        memory peak less than one (256, 128) float block above its start:
+        the step's arrays are the workspace's and the Adam state's."""
+        env = ArmEnv({"episode_len": 100, "thresholds": {"z_err_max": 1e9, "grav_err_max": 1e9}})
+        net = init_net(2, env.obs_dim, hidden=(128, 128), rng=np.random.default_rng(0))
+        assert net.input_dim == 52
+        starts, peaks = [], []
+        sample_batch, adam_step = ReplayBuffer.sample_batch, distill.adam_step
+
+        def traced_sample(buf, *args):
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return sample_batch(buf, *args)
+
+        def traced_adam(*args, **kwargs):
+            out = adam_step(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+            return out
+
+        monkeypatch.setattr(ReplayBuffer, "sample_batch", traced_sample)
+        monkeypatch.setattr(distill, "adam_step", traced_adam)
+        cfg = DistillCfg(iterations=1, episodes_per_iter=3, gradient_steps=4, batch_size=256,
+                         seed=0)
+        try:
+            dagger_train(env, [ExpertPolicy(make_sine(0.2, 0.25, duration=4.0))], net, cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4
+        assert max(peaks[2:]) < 128 * 1024, peaks
 
     def test_seeded_training_reproducible(self):
         env = tiny_env(episode_len=40)

@@ -67,6 +67,7 @@ class TestConfig:
         ("history_len", -1), ("episode_len", 0), ("gravity", float("nan")),
         ("gravity", float("inf")), ("envelope_scale", float("nan")),
         ("envelope_scale", 0.0), ("links", []), ("actuators", ["5020-16"]),
+        ("gravity", 1e308), ("gravity", -1001.0),
     ])
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -147,14 +148,15 @@ class TestReset:
 
     def test_widest_aggressive_ranges_stay_physical(self):
         """At the largest ranges RandomizationCfg takes, aggressive resets keep
-        every link mass positive and every friction coefficient non-negative
-        (ActuatorParams refuses a negative one)."""
+        every link mass positive and every friction coefficient non-negative,
+        which reset's unchecked actuator copies rely on."""
         env = ArmEnv({"episode_len": 50, "randomization": {
             "mass_scale": 0.49, "friction_scale": 0.5, "aggressive_factor": 2.0}})
         clip = make_sine(0.3, 0.4, duration=4.0)
         for seed in range(50):
             env.reset(clip, seed, mode="aggressive")
             assert np.all(env._masses_ep > 0)
+            assert np.all(env._actuators_ep.mu_s >= 0) and np.all(env._actuators_ep.mu_d >= 0)
 
     def test_bound_on_two_fields_names_both_keys(self):
         with pytest.raises(ConfigError) as info:
@@ -358,6 +360,29 @@ class TestBatch:
             single = env.reset(clip, seed, mode="aggressive")
             assert np.array_equal(obs[i], single)
             assert np.array_equal(q[i], env.q) and np.array_equal(q0_eff[i], env.q0_eff)
+
+    def test_episode_params_skip_the_catalog_checks(self, monkeypatch):
+        """Reset's friction-scaled actuator params and the running rows' params
+        of each step are copies of checked params, made without the checks:
+        no `ActuatorParams` is checked after the env is built, while episodes
+        end early and the running rows shrink."""
+        env = ArmEnv({"episode_len": 60})
+        checked = []
+        post_init = actuation.ActuatorParams.__post_init__
+        monkeypatch.setattr(actuation.ActuatorParams, "__post_init__",
+                            lambda self: checked.append(self) or post_init(self))
+        clip = make_sine((0.8, 0.6), 1.2, phase=(0.0, 0.6), duration=2.0)
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        env.reset(clip, rngs, mode="aggressive")
+        assert env._actuators_ep.mu_s.shape == (4, 2)
+        saw_subset = False
+        while env.running.size:
+            rows = env._rows()
+            saw_subset |= not isinstance(rows, slice)
+            params = env._actuators(rows)
+            assert np.array_equal(params.mu_s, env._actuators_ep.mu_s[rows])
+            env.step_batch([expert_action(ExpertPolicy(clip), env, row=i) for i in env.running])
+        assert saw_subset and not checked
 
     def test_finished_rows_leave_the_running_set(self):
         env = ArmEnv({"episode_len": 30})

@@ -131,6 +131,44 @@ class TestLoss:
                         worst = max(worst, abs(g_an - g_fd) / max(abs(g_an), abs(g_fd), 1e-3))
             assert worst < 1e-4
 
+    def test_gradients_without_workspace_are_distinct(self):
+        """Each call without a workspace returns arrays of its own, so the
+        gradient checks above compare a fresh result every time."""
+        net = init_net(2, 4, hidden=(6, 5), rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        batch = FMBatch(rng.standard_normal((7, 4)), rng.standard_normal((7, 2)))
+        _, first = fm_loss_and_grad(net, batch, rng)
+        _, second = fm_loss_and_grad(net, batch, rng)
+        for pair_1, pair_2 in zip(first, second):
+            for g1, g2 in zip(pair_1, pair_2):
+                assert not np.shares_memory(g1, g2)
+                assert not np.array_equal(g1, g2)
+
+    def test_workspace_gradients_alias_it(self):
+        """With a workspace the step gives the same bits as without, and its
+        gradients are the workspace's buffers, rewritten by the next step."""
+        net = init_net(2, 4, hidden=(6, 5, 3), rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        batch = FMBatch(rng.standard_normal((7, 4)), rng.standard_normal((7, 2)))
+        ws = flow.GradWorkspace(net, 7)
+        draws = [(rng.beta(1.5, 1.0, size=7), rng.standard_normal((7, 2))) for _ in range(2)]
+        for t, eps in draws:
+            want_loss, want = fm_loss_and_grad_at(net, batch, t, eps)
+            loss, got = fm_loss_and_grad_at(net, batch, t, eps, ws)
+            assert loss == want_loss
+            for (gW, gb), (wW, wb), (bW, bb) in zip(got, want, ws.grads):
+                assert gW is bW and gb is bb
+                assert np.array_equal(gW, wW) and np.array_equal(gb, wb)
+
+    def test_workspace_of_other_shape_rejected(self):
+        net = init_net(2, 4, hidden=(6,), rng=np.random.default_rng(0))
+        batch = FMBatch(np.zeros((5, 4)), np.zeros((5, 2)))
+        t, eps = np.full(5, 0.5), np.zeros((5, 2))
+        for ws in (flow.GradWorkspace(net, 4),
+                   flow.GradWorkspace(init_net(2, 4, hidden=(7,)), 5)):
+            with pytest.raises(DimensionError, match="workspace"):
+                fm_loss_and_grad_at(net, batch, t, eps, ws)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(DimensionError):
             FMBatch(np.zeros((0, 3)), np.zeros((0, 2)))
@@ -211,9 +249,23 @@ class TestAdam:
         rng = np.random.default_rng(0)
         params = [(rng.standard_normal((3, 2)), rng.standard_normal(3))]
         zeros = [(np.zeros((3, 2)), np.zeros(3))]
+        before = [(W.copy(), b.copy()) for W, b in params]
         new, _ = adam_step(params, zeros, AdamState(), lr=0.1)
-        assert np.array_equal(new[0][0], params[0][0])
-        assert np.array_equal(new[0][1], params[0][1])
+        assert np.array_equal(new[0][0], before[0][0])
+        assert np.array_equal(new[0][1], before[0][1])
+
+    def test_updates_in_place(self):
+        """The update is written into the given arrays, and the state's
+        moments are the same arrays from step to step."""
+        params = [(np.ones((2, 3)), np.ones(2))]
+        grads = [(np.full((2, 3), 0.5), np.full(2, -0.5))]
+        state = AdamState()
+        new, state2 = adam_step(params, grads, state, lr=0.1)
+        assert new is params and state2 is state and state.step == 1
+        assert np.all(params[0][0] < 1.0) and np.all(params[0][1] > 1.0)
+        moments = [id(a) for a in (*state.m[0], *state.v[0])]
+        adam_step(params, grads, state, lr=0.1)
+        assert [id(a) for a in (*state.m[0], *state.v[0])] == moments and state.step == 2
 
     def test_first_step_is_signed_lr(self):
         params = [(np.zeros((1, 1)), np.zeros(1))]

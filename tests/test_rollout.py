@@ -17,8 +17,8 @@ from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer, _flatten, _unfla
                                hash_seed, rollout_batch, rollout_episode)
 from flowtrack.env import ArmEnv, ExpertPolicy, expert_action
 from flowtrack.errors import ValidationError
-from flowtrack.flow import (AdamState, SamplerCfg, adam_step, clone_net, euler_sample,
-                            fm_loss_and_grad, init_net)
+from flowtrack.flow import (FMBatch, SamplerCfg, clone_net, euler_sample, init_net,
+                            time_embedding)
 from flowtrack.motion import finite_difference, segment_clips
 
 from conftest import NO_RANDOMIZATION, make_sine
@@ -410,34 +410,98 @@ NO_TERMINATION = {"z_err_max": 1e9, "grav_err_max": 1e9}
 CLIPS = {"motion": MOTION, "hard": HARD, "short": SHORT}
 
 
+# The DAgger gradient step as plain expressions, each making a new array: the
+# oracle of the step `dagger_train` takes in place, in its workspace.
+
+def oracle_mlp_layers(params, x):
+    acts = [x]
+    for W, b in params[:-1]:
+        acts.append(np.tanh(acts[-1] @ W.mT + b))
+    W, b = params[-1]
+    acts.append(acts[-1] @ W.mT + b)
+    return acts
+
+
+def oracle_mlp_backward(params, acts, d_out):
+    grads = [None] * len(params)
+    d = d_out
+    for layer in range(len(params) - 1, -1, -1):
+        W, _ = params[layer]
+        a_prev = acts[layer]
+        grads[layer] = (d.T @ a_prev, d.sum(axis=0))
+        if layer > 0:
+            d = (d @ W) * (1.0 - acts[layer] ** 2)
+    return grads
+
+
+def oracle_fm_loss_and_grad(net, batch, rng):
+    n = len(batch)
+    t = rng.beta(net.alpha, net.beta, size=n)
+    eps = rng.standard_normal((n, net.action_dim))
+    a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
+    u = eps - batch.expert_actions
+    x = np.concatenate([a_t, time_embedding(t, net.time_embed_dim), batch.observations], axis=1)
+    *acts, v = oracle_mlp_layers(net.params, x)
+    resid = v - u
+    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
+    return loss, oracle_mlp_backward(net.params, acts, 2.0 * resid / n)
+
+
+def oracle_adam_step(params, grads, state, lr):
+    """Returns (new params, new state); a state is (step, m, v)."""
+    step, m, v = state
+    if m is None:
+        m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+        v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    step += 1
+    c1 = 1.0 - b1 ** step
+    c2 = 1.0 - b2 ** step
+    new_params, new_m, new_v = [], [], []
+    for (W, b), (gW, gb), (mW, mb), (vW, vb) in zip(params, grads, m, v):
+        mW = b1 * mW + (1 - b1) * gW
+        mb = b1 * mb + (1 - b1) * gb
+        vW = b2 * vW + (1 - b2) * gW ** 2
+        vb = b2 * vb + (1 - b2) * gb ** 2
+        W = W - lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
+        b = b - lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        new_params.append((W, b))
+        new_m.append((mW, mb))
+        new_v.append((vW, vb))
+    return new_params, (step, new_m, new_v)
+
+
 def serial_dagger(env, experts, net, cfg):
     """`dagger_train` as the episode-by-episode loop it was, kept as its
     oracle: reset, then per step an `expert_action` label of the current
     state, an `euler_sample` action and an `env.step`, every draw from one
-    Generator. Also returns the (obs, label) rows it added, in order."""
+    Generator; then the gradient steps of the oracle above, each on a batch
+    drawn from the iteration's rows. Also returns the (obs, label) rows it
+    collected, in order."""
     net = clone_net(net)
     rng = np.random.default_rng(cfg.seed)
-    buffer = ReplayBuffer()
-    opt_state = AdamState()
+    opt_state = (0, None, None)
     losses, rows = [], []
     for it in range(cfg.iterations):
-        buffer.clear()
+        iter_rows = []
         for _ in range(cfg.episodes_per_iter):
             m = int(rng.integers(len(experts)))
             obs = env.reset(experts[m].motion, rng, mode="base")
             done = False
             while not done:
                 a_exp = expert_action(experts[m], env)
-                buffer.add(obs, a_exp)
-                rows.append((obs, a_exp))
+                iter_rows.append((obs, a_exp))
                 a = euler_sample(net, obs, cfg.sampler, rng)
                 obs, _, done, _ = env.step(a)
+        rows += iter_rows
+        obs_rows, act_rows = (np.array(col) for col in zip(*iter_rows))
         lr = cfg.learning_rate * cfg.lr_decay ** it
         iter_losses = []
         for _ in range(cfg.gradient_steps):
-            batch = buffer.sample_batch(cfg.batch_size, rng)
-            loss, grads = fm_loss_and_grad(net, batch, rng)
-            net.params, opt_state = adam_step(net.params, grads, opt_state, lr=lr)
+            n = len(iter_rows)
+            idx = rng.integers(0, n, size=min(cfg.batch_size, n))
+            loss, grads = oracle_fm_loss_and_grad(net, FMBatch(obs_rows[idx], act_rows[idx]), rng)
+            net.params, opt_state = oracle_adam_step(net.params, grads, opt_state, lr)
             iter_losses.append(loss)
         losses.append(float(np.mean(iter_losses)))
     return net, losses, rows
@@ -474,12 +538,12 @@ def dagger_batches(sizes, K, T):
                            if steps < T]]]
 
 
-def assert_dagger_is_serial(env, experts, cfg):
+def assert_dagger_is_serial(env, experts, cfg, net=NET):
     """Losses `==`, params and every buffer row bit-equal to the oracle's, and
     the batches `dagger_batches` gives; returns the number of rows of each
     `add`."""
-    want, want_losses, want_rows = serial_dagger(env, experts, NET, cfg)
-    got, losses, adds, calls = recorded_dagger(env, experts, NET, cfg)
+    want, want_losses, want_rows = serial_dagger(env, experts, net, cfg)
+    got, losses, adds, calls = recorded_dagger(env, experts, net, cfg)
     assert losses == want_losses
     for (W1, b1), (W2, b2) in zip(got.params, want.params):
         assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
@@ -548,6 +612,30 @@ def test_dagger_one_episode_per_iteration():
     sizes = assert_dagger_is_serial(env, [ExpertPolicy(MOTION), ExpertPolicy(HARD)], cfg)
     assert min(sizes) < 60 == max(sizes)
     assert dagger_batches(sizes, 1, 60) == [1, 1, 1, 1]
+
+
+def test_dagger_workspace_steps_are_the_oracle(monkeypatch):
+    """200 gradient steps of a net with three hidden layers, bit-equal to the
+    oracle's plain expressions, while the iterations' buffers hold more and
+    fewer rows than a batch: the workspace is built again exactly when an
+    iteration's batch row count differs from the one before."""
+    env = ArmEnv({"episode_len": 60})
+    net = init_net(2, env.obs_dim, hidden=(16, 12, 8), rng=np.random.default_rng(4))
+    cfg = DistillCfg(iterations=4, episodes_per_iter=1, gradient_steps=50, batch_size=48,
+                     seed=1)
+    built = []
+    workspace = distill.GradWorkspace
+
+    def counted(net_, rows):
+        built.append(rows)
+        return workspace(net_, rows)
+
+    monkeypatch.setattr(distill, "GradWorkspace", counted)
+    sizes = assert_dagger_is_serial(env, [ExpertPolicy(MOTION), ExpertPolicy(HARD)], cfg, net)
+    rows = [min(n, cfg.batch_size) for n in sizes]
+    assert min(rows) < cfg.batch_size == max(rows)
+    assert built == [n for i, n in enumerate(rows) if i == 0 or n != rows[i - 1]]
+    assert len(built) < len(rows)
 
 
 @settings(max_examples=15, deadline=None)
