@@ -13,6 +13,7 @@ so one call evaluates every joint of a batch of episodes at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -49,10 +50,9 @@ class ActuatorParams:
         require("v_x1", self.v_x1, np.all((0 < self.v_x1) & (self.v_x1 < self.v_x2)),
                 "in (0, v_x2)", v_x2=self.v_x2)
 
-    def scaled(self, torque_scale: float = 1.0, friction_scale: float = 1.0) -> "ActuatorParams":
-        """Copy with torque ceilings and/or friction coefficients rescaled."""
-        return replace(self, tau_y1=self.tau_y1 * torque_scale, tau_y2=self.tau_y2 * torque_scale,
-                       mu_s=self.mu_s * friction_scale, mu_d=self.mu_d * friction_scale)
+    def scaled(self, torque_scale: float) -> "ActuatorParams":
+        """Copy with both torque ceilings rescaled."""
+        return replace(self, tau_y1=self.tau_y1 * torque_scale, tau_y2=self.tau_y2 * torque_scale)
 
     def derived(self, **changes) -> "ActuatorParams":
         """`dataclasses.replace` without re-running the checks, for a copy of
@@ -61,7 +61,13 @@ class ActuatorParams:
         factor."""
         new = object.__new__(ActuatorParams)
         new.__dict__.update(self.__dict__, **changes)
+        new.__dict__.pop("v_span", None)  # cached from the old speeds
         return new
+
+    @cached_property
+    def v_span(self):
+        """Width v_x2 - v_x1 of the envelope's derating ramp."""
+        return self.v_x2 - self.v_x1
 
 
 _PARAM_FIELDS = tuple(f.name for f in fields(ActuatorParams))
@@ -150,30 +156,34 @@ def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0) -> P
     return PDGains(kp=kp, kd=kd, action_scale=0.25 * params.tau_y1 / kp)
 
 
-def torque_ceiling(v, tau_in, p: ActuatorParams):
-    """Motoring ceiling when v and tau_in align (v*tau > 0), braking otherwise."""
-    out = np.where(np.multiply(v, tau_in) > 0, p.tau_y1, p.tau_y2)
-    return float(out) if out.ndim == 0 else out
+# 0 and 1 as 0-d arrays: a ufunc takes them faster than Python numbers
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+
+
+def _limit(v, tau_in, p: ActuatorParams):
+    """L(v) of `envelope_limit` as numpy values (0-d for scalars): the motoring
+    ceiling when v and tau_in align (v*tau > 0), braking otherwise, times the
+    derating 1 - frac."""
+    frac = np.minimum(np.maximum((np.abs(v) - p.v_x1) / p.v_span, _ZERO), _ONE)
+    return np.where(np.multiply(v, tau_in) > _ZERO, p.tau_y1, p.tau_y2) * (_ONE - frac)
 
 
 def envelope_limit(v, tau_in, p: ActuatorParams):
-    """Admissible torque magnitude L(v): flat below v_x1, linear to 0 at v_x2."""
-    ceiling = torque_ceiling(v, tau_in, p)
-    frac = np.minimum(np.maximum((np.abs(v) - p.v_x1) / (p.v_x2 - p.v_x1), 0.0), 1.0)
-    out = ceiling * (1.0 - frac)
-    return float(out) if np.ndim(out) == 0 else out
+    """Admissible torque magnitude L(v): the motoring or braking ceiling, flat
+    below v_x1, linear to 0 at v_x2."""
+    out = _limit(v, tau_in, p)
+    return float(out) if out.ndim == 0 else out
 
 
 def clip_torque(tau_cmd, v, p: ActuatorParams):
     """Clamp a torque command into [-L(v), +L(v)]."""
-    limit = envelope_limit(v, tau_cmd, p)
+    limit = _limit(v, tau_cmd, p)
     out = np.minimum(np.maximum(tau_cmd, -limit), limit)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def friction_torque(v, p: ActuatorParams):
     """Smoothed Coulomb plus viscous loss: mu_s*tanh(v/v_act) + mu_d*v."""
-    v = np.asarray(v, dtype=float)
     out = p.mu_s * np.tanh(v / p.v_act) + p.mu_d * v
     return float(out) if out.ndim == 0 else out
 
@@ -184,8 +194,7 @@ def actuate(tau_cmd, v, p: ActuatorParams):
     The subtraction is literal, so at near-zero commands friction can flip the
     sign of the applied torque.
     """
-    out = clip_torque(tau_cmd, v, p) - friction_torque(v, p)
-    return float(out) if np.ndim(out) == 0 else out
+    return clip_torque(tau_cmd, v, p) - friction_torque(v, p)
 
 
 def joint_power(tau, omega):
@@ -204,7 +213,7 @@ def neg_power_penalty(powers, cfg: PowerPenaltyCfg = PowerPenaltyCfg()):
     if cfg.joints is not None:
         powers = powers[..., list(cfg.joints)]
     over = np.maximum(-powers - cfg.deadband, 0.0)
-    cost = np.sum((over / cfg.norm) ** 2, axis=-1)
+    cost = ((over / cfg.norm) ** 2).sum(axis=-1)
     if cost.ndim == 0:
         cost = float(cost)
     return cost, cfg.weight * cost

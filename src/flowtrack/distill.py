@@ -366,9 +366,11 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
         log["ref_body_pos"][t, rows] = info["ref_body_pos"]
         log["steps"][rows] = t + 1
         log["terminated_early"][rows] = info["terminated_early"]
-        obs, a_prev = obs[~done], a[~done]
-        if not obs.shape[0]:
-            break
+        if done.any():  # the finished rows leave; a batch that stepped whole keeps its arrays
+            obs, a = obs[~done], a[~done]
+            if not obs.shape[0]:
+                break
+        a_prev = a
     return log
 
 

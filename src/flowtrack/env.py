@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import actuation
-from .actuation import PowerPenaltyCfg
+from .actuation import _PARAM_FIELDS, PowerPenaltyCfg
 from .errors import ConfigError, NumericalBlowupError, ValidationError
 from .fileio import config_section, merge_over, read_config, require
 from .metrics import TerminationThresholds, check_termination
@@ -51,6 +51,11 @@ MAX_SUBSTEPS = 1_000
 # Largest gravity magnitude, m/s^2 (about 100 g). Far above it the arm's
 # torques overflow, and a step fails as non-finite rather than as a range error.
 MAX_GRAVITY = 1_000.0
+# Widest randomization ranges after aggressive scaling: a disturbance of
+# 1000 N*m (about ten times the strongest actuator's ceiling) and angle noise
+# of a half turn either way. Far above them the uniform draws' span overflows.
+MAX_DISTURBANCE = 1_000.0
+MAX_ANGLE_NOISE = np.pi
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,10 @@ class RandomizationCfg:
                 "in [0, 1 / aggressive_factor)", aggressive_factor=factor)
         require("friction_scale", self.friction_scale, self.friction_scale * factor <= 1.0,
                 "in [0, 1 / aggressive_factor]", aggressive_factor=factor)
+        for name, cap in (("disturbance", MAX_DISTURBANCE), ("pose_noise", MAX_ANGLE_NOISE),
+                          ("q0_offset", MAX_ANGLE_NOISE)):
+            require(name, getattr(self, name), getattr(self, name) * factor <= cap,
+                    f"in [0, {cap} / aggressive_factor]", aggressive_factor=factor)
 
     def scaled(self, factor: float) -> "RandomizationCfg":
         """Copy with every range multiplied by `factor` and an aggressive factor
@@ -189,6 +198,8 @@ class ArmEnv:
         self.q0 = np.zeros(self.n_joints)  # nominal default pose: straight down
         self._armature_M = np.diag(self._joint_params.armature_I)
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
+        self._ST = self._S.T
+        self._h = np.array(self.dt / self.n_substeps)  # the substep, 0-d: cheaper to multiply
         self._episode_active = False
 
     # -- episode lifecycle ---------------------------------------------------
@@ -254,6 +265,7 @@ class ArmEnv:
         self._steps = np.zeros(n, dtype=int)
         self._prev_action_base = np.zeros((n, J))
         self._running = np.arange(n)
+        self._consts = None  # the last batch's row constants
         self._episode_active = True
         # (N, H, P) past proprio states, most recent first
         p0 = self._proprio(slice(None))
@@ -323,10 +335,25 @@ class ArmEnv:
         frame."""
         return self._clip[rows], np.minimum(steps, self._last[rows])
 
-    def _actuators(self, rows):
-        """The randomized actuator params of the episodes in `rows`."""
-        p = self._actuators_ep
-        return p if isinstance(rows, slice) else p.derived(mu_s=p.mu_s[rows], mu_d=p.mu_d[rows])
+    def _row_constants(self):
+        """What a control step reads of the running episodes: actuator params,
+        q0_eff, kp, kd, action scale, and the `_terms` constants, each one
+        fresh row per episode (same-shape operands are cheaper than broadcast
+        ones, and give the same bits). Built again only when the running set
+        changes, which between resets only shrinks, so its size identifies it."""
+        n = self._running.size
+        if self._consts is None or self._consts[0] != n:
+            rows, J = self._rows(), self.n_joints
+
+            def per_row(a, tail=(J,)):
+                return np.broadcast_to(a, (self._steps.size, *tail))[rows].copy()
+
+            p = self._actuators_ep
+            params = p.derived(**{f: per_row(getattr(p, f)) for f in _PARAM_FIELDS})
+            self._consts = (n, params, per_row(self._q0_eff), per_row(self.kp),
+                            per_row(self.kd), per_row(self.action_scale), per_row(self._c, (J, J)),
+                            per_row(self._gcoef), per_row(self._armature_M, (J, J)))
+        return self._consts[1:]
 
     # -- observation ---------------------------------------------------------
 
@@ -339,8 +366,8 @@ class ArmEnv:
         between the reference and current tip directions."""
         steps = self._steps[rows]
         nxt = self._frame(rows, steps + 1)
-        th_ref = np.sum(self._ref_q[self._frame(rows, steps)], axis=1)
-        th = np.sum(self._q[rows], axis=1)
+        th_ref = self._ref_q[self._frame(rows, steps)].sum(axis=1)
+        th = self._q[rows].sum(axis=1)
         direction_error = np.stack([np.cos(th_ref) - np.cos(th), np.sin(th_ref) - np.sin(th)],
                                    axis=1)
         return np.concatenate([self._ref_q[nxt], self._ref_qdot[nxt], direction_error], axis=1)
@@ -366,34 +393,34 @@ class ArmEnv:
 
     # -- dynamics ------------------------------------------------------------
 
-    def _terms(self, q, qdot, rows):
+    def _terms(self, q, qdot, c, gcoef, armature_M):
         """Joint-space mass matrix (n, J, J) and bias torque (n, J), i.e.
-        Coriolis/centrifugal plus gravity, of the episodes in `rows` at the
-        (n, J) state (q, qdot)."""
-        c = self._c[rows]
-        theta = q.cumsum(axis=-1)
-        thetadot = qdot.cumsum(axis=-1)
+        Coriolis/centrifugal plus gravity, at the (n, J) state (q, qdot) of
+        the episodes whose rows of `_c` and `_gcoef` are `c` and `gcoef`."""
+        theta = np.add.accumulate(q, axis=-1)
+        thetadot = np.add.accumulate(qdot, axis=-1)
         dth = theta[..., :, None] - theta[..., None, :]
-        M_q = self._S.T @ (c * np.cos(dth)) @ self._S + self._armature_M
+        M_q = self._ST @ (c * np.cos(dth)) @ self._S + armature_M
         h_vec = ((c * np.sin(dth)) @ (thetadot ** 2)[..., None])[..., 0]
-        G = self._gcoef[rows] * np.sin(theta)
+        G = gcoef * np.sin(theta)
         return M_q, (h_vec + G) @ self._S
 
-    def _qacc(self, q, qdot, tau, rows) -> np.ndarray:
-        M_q, bias = self._terms(q, qdot, rows)
+    def _qacc(self, q, qdot, tau, c, gcoef, armature_M) -> np.ndarray:
+        M_q, bias = self._terms(q, qdot, c, gcoef, armature_M)
         return _solve(M_q, (tau - bias)[..., None])[..., 0]
 
     def inverse_dynamics(self, q, qdot, qacc, rows) -> np.ndarray:
         """Joint torques that produce qacc at (q, qdot), gravity included, for
         the episodes `rows` (one row index takes (..., J) states)."""
-        M_q, bias = self._terms(np.asarray(q, dtype=float), np.asarray(qdot, dtype=float), rows)
+        M_q, bias = self._terms(np.asarray(q, dtype=float), np.asarray(qdot, dtype=float),
+                                self._c[rows], self._gcoef[rows], self._armature_M)
         return (M_q @ np.asarray(qacc, dtype=float)[..., None])[..., 0] + bias
 
     def mechanical_energy(self):
         """Kinetic + gravitational potential energy of each episode's arm (a
         float for a single episode)."""
         q, qdot = self._q, self._qdot
-        M_q, _ = self._terms(q, qdot, slice(None))
+        M_q, _ = self._terms(q, qdot, self._c, self._gcoef, self._armature_M)
         ke = 0.5 * np.einsum("ni,nij,nj->n", qdot, M_q, qdot)
         z = arm_forward_kinematics(q, self.lengths)[..., 2]
         energy = ke + self.gravity * np.sum(self._masses_ep * z, axis=1)
@@ -412,11 +439,8 @@ class ArmEnv:
         if self._batch:
             raise ValidationError("a batch of episodes steps through step_batch()")
         obs, reward, done, info = self.step_batch(action)
-        info = {k: v[0] for k, v in info.items()}
-        for k in ("q_err", "neg_power_cost", "orient_err"):
-            info[k] = float(info[k])
-        for k in ("terminated_early", "timeout", "relaxed"):
-            info[k] = bool(info[k])
+        # a per-row field is a float or a bool, a per-joint one a (J, ...) array
+        info = {k: v[0] if v.ndim > 1 else v[0].item() for k, v in info.items()}
         return obs[0], float(reward[0]), bool(done[0]), info
 
     def step_batch(self, actions, base_actions=None):
@@ -435,7 +459,7 @@ class ArmEnv:
         if n == 0:
             raise ValidationError("episode finished; call reset()")
         actions = np.asarray(actions, dtype=float).reshape(n, J)
-        if not np.all(np.isfinite(actions)):
+        if not np.isfinite(actions).all():
             raise ValidationError("non-finite action")
         base_actions = actions if base_actions is None else np.asarray(
             base_actions, dtype=float).reshape(n, J)
@@ -447,23 +471,23 @@ class ArmEnv:
             ], axis=1)
 
         disturbance = _disturbances(self._rngs, self._running, self._rand, J)
-        params = self._actuators(rows)
+        params, q0_eff, kp, kd, action_scale, *dynamics = self._row_constants()
         # a copy: the write-back below would change a view of the state
         q, qdot_pre = self._q[rows], self._qdot[rows].copy()
-        q_tar = self._q0_eff[rows] + self.action_scale * actions
-        tau_cmd0 = self.kp * (q_tar - q) - self.kd * qdot_pre
+        q_tar = q0_eff + action_scale * actions
+        tau_cmd0 = kp * (q_tar - q) - kd * qdot_pre
         tau_clipped0 = actuation.clip_torque(tau_cmd0, qdot_pre, params)
         tau_applied0 = tau_clipped0 - actuation.friction_torque(qdot_pre, params)
 
-        h = self.dt / self.n_substeps
+        h = self._h
         qdot, tau = qdot_pre, tau_applied0  # substep 0 starts at the logged pre-step state
         for sub in range(self.n_substeps):
             if sub:
-                tau = actuation.actuate(self.kp * (q_tar - q) - self.kd * qdot, qdot, params)
-            qdot = qdot + h * self._qacc(q, qdot, tau + disturbance, rows)
+                tau = actuation.actuate(kp * (q_tar - q) - kd * qdot, qdot, params)
+            qdot = qdot + h * self._qacc(q, qdot, tau + disturbance, *dynamics)
             q = q + h * qdot
 
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
+        if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
             step = int(self._steps[self._running[0]]) + 1
             self._running = self._running[:0]
             raise NumericalBlowupError(f"state became non-finite at step {step}")
@@ -475,7 +499,7 @@ class ArmEnv:
         steps = self._steps[rows]
         k = self._frame(rows, steps)
         q_ref = self._ref_q[k]
-        q_err = np.mean(np.abs(q - q_ref), axis=1)
+        q_err = np.abs(q - q_ref).sum(axis=1) / J  # the mean, without its wrapper
         powers = tau_applied0 * qdot_pre
         pen_cost, pen_reward = actuation.neg_power_penalty(powers, self.power_cfg)
         reward = -q_err + pen_reward
@@ -483,7 +507,7 @@ class ArmEnv:
         body = arm_forward_kinematics(q, self.lengths)
         ref_body = self._ref_body[k]
         z_err = body[..., 2] - ref_body[..., 2]
-        orient_err = np.abs(_wrap_angle(np.sum(q, axis=1) - np.sum(q_ref, axis=1)))
+        orient_err = np.abs(_wrap_angle(q.sum(axis=1) - q_ref.sum(axis=1)))
         relaxed = self._mode == "aggressive"
         terminated = check_termination(z_err, orient_err, self.thresholds, relaxed=relaxed)
         timeout = steps >= self.episode_len
@@ -524,9 +548,14 @@ def _episode_draws(rng, rand: RandomizationCfg, J: int):
 
 def _disturbances(rngs, rows, rand: RandomizationCfg, J: int) -> np.ndarray:
     """A control step's (len(rows), J) external joint torques, one row drawn
-    from the stream `rngs[i]` of each episode i in `rows`."""
+    from the stream `rngs[i]` of each episode i in `rows`: the bits and stream
+    positions of `rngs[i].uniform(-b, b, J)`, which is -b + (2b) * r for J
+    `random` doubles r (2b is exact, and finite under the cap on b)."""
+    out = np.empty((len(rows), J))
+    for i, row in zip(rows, out):
+        rngs[i].random(out=row)
     bound = rand.disturbance
-    return np.array([rngs[i].uniform(-bound, bound, J) for i in rows])
+    return -bound + (2.0 * bound) * out
 
 
 def _padded(arrays) -> np.ndarray:
@@ -578,6 +607,8 @@ def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -
     q_ref, qd_ref = env._ref_q[idx], env._ref_qdot[idx]
     a = q_ref - env._q0_eff[row] + (env.kd / env.kp) * qd_ref
     a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx], row) / env.kp
-    a = a + actuation.friction_torque(qd_ref, env._actuators(row)) / env.kp
+    p = env._actuators_ep
+    friction = actuation.friction_torque(qd_ref, p.derived(mu_s=p.mu_s[row], mu_d=p.mu_d[row]))
+    a = a + friction / env.kp
     a = a / env.action_scale
     return np.clip(a, -expert.action_limit, expert.action_limit)

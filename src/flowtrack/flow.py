@@ -13,6 +13,7 @@ tight. The only nonlinearity used repo-wide is tanh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,40 +167,55 @@ def init_net(action_dim: int, obs_dim: int, *, rng=None, **settings) -> Velocity
     return net
 
 
-def time_embedding(t, dim: int) -> np.ndarray:
-    """Sinusoidal features [sin(pi 4^k t), cos(pi 4^k t)], k = 0..dim/2-1.
+def time_embedding(t, dim: int, out=None) -> np.ndarray:
+    """Sinusoidal features [sin(pi 4^k t), cos(pi 4^k t)], k = 0..dim/2-1,
+    one row per t, written into `out` (len(t), dim) when given.
 
     The geometric frequency ladder reaches high enough to resolve the small-t
     region where the straight-line field is steepest.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    k = np.arange(dim // 2)
-    ang = np.pi * (4.0 ** k) * t[:, None]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    half = dim // 2
+    ang = np.pi * (4.0 ** np.arange(half)) * t[:, None]
+    if out is None:
+        out = np.empty((t.shape[0], dim))
+    np.sin(ang, out=out[:, :half])
+    np.cos(ang, out=out[:, half:])
+    return out
 
 
-def _input_rows(net: VelocityFieldNet, a, emb: np.ndarray, obs, out=None):
-    """[a, emb, obs] rows checked against the net's dims, written into `out`
-    when given; `emb` holds one time-embedding row per action row."""
+@lru_cache(maxsize=4)
+def _sampler_embedding(steps: int, dim: int) -> np.ndarray:
+    """Read-only time embeddings of the D sampler times t = 1 - k/D."""
+    emb = time_embedding(1.0 - np.arange(steps) / steps, dim)
+    emb.flags.writeable = False
+    return emb
+
+
+def _input_rows(net: VelocityFieldNet, a, t, obs, out=None):
+    """[a, time_embedding(t), obs] rows checked against the net's dims,
+    written into `out` (a fresh array when None). `t` is one time for every
+    row or one per row, or None when the caller writes the embedding columns
+    itself."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     if a.shape[-1] != net.action_dim:
         raise DimensionError(f"action dim {a.shape[-1]} != net action dim {net.action_dim}")
     if obs.shape[-1] != net.obs_dim:
         raise DimensionError(f"obs dim {obs.shape[-1]} != net obs dim {net.obs_dim}")
-    return np.concatenate([a, emb, obs], axis=-1, out=out)
-
-
-def _assemble_input(net: VelocityFieldNet, a, t, obs):
-    n = np.atleast_2d(a).shape[0]
-    t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=float)), (n,))
-    return _input_rows(net, a, time_embedding(t, net.time_embed_dim), obs)
+    A, E = net.action_dim, net.time_embed_dim
+    out = np.empty((*a.shape[:-1], net.input_dim)) if out is None else out
+    out[..., :A] = a
+    if t is not None:
+        time_embedding(np.broadcast_to(t, a.shape[:1]), E, out=out[:, A:A + E])
+    out[..., A + E:] = obs
+    return out
 
 
 def forward(net: VelocityFieldNet, a, t, obs) -> np.ndarray:
     """Evaluate the velocity field; returns the same leading shape as `a`."""
     single = np.asarray(a).ndim == 1
-    out = mlp_forward(net.params, _assemble_input(net, a, t, obs))
+    out = mlp_forward(net.params, _input_rows(net, a, t, obs))
     return out[0] if single else out
 
 
@@ -262,7 +278,7 @@ def fm_loss(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray, eps: np.ndarra
     """Flow-matching loss for given noise draws (used by gradient oracles)."""
     a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
     u = eps - batch.expert_actions
-    v = mlp_forward(net.params, _assemble_input(net, a_t, t, batch.observations))
+    v = mlp_forward(net.params, _input_rows(net, a_t, t, batch.observations))
     return float(np.mean(np.sum((v - u) ** 2, axis=1)))
 
 
@@ -281,8 +297,7 @@ def fm_loss_and_grad_at(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray,
                              f"{n} rows of sizes {net.layer_sizes}")
     a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
     u = eps - batch.expert_actions
-    x = _input_rows(net, a_t, time_embedding(t, net.time_embed_dim), batch.observations,
-                    out=None if ws is None else ws.x)
+    x = _input_rows(net, a_t, t, batch.observations, None if ws is None else ws.x)
     *acts, v = _mlp_layers(net.params, x, None if ws is None else ws.acts)
     resid = v - u
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
@@ -321,8 +336,8 @@ def euler_sample(net: VelocityFieldNet, obs, cfg: SamplerCfg, rng) -> np.ndarray
         x = np.array([r.standard_normal(A) for r in rng]).reshape(*np.shape(obs)[:-1], A)
     # [x, time_embed(t), obs] rows, assembled and checked once; each step
     # writes the time-embedding columns and rewrites the action columns
-    emb = time_embedding(1.0 - np.arange(D) / D, E)
-    inp = _input_rows(net, x, np.empty((*(np.shape(obs)[:-1] or (1,)), E)), obs)
+    emb = _sampler_embedding(D, E)
+    inp = _input_rows(net, x, None, obs)
     for k in range(D):
         inp[..., A:A + E] = emb[k]
         v = mlp_forward(net.params, inp)

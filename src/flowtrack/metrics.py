@@ -211,7 +211,7 @@ def check_termination(z_errors, orient_err, thr: TerminationThresholds,
     """
     z_errors = np.atleast_1d(np.asarray(z_errors, dtype=float))
     limit = thr.grav_err_max * (thr.relax_factor if relaxed else 1.0)
-    out = np.any(np.abs(z_errors) > thr.z_err_max, axis=-1) | (np.abs(orient_err) > limit)
+    out = (np.abs(z_errors) > thr.z_err_max).any(axis=-1) | (np.abs(orient_err) > limit)
     return bool(out) if out.ndim == 0 else out
 
 

@@ -253,11 +253,11 @@ def arm_forward_kinematics(q, link_lengths) -> np.ndarray:
     L = np.asarray(link_lengths, dtype=float)
     if q.shape[-1] != L.shape[0]:
         raise DimensionError(f"q has {q.shape[-1]} joints but {L.shape[0]} link lengths")
-    theta = np.cumsum(q, axis=-1)
+    theta = np.add.accumulate(q, axis=-1)  # np.cumsum, without its wrapper
     dx = L * np.sin(theta)
     dz = -L * np.cos(theta)
-    x = np.cumsum(dx, axis=-1)
-    z = float(np.sum(L)) + np.cumsum(dz, axis=-1)
+    x = np.add.accumulate(dx, axis=-1)
+    z = float(L.sum()) + np.add.accumulate(dz, axis=-1)
     out = np.zeros(q.shape + (3,))
     out[..., 0] = x
     out[..., 2] = z

@@ -8,8 +8,7 @@ import pytest
 from flowtrack.actuation import (ActuatorParams, PowerPenaltyCfg, actuate,
                                  clip_torque, default_catalog, envelope_limit,
                                  friction_torque, joint_power, load_catalog,
-                                 neg_power_penalty, pd_gains, stack,
-                                 torque_ceiling)
+                                 neg_power_penalty, pd_gains, stack)
 from flowtrack.errors import SchemaError, ValidationError
 
 CAT = default_catalog()
@@ -110,9 +109,10 @@ class TestPDGains:
 
 class TestEnvelope:
     def test_ceiling_branches(self):
-        assert torque_ceiling(5.0, 10.0, M7522) == 111.0
-        assert torque_ceiling(5.0, -10.0, M7522) == 131.0
-        assert torque_ceiling(0.0, 10.0, M7522) == 131.0  # v*tau == 0 is braking branch
+        # below the knee v_x1 the limit is the ceiling itself
+        assert envelope_limit(5.0, 10.0, M7522) == 111.0
+        assert envelope_limit(5.0, -10.0, M7522) == 131.0
+        assert envelope_limit(0.0, 10.0, M7522) == 131.0  # v*tau == 0 is braking branch
 
     def test_midpoint_hand_value(self):
         # motoring, |v| at the midpoint of the derating ramp
@@ -186,21 +186,25 @@ class TestStackedParams:
     """Per-joint parameter arrays evaluate every joint of every row in one call,
     with the same values as the scalar kernels."""
 
+    @staticmethod
+    def friction_scaled(p, f):
+        return dataclasses.replace(p, mu_s=p.mu_s * f, mu_d=p.mu_d * f)
+
     def test_actuate_rows_equal_scalar_calls(self):
         cat = default_catalog()
         joints = [cat["7520-22.5"], cat["5020-16"], cat["7520-14.3"]]
-        stacked = stack(joints).scaled(friction_scale=np.array([[0.9], [1.2]]))
+        stacked = self.friction_scaled(stack(joints), np.array([[0.9], [1.2]]))
         rng = np.random.default_rng(4)
         tau, v = rng.uniform(-300, 300, (2, 3)), rng.uniform(-30, 30, (2, 3))
         out = actuate(tau, v, stacked)
         assert out.shape == (2, 3)
         for i, f in enumerate((0.9, 1.2)):
             for j, p in enumerate(joints):
-                assert out[i, j] == actuate(tau[i, j], v[i, j], p.scaled(friction_scale=f))
+                assert out[i, j] == actuate(tau[i, j], v[i, j], self.friction_scaled(p, f))
 
     def test_stack_validates_every_entry(self):
         with pytest.raises(ValidationError):
-            stack([M7522, M7522]).scaled(friction_scale=np.array([[1.0], [-1.0]]))
+            self.friction_scaled(stack([M7522, M7522]), np.array([[1.0], [-1.0]]))
 
     def test_penalty_rows(self):
         cfg = PowerPenaltyCfg(joints=(1,))

@@ -99,6 +99,23 @@ def test_gravity_out_of_range_exits_1(motions_dir, tiny_policy_dir, capsys):
     assert cli.main([*argv, "--set", f"env.gravity={-MAX_GRAVITY}"]) == 0
 
 
+@pytest.mark.parametrize("key, cap", [
+    ("disturbance", "1000.0"), ("pose_noise", "3.141592653589793"),
+    ("q0_offset", "3.141592653589793"),
+])
+def test_randomization_range_out_of_range_exits_1(motions_dir, tiny_policy_dir, capsys, key,
+                                                  cap):
+    # uncapped, 1e308 made the uniform draws' span overflow, and eval exited 2
+    # with numpy's "high - low range exceeds valid bounds", naming no key
+    argv = ["--quiet", "eval", "--policy", str(tiny_policy_dir / "policy.json"),
+            "--motions", str(motions_dir / "a_slow.json"), "--rollouts", "1",
+            "--set", "env.episode_len=20"]
+    assert cli.main([*argv, "--set", f"env.randomization.{key}=1e308"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: env.randomization.{key} must be in [0, {cap} / aggressive_factor], got "
+        f"1e+308 with env.randomization.aggressive_factor=1.5\n")
+
+
 @pytest.mark.parametrize("command, key, item", [
     ("train", "train.hidden", '"x"'), ("refine", "es.residual_hidden", "1.5")])
 def test_set_after_emptied_list_types_items(tmp_path, motions_dir, tiny_policy_dir, capsys,

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtrack import actuation
-from flowtrack.env import (MAX_EPISODE_LEN, MAX_HISTORY_LEN, MAX_SUBSTEPS, ArmEnv,
-                           ExpertPolicy, RandomizationCfg, _solve, expert_action,
-                           load_env_config, merge_config)
+from flowtrack.env import (MAX_ANGLE_NOISE, MAX_DISTURBANCE, MAX_EPISODE_LEN, MAX_HISTORY_LEN,
+                           MAX_SUBSTEPS, ArmEnv, ExpertPolicy, RandomizationCfg, _solve,
+                           expert_action, load_env_config, merge_config)
 from flowtrack.errors import ConfigError, NumericalBlowupError, ValidationError
 from flowtrack.metrics import check_termination
 from flowtrack.motion import SynthMotionSpec, synth_motion
@@ -95,6 +95,15 @@ class TestConfig:
         ({"randomization": {"mass_scale": 0.5, "aggressive_factor": 2.0}},
          "randomization.mass_scale"),
         ({"pd": {"zeta": 5e-324}}, "pd.zeta"),  # kd underflows to 0
+        # ranges whose uniform draws' span 2 * range overflows, or that pass
+        # their cap only before aggressive scaling
+        ({"randomization": {"disturbance": 1e308}}, "randomization.disturbance"),
+        ({"randomization": {"pose_noise": 1e308}}, "randomization.pose_noise"),
+        ({"randomization": {"q0_offset": 1e308}}, "randomization.q0_offset"),
+        ({"randomization": {"disturbance": MAX_DISTURBANCE}}, "randomization.disturbance"),
+        ({"randomization": {"pose_noise": 2.5}}, "randomization.pose_noise"),
+        ({"randomization": {"q0_offset": 1.6, "aggressive_factor": 2.0}},
+         "randomization.q0_offset"),
     ])
     def test_range_error_names_dotted_key(self, config, key):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
@@ -145,6 +154,20 @@ class TestReset:
             worst = max(worst, float(np.max(np.abs(env.q - clip.q[0]))))
         assert worst <= base.aggressive_factor * base.pose_noise + 1e-12
         assert worst > base.pose_noise  # aggressive mode actually widens the range
+
+    @pytest.mark.parametrize("mode", ["base", "aggressive"])
+    def test_widest_capped_ranges_step_finite(self, mode):
+        """At the caps, aggressive ranges draw finite disturbances and poses,
+        and the arm's episodes end (early) without a non-finite state."""
+        factor = RandomizationCfg().aggressive_factor
+        env = ArmEnv({"episode_len": 50, "randomization": {
+            "disturbance": MAX_DISTURBANCE / factor, "pose_noise": MAX_ANGLE_NOISE / factor,
+            "q0_offset": MAX_ANGLE_NOISE / factor}})
+        env.reset(make_sine(0.3, 0.4, duration=4.0), [np.random.default_rng(s) for s in range(8)],
+                  mode=mode)
+        while env.running.size:
+            _, _, _, info = env.step_batch(np.zeros((env.running.size, 2)))
+            assert np.isfinite(info["q"]).all() and np.isfinite(info["qdot"]).all()
 
     def test_widest_aggressive_ranges_stay_physical(self):
         """At the largest ranges RandomizationCfg takes, aggressive resets keep
@@ -363,9 +386,9 @@ class TestBatch:
 
     def test_episode_params_skip_the_catalog_checks(self, monkeypatch):
         """Reset's friction-scaled actuator params and the running rows' params
-        of each step are copies of checked params, made without the checks:
-        no `ActuatorParams` is checked after the env is built, while episodes
-        end early and the running rows shrink."""
+        of each step (`_row_constants`) are copies of checked params, made
+        without the checks: no `ActuatorParams` is checked after the env is
+        built, while episodes end early and the running rows shrink."""
         env = ArmEnv({"episode_len": 60})
         checked = []
         post_init = actuation.ActuatorParams.__post_init__
@@ -379,8 +402,9 @@ class TestBatch:
         while env.running.size:
             rows = env._rows()
             saw_subset |= not isinstance(rows, slice)
-            params = env._actuators(rows)
+            params = env._row_constants()[0]
             assert np.array_equal(params.mu_s, env._actuators_ep.mu_s[rows])
+            assert params.tau_y1.shape == (env.running.size, 2)
             env.step_batch([expert_action(ExpertPolicy(clip), env, row=i) for i in env.running])
         assert saw_subset and not checked
 
@@ -562,7 +586,7 @@ class TestSolve:
         env.reset(clip, [np.random.default_rng(seed + i) for i in range(rows)])
         q = rng.uniform(-np.pi, np.pi, (rows, n_links))
         qdot = rng.uniform(-20.0, 20.0, (rows, n_links))
-        M_q, _ = env._terms(q, qdot, slice(None))
+        M_q, _ = env._terms(q, qdot, env._c, env._gcoef, env._armature_M)
         rhs = rng.uniform(-50.0, 50.0, (rows, n_links, 1))
         assert np.array_equal(_solve(M_q, rhs), np.linalg.solve(M_q, rhs))
 

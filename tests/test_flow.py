@@ -8,7 +8,7 @@ from flowtrack.errors import CheckpointError, DimensionError, ValidationError
 from flowtrack.flow import (MAX_LAYER_WIDTH, AdamState, FMBatch, SamplerCfg,
                             VelocityFieldNet, adam_step, euler_sample, fm_loss,
                             fm_loss_and_grad, fm_loss_and_grad_at, forward, init_net,
-                            load_policy, save_policy)
+                            load_policy, save_policy, time_embedding)
 
 
 def identity_on_action_net(action_dim=2, obs_dim=3):
@@ -185,6 +185,28 @@ class TestTimestepSampling:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValidationError):
             SamplerCfg(steps=0)
+
+
+class TestTimeEmbedding:
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_written_into_a_view_bit_for_bit(self, dim):
+        """Into `out`, a view of some columns (as the training step's workspace
+        input), the features are the bits of the sin and cos blocks
+        concatenated, and no other column changes."""
+        t = np.random.default_rng(dim).beta(1.5, 1.0, 257)
+        ang = np.pi * (4.0 ** np.arange(dim // 2)) * t[:, None]
+        want = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+        x = np.full((257, dim + 5), 7.0)
+        got = time_embedding(t, dim, out=x[:, 2:2 + dim])
+        assert np.shares_memory(got, x)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert np.all(x[:, :2] == 7.0) and np.all(x[:, 2 + dim:] == 7.0)
+        assert time_embedding(t, dim).tobytes() == want.tobytes()
+
+    def test_sampler_table_is_shared_and_read_only(self):
+        emb = flow._sampler_embedding(5, 8)
+        assert flow._sampler_embedding(5, 8) is emb and not emb.flags.writeable
+        assert emb.tobytes() == time_embedding(1.0 - np.arange(5) / 5, 8).tobytes()
 
 
 class TestEulerSampler:

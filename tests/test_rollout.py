@@ -4,21 +4,23 @@ its triple gives alone, `evaluate_policy` is the per-clip loop, the
 speculative ES is the sequential one, and the speculative DAgger is the
 episode-by-episode loop with per-step labels."""
 
-from dataclasses import replace
+import copy
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtrack import distill, metrics
 from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer, _flatten, _unflatten,
                                dagger_train, episode_return, es_refine, evaluate_policy,
                                hash_seed, rollout_batch, rollout_episode)
-from flowtrack.env import ArmEnv, ExpertPolicy, expert_action
+from flowtrack.actuation import ActuatorParams
+from flowtrack.env import (MAX_DISTURBANCE, ArmEnv, ExpertPolicy, RandomizationCfg, _disturbances,
+                           _solve, expert_action)
 from flowtrack.errors import ValidationError
-from flowtrack.flow import (FMBatch, SamplerCfg, clone_net, euler_sample, init_net,
-                            time_embedding)
+from flowtrack.flow import FMBatch, SamplerCfg, clone_net, euler_sample, init_net
 from flowtrack.motion import finite_difference, segment_clips
 
 from conftest import NO_RANDOMIZATION, make_sine
@@ -434,13 +436,19 @@ def oracle_mlp_backward(params, acts, d_out):
     return grads
 
 
+def oracle_time_embedding(t, dim):
+    ang = np.pi * (4.0 ** np.arange(dim // 2)) * t[:, None]
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
 def oracle_fm_loss_and_grad(net, batch, rng):
     n = len(batch)
     t = rng.beta(net.alpha, net.beta, size=n)
     eps = rng.standard_normal((n, net.action_dim))
     a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
     u = eps - batch.expert_actions
-    x = np.concatenate([a_t, time_embedding(t, net.time_embed_dim), batch.observations], axis=1)
+    x = np.concatenate([a_t, oracle_time_embedding(t, net.time_embed_dim), batch.observations],
+                       axis=1)
     *acts, v = oracle_mlp_layers(net.params, x)
     resid = v - u
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
@@ -691,3 +699,130 @@ def test_episode_labels_are_the_per_step_labels(seed, lookahead, mode, row):
     assert np.array_equal(got, want)
     if row == 0:
         assert len(want) > SHORT.n_frames
+
+
+# The control step. `step_batch` runs on row constants it caches per running
+# set, with the actuation kernels and dynamics in their lean forms; the oracle
+# is the step's plain expressions on the env's per-episode arrays, indexed by
+# the running rows at every step, each making a new array.
+
+def oracle_actuate(tau_cmd, v, p):
+    """(clipped, applied) torques: the envelope clip, then friction."""
+    ceiling = np.where(np.multiply(v, tau_cmd) > 0, p.tau_y1, p.tau_y2)
+    frac = np.minimum(np.maximum((np.abs(v) - p.v_x1) / (p.v_x2 - p.v_x1), 0.0), 1.0)
+    limit = ceiling * (1.0 - frac)
+    clipped = np.minimum(np.maximum(tau_cmd, -limit), limit)
+    return clipped, clipped - (p.mu_s * np.tanh(v / p.v_act) + p.mu_d * v)
+
+
+def oracle_qacc(env, q, qdot, tau, rows):
+    c = env._c[rows]
+    theta = q.cumsum(axis=-1)
+    thetadot = qdot.cumsum(axis=-1)
+    dth = theta[..., :, None] - theta[..., None, :]
+    M_q = env._S.T @ (c * np.cos(dth)) @ env._S + env._armature_M
+    h_vec = ((c * np.sin(dth)) @ (thetadot ** 2)[..., None])[..., 0]
+    bias = (h_vec + env._gcoef[rows] * np.sin(theta)) @ env._S
+    return _solve(M_q, (tau - bias)[..., None])[..., 0]
+
+
+def oracle_episodes(env, actions_of):
+    """Step the env's episodes, just reset, to their ends, checking every
+    step's state and torques bit for bit against the oracle, which draws the
+    disturbances with `uniform` from copies of the episodes' streams; returns
+    the episodes' lengths. `actions_of(rows)` gives the running rows'
+    actions."""
+    streams = copy.deepcopy(env._rngs)
+    n, J = len(streams), env.n_joints
+    bound, h = env._rand.disturbance, env.dt / env.n_substeps
+    q_all, qdot_all = env._q.copy(), env._qdot.copy()
+    lengths = np.zeros(n, dtype=int)
+    while env.running.size:
+        rows = env.running
+        p = env._actuators_ep
+        params = replace(p, **{f.name: np.broadcast_to(getattr(p, f.name), (n, J))[rows]
+                               for f in fields(ActuatorParams)})
+        disturbance = np.array([streams[i].uniform(-bound, bound, J) for i in rows])
+        actions = actions_of(rows)
+        q, qdot = q_all[rows], qdot_all[rows]
+        q_tar = env._q0_eff[rows] + env.action_scale * actions
+        tau_cmd = env.kp * (q_tar - q) - env.kd * qdot
+        clipped, applied = oracle_actuate(tau_cmd, qdot, params)
+        qd, tau = qdot, applied
+        for sub in range(env.n_substeps):
+            if sub:
+                _, tau = oracle_actuate(env.kp * (q_tar - q) - env.kd * qd, qd, params)
+            qd = qd + h * oracle_qacc(env, q, qd, tau + disturbance, rows)
+            q = q + h * qd
+        _, _, done, info = env.step_batch(actions)
+        for key, want in (("qdot_pre", qdot), ("tau_cmd", tau_cmd), ("tau_clipped", clipped),
+                          ("tau_applied", applied), ("q", q), ("qdot", qd)):
+            assert info[key].tobytes() == want.tobytes(), key
+        q_all[rows], qdot_all[rows] = q, qd
+        lengths[rows] += 1
+    for i, stream in enumerate(streams):  # the env drew what the oracle did
+        assert env._rngs[i].bit_generator.state == stream.bit_generator.state
+    return lengths
+
+
+@pytest.mark.parametrize("n", [1, 4, 21])
+@pytest.mark.parametrize("mode", ["base", "aggressive"])
+@pytest.mark.parametrize("actuators", [["5020-16", "5020-16"], ["7520-22.5", "4010-25"]])
+def test_step_is_the_oracle(n, mode, actuators):
+    """Full episodes of N rows, whose random actions grow with the row so that
+    rows end early at different steps and the running set shrinks, after a
+    first batch of other episodes of the same N on the same env has stepped
+    (its row constants must not survive reset), and a third reset that runs
+    the same episodes again. The second pair of actuators has knee speeds the
+    joints pass, so the envelope's derating ramp is hit."""
+    env = ArmEnv({"episode_len": 60, "actuators": actuators})
+    scale = np.linspace(1.0, 12.0, n)[:, None] if n > 1 else np.array([[6.0]])
+    env.reset(MOTION, [np.random.default_rng(1000 + s) for s in range(n)], mode=mode)
+    env.step_batch(np.zeros((n, 2)))
+    runs = []
+    for _ in range(2):
+        env.reset(MOTION, [np.random.default_rng(s) for s in range(n)], mode=mode)
+        rng = np.random.default_rng(n)
+        runs.append(oracle_episodes(
+            env, lambda rows: scale[rows] * rng.uniform(-1, 1, (rows.size, 2))))
+    assert np.array_equal(runs[0], runs[1])
+    if n == 21:
+        assert len(set(runs[0].tolist())) > 2 and runs[0].max() == env.episode_len
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound=st.floats(0.0, MAX_DISTURBANCE), seed=st.integers(0, 2 ** 16),
+       rows=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+@example(bound=0.0, seed=0, rows=[0, 2, 3])
+@example(bound=RandomizationCfg().disturbance, seed=1, rows=[4, 1])
+@example(bound=RandomizationCfg().scaled(RandomizationCfg().aggressive_factor).disturbance,
+         seed=2, rows=[0, 1, 2, 3, 4])
+@example(bound=MAX_DISTURBANCE, seed=3, rows=[3])
+def test_disturbances_are_the_uniform_draws(bound, seed, rows):
+    """Each running row's disturbance is bit for bit `uniform(-b, b, J)` from
+    its episode's stream, and every stream, drawn from or not, stands where
+    those draws leave it."""
+    rand = RandomizationCfg(disturbance=bound, aggressive_factor=1.0)
+    rngs = [np.random.default_rng([seed, i]) for i in range(5)]
+    oracle = copy.deepcopy(rngs)
+    for _ in range(3):
+        got = _disturbances(rngs, rows, rand, 3)
+        want = np.array([oracle[i].uniform(-bound, bound, 3) for i in rows])
+        assert got.tobytes() == want.tobytes()
+    for rng, want in zip(rngs, oracle):
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("disturbance", [0.0, 0.5, MAX_DISTURBANCE / 1.5])
+def test_skip_episode_at_the_disturbance_caps(disturbance):
+    """`skip_episode` leaves a copy of the stream where a full-length episode
+    on it does, at the widest disturbance too (DAgger's speculation relies
+    on it)."""
+    env = ArmEnv({"episode_len": 12, "thresholds": NO_TERMINATION,
+                  "randomization": {"disturbance": disturbance}})
+    ran = np.random.default_rng(5)
+    skipped = copy.deepcopy(ran)
+    log = rollout_batch(env, NET, [(MOTION, [ran], None)])
+    assert log["steps"][0] == env.episode_len
+    env.skip_episode(skipped, NET.action_dim)
+    assert skipped.bit_generator.state == ran.bit_generator.state
