@@ -12,7 +12,7 @@ so one call evaluates every joint of a batch of episodes at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 
@@ -23,7 +23,11 @@ from .fileio import check_like, read_json, require
 
 @dataclass(frozen=True)
 class ActuatorParams:
-    """Torque-speed envelope, friction, and armature constants of one actuator.
+    """Torque-speed envelope, friction, and armature constants of one actuator,
+    or of many when the fields are arrays (see `stack`).
+
+    Every instance passes the checks of `__post_init__`; a copy with changed
+    fields is made with `dataclasses.replace`, which checks it again.
 
     tau_y1 / tau_y2:  motoring / braking torque ceilings (N*m)
     v_x1   / v_x2:    envelope knee / zero-torque speeds (rad/s)
@@ -49,20 +53,6 @@ class ActuatorParams:
             require(name, getattr(self, name), np.all(getattr(self, name) >= 0), "non-negative")
         require("v_x1", self.v_x1, np.all((0 < self.v_x1) & (self.v_x1 < self.v_x2)),
                 "in (0, v_x2)", v_x2=self.v_x2)
-
-    def scaled(self, torque_scale: float) -> "ActuatorParams":
-        """Copy with both torque ceilings rescaled."""
-        return replace(self, tau_y1=self.tau_y1 * torque_scale, tau_y2=self.tau_y2 * torque_scale)
-
-    def derived(self, **changes) -> "ActuatorParams":
-        """`dataclasses.replace` without re-running the checks, for a copy of
-        checked params whose new values keep every invariant by how they are
-        made: rows of a stacked copy, or friction scaled by a non-negative
-        factor."""
-        new = object.__new__(ActuatorParams)
-        new.__dict__.update(self.__dict__, **changes)
-        new.__dict__.pop("v_span", None)  # cached from the old speeds
-        return new
 
     @cached_property
     def v_span(self):
@@ -97,8 +87,8 @@ class PowerPenaltyCfg:
     """Deadbanded quadratic penalty on negative joint mechanical power.
 
     Defaults are the knee-joint constants: 150 W deadband, 500 W normalizer,
-    weight -10. `joints` picks which joints the penalty applies to (None =
-    all).
+    weight -10. `joints` picks which joints the penalty applies to, each once
+    (None = all).
     """
 
     deadband: float = 150.0
@@ -109,6 +99,9 @@ class PowerPenaltyCfg:
     def __post_init__(self):
         require("deadband", self.deadband, self.deadband >= 0, "non-negative")
         require("norm", self.norm, self.norm > 0, "positive")
+        require("joints", self.joints,
+                self.joints is None or len(set(self.joints)) == len(self.joints),
+                "distinct joint indices")
 
 
 def default_catalog() -> dict[str, ActuatorParams]:
@@ -160,32 +153,23 @@ def pd_gains(params: ActuatorParams, f_hz: float = 10.0, zeta: float = 2.0) -> P
 _ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 
-def _limit(v, tau_in, p: ActuatorParams):
-    """L(v) of `envelope_limit` as numpy values (0-d for scalars): the motoring
-    ceiling when v and tau_in align (v*tau > 0), braking otherwise, times the
-    derating 1 - frac."""
+def envelope_limit(v, tau_in, p: ActuatorParams):
+    """Admissible torque magnitude L(v): the motoring ceiling when v and tau_in
+    align (v*tau > 0), braking otherwise, flat below v_x1 and linear to 0 at
+    v_x2."""
     frac = np.minimum(np.maximum((np.abs(v) - p.v_x1) / p.v_span, _ZERO), _ONE)
     return np.where(np.multiply(v, tau_in) > _ZERO, p.tau_y1, p.tau_y2) * (_ONE - frac)
 
 
-def envelope_limit(v, tau_in, p: ActuatorParams):
-    """Admissible torque magnitude L(v): the motoring or braking ceiling, flat
-    below v_x1, linear to 0 at v_x2."""
-    out = _limit(v, tau_in, p)
-    return float(out) if out.ndim == 0 else out
-
-
 def clip_torque(tau_cmd, v, p: ActuatorParams):
     """Clamp a torque command into [-L(v), +L(v)]."""
-    limit = _limit(v, tau_cmd, p)
-    out = np.minimum(np.maximum(tau_cmd, -limit), limit)
-    return float(out) if out.ndim == 0 else out
+    limit = envelope_limit(v, tau_cmd, p)
+    return np.minimum(np.maximum(tau_cmd, -limit), limit)
 
 
 def friction_torque(v, p: ActuatorParams):
     """Smoothed Coulomb plus viscous loss: mu_s*tanh(v/v_act) + mu_d*v."""
-    out = p.mu_s * np.tanh(v / p.v_act) + p.mu_d * v
-    return float(out) if out.ndim == 0 else out
+    return p.mu_s * np.tanh(v / p.v_act) + p.mu_d * v
 
 
 def actuate(tau_cmd, v, p: ActuatorParams):
@@ -199,8 +183,7 @@ def actuate(tau_cmd, v, p: ActuatorParams):
 
 def joint_power(tau, omega):
     """Instantaneous mechanical power tau * omega (negative while braking)."""
-    out = np.asarray(tau, dtype=float) * np.asarray(omega, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return np.multiply(tau, omega, dtype=float)
 
 
 def neg_power_penalty(powers, cfg: PowerPenaltyCfg = PowerPenaltyCfg()):
@@ -214,6 +197,4 @@ def neg_power_penalty(powers, cfg: PowerPenaltyCfg = PowerPenaltyCfg()):
         powers = powers[..., list(cfg.joints)]
     over = np.maximum(-powers - cfg.deadband, 0.0)
     cost = ((over / cfg.norm) ** 2).sum(axis=-1)
-    if cost.ndim == 0:
-        cost = float(cost)
     return cost, cfg.weight * cost

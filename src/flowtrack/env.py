@@ -190,7 +190,8 @@ class ArmEnv:
         self.lengths = np.array([l["length"] for l in links])
         self.gravity = cfg["gravity"]  # a float (merge_config), in range (above)
         self.dt = CONTROL_DT
-        self.actuators = [p.scaled(torque_scale=scale) for p in nominal]
+        self.actuators = [replace(p, tau_y1=p.tau_y1 * scale, tau_y2=p.tau_y2 * scale)
+                          for p in nominal]
         self._joint_params = actuation.stack(self.actuators)
         self.kp = np.array([g.kp for g in gains])
         self.kd = np.array([g.kd for g in gains])
@@ -251,10 +252,9 @@ class ArmEnv:
         draws = [_episode_draws(r, rand, J) for r in self._rngs]
         mass, friction, q0_offset, pose_noise = (np.array(d) for d in zip(*draws))
         self._masses_ep = self.masses * (1.0 + mass)
-        # 1 + friction >= 0, as RandomizationCfg bounds friction_scale by 1, so
-        # the scaled friction needs none of the catalog's checks again
+        # 1 + friction >= 0, as RandomizationCfg bounds friction_scale by 1
         p, friction_scale = self._joint_params, (1.0 + friction)[:, None]
-        self._actuators_ep = p.derived(mu_s=p.mu_s * friction_scale, mu_d=p.mu_d * friction_scale)
+        self._actuators_ep = replace(p, mu_s=p.mu_s * friction_scale, mu_d=p.mu_d * friction_scale)
         self._q0_eff = self.q0 + q0_offset
         mcum = np.cumsum(self._masses_ep[:, ::-1], axis=1)[:, ::-1]
         joint = np.arange(J)
@@ -349,7 +349,7 @@ class ArmEnv:
                 return np.broadcast_to(a, (self._steps.size, *tail))[rows].copy()
 
             p = self._actuators_ep
-            params = p.derived(**{f: per_row(getattr(p, f)) for f in _PARAM_FIELDS})
+            params = replace(p, **{f: per_row(getattr(p, f)) for f in _PARAM_FIELDS})
             self._consts = (n, params, per_row(self._q0_eff), per_row(self.kp),
                             per_row(self.kd), per_row(self.action_scale), per_row(self._c, (J, J)),
                             per_row(self._gcoef), per_row(self._armature_M, (J, J)))
@@ -475,17 +475,20 @@ class ArmEnv:
         # a copy: the write-back below would change a view of the state
         q, qdot_pre = self._q[rows], self._qdot[rows].copy()
         q_tar = q0_eff + action_scale * actions
-        tau_cmd0 = kp * (q_tar - q) - kd * qdot_pre
-        tau_clipped0 = actuation.clip_torque(tau_cmd0, qdot_pre, params)
-        tau_applied0 = tau_clipped0 - actuation.friction_torque(qdot_pre, params)
+        # a diverging state overflows in here; the finiteness check below
+        # turns that into the one NumericalBlowupError, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau_cmd0 = kp * (q_tar - q) - kd * qdot_pre
+            tau_clipped0 = actuation.clip_torque(tau_cmd0, qdot_pre, params)
+            tau_applied0 = tau_clipped0 - actuation.friction_torque(qdot_pre, params)
 
-        h = self._h
-        qdot, tau = qdot_pre, tau_applied0  # substep 0 starts at the logged pre-step state
-        for sub in range(self.n_substeps):
-            if sub:
-                tau = actuation.actuate(kp * (q_tar - q) - kd * qdot, qdot, params)
-            qdot = qdot + h * self._qacc(q, qdot, tau + disturbance, *dynamics)
-            q = q + h * qdot
+            h = self._h
+            qdot, tau = qdot_pre, tau_applied0  # substep 0 starts at the logged pre-step state
+            for sub in range(self.n_substeps):
+                if sub:
+                    tau = actuation.actuate(kp * (q_tar - q) - kd * qdot, qdot, params)
+                qdot = qdot + h * self._qacc(q, qdot, tau + disturbance, *dynamics)
+                q = q + h * qdot
 
         if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
             step = int(self._steps[self._running[0]]) + 1
@@ -500,7 +503,7 @@ class ArmEnv:
         k = self._frame(rows, steps)
         q_ref = self._ref_q[k]
         q_err = np.abs(q - q_ref).sum(axis=1) / J  # the mean, without its wrapper
-        powers = tau_applied0 * qdot_pre
+        powers = actuation.joint_power(tau_applied0, qdot_pre)
         pen_cost, pen_reward = actuation.neg_power_penalty(powers, self.power_cfg)
         reward = -q_err + pen_reward
 
@@ -608,7 +611,7 @@ def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -
     a = q_ref - env._q0_eff[row] + (env.kd / env.kp) * qd_ref
     a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx], row) / env.kp
     p = env._actuators_ep
-    friction = actuation.friction_torque(qd_ref, p.derived(mu_s=p.mu_s[row], mu_d=p.mu_d[row]))
+    friction = actuation.friction_torque(qd_ref, replace(p, mu_s=p.mu_s[row], mu_d=p.mu_d[row]))
     a = a + friction / env.kp
     a = a / env.action_scale
     return np.clip(a, -expert.action_limit, expert.action_limit)

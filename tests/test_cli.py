@@ -386,7 +386,8 @@ class TestTrain:
     @pytest.mark.parametrize("assignment", [
         "env.pd.zeta=0", "env.pd.f_hz=0", "env.links.0.mass=-1", "env.thresholds.z_err_max=0",
         "env.randomization.aggressive_factor=0.5", "env.power_penalty.norm=0",
-        "train.expert.lookahead=-1", "train.time_embed_dim=3", "train.hidden=[8,0]",
+        "env.power_penalty.joints=[0,0]", "train.expert.lookahead=-1",
+        "train.time_embed_dim=3", "train.hidden=[8,0]",
         "train.sampler.alpha=0", "train.sampler.steps=0", "train.lr_decay=2",
         # sizes that allocate, above their caps; uncapped, a huge one failed
         # at allocation ("runtime failure", exit 2)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,8 @@ class TestConfig:
         ({"randomization": {"pose_noise": 2.5}}, "randomization.pose_noise"),
         ({"randomization": {"q0_offset": 1.6, "aggressive_factor": 2.0}},
          "randomization.q0_offset"),
+        # a repeated joint would count its braking power twice
+        ({"power_penalty": {"joints": [0, 0]}}, "power_penalty.joints"),
     ])
     def test_range_error_names_dotted_key(self, config, key):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
@@ -384,16 +387,11 @@ class TestBatch:
             assert np.array_equal(obs[i], single)
             assert np.array_equal(q[i], env.q) and np.array_equal(q0_eff[i], env.q0_eff)
 
-    def test_episode_params_skip_the_catalog_checks(self, monkeypatch):
-        """Reset's friction-scaled actuator params and the running rows' params
-        of each step (`_row_constants`) are copies of checked params, made
-        without the checks: no `ActuatorParams` is checked after the env is
-        built, while episodes end early and the running rows shrink."""
+    def test_running_rows_take_their_episode_params(self):
+        """Reset's friction-scaled actuator params hold one row per episode, and
+        the running rows' params of each step (`_row_constants`) are those
+        rows, while episodes end early and the running rows shrink."""
         env = ArmEnv({"episode_len": 60})
-        checked = []
-        post_init = actuation.ActuatorParams.__post_init__
-        monkeypatch.setattr(actuation.ActuatorParams, "__post_init__",
-                            lambda self: checked.append(self) or post_init(self))
         clip = make_sine((0.8, 0.6), 1.2, phase=(0.0, 0.6), duration=2.0)
         rngs = [np.random.default_rng(s) for s in range(4)]
         env.reset(clip, rngs, mode="aggressive")
@@ -406,7 +404,28 @@ class TestBatch:
             assert np.array_equal(params.mu_s, env._actuators_ep.mu_s[rows])
             assert params.tau_y1.shape == (env.running.size, 2)
             env.step_batch([expert_action(ExpertPolicy(clip), env, row=i) for i in env.running])
-        assert saw_subset and not checked
+        assert saw_subset
+
+    def test_params_at_the_randomization_bounds_pass_their_checks(self):
+        """Friction scales reach 1 + U(-1, 1) and masses 1 + U(-s, s) with s
+        just below 1 in aggressive mode: every actuator copy, checked again,
+        is valid, and each running set's row params derate over their own
+        span, as rows end early."""
+        factor = RandomizationCfg().aggressive_factor
+        mass_scale = np.nextafter(1.0 / factor, 0.0)
+        env = ArmEnv({"episode_len": 40, "randomization": {
+            "friction_scale": 1.0 / factor, "mass_scale": mass_scale}})
+        clip = make_sine((0.8, 0.6), 1.2, phase=(0.0, 0.6), duration=2.0)
+        env.reset(clip, [np.random.default_rng(s) for s in range(64)], mode="aggressive")
+        actions = np.random.default_rng(64).uniform(-4.0, 4.0, (40, 64, 2))
+        sizes, t = set(), 0
+        while env.running.size:
+            params = env._row_constants()[0]
+            assert np.array_equal(params.v_span, params.v_x2 - params.v_x1)
+            sizes.add(env.running.size)
+            env.step_batch(actions[t, env.running])
+            t += 1
+        assert len(sizes) > 1  # rows did end early
 
     def test_finished_rows_leave_the_running_set(self):
         env = ArmEnv({"episode_len": 30})
@@ -589,6 +608,20 @@ class TestSolve:
         M_q, _ = env._terms(q, qdot, env._c, env._gcoef, env._armature_M)
         rhs = rng.uniform(-50.0, 50.0, (rows, n_links, 1))
         assert np.array_equal(_solve(M_q, rhs), np.linalg.solve(M_q, rhs))
+
+    def test_diverging_episode_is_one_blowup(self):
+        """A disturbance far above the actuators' ceilings, with termination
+        out of reach, makes the velocities diverge: the step whose arithmetic
+        overflows reports it as its one NumericalBlowupError, not a numpy
+        RuntimeWarning first."""
+        env = ArmEnv({"randomization": {"disturbance": 200.0},
+                      "thresholds": {"z_err_max": 1e9, "grav_err_max": 1e9}})
+        env.reset(make_sine(0.3, 0.4, duration=10.0), [np.random.default_rng(s) for s in range(8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalBlowupError, match="at step"):
+                for _ in range(env.episode_len):
+                    env.step_batch(np.zeros((env.running.size, 2)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("field, value", [
