@@ -167,20 +167,18 @@ def cmd_actuator(args) -> int:
               file=sys.stderr)
         return 1
     p = catalog[args.name]
-    if args.sweep:
-        vs = np.linspace(0.0, 1.2 * p.v_x2, args.sweep)
-        print("v,limit,clipped,friction,applied")
-        for v in vs:
-            lim = actuation.envelope_limit(v, args.tau, p)
-            cl = actuation.clip_torque(args.tau, v, p)
-            fr = actuation.friction_torque(v, p)
-            print(",".join(_fmt(x) for x in (v, lim, cl, fr, cl - fr)))
-        return 0
-    v, tau = args.v, args.tau
+    # one evaluation, over the sweep's velocity grid or at the one query point
+    v = np.linspace(0.0, 1.2 * p.v_x2, args.sweep) if args.sweep else np.array([args.v])
+    tau = args.tau
     lim = actuation.envelope_limit(v, tau, p)
     cl = actuation.clip_torque(tau, v, p)
     fr = actuation.friction_torque(v, p)
-    ap = actuation.actuate(tau, v, p)
+    ap = cl - fr  # actuate's applied torque
+    if args.sweep:
+        print("v,limit,clipped,friction,applied")
+        for row in zip(v, lim, cl, fr, ap):
+            print(",".join(_fmt(x) for x in row))
+        return 0
     rows = [
         ("envelope limit L(v) [N*m]", lim),
         ("clipped torque [N*m]", cl),
@@ -188,9 +186,9 @@ def cmd_actuator(args) -> int:
         ("applied torque [N*m]", ap),
         ("mechanical power [W]", actuation.joint_power(ap, v)),
     ]
-    print(f"actuator {args.name} @ v={_fmt(v)} rad/s, tau_cmd={_fmt(tau)} N*m")
+    print(f"actuator {args.name} @ v={_fmt(args.v)} rad/s, tau_cmd={_fmt(tau)} N*m")
     for label, value in rows:
-        print(f"  {label:<28s} {_fmt(value)}")
+        print(f"  {label:<28s} {_fmt(value[0])}")
     return 0
 
 

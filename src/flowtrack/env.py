@@ -201,6 +201,10 @@ class ArmEnv:
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
         self._ST = self._S.T
         self._h = np.array(self.dt / self.n_substeps)  # the substep, 0-d: cheaper to multiply
+        # the columns of an observation that are the next one's history: its
+        # proprio, then its own history without the oldest state (none at H = 0)
+        P = self.proprio_dim
+        self._hist_cols = np.r_[:P, P + self.command_dim:self.obs_dim - P][:self.history_len * P]
         self._episode_active = False
 
     # -- episode lifecycle ---------------------------------------------------
@@ -263,14 +267,19 @@ class ArmEnv:
         self._q = self._ref_q[self._clip, 0] + pose_noise
         self._qdot = self._ref_qdot[self._clip, 0]
         self._steps = np.zeros(n, dtype=int)
-        self._prev_action_base = np.zeros((n, J))
         self._running = np.arange(n)
         self._consts = None  # the last batch's row constants
+        self._label_params = {}  # expert_action's params, per episode row
         self._episode_active = True
-        # (N, H, P) past proprio states, most recent first
-        p0 = self._proprio(slice(None))
-        self._hist = np.repeat(p0[:, None, :], self.history_len, axis=1)
-        return self._unbatch(self._observe(slice(None)))
+        # each episode's last observation is the record of what its policy
+        # saw, and the next step takes its history from it; at reset there is
+        # no action yet and the history repeats the initial state (the caller
+        # gets a copy, as steps overwrite the stored rows)
+        p0 = np.concatenate([self._q - self.q0, self._qdot, np.zeros((n, J))], axis=1)
+        self._obs = self._observe(slice(None), [p0], self._q.sum(axis=1),
+                                  self._ref_q[self._clip, 0].sum(axis=1),
+                                  np.tile(p0, self.history_len))
+        return self._unbatch(self._obs.copy())
 
     def skip_episode(self, rng: np.random.Generator, noise_dim: int) -> None:
         """Advance `rng` past every draw of a full-length base-mode episode
@@ -357,27 +366,16 @@ class ArmEnv:
 
     # -- observation ---------------------------------------------------------
 
-    def _proprio(self, rows) -> np.ndarray:
-        return np.concatenate([self._q[rows] - self.q0, self._qdot[rows],
-                               self._prev_action_base[rows]], axis=1)
-
-    def _command(self, rows) -> np.ndarray:
-        """Reference joint targets one frame ahead plus the 2-vector difference
-        between the reference and current tip directions."""
-        steps = self._steps[rows]
-        nxt = self._frame(rows, steps + 1)
-        th_ref = self._ref_q[self._frame(rows, steps)].sum(axis=1)
-        th = self._q[rows].sum(axis=1)
-        direction_error = np.stack([np.cos(th_ref) - np.cos(th), np.sin(th_ref) - np.sin(th)],
-                                   axis=1)
-        return np.concatenate([self._ref_q[nxt], self._ref_qdot[nxt], direction_error], axis=1)
-
-    def _observe(self, rows) -> np.ndarray:
-        hist = self._hist[rows]
-        return np.concatenate([
-            self._proprio(rows), self._command(rows),
-            hist.reshape(hist.shape[0], self.history_len * self.proprio_dim),
-        ], axis=1)
+    def _observe(self, rows, proprio, th, th_ref, history) -> np.ndarray:
+        """Observations of the episodes `rows`: the column blocks of `proprio`
+        (q - q0, qdot, last base action), the reference joint targets one
+        frame ahead, the 2-vector difference between the reference and current
+        tip directions (from the angle sums `th_ref` and `th`), and the
+        (n, H * P) `history`, most recent state first."""
+        nxt = self._frame(rows, self._steps[rows] + 1)
+        return np.concatenate([*proprio, self._ref_q[nxt], self._ref_qdot[nxt],
+                               (np.cos(th_ref) - np.cos(th))[:, None],
+                               (np.sin(th_ref) - np.sin(th))[:, None], history], axis=1)
 
     @property
     def proprio_dim(self) -> int:
@@ -464,12 +462,7 @@ class ArmEnv:
         base_actions = actions if base_actions is None else np.asarray(
             base_actions, dtype=float).reshape(n, J)
         rows = self._rows()
-
-        if self.history_len:
-            self._hist[rows] = np.concatenate([
-                self._proprio(rows)[:, None], self._hist[rows, :-1],
-            ], axis=1)
-
+        history = self._obs[rows][:, self._hist_cols]
         disturbance = _disturbances(self._rngs, self._running, self._rand, J)
         params, q0_eff, kp, kd, action_scale, *dynamics = self._row_constants()
         # a copy: the write-back below would change a view of the state
@@ -497,7 +490,6 @@ class ArmEnv:
 
         self._q[rows], self._qdot[rows] = q, qdot
         self._steps[rows] += 1
-        self._prev_action_base[rows] = base_actions
 
         steps = self._steps[rows]
         k = self._frame(rows, steps)
@@ -510,12 +502,14 @@ class ArmEnv:
         body = arm_forward_kinematics(q, self.lengths)
         ref_body = self._ref_body[k]
         z_err = body[..., 2] - ref_body[..., 2]
-        orient_err = np.abs(_wrap_angle(q.sum(axis=1) - q_ref.sum(axis=1)))
+        th, th_ref = q.sum(axis=1), q_ref.sum(axis=1)
+        orient_err = np.abs(_wrap_angle(th - th_ref))
         relaxed = self._mode == "aggressive"
         terminated = check_termination(z_err, orient_err, self.thresholds, relaxed=relaxed)
         timeout = steps >= self.episode_len
         done = terminated | timeout
-        obs = self._observe(rows)
+        obs = self._observe(rows, [q - self.q0, qdot, base_actions], th, th_ref, history)
+        self._obs[rows] = obs
         self._running = self._running[~done]
 
         info = {
@@ -610,8 +604,10 @@ def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -
     q_ref, qd_ref = env._ref_q[idx], env._ref_qdot[idx]
     a = q_ref - env._q0_eff[row] + (env.kd / env.kp) * qd_ref
     a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx], row) / env.kp
-    p = env._actuators_ep
-    friction = actuation.friction_torque(qd_ref, replace(p, mu_s=p.mu_s[row], mu_d=p.mu_d[row]))
-    a = a + friction / env.kp
+    params = env._label_params.get(row)
+    if params is None:  # the row's friction-scaled params, built once per episode
+        p = env._actuators_ep
+        params = env._label_params[row] = replace(p, mu_s=p.mu_s[row], mu_d=p.mu_d[row])
+    a = a + actuation.friction_torque(qd_ref, params) / env.kp
     a = a / env.action_scale
     return np.clip(a, -expert.action_limit, expert.action_limit)

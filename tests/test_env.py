@@ -359,6 +359,31 @@ class TestObservation:
         assert np.array_equal(hist2[: env.proprio_dim], p1)
         assert np.array_equal(hist2[env.proprio_dim:], p0)
 
+    @pytest.mark.parametrize("history_len", [0, 1, 3])
+    def test_batched_history_across_a_shrinking_batch(self, history_len):
+        """At every step each running row's observation, history included, is
+        its episode's alone, while the middle row ends early and the batch
+        shrinks around it."""
+        env = ArmEnv({"episode_len": 40, "history_len": history_len})
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        expert, seeds = ExpertPolicy(clip), [3, 4, 5]
+        obs = env.reset(clip, [np.random.default_rng(s) for s in seeds])
+        seen = [([o], []) for o in obs]  # each row's observations and actions
+        while env.running.size:
+            rows = env.running
+            # the middle row is pushed off its reference, the others track it
+            actions = [np.full(2, 4.0) if i == 1 else expert_action(expert, env, row=i)
+                       for i in rows]
+            obs, _, _, _ = env.step_batch(actions)
+            for i, o, a in zip(rows, obs, actions):
+                seen[i][0].append(o)
+                seen[i][1].append(a)
+        lengths = [len(actions) for _, actions in seen]
+        assert 1 < lengths[1] < lengths[0] == lengths[2] == env.episode_len
+        for seed, (want, actions) in zip(seeds, seen):
+            assert np.array_equal(env.reset(clip, seed), want[0])
+            for a, o in zip(actions, want[1:]):
+                assert np.array_equal(env.step(a)[0], o)
 
     @pytest.mark.parametrize("history_len", [0, 1, 5])
     def test_shape_fixed_every_step(self, history_len):
@@ -547,6 +572,44 @@ class TestExpert:
         a1 = expert_action(expert, env)
         a2 = expert_action(expert, env)
         assert np.array_equal(a1, a2)
+
+    def test_an_episode_labels_with_one_params_copy(self, monkeypatch):
+        """Per-step labels of one episode build its friction-scaled actuator
+        params once, not once a label."""
+        built = []
+        check = actuation.ActuatorParams.__post_init__
+
+        def counting_check(params):
+            built.append(params)
+            check(params)
+
+        monkeypatch.setattr(actuation.ActuatorParams, "__post_init__", counting_check)
+        env = ArmEnv({"episode_len": 60})
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        expert = ExpertPolicy(clip)
+        env.reset(clip, 0)
+        by_labels = 0
+        for _ in range(50):
+            before = len(built)
+            a = expert_action(expert, env)
+            by_labels += len(built) - before
+            env.step(a)
+        assert by_labels == 1
+
+    def test_labels_after_a_new_reset_use_its_params(self):
+        """A reset drops the last episode's label params: after seed A's
+        episode, seed B's label is a fresh env's label for B."""
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        expert = ExpertPolicy(clip)
+        env = ArmEnv({"episode_len": 60})
+        env.reset(clip, 1)
+        first = expert_action(expert, env)
+        env.reset(clip, 2)
+        second = expert_action(expert, env)
+        fresh = ArmEnv({"episode_len": 60})
+        fresh.reset(clip, 2)
+        assert np.array_equal(second, expert_action(expert, fresh))
+        assert not np.array_equal(first, second)
 
 
 class TestEnergyAndDeterminism:

@@ -139,8 +139,16 @@ def test_residual_input_is_cut_from_the_observation(monkeypatch):
 
     def recording_action(env_, obs, a_prev, a_flow, blocks):
         rows = env.running
+        # the command: reference targets one frame ahead, then the reference
+        # minus the current tip direction
+        steps = env._steps[rows]
+        nxt = env._frame(rows, steps + 1)
+        th_ref = env._ref_q[env._frame(rows, steps)].sum(axis=1)
+        th = env._q[rows].sum(axis=1)
+        command = [env._ref_q[nxt], env._ref_qdot[nxt],
+                   np.stack([np.cos(th_ref) - np.cos(th), np.sin(th_ref) - np.sin(th)], axis=1)]
         want.append(np.concatenate([env._q[rows] - env.q0, env._qdot[rows], applied[rows],
-                                    env._command(rows), a_flow], axis=1))
+                                    *command, a_flow], axis=1))
         fed.clear()
         out = residual_action(env_, obs, a_prev, a_flow, blocks)
         x = np.empty_like(want[-1])
