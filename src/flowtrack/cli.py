@@ -342,8 +342,17 @@ def cmd_refine(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser / entry point.
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error exiting 1, the CLI's code for it, not 2;
+    the subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowtrack",
         description="Flow-matching motion tracking on a toy torque-controlled arm.")
     parser.add_argument("--seed", type=int, default=0,

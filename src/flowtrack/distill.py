@@ -146,13 +146,13 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet
                 rows.append((expert, copy.deepcopy(stream)))
                 if e < K - 1:
                     env.skip_episode(stream, net.action_dim)
-            log = rollout_batch(env, net, [(expert.motion, [row_rng], None)
-                                           for expert, row_rng in rows],
-                                sampler=cfg.sampler, keep_obs=True)
-            steps = log["steps"].tolist()
+            logs = rollout_batch(env, net, [(expert.motion, [row_rng], None)
+                                            for expert, row_rng in rows],
+                                 sampler=cfg.sampler, keep_obs=True)
+            steps = [int(log["steps"][0]) for log in logs]
             kept = next((i + 1 for i, n in enumerate(steps[:-1]) if n < T), len(rows))
             for i, (expert, _) in enumerate(rows[:kept]):  # labelled before a rerun resets env
-                buffer.add(log["obs"][:steps[i], i],
+                buffer.add(logs[i]["obs"][:steps[i], 0],
                            expert_action(expert, env, np.arange(steps[i]), i))
             rng = rows[kept - 1][1]
             start += kept
@@ -291,7 +291,7 @@ class ESCfg:
 
 
 def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = "base",
-                  sampler: SamplerCfg = SamplerCfg(), keep_obs: bool = False) -> dict:
+                  sampler: SamplerCfg = SamplerCfg(), keep_obs: bool = False) -> list[dict]:
     """Seeded closed-loop episodes of one or more row groups, stepped together
     and sampled with `sampler`.
 
@@ -304,14 +304,15 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
     Each episode's env and policy noise come from independent child streams of
     its seed, so an episode's trajectory depends on its motion, residual and
     seed only, not on the batch it runs in. A seed may be a Generator instead,
-    which is then both streams, drawn in the order of a single episode. Returns
-    (T, N, ...) trajectories (T = env.episode_len) whose rows past an
-    episode's `steps` stay zero, plus per-episode `steps` and
-    `terminated_early`; with `keep_obs`, also the (T, N, obs_dim) observations
+    which is then both streams, drawn in the order of a single episode.
+    Returns one log per group, in group order, of views into the batch's
+    arrays: the group's (T, m, ...) trajectories (T = env.episode_len, m its
+    seeds), zero past an episode's `steps`, its (m,) `steps` and
+    `terminated_early`, and with `keep_obs` the (T, m, obs_dim) observations
     the policy sampled from, as "obs". The policy products of a group's
     running rows are computed as one group of a stacked product, so each
-    group's rows are bit-equal to a batch of that triple alone. A residual
-    sees each row's observation and last applied action.
+    group's log is bit-equal to a batch of its triple alone. A residual sees
+    each row's observation and last applied action.
     """
     residuals = [r for _, _, r in groups]
     residual = residuals[0] if groups else None  # gives the shared bound
@@ -323,7 +324,8 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
         layers = [(np.stack([r.params[i][0] for r in residuals]),
                    np.stack([r.params[i][1] for r in residuals])[:, None])
                   for i in range(len(residual.params))]
-    group_of_row = np.repeat(np.arange(len(groups)), [len(seeds) for _, seeds, _ in groups])
+    sizes = [len(seeds) for _, seeds, _ in groups]
+    group_of_row = np.repeat(np.arange(len(groups)), sizes)
     streams = [(s, s) if isinstance(s, np.random.Generator) else np.random.default_rng(s).spawn(2)
                for _, seeds, _ in groups for s in seeds]
     policy_rngs = [policy_rng for _, policy_rng in streams]
@@ -371,7 +373,10 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
             if not obs.shape[0]:
                 break
         a_prev = a
-    return log
+    # each group's rows: axis 1 of the (T, N, ...) arrays, axis 0 of the (N,)
+    cuts = np.cumsum(sizes)[:-1]
+    parts = {k: np.split(v, cuts, axis=int(v.ndim > 1)) for k, v in log.items()}
+    return [dict(zip(parts, group)) for group in zip(*parts.values())]
 
 
 def _group_blocks(group_of_row):
@@ -391,7 +396,7 @@ def rollout_episode(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seed
                     residual: ResidualPolicy | None = None, mode: str = "base") -> dict:
     """One seeded closed-loop episode: `rollout_batch` with a single seed, its
     trajectories cut to the steps the episode ran."""
-    log = rollout_batch(env, net, [(motion, [seed], residual)], mode=mode)
+    log, = rollout_batch(env, net, [(motion, [seed], residual)], mode=mode)
     steps = int(log["steps"][0])
     return {
         **{k: log[k][:steps, 0] for k in ("rewards", "q_err", "body_pos", "ref_body_pos")},
@@ -427,29 +432,24 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
     2^k bests that the accept/reject outcomes of the block's earlier
     candidates can leave, and the outcomes are then walked in order, so only
     the scores of the path the sequential loop takes are used (generation 0's
-    first batch also scores the start point). Each group of a batch is
-    bit-equal to scoring its candidate alone, so the result is the sequential
-    one, bit for bit. A generation costs ceil(population / ES_BLOCK) batches,
-    2^b - 1 groups for a block of b, whatever is accepted, so the work of a
-    run does not depend on its seed. With no candidates (no generation or an
+    first batch also scores the start point). A candidate's score is the mean
+    return of its group's log, bit-equal to scoring it alone, so the result is
+    the sequential one, bit for bit. A generation costs ceil(population /
+    ES_BLOCK) batches, 2^b - 1 groups for a block of b, whatever is accepted,
+    so the work of a run does not depend on its seed. With no candidates (no generation or an
     empty population) the start point is scored alone.
     """
     rng = np.random.default_rng(cfg.seed)
     eval_seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
-    E = len(eval_seeds)
     best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
 
     def scores(thetas) -> list[float]:
         """Mean CRN return of each parameter vector, all in one batch."""
         candidates = [replace(best, params=_unflatten(theta, best.params)) for theta in thetas]
-        log = rollout_batch(env, net, [(motion, eval_seeds, c) for c in candidates],
-                            mode="aggressive")
-        # each group's rewards as the contiguous (T, E) array a rollout of
-        # that candidate alone returns, so the sums round the same way
-        return [float(np.mean(episode_return(
-            {"rewards": log["rewards"][:, g * E:(g + 1) * E].copy(),
-             "steps": log["steps"][g * E:(g + 1) * E]},
-            env.episode_len, TERMINATION_FLOOR))) for g in range(len(thetas))]
+        logs = rollout_batch(env, net, [(motion, eval_seeds, c) for c in candidates],
+                             mode="aggressive")
+        return [float(np.mean(episode_return(log, env.episode_len, TERMINATION_FLOOR)))
+                for log in logs]
 
     theta_best = _flatten(best.params)
     if not cfg.generations or not cfg.population:
@@ -502,11 +502,11 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
 
     Motions are segmented into 10 s clips first; each clip runs `n_rollouts`
     seeded episodes as one row group. The clips run in order as few
-    `rollout_batch` calls as keep each within `EVAL_MAX_ROWS` rows, so every
-    clip's metrics are those of a batch of that clip alone. MPJPE / velocity
-    / acceleration errors are averaged within each episode first, then across
-    episodes, then across a motion's clips (never pooled over frames of
-    unequal episodes).
+    `rollout_batch` calls as keep each within `EVAL_MAX_ROWS` rows, and each
+    clip's metrics come from its group's log, so they are those of a batch of
+    that clip alone. MPJPE / velocity / acceleration errors are averaged
+    within each episode first, then across episodes, then across a motion's
+    clips (never pooled over frames of unequal episodes).
     """
     require("n_rollouts", n_rollouts, 1 <= n_rollouts <= MAX_ROLLOUTS, f"in [1, {MAX_ROLLOUTS}]")
     clips = [(name, ci, clip) for name, motion in motions.items()
@@ -515,18 +515,13 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
     per_batch = max(1, EVAL_MAX_ROWS // n_rollouts)
     for first in range(0, len(clips), per_batch):
         batch = clips[first:first + per_batch]
-        log = rollout_batch(env, net, [
+        logs = rollout_batch(env, net, [
             (clip, [hash_seed(seed, name, ci, r) for r in range(n_rollouts)], residual)
             for name, ci, clip in batch])
-        for j, (name, _, _) in enumerate(batch):
-            # the clip's columns as the contiguous arrays a batch of it alone
-            # logs, so the metrics below round the same way
-            cols = slice(j * n_rollouts, (j + 1) * n_rollouts)
-            ref_pos = log["ref_body_pos"][:, cols].copy()
-            rob_pos = log["body_pos"][:, cols].copy()
+        for (name, _, _), log in zip(batch, logs):
             per_episode = {"mpjpe": [], "dvel": [], "dacc": []}
-            for i, steps in enumerate(log["steps"][cols]):
-                ref, rob = ref_pos[:steps, i], rob_pos[:steps, i]
+            for i, steps in enumerate(log["steps"]):
+                ref, rob = log["ref_body_pos"][:steps, i], log["body_pos"][:steps, i]
                 per_episode["mpjpe"].append(metrics.mpjpe(ref, rob))
                 if steps >= 3:
                     ref_v = finite_difference(ref, env.dt)
@@ -537,7 +532,7 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
                 mpjpe_mm=float(np.mean(per_episode["mpjpe"])),
                 dvel=float(np.mean(per_episode["dvel"])) if per_episode["dvel"] else 0.0,
                 dacc=float(np.mean(per_episode["dacc"])) if per_episode["dacc"] else 0.0,
-                success=float(np.mean(~log["terminated_early"][cols])),
+                success=float(np.mean(~log["terminated_early"])),
                 n_episodes=n_rollouts,
             ))
     return {name: metrics.mean_tracking(ms) for name, ms in clip_metrics.items()}

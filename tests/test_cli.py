@@ -6,7 +6,7 @@ import pytest
 
 from flowtrack import cli, distill, flow
 from flowtrack.distill import MAX_EPISODES_PER_ITER, MAX_POPULATION
-from flowtrack.env import MAX_GRAVITY, MAX_HISTORY_LEN, ArmEnv
+from flowtrack.env import MAX_GRAVITY, MAX_HISTORY_LEN, MAX_LINKS, ArmEnv
 from flowtrack.flow import MAX_LAYER_WIDTH, MAX_SAMPLER_STEPS, MAX_TIME_EMBED_DIM
 from flowtrack.motion import SynthMotionSpec, save_motion, synth_motion
 
@@ -129,6 +129,26 @@ def test_set_after_emptied_list_types_items(tmp_path, motions_dir, tiny_policy_d
         argv += ["--policy", str(tiny_policy_dir / "policy.json")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: --set: '{key}.0' must be an integer\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],  # no --motions
+    ["eval", "--motions", "m.json", "--policy", "p.json", "--rollouts", "abc"],
+    ["bogus"],
+])
+def test_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flowtrack") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: flowtrack")
 
 
 class TestAnalyze:
@@ -392,6 +412,7 @@ class TestTrain:
         # sizes that allocate, above their caps; uncapped, a huge one failed
         # at allocation ("runtime failure", exit 2)
         f"env.history_len={MAX_HISTORY_LEN + 1}", "env.history_len=100000000",
+        "env.links=" + json.dumps([{"mass": 1.0, "length": 0.01}] * (MAX_LINKS + 1)),
         f"train.hidden=[8,{MAX_LAYER_WIDTH + 1}]",
         f"train.time_embed_dim={MAX_TIME_EMBED_DIM + 2}", "train.time_embed_dim=2000000000",
         f"train.sampler.steps={MAX_SAMPLER_STEPS + 1}", "train.sampler.steps=1000000000000",

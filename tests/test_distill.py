@@ -385,7 +385,7 @@ class TestEvaluatePolicy:
         net.params = [(3.0 * W, b) for W, b in net.params]
         n = 6
         res = evaluate_policy(net, env, {"m": motion}, n_rollouts=n, seed=1)["m"]
-        log = distill.rollout_batch(
+        log, = distill.rollout_batch(
             env, net, [(motion, [distill.hash_seed(1, "m", 0, r) for r in range(n)], None)])
         steps = log["steps"]
         assert len(set(steps.tolist())) > 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from flowtrack import actuation
 from flowtrack.env import (MAX_ANGLE_NOISE, MAX_DISTURBANCE, MAX_EPISODE_LEN, MAX_HISTORY_LEN,
-                           MAX_SUBSTEPS, ArmEnv, ExpertPolicy, RandomizationCfg, _solve,
+                           MAX_LINKS, MAX_SUBSTEPS, ArmEnv, ExpertPolicy, RandomizationCfg, _solve,
                            expert_action, load_env_config, merge_config)
 from flowtrack.errors import ConfigError, NumericalBlowupError, ValidationError
 from flowtrack.metrics import check_termination
@@ -23,6 +23,11 @@ def quiet_env(**overrides):
     cfg = {"episode_len": 100, "randomization": dict(NO_RANDOMIZATION)}
     cfg.update(overrides)
     return ArmEnv(cfg)
+
+
+def links_config(n: int) -> dict:
+    """An arm of n equal links, 1 m in all, one 5020-16 actuator each."""
+    return {"links": [{"mass": 1.0, "length": 1.0 / n}] * n, "actuators": ["5020-16"] * n}
 
 
 class TestConfig:
@@ -107,12 +112,24 @@ class TestConfig:
          "randomization.q0_offset"),
         # a repeated joint would count its braking power twice
         ({"power_penalty": {"joints": [0, 0]}}, "power_penalty.joints"),
+        # each row's dynamics constants and solves grow as links^2
+        (links_config(MAX_LINKS + 1), "links"),
+        (links_config(1200), "links"),
     ])
     def test_range_error_names_dotted_key(self, config, key):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
             ArmEnv(config)
         with pytest.raises(ConfigError, match=re.escape("env." + key) + " must be"):
             ArmEnv(config, section="env")
+
+    def test_arm_at_the_link_cap_steps(self):
+        env = ArmEnv({**links_config(MAX_LINKS), "episode_len": 3})
+        clip = synth_motion(SynthMotionSpec(MAX_LINKS, 1.0, 50.0, amplitude=0.1, frequency=0.3,
+                                            link_lengths=(1.0 / MAX_LINKS,) * MAX_LINKS))
+        env.reset(clip, [np.random.default_rng(s) for s in range(2)])
+        while env.running.size:
+            _, _, _, info = env.step_batch(np.zeros((env.running.size, MAX_LINKS)))
+            assert np.isfinite(info["q"]).all()
 
 
 class TestReset:

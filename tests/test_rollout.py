@@ -42,7 +42,7 @@ RESIDUAL.params[-1] = (np.random.default_rng(2).standard_normal(RESIDUAL.params[
        mode=st.sampled_from(["base", "aggressive"]), with_residual=st.booleans())
 def test_batch_rows_match_single_episodes(seeds, mode, with_residual):
     residual = RESIDUAL if with_residual else None
-    log = rollout_batch(ENV, NET, [(MOTION, seeds, residual)], mode=mode)
+    log, = rollout_batch(ENV, NET, [(MOTION, seeds, residual)], mode=mode)
     T = ENV.episode_len
     assert log["rewards"].shape == (T, len(seeds))
     assert log["body_pos"].shape == (T, len(seeds), 2, 3)
@@ -58,7 +58,7 @@ def test_batch_rows_match_single_episodes(seeds, mode, with_residual):
 
 def test_motion_gives_both_outcomes():
     """The oracle above sees early terminations and time-outs in one batch."""
-    log = rollout_batch(ENV, NET, [(MOTION, list(range(12)), None)])
+    log, = rollout_batch(ENV, NET, [(MOTION, list(range(12)), None)])
     assert log["terminated_early"].any() and not log["terminated_early"].all()
     assert len(set(log["steps"].tolist())) > 2
 
@@ -101,17 +101,17 @@ def test_row_groups_match_separate_batches():
     groups (so the groups run ragged)."""
     seeds = [3, 10, 9, 7]
     groups = [RESIDUAL, _variant(1), _variant(2), _variant(3, scale=1.0), _variant(4)]
-    log = rollout_batch(ENV, NET, [(MOTION, seeds, res) for res in groups])
-    E = len(seeds)
-    assert log["rewards"].shape == (ENV.episode_len, len(groups) * E)
-    steps = log["steps"].reshape(len(groups), E)
-    assert log["terminated_early"].any() and not log["terminated_early"].all()
-    assert len({tuple(row) for row in steps}) > 1 and len(set(steps[0])) > 1
-    for g, res in enumerate(groups):
-        alone = rollout_batch(ENV, NET, [(MOTION, seeds, res)])
+    logs = rollout_batch(ENV, NET, [(MOTION, seeds, res) for res in groups])
+    assert len(logs) == len(groups)
+    steps = [tuple(log["steps"]) for log in logs]
+    ended = np.concatenate([log["terminated_early"] for log in logs])
+    assert ended.any() and not ended.all()
+    assert len(set(steps)) > 1 and len(set(steps[0])) > 1
+    for log, res in zip(logs, groups):
+        alone, = rollout_batch(ENV, NET, [(MOTION, seeds, res)])
+        assert log.keys() == alone.keys()
         for key, value in alone.items():
-            assert np.array_equal(log[key][..., g * E:(g + 1) * E] if value.ndim == 1
-                                  else log[key][:, g * E:(g + 1) * E], value), key
+            assert np.array_equal(log[key], value), key
 
 
 def test_residual_input_is_cut_from_the_observation(monkeypatch):
@@ -160,7 +160,7 @@ def test_residual_input_is_cut_from_the_observation(monkeypatch):
     monkeypatch.setattr(env, "step_batch", recording_step)
     monkeypatch.setattr(distill, "mlp_forward", recording_forward)
     monkeypatch.setattr(distill, "residual_action", recording_action)
-    log = rollout_batch(env, NET, [(MOTION, [24, 25, 26], RESIDUAL)])
+    log, = rollout_batch(env, NET, [(MOTION, [24, 25, 26], RESIDUAL)])
     assert log["terminated_early"].tolist() == [False, True, False]
     assert len(seen) == env.episode_len and seen[-1].shape[0] == 2
     assert not want[0][:, 4:6].any()  # no action applied before step 0
@@ -179,37 +179,41 @@ POOL = {"motion": MOTION, "hard": HARD, "long": LONG}
 
 def test_clips_cover_padding_and_terminations():
     """The oracles below see rows past SHORT's end and HARD's early ends."""
-    log = rollout_batch(ENV, NET, [(SHORT, list(range(8)), None), (HARD, [0, 1], None)])
-    assert SHORT.n_frames < ENV.episode_len and log["steps"][:8].max() > SHORT.n_frames
-    assert log["terminated_early"][8:].all()
+    short, hard = rollout_batch(ENV, NET, [(SHORT, list(range(8)), None), (HARD, [0, 1], None)])
+    assert SHORT.n_frames < ENV.episode_len and short["steps"].max() > SHORT.n_frames
+    assert hard["terminated_early"].all()
     assert len(segment_clips(LONG, 10.0)) == 2
+
+
+def log_metrics(log, env):
+    """A clip's tracking metrics from its log, as `evaluate_policy` takes them."""
+    per_episode = {"mpjpe": [], "dvel": [], "dacc": []}
+    for i, steps in enumerate(log["steps"]):
+        ref, rob = log["ref_body_pos"][:steps, i], log["body_pos"][:steps, i]
+        per_episode["mpjpe"].append(metrics.mpjpe(ref, rob))
+        if steps >= 3:
+            ref_v = finite_difference(ref, env.dt)
+            rob_v = finite_difference(rob, env.dt)
+            per_episode["dvel"].append(metrics.delta_vel(ref_v, rob_v, env.dt))
+            per_episode["dacc"].append(metrics.delta_acc(ref_v, rob_v, env.dt))
+    return metrics.TrackingMetrics(
+        mpjpe_mm=float(np.mean(per_episode["mpjpe"])),
+        dvel=float(np.mean(per_episode["dvel"])) if per_episode["dvel"] else 0.0,
+        dacc=float(np.mean(per_episode["dacc"])) if per_episode["dacc"] else 0.0,
+        success=float(np.mean(~log["terminated_early"])),
+        n_episodes=len(log["steps"]),
+    )
 
 
 def per_clip_evaluate(net, env, motions, residual=None, n_rollouts=10, seed=0):
     """`evaluate_policy` as one `rollout_batch` per clip, kept as its oracle."""
     results = {}
     for name, motion in motions.items():
-        clips = segment_clips(motion, 10.0)
         clip_metrics = []
-        for ci, clip in enumerate(clips):
+        for ci, clip in enumerate(segment_clips(motion, 10.0)):
             seeds = [hash_seed(seed, name, ci, r) for r in range(n_rollouts)]
-            log = rollout_batch(env, net, [(clip, seeds, residual)])
-            per_episode = {"mpjpe": [], "dvel": [], "dacc": []}
-            for i, steps in enumerate(log["steps"]):
-                ref, rob = log["ref_body_pos"][:steps, i], log["body_pos"][:steps, i]
-                per_episode["mpjpe"].append(metrics.mpjpe(ref, rob))
-                if steps >= 3:
-                    ref_v = finite_difference(ref, env.dt)
-                    rob_v = finite_difference(rob, env.dt)
-                    per_episode["dvel"].append(metrics.delta_vel(ref_v, rob_v, env.dt))
-                    per_episode["dacc"].append(metrics.delta_acc(ref_v, rob_v, env.dt))
-            clip_metrics.append(metrics.TrackingMetrics(
-                mpjpe_mm=float(np.mean(per_episode["mpjpe"])),
-                dvel=float(np.mean(per_episode["dvel"])) if per_episode["dvel"] else 0.0,
-                dacc=float(np.mean(per_episode["dacc"])) if per_episode["dacc"] else 0.0,
-                success=float(np.mean(~log["terminated_early"])),
-                n_episodes=n_rollouts,
-            ))
+            log, = rollout_batch(env, net, [(clip, seeds, residual)])
+            clip_metrics.append(log_metrics(log, env))
         results[name] = metrics.mean_tracking(clip_metrics)
     return results
 
@@ -254,15 +258,35 @@ def test_mixed_motion_groups_match_separate_batches(with_residual):
                  else [None] * 4)
     groups = [(SHORT, [3, 4, 5], residuals[0]), (MOTION, [10, 9], residuals[1]),
               (HARD, [7, 8, 1], residuals[2]), (MOTION, [2], residuals[3])]
-    log = rollout_batch(ENV, NET, groups)
-    first = 0
-    for triple in groups:
-        alone = rollout_batch(ENV, NET, [triple])
-        cols = slice(first, first + len(triple[1]))
+    logs = rollout_batch(ENV, NET, groups)
+    assert len(logs) == len(groups)
+    for log, triple in zip(logs, groups):
+        alone, = rollout_batch(ENV, NET, [triple])
+        assert log.keys() == alone.keys()
         for key, value in alone.items():
-            assert np.array_equal(log[key][cols] if value.ndim == 1 else log[key][:, cols],
-                                  value), key
-        first = cols.stop
+            assert np.array_equal(log[key], value), key
+
+
+def test_group_logs_are_views_scored_as_alone():
+    """Groups of 1, 2 and 3 seeds in one batch, whose rows end early at
+    different steps: each group's log is a view of the batch's arrays, and its
+    mean return and clip metrics are `==` those of its triple run alone."""
+    groups = [(HARD, [5], _variant(1)), (MOTION, [3, 10], RESIDUAL),
+              (MOTION, [9, 7, 2], _variant(2))]
+    logs = rollout_batch(ENV, NET, groups, keep_obs=True)
+    steps = np.concatenate([log["steps"] for log in logs])
+    ended = np.concatenate([log["terminated_early"] for log in logs])
+    assert len(set(steps[ended].tolist())) > 1 and not ended.all()
+    for (_, seeds, _), log in zip(groups, logs):
+        assert log["rewards"].shape == (ENV.episode_len, len(seeds))
+        assert log["obs"].shape == (ENV.episode_len, len(seeds), ENV.obs_dim)
+        for key, value in log.items():
+            assert value.base is not None and value.base is logs[0][key].base, key
+    for triple, log in zip(groups, logs):
+        alone, = rollout_batch(ENV, NET, [triple])
+        assert (np.mean(episode_return(log, ENV.episode_len, distill.TERMINATION_FLOOR))
+                == np.mean(episode_return(alone, ENV.episode_len, distill.TERMINATION_FLOOR)))
+        assert log_metrics(log, ENV) == log_metrics(alone, ENV)
 
 
 @pytest.mark.parametrize("group_of_row, want", [
@@ -303,7 +327,7 @@ def sequential_es(net, residual, env, motion, cfg):
     eval_seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
 
     def fitness(candidate) -> float:
-        log = rollout_batch(env, net, [(motion, eval_seeds, candidate)], mode="aggressive")
+        log, = rollout_batch(env, net, [(motion, eval_seeds, candidate)], mode="aggressive")
         return float(np.mean(episode_return(log, env.episode_len, distill.TERMINATION_FLOOR)))
 
     best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
@@ -379,7 +403,7 @@ def test_speculative_es_covers_acceptances_and_terminations():
     assert all(np.array_equal(W1, W2) for (W1, _), (W2, _) in zip(got.params, want.params))
     rng = np.random.default_rng(cfg.seed)
     seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
-    log = rollout_batch(ES_ENV, NET, [(MOTION, seeds, RESIDUAL)], mode="aggressive")
+    log, = rollout_batch(ES_ENV, NET, [(MOTION, seeds, RESIDUAL)], mode="aggressive")
     assert log["terminated_early"].any() and not log["terminated_early"].all()
 
 
@@ -669,7 +693,7 @@ def test_skip_episode_is_a_full_episode(ranges, sampler_steps, n_experts, episod
                   "randomization": ranges})
     ran, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
     ran.integers(n_experts)
-    log = rollout_batch(env, NET, [(MOTION, [ran], None)], sampler=SamplerCfg(steps=sampler_steps))
+    log, = rollout_batch(env, NET, [(MOTION, [ran], None)], sampler=SamplerCfg(steps=sampler_steps))
     assert log["steps"][0] == episode_len
     skipped.integers(n_experts)
     env.skip_episode(skipped, NET.action_dim)
@@ -830,7 +854,7 @@ def test_skip_episode_at_the_disturbance_caps(disturbance):
                   "randomization": {"disturbance": disturbance}})
     ran = np.random.default_rng(5)
     skipped = copy.deepcopy(ran)
-    log = rollout_batch(env, NET, [(MOTION, [ran], None)])
+    log, = rollout_batch(env, NET, [(MOTION, [ran], None)])
     assert log["steps"][0] == env.episode_len
     env.skip_episode(skipped, NET.action_dim)
     assert skipped.bit_generator.state == ran.bit_generator.state
