@@ -105,8 +105,9 @@ class PowerPenaltyCfg:
 
 
 def default_catalog() -> dict[str, ActuatorParams]:
-    """The built-in actuator catalog (four production motor models)."""
-    with resources.as_file(resources.files("flowtrack.data") / "actuators.json") as path:
+    """The built-in actuator catalog (four production motor models), read
+    from this package's own data, whatever name it is imported under."""
+    with resources.as_file(resources.files(__package__) / "data" / "actuators.json") as path:
         return load_catalog(path)
 
 

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import actuation, distill, flow, metrics
-from .env import DEFAULT_ENV_CONFIG, ArmEnv, ExpertPolicy, load_env_config
+from .env import DEFAULT_ENV_CONFIG, ArmEnv, ExpertPolicy
 from .errors import ConfigError
 from .fileio import check_like, config_section, overlay, read_config, require, write_atomic
 from .motion import load_motion
@@ -214,7 +214,7 @@ def _setup(args, section: str | None = None):
     values then put in place (`_apply_sets`). Every motion is checked against
     the env as it loads."""
     tree = {section: read_config(SECTIONS[section], args.cfg)} if section else {}
-    tree["env"] = load_env_config(args.env)
+    tree["env"] = read_config(DEFAULT_ENV_CONFIG, args.env)
     tree = _apply_sets(tree, args.set)
     with _naming_file(args.env, "env", args.set):
         env = ArmEnv(tree["env"], section="env")

@@ -28,9 +28,9 @@ from .motion import MotionClip, finite_difference, segment_clips
 class ReplayBuffer:
     """Flat store of (observation, expert action) records.
 
-    `add` appends (n, dim) rows (a 1-D pair is one row) to preallocated
-    arrays that double until they fit; the row width is fixed by the first
-    rows added. `clear` keeps the arrays for reuse.
+    `add` appends n observation rows and n action rows (a 1-D pair is one
+    row) to preallocated arrays that double until they fit; the row widths
+    are fixed by the first rows added. `clear` keeps the arrays for reuse.
     """
 
     INITIAL_ROWS = 1024
@@ -48,6 +48,8 @@ class ReplayBuffer:
 
     def add(self, obs, a_expert) -> None:
         obs, a_expert = np.atleast_2d(obs), np.atleast_2d(a_expert)
+        if len(obs) != len(a_expert):
+            raise DimensionError(f"{len(obs)} observation rows but {len(a_expert)} action rows")
         if self._obs is None:
             self._obs = np.empty((self.INITIAL_ROWS, obs.shape[1]))
             self._act = np.empty((self.INITIAL_ROWS, a_expert.shape[1]))
@@ -225,7 +227,7 @@ def init_residual(env: ArmEnv, *, rng=None, **settings) -> ResidualPolicy:
 def residual_action(env: ArmEnv, obs, a_prev, a_flow, blocks) -> np.ndarray:
     """Raw (unclamped) residual outputs of the running episodes;
     `residual_compose` applies the bound. The input rows are cut from `obs`:
-    [q - q0, qdot, `a_prev` (the total action applied last step), command,
+    [q, qdot, `a_prev` (the total action applied last step), command,
     `a_flow`]. `blocks` is a list of (pos, params): the rows at the (G, m)
     positions `pos`, G groups of m rows, go through the per-group stacked
     `params` (see `mlp_forward`).
@@ -406,10 +408,10 @@ def rollout_episode(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seed
 
 
 def episode_return(log, episode_len: int, floor: float):
-    """Episode reward total with missing steps charged at the floor value; a
-    `rollout_batch` log gives one total per episode."""
-    total = np.sum(log["rewards"], axis=0) + floor * (episode_len - np.asarray(log["steps"]))
-    return float(total) if np.ndim(total) == 0 else total
+    """Episode reward total with missing steps charged at the floor value: an
+    `np.float64` for a `rollout_episode` log, one total per episode for a
+    `rollout_batch` log."""
+    return np.sum(log["rewards"], axis=0) + floor * (episode_len - np.asarray(log["steps"]))
 
 
 # Candidates an ES batch decides: a block of B takes 2^B - 1 row groups.
@@ -441,7 +443,7 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
     """
     rng = np.random.default_rng(cfg.seed)
     eval_seeds = [int(s) for s in rng.integers(0, 2 ** 31 - 1, size=cfg.episodes_per_eval)]
-    best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
+    best = clone_net(residual)
 
     def scores(thetas) -> list[float]:
         """Mean CRN return of each parameter vector, all in one batch."""

@@ -24,7 +24,7 @@ import numpy as np
 from . import actuation
 from .actuation import _PARAM_FIELDS, PowerPenaltyCfg
 from .errors import ConfigError, NumericalBlowupError, ValidationError
-from .fileio import config_section, merge_over, read_config, require
+from .fileio import config_section, merge_over, require
 from .metrics import TerminationThresholds, check_termination
 from .motion import MotionClip, arm_forward_kinematics, finite_difference
 
@@ -119,18 +119,6 @@ DEFAULT_ENV_CONFIG = {
 }
 
 
-def load_env_config(path) -> dict:
-    """Read an env config JSON file (the defaults when `path` is None) and
-    merge it over the defaults."""
-    return read_config(DEFAULT_ENV_CONFIG, path)
-
-
-def merge_config(overrides: dict | None) -> dict:
-    """The defaults with `overrides` merged in (see `fileio.merge_over`)."""
-    return merge_over(DEFAULT_ENV_CONFIG, {} if overrides is None else overrides,
-                      "env config")
-
-
 class ArmEnv:
     """J-joint torque-controlled pendulum arm tracking a reference motion.
 
@@ -142,12 +130,13 @@ class ArmEnv:
     episode is the case N = 1, for which `reset`, `step` and the accessors
     take and return unbatched shapes.
 
+    `config` is merged over `DEFAULT_ENV_CONFIG` (see `fileio.merge_over`).
     `section` is the dotted key of `config` in a larger config tree (the
     CLI's is `env`); range errors name their key below it.
     """
 
     def __init__(self, config: dict | None = None, section: str = ""):
-        cfg = merge_config(config)
+        cfg = merge_over(DEFAULT_ENV_CONFIG, config or {}, "env config")
         catalog = actuation.default_catalog()
         links, names = cfg["links"], cfg["actuators"]
         self.n_substeps, self.episode_len, self.history_len, scale = (
@@ -193,7 +182,7 @@ class ArmEnv:
         self.n_joints = len(links)
         self.masses = np.array([l["mass"] for l in links])
         self.lengths = np.array([l["length"] for l in links])
-        self.gravity = cfg["gravity"]  # a float (merge_config), in range (above)
+        self.gravity = cfg["gravity"]  # a float (merge_over), in range (above)
         self.dt = CONTROL_DT
         self.actuators = [replace(p, tau_y1=p.tau_y1 * scale, tau_y2=p.tau_y2 * scale)
                           for p in nominal]
@@ -201,7 +190,6 @@ class ArmEnv:
         self.kp = np.array([g.kp for g in gains])
         self.kd = np.array([g.kd for g in gains])
         self.action_scale = np.array([g.action_scale for g in gains])
-        self.q0 = np.zeros(self.n_joints)  # nominal default pose: straight down
         self._armature_M = np.diag(self._joint_params.armature_I)
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
         self._ST = self._S.T
@@ -230,8 +218,8 @@ class ArmEnv:
         """
         require("mode", f"'{mode}'", mode in ("base", "aggressive"), "'base' or 'aggressive'")
         batch = isinstance(rng, list)
-        rngs = [r if isinstance(r, np.random.Generator) else np.random.default_rng(r)
-                for r in (rng if batch else [rng])]
+        # a Generator passes through default_rng as the same object
+        rngs = [np.random.default_rng(r) for r in (rng if batch else [rng])]
         if not rngs:
             raise ValidationError("a batch needs at least one episode")
         per_row = isinstance(motion, list)
@@ -264,7 +252,7 @@ class ArmEnv:
         # 1 + friction >= 0, as RandomizationCfg bounds friction_scale by 1
         p, friction_scale = self._joint_params, (1.0 + friction)[:, None]
         self._actuators_ep = replace(p, mu_s=p.mu_s * friction_scale, mu_d=p.mu_d * friction_scale)
-        self._q0_eff = self.q0 + q0_offset
+        self._q0_eff = q0_offset  # the PD default pose: straight down (0) plus the offset
         mcum = np.cumsum(self._masses_ep[:, ::-1], axis=1)[:, ::-1]
         joint = np.arange(J)
         self._c = np.outer(self.lengths, self.lengths) * mcum[:, np.maximum.outer(joint, joint)]
@@ -280,7 +268,7 @@ class ArmEnv:
         # saw, and the next step takes its history from it; at reset there is
         # no action yet and the history repeats the initial state (the caller
         # gets a copy, as steps overwrite the stored rows)
-        p0 = np.concatenate([self._q - self.q0, self._qdot, np.zeros((n, J))], axis=1)
+        p0 = np.concatenate([self._q, self._qdot, np.zeros((n, J))], axis=1)
         self._obs = self._observe(slice(None), [p0], self._q.sum(axis=1),
                                   self._ref_q[self._clip, 0].sum(axis=1),
                                   np.tile(p0, self.history_len))
@@ -373,7 +361,7 @@ class ArmEnv:
 
     def _observe(self, rows, proprio, th, th_ref, history) -> np.ndarray:
         """Observations of the episodes `rows`: the column blocks of `proprio`
-        (q - q0, qdot, last base action), the reference joint targets one
+        (q, qdot, last base action), the reference joint targets one
         frame ahead, the 2-vector difference between the reference and current
         tip directions (from the angle sums `th_ref` and `th`), and the
         (n, H * P) `history`, most recent state first."""
@@ -513,7 +501,7 @@ class ArmEnv:
         terminated = check_termination(z_err, orient_err, self.thresholds, relaxed=relaxed)
         timeout = steps >= self.episode_len
         done = terminated | timeout
-        obs = self._observe(rows, [q - self.q0, qdot, base_actions], th, th_ref, history)
+        obs = self._observe(rows, [q, qdot, base_actions], th, th_ref, history)
         self._obs[rows] = obs
         self._running = self._running[~done]
 

@@ -94,28 +94,27 @@ def _mlp_layers(params, x, out=None) -> list:
     return acts
 
 
-def _mlp_backward(params, acts, d_out, ws=None):
+def _mlp_backward(params, acts, d_out, ws):
     """Gradients of all (W, b) given d(loss)/d(output) and the layer inputs
-    `acts` (`_mlp_layers` without its output); returns same structure.
+    `acts` (`_mlp_layers` without its output), written into the buffers of
+    `ws`, a `GradWorkspace`, whose `grads` blocks are returned.
 
-    Each product, sum and slope is computed in place: into the buffers of
-    `ws`, a `GradWorkspace`, whose `grads` blocks are then returned, or into
-    fresh arrays without one. A hidden activation is overwritten by its tanh
-    slope 1 - a*a once its layer's gradient is taken.
+    Each product, sum and slope is computed in place. A hidden activation is
+    overwritten by its tanh slope 1 - a*a once its layer's gradient is taken.
     """
-    grads = [None] * len(params)
     d = d_out
     for layer in range(len(params) - 1, -1, -1):
         W, _ = params[layer]
         a_prev = acts[layer]
-        gW, gb = (None, None) if ws is None else ws.grads[layer]
-        grads[layer] = (np.matmul(d.T, a_prev, out=gW), np.sum(d, axis=0, out=gb))
+        gW, gb = ws.grads[layer]
+        np.matmul(d.T, a_prev, out=gW)
+        np.sum(d, axis=0, out=gb)
         if layer > 0:
             slope = np.multiply(a_prev, a_prev, out=a_prev)
             np.subtract(1.0, slope, out=slope)
-            d = np.matmul(d, W, out=None if ws is None else ws.deltas[layer])
+            d = np.matmul(d, W, out=ws.deltas[layer])
             np.multiply(d, slope, out=d)
-    return grads
+    return ws.grads
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +212,9 @@ def _input_rows(net: VelocityFieldNet, a, t, obs, out=None):
 
 
 def forward(net: VelocityFieldNet, a, t, obs) -> np.ndarray:
-    """Evaluate the velocity field; returns the same leading shape as `a`."""
-    single = np.asarray(a).ndim == 1
-    out = mlp_forward(net.params, _input_rows(net, a, t, obs))
-    return out[0] if single else out
+    """Evaluate the velocity field; returns the shape of `a` (one action is
+    a batch of one row)."""
+    return mlp_forward(net.params, _input_rows(net, a, t, obs)).reshape(np.shape(a))
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +286,19 @@ def fm_loss_and_grad_at(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray,
 
     The step's input, activations and gradients are written into `ws`, a
     `GradWorkspace` for the net's layer sizes and the batch's row count, and
-    the returned gradients alias it. Without one every array is fresh, so
-    the gradients are the caller's own.
+    the returned gradients alias it. Without one the step builds its own, so
+    the gradients are the caller's.
     """
     n = len(batch)
-    if ws is not None and (ws.rows, ws.sizes) != (n, net.layer_sizes):
+    if ws is None:
+        ws = GradWorkspace(net, n)
+    elif (ws.rows, ws.sizes) != (n, net.layer_sizes):
         raise DimensionError(f"workspace for {ws.rows} rows of sizes {ws.sizes} used for "
                              f"{n} rows of sizes {net.layer_sizes}")
     a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
     u = eps - batch.expert_actions
-    x = _input_rows(net, a_t, t, batch.observations, None if ws is None else ws.x)
-    *acts, v = _mlp_layers(net.params, x, None if ws is None else ws.acts)
+    x = _input_rows(net, a_t, t, batch.observations, ws.x)
+    *acts, v = _mlp_layers(net.params, x, ws.acts)
     resid = v - u
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
     grads = _mlp_backward(net.params, acts, 2.0 * resid / n, ws)
@@ -308,7 +308,7 @@ def fm_loss_and_grad_at(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray,
 def fm_loss_and_grad(net: VelocityFieldNet, batch: FMBatch, rng,
                      ws: GradWorkspace | None = None) -> tuple[float, list]:
     """Draw per-sample (t, eps) and return the loss with exact gradients
-    (written into `ws` when given, see `fm_loss_and_grad_at`)."""
+    (written into `ws`, see `fm_loss_and_grad_at`)."""
     n = len(batch)
     t = rng.beta(net.alpha, net.beta, size=n)
     eps = rng.standard_normal((n, net.action_dim))
@@ -322,18 +322,16 @@ def euler_sample(net: VelocityFieldNet, obs, cfg: SamplerCfg, rng) -> np.ndarray
     """Integrate the field from Gaussian noise at t=1 to an action at t=0.
 
     x starts at N(0, I); each of the D steps applies x <- x - v(x, t, obs)/D
-    at t = 1 - k/D. `obs` is one observation with one Generator, or (N,
-    obs_dim) rows with a list of N Generators: each row draws its noise from
-    its own stream, so its action does not depend on the rows beside it.
-    (G, m, obs_dim) rows with G*m Generators (row-major) are G groups, each
-    bit-equal to sampling its m rows alone (see `mlp_forward`).
+    at t = 1 - k/D. `obs` is (N, obs_dim) rows with a list of N Generators:
+    each row draws its noise from its own stream, so its action does not
+    depend on the rows beside it. One observation with one Generator is the
+    batch of one row, returned as one action. (G, m, obs_dim) rows with G*m
+    Generators (row-major) are G groups, each bit-equal to sampling its m
+    rows alone (see `mlp_forward`).
     """
     D, A, E = cfg.steps, net.action_dim, net.time_embed_dim
-    single = np.ndim(obs) == 1
-    if single:
-        x = rng.standard_normal(A)
-    else:
-        x = np.array([r.standard_normal(A) for r in rng]).reshape(*np.shape(obs)[:-1], A)
+    rngs = [rng] if np.ndim(obs) == 1 else rng
+    x = np.array([r.standard_normal(A) for r in rngs]).reshape(*np.shape(obs)[:-1], A)
     # [x, time_embed(t), obs] rows, assembled and checked once; each step
     # writes the time-embedding columns and rewrites the action columns
     emb = _sampler_embedding(D, E)
@@ -341,7 +339,7 @@ def euler_sample(net: VelocityFieldNet, obs, cfg: SamplerCfg, rng) -> np.ndarray
     for k in range(D):
         inp[..., A:A + E] = emb[k]
         v = mlp_forward(net.params, inp)
-        x = x - (v[0] if single else v) / D
+        x = x - v.reshape(x.shape) / D
         inp[..., :A] = x
     return x
 
@@ -422,5 +420,6 @@ def load_policy(path) -> VelocityFieldNet:
     return load_checkpoint(path, "velocity_field", POLICY_HEADER, _build_policy)
 
 
-def clone_net(net: VelocityFieldNet) -> VelocityFieldNet:
+def clone_net(net):
+    """A copy of `net` (a velocity field or a residual) with its own parameters."""
     return replace(net, params=[(W.copy(), b.copy()) for W, b in net.params])

@@ -184,14 +184,16 @@ def finite_difference(series, dt: float) -> np.ndarray:
 
 
 def segment_clips(clip: MotionClip, seconds: float = 10.0) -> list[MotionClip]:
-    """Split a clip into fixed-length segments of `seconds`.
+    """Split a clip into fixed-length segments of `seconds`, which must round
+    to at least two frames (a clip's least).
 
     Shorter motions come back whole. Longer motions yield full segments plus a
     trailing partial segment when at least one second of frames remains;
     shorter remainders are dropped.
     """
-    require("seconds", seconds, seconds > 0, "positive")
+    require("seconds", seconds, 0 < seconds < math.inf, "positive and finite")
     seg = int(round(seconds * clip.fps))
+    require("seconds", seconds, seg >= 2, f"at least 2 frames long at {clip.fps} fps")
     T = clip.n_frames
     if T <= seg:
         return [clip]

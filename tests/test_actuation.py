@@ -1,10 +1,15 @@
 import dataclasses
+import importlib
 import json
 import math
+import pathlib
+import shutil
+import sys
 
 import numpy as np
 import pytest
 
+from flowtrack import actuation
 from flowtrack.actuation import (ActuatorParams, PowerPenaltyCfg, actuate,
                                  clip_torque, default_catalog, envelope_limit,
                                  friction_torque, joint_power, load_catalog,
@@ -52,6 +57,23 @@ class TestCatalog:
         path.write_text(json.dumps({"a": entry}))
         with pytest.raises(SchemaError, match=rf"cat\.json: '{key}' must be"):
             load_catalog(path)
+
+    def test_renamed_copy_reads_its_own_catalog(self, tmp_path, monkeypatch):
+        # a copy of the package imported under another name, beside this one
+        src = pathlib.Path(actuation.__file__).parent
+        twin = tmp_path / "flowtrack_twin"
+        shutil.copytree(src, twin, ignore=shutil.ignore_patterns("__pycache__"))
+        doc = json.loads((twin / "data" / "actuators.json").read_text())
+        doc["4010-25"]["tau_y1"] = 123.0
+        (twin / "data" / "actuators.json").write_text(json.dumps(doc))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            twin_catalog = importlib.import_module("flowtrack_twin.actuation").default_catalog()
+        finally:
+            for name in [m for m in sys.modules if m.split(".")[0] == "flowtrack_twin"]:
+                del sys.modules[name]
+        assert twin_catalog["4010-25"].tau_y1 == 123.0
+        assert default_catalog()["4010-25"].tau_y1 == 4.8
 
     def test_invalid_constants_name_file_and_actuator(self, tmp_path):
         path = tmp_path / "cat.json"

@@ -30,6 +30,14 @@ class TestReplayBuffer:
         with pytest.raises(ValidationError):
             buf.sample_batch(4, np.random.default_rng(0))
 
+    def test_unequal_row_counts_rejected(self):
+        buf = ReplayBuffer()
+        with pytest.raises(DimensionError, match="5 observation rows but 2 action rows"):
+            buf.add(np.zeros((5, 3)), np.ones((2, 2)))
+        with pytest.raises(DimensionError, match="5 observation rows but 1 action rows"):
+            buf.add(np.zeros((5, 3)), np.ones(2))
+        assert len(buf) == 0
+
     def test_grows_past_capacity_and_samples_added_rows(self):
         n = 2 * ReplayBuffer.INITIAL_ROWS + 3
         rng = np.random.default_rng(7)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtrack import actuation
-from flowtrack.env import (MAX_ANGLE_NOISE, MAX_DISTURBANCE, MAX_EPISODE_LEN, MAX_HISTORY_LEN,
-                           MAX_LINKS, MAX_SUBSTEPS, ArmEnv, ExpertPolicy, RandomizationCfg, _solve,
-                           expert_action, load_env_config, merge_config)
+from flowtrack.env import (DEFAULT_ENV_CONFIG, MAX_ANGLE_NOISE, MAX_DISTURBANCE, MAX_EPISODE_LEN,
+                           MAX_HISTORY_LEN, MAX_LINKS, MAX_SUBSTEPS, ArmEnv, ExpertPolicy,
+                           RandomizationCfg, _solve, expert_action)
 from flowtrack.errors import ConfigError, NumericalBlowupError, ValidationError
+from flowtrack.fileio import read_config
 from flowtrack.metrics import check_termination
 from flowtrack.motion import SynthMotionSpec, synth_motion
 
@@ -46,10 +47,12 @@ class TestConfig:
     def test_load_env_config(self, tmp_path):
         path = tmp_path / "env.json"
         path.write_text(json.dumps({"gravity": 3.0, "episode_len": 42}))
-        cfg = load_env_config(path)
+        cfg = read_config(DEFAULT_ENV_CONFIG, path)
         assert cfg["gravity"] == 3.0
         assert cfg["episode_len"] == 42
-        assert cfg["links"] == merge_config(None)["links"]
+        assert cfg["links"] == DEFAULT_ENV_CONFIG["links"]
+        env = ArmEnv(cfg)
+        assert (env.gravity, env.episode_len, env.n_joints) == (3.0, 42, 2)
 
     def test_unknown_actuator(self):
         with pytest.raises(ConfigError, match="unknown actuator"):
@@ -352,7 +355,7 @@ class TestObservation:
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
         obs = env.reset(clip, 0)
-        assert np.array_equal(obs[:2], clip.q[0] - env.q0)
+        assert np.array_equal(obs[:2], clip.q[0])
 
     def test_history_filled_with_initial_state(self):
         env = quiet_env(history_len=3)

@@ -67,6 +67,9 @@ class TestForward:
         batch = forward(net, a, t, obs)
         for i in range(4):
             assert np.allclose(batch[i], forward(net, a[i], t[i], obs[i]), atol=0)
+        # one action is the batch of one, bit for bit
+        one = forward(net, a[0], t[0], obs[0])
+        assert one.shape == (2,) and np.array_equal(one, forward(net, a[:1], t[:1], obs[:1])[0])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 24),
@@ -143,6 +146,15 @@ class TestLoss:
             for g1, g2 in zip(pair_1, pair_2):
                 assert not np.shares_memory(g1, g2)
                 assert not np.array_equal(g1, g2)
+        # at fixed draws too: the second call leaves the first's gradients as they were
+        draws = [(rng.beta(1.5, 1.0, size=7), rng.standard_normal((7, 2))) for _ in range(2)]
+        _, first = fm_loss_and_grad_at(net, batch, *draws[0])
+        kept = [(gW.copy(), gb.copy()) for gW, gb in first]
+        _, second = fm_loss_and_grad_at(net, batch, *draws[1])
+        for (gW, gb), (kW, kb), (sW, sb) in zip(first, kept, second):
+            assert np.array_equal(gW, kW) and np.array_equal(gb, kb)
+            assert not np.shares_memory(gW, sW) and not np.shares_memory(gb, sb)
+            assert not np.array_equal(gW, sW)
 
     def test_workspace_gradients_alias_it(self):
         """With a workspace the step gives the same bits as without, and its
@@ -257,6 +269,8 @@ class TestEulerSampler:
         for k in range(cfg.steps):
             x = x - forward(net, x, 1.0 - k / cfg.steps, obs[0]) / cfg.steps
         assert single.shape == (2,) and np.array_equal(single, x)
+        if n == 1:  # one observation is the batch of one
+            assert np.array_equal(single, out[0])
 
     def test_same_seed_same_action(self):
         net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(3))

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from flowtrack import cli, distill, errors, flow
 from flowtrack.actuation import default_catalog, load_catalog
-from flowtrack.env import DEFAULT_ENV_CONFIG, ArmEnv, load_env_config
+from flowtrack.env import DEFAULT_ENV_CONFIG, ArmEnv
+from flowtrack.fileio import read_config
 from flowtrack.motion import load_motion, save_motion
 
 from conftest import make_sine
@@ -140,7 +141,7 @@ def test_motion(documents, tmp_path, data):
 @FUZZ
 @given(data=st.data())
 def test_env_config(documents, tmp_path, data):
-    cfg = _loads_or_names_file(load_env_config,
+    cfg = _loads_or_names_file(lambda path: read_config(DEFAULT_ENV_CONFIG, path),
                                _fuzzed(data, documents["env"], tmp_path / "fz_env.json"))
     if cfg is not None:
         # a config that merges has the default's types everywhere; building

@@ -204,6 +204,27 @@ class TestSegmentClips:
         segs = segment_clips(clip, 10.0)
         assert [s.n_frames for s in segs] == [500, 500]
 
+    @pytest.mark.parametrize("seconds", [0.001, 0.02, 0.029])
+    def test_segment_under_two_frames_names_seconds(self, seconds):
+        # 0.001 s rounds to no frame (it divided by zero), 0.02 s and 0.029 s
+        # to one, and a clip needs two
+        clip = make_sine(0.2, 0.3, duration=2.0)
+        with pytest.raises(ValidationError, match=f"seconds must be at least 2 frames long "
+                                                  f"at 50.0 fps, got {seconds}"):
+            segment_clips(clip, seconds)
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, math.inf, math.nan])
+    def test_segment_length_not_positive_and_finite_names_seconds(self, seconds):
+        clip = make_sine(0.2, 0.3, duration=2.0)
+        with pytest.raises(ValidationError, match=f"^seconds must be positive and finite, "
+                                                  f"got {seconds}$"):
+            segment_clips(clip, seconds)
+
+    def test_two_frame_segments(self):
+        clip = make_sine(0.2, 0.3, duration=2.0)
+        segs = segment_clips(clip, 0.04)
+        assert len(segs) == clip.n_frames // 2 and all(s.n_frames == 2 for s in segs)
+
     def test_segments_concatenate_to_prefix(self):
         clip = make_sine(0.2, 0.3, duration=23.0)
         segs = segment_clips(clip, 10.0)

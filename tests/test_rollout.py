@@ -147,7 +147,7 @@ def test_residual_input_is_cut_from_the_observation(monkeypatch):
         th = env._q[rows].sum(axis=1)
         command = [env._ref_q[nxt], env._ref_qdot[nxt],
                    np.stack([np.cos(th_ref) - np.cos(th), np.sin(th_ref) - np.sin(th)], axis=1)]
-        want.append(np.concatenate([env._q[rows] - env.q0, env._qdot[rows], applied[rows],
+        want.append(np.concatenate([env._q[rows], env._qdot[rows], applied[rows],
                                     *command, a_flow], axis=1))
         fed.clear()
         out = residual_action(env_, obs, a_prev, a_flow, blocks)
