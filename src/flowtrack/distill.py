@@ -20,24 +20,22 @@ from .env import ArmEnv, ExpertPolicy, expert_action
 from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, require, save_checkpoint
 from .flow import (AdamState, FMBatch, GradWorkspace, SamplerCfg, VelocityFieldNet,
-                   adam_step, check_layers, check_widths, clone_net, euler_sample,
-                   fm_loss_and_grad, mlp_forward, mlp_init, mlp_zeros)
+                   adam_step, clone_net, euler_sample, fm_loss_and_grad, init_layers,
+                   mlp_forward, mlp_init)
 from .motion import MotionClip, finite_difference, segment_clips
 
 
 class ReplayBuffer:
-    """Flat store of (observation, expert action) records.
+    """Flat store of up to `capacity` (observation, expert action) records,
+    in arrays allocated once, with rows `obs_dim` and `action_dim` wide.
 
     `add` appends n observation rows and n action rows (a 1-D pair is one
-    row) to preallocated arrays that double until they fit; the row widths
-    are fixed by the first rows added. `clear` keeps the arrays for reuse.
+    row); `clear` empties the buffer and keeps the arrays for reuse.
     """
 
-    INITIAL_ROWS = 1024
-
-    def __init__(self):
-        self._obs: np.ndarray | None = None
-        self._act: np.ndarray | None = None
+    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
+        self._obs = np.empty((capacity, obs_dim))
+        self._act = np.empty((capacity, action_dim))
         self._size = 0
 
     def __len__(self) -> int:
@@ -47,16 +45,17 @@ class ReplayBuffer:
         self._size = 0
 
     def add(self, obs, a_expert) -> None:
+        """Append the rows; DimensionError unless they are as many of each,
+        fit the free rows and have the buffer's widths."""
         obs, a_expert = np.atleast_2d(obs), np.atleast_2d(a_expert)
         if len(obs) != len(a_expert):
             raise DimensionError(f"{len(obs)} observation rows but {len(a_expert)} action rows")
-        if self._obs is None:
-            self._obs = np.empty((self.INITIAL_ROWS, obs.shape[1]))
-            self._act = np.empty((self.INITIAL_ROWS, a_expert.shape[1]))
-        end = self._size + len(obs)
-        while end > len(self._obs):
-            self._obs = np.concatenate([self._obs, np.empty_like(self._obs)])
-            self._act = np.concatenate([self._act, np.empty_like(self._act)])
+        end, widths = self._size + len(obs), obs.shape[1:] + a_expert.shape[1:]
+        if end > len(self._obs) or widths != self._obs.shape[1:] + self._act.shape[1:]:
+            raise DimensionError(
+                f"{len(obs)} rows of (observation, action) widths {widths} do not fit the "
+                f"{len(self._obs) - self._size} free rows of widths "
+                f"{self._obs.shape[1:] + self._act.shape[1:]}")
         self._obs[self._size:end] = obs
         self._act[self._size:end] = a_expert
         self._size = end
@@ -126,22 +125,24 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet
     alone, so the result is the loop's, bit for bit, in 1 + (episodes ending
     early before the last) batches per iteration. Each kept episode is
     labelled by one `expert_action` call and added to the buffer in episode
-    order; the gradient steps draw from the last episode's stream. They run
-    in one `GradWorkspace`, built again only when an iteration's batch row
-    count differs from the last one's, and Adam updates the net in place.
+    order; the buffer is allocated once, for the `episodes_per_iter` x
+    `episode_len` rows an iteration can hold at most. The gradient steps draw
+    from the last episode's stream. They run in one `GradWorkspace`, built
+    again only when an iteration's batch row count differs from the last
+    one's, and Adam updates the net in place.
     """
     net = clone_net(net)
     rng = np.random.default_rng(cfg.seed)
-    buffer = ReplayBuffer()
+    T, K = env.episode_len, cfg.episodes_per_iter
+    buffer = ReplayBuffer(K * T, env.obs_dim, env.n_joints)  # cleared every iteration
     opt_state = AdamState()
     ws = None
     losses: list[float] = []
-    T, K = env.episode_len, cfg.episodes_per_iter
     for it in range(cfg.iterations):
         buffer.clear()
         start = 0  # the first episode of the iteration not yet kept
         while start < K:
-            stream = copy.deepcopy(rng)
+            stream = rng  # advanced in place: rng is reassigned below
             rows = []  # (expert, Generator) of episodes start..K-1
             for e in range(start, K):
                 expert = experts[int(stream.integers(len(experts)))]
@@ -195,12 +196,8 @@ class ResidualPolicy:
     params: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.hidden = tuple(self.hidden)
-        check_widths(self.hidden)
         require("bound", self.bound, self.bound >= 0, "non-negative")
-        if not self.params:
-            self.params = mlp_zeros(self.layer_sizes)
-        check_layers(self.params, self.layer_sizes, "residual layer")
+        init_layers(self, "residual layer")
 
     @property
     def input_dim(self) -> int:
@@ -299,9 +296,9 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
 
     `groups` is a list of (motion, seeds, residual) triples. Group g runs one
     episode of its motion per seed under its residual, on the rows after
-    group g - 1's: the batch is every group's seeds in order. The residuals
-    are all None (the base policy alone), or all of one layer sizes and bound,
-    differing only in params.
+    group g - 1's: the batch is every group's seeds in order, at least one
+    per group. The residuals are all None (the base policy alone), or all of
+    one layer sizes and bound, differing only in params.
 
     Each episode's env and policy noise come from independent child streams of
     its seed, so an episode's trajectory depends on its motion, residual and
@@ -327,6 +324,8 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
                    np.stack([r.params[i][1] for r in residuals])[:, None])
                   for i in range(len(residual.params))]
     sizes = [len(seeds) for _, seeds, _ in groups]
+    if 0 in sizes:
+        raise ValidationError(f"row group {sizes.index(0)} has no seeds")
     group_of_row = np.repeat(np.arange(len(groups)), sizes)
     streams = [(s, s) if isinstance(s, np.random.Generator) else np.random.default_rng(s).spawn(2)
                for _, seeds, _ in groups for s in seeds]
@@ -569,17 +568,11 @@ RESIDUAL_HEADER = {"proprio_dim": 0, "command_dim": 0, "action_dim": 0, "hidden"
 
 
 def save_residual(res: ResidualPolicy, path) -> None:
-    save_checkpoint(path, "residual", RESIDUAL_HEADER, {
-        "proprio_dim": res.proprio_dim, "command_dim": res.command_dim,
-        "action_dim": res.action_dim, "hidden": list(res.hidden), "bound": res.bound},
-        res.params)
-
-
-def _build_residual(header: dict, params: list) -> ResidualPolicy:
-    return ResidualPolicy(**header, params=params)
+    """Serialize the residual to JSON, its header read from its attributes."""
+    save_checkpoint(path, "residual", RESIDUAL_HEADER, res)
 
 
 def load_residual(path) -> ResidualPolicy:
     """Load a residual checkpoint; anything malformed or inconsistent raises
     CheckpointError naming the file."""
-    return load_checkpoint(path, "residual", RESIDUAL_HEADER, _build_residual)
+    return load_checkpoint(path, "residual", RESIDUAL_HEADER, ResidualPolicy)

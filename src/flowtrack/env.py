@@ -198,7 +198,9 @@ class ArmEnv:
         # proprio, then its own history without the oldest state (none at H = 0)
         P = self.proprio_dim
         self._hist_cols = np.r_[:P, P + self.command_dim:self.obs_dim - P][:self.history_len * P]
-        self._episode_active = False
+        # no episode until `reset`: a step finds no running row
+        self._steps, self._running = np.zeros(0, dtype=int), np.arange(0)
+        self._batch = False
 
     # -- episode lifecycle ---------------------------------------------------
 
@@ -263,7 +265,6 @@ class ArmEnv:
         self._running = np.arange(n)
         self._consts = None  # the last batch's row constants
         self._label_params = {}  # expert_action's params, per episode row
-        self._episode_active = True
         # each episode's last observation is the record of what its policy
         # saw, and the next step takes its history from it; at reset there is
         # no action yet and the history repeats the initial state (the caller
@@ -417,16 +418,11 @@ class ArmEnv:
         energy = ke + self.gravity * np.sum(self._masses_ep * z, axis=1)
         return energy if self._batch else float(energy[0])
 
-    def _require_episode(self):
-        if not self._episode_active:
-            raise ValidationError("no active episode; call reset() first")
-
     # -- control step ----------------------------------------------------------
 
     def step(self, action):
         """Advance the single episode one 50 Hz control step; returns
         (observation, reward, done, info)."""
-        self._require_episode()
         if self._batch:
             raise ValidationError("a batch of episodes steps through step_batch()")
         obs, reward, done, info = self.step_batch(action)
@@ -443,12 +439,12 @@ class ArmEnv:
         (the actions themselves when omitted). Returns (observations, rewards,
         done, info) with one row per episode that was running; `info` maps each
         field of the `step` info to its per-row array. Episodes that finish
-        here stop running.
+        here stop running; with none running (before `reset`, or once every
+        episode has finished) a step raises ValidationError.
         """
-        self._require_episode()
         n, J = self._running.size, self.n_joints
         if n == 0:
-            raise ValidationError("episode finished; call reset()")
+            raise ValidationError("no running episode; call reset()")
         actions = np.asarray(actions, dtype=float).reshape(n, J)
         if not np.isfinite(actions).all():
             raise ValidationError("non-finite action")
@@ -587,13 +583,17 @@ class ExpertPolicy:
 def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -> np.ndarray:
     """Labels of episode `row` at the control steps `steps` (one per entry), or a
     (J,) label at its current step when None. A label reads the row's clip and
-    randomization, never its state, so a finished episode is labelled at once."""
-    env._require_episode()
+    randomization, never its state, so a finished episode is labelled at once.
+    `row` indexes the episodes of the last `reset` and `steps` are >= 0; either
+    out of range raises ValidationError."""
+    n = env._steps.size
+    require("row", row, 0 <= row < n, f"an episode row in [0, {n})")
+    steps = env._steps[row] if steps is None else np.asarray(steps)
+    require("steps", steps, np.all(steps >= 0), ">= 0")
     clip = env._clips[env._clip[row]]
     if expert.motion is not clip and not expert.motion.allclose(clip):
         raise ValidationError("expert's motion does not match the env's reference")
-    idx = env._frame(row, (env._steps[row] if steps is None else np.asarray(steps))
-                     + expert.lookahead)
+    idx = env._frame(row, steps + expert.lookahead)
     q_ref, qd_ref = env._ref_q[idx], env._ref_qdot[idx]
     a = q_ref - env._q0_eff[row] + (env.kd / env.kp) * qd_ref
     a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx], row) / env.kp

@@ -151,24 +151,27 @@ def merge_over(defaults: dict, overrides, origin) -> dict:
 
 # ---------------------------------------------------------------------------
 # Checkpoints: {"version", "kind", <header fields in the kind's order>,
-# "params"}. A header lists each field with an example of its type; the
-# field "layer_shapes" is derived from the parameters.
+# "params"}. A header lists each field with an example of its type; a field
+# is the model's attribute of its name, but "layer_shapes", derived from the
+# parameters.
 
-def save_checkpoint(path, kind: str, header: dict, values: dict, params: list) -> None:
-    """Write a `kind` checkpoint whose header fields, in the order of
-    `header`, take their values from `values`; parameters are written at full
-    precision, so they round-trip bit-exactly."""
+def save_checkpoint(path, kind: str, header: dict, model) -> None:
+    """Write `model` as a `kind` checkpoint: the header fields, in the order
+    of `header`, are its attributes (a tuple is written as a list), and its
+    `params` are written at full precision, so they round-trip bit-exactly."""
+    params = model.params
     doc = {"version": CHECKPOINT_VERSION, "kind": kind}
     for key in header:
-        doc[key] = [list(W.shape) for W, _ in params] if key == "layer_shapes" else values[key]
+        doc[key] = ([list(W.shape) for W, _ in params] if key == "layer_shapes"
+                    else getattr(model, key))
     doc["params"] = [[W.tolist(), b.tolist()] for W, b in params]
     write_atomic(path, json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path, kind: str, header: dict, build):
-    """Read a `kind` checkpoint and return `build(fields, params)`, where
-    `fields` holds its header fields in the types of `header`, all but the
-    derived "layer_shapes".
+    """Read a `kind` checkpoint and return `build(**fields, params=params)`,
+    where `fields` holds its header fields in the types of `header`, all but
+    the derived "layer_shapes".
 
     The version, the kind, every header field's presence and type, and the
     parameter blocks are checked here; `build` may raise DimensionError or
@@ -190,7 +193,7 @@ def load_checkpoint(path, kind: str, header: dict, build):
         doc[key] = check_like(doc[key], example, CheckpointError, path, key)
     params = _decode_params(doc, path)
     try:
-        return build({k: doc[k] for k in header if k != "layer_shapes"}, params)
+        return build(**{k: doc[k] for k in header if k != "layer_shapes"}, params=params)
     except (DimensionError, ValidationError) as exc:
         raise CheckpointError(f"{path}: inconsistent checkpoint ({exc})") from exc
 

@@ -1,7 +1,7 @@
 """Flow-matching policy core: velocity-field network, training loss with exact
 analytic gradients, Beta timestep sampling, reverse-time Euler action
-sampling, Adam, the MLP layer check shared with the residual policy, and the
-velocity-field checkpoint adapter.
+sampling, Adam, the layer constructor shared with the residual policy, and
+the velocity-field checkpoint adapter.
 
 The network regresses the straight-line transport direction u = eps - a_expert
 at interpolated points a_t = (1 - t) * a_expert + t * eps; actions are drawn
@@ -21,19 +21,12 @@ from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, require, save_checkpoint
 
 # Caps on the net sizes a config sets, which allocate: hidden-layer widths of
-# the flow and residual nets (see `check_widths`), the flow net's time
+# the flow and residual nets (see `init_layers`), the flow net's time
 # embedding (its top frequency, pi 4^(dim/2 - 1), already passes 2^53 at dim
 # 56), and the sampler's step count (each sample embeds every step's time).
 MAX_LAYER_WIDTH = 4_096
 MAX_TIME_EMBED_DIM = 64
 MAX_SAMPLER_STEPS = 10_000
-
-
-def check_widths(hidden) -> None:
-    """Raise a ValidationError naming `hidden.<i>` for a hidden-layer width
-    outside [1, MAX_LAYER_WIDTH]; a net calls it before allocating its layers."""
-    for i, width in enumerate(hidden):
-        require(f"hidden.{i}", width, 1 <= width <= MAX_LAYER_WIDTH, f"in [1, {MAX_LAYER_WIDTH}]")
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +41,19 @@ def mlp_init(sizes, rng) -> list:
     return params
 
 
-def mlp_zeros(sizes) -> list:
-    return [(np.zeros((o, i)), np.zeros(o)) for i, o in zip(sizes[:-1], sizes[1:])]
-
-
-def check_layers(params, sizes, what: str = "layer") -> None:
-    """Raise DimensionError unless `params` holds one (W, b) block of shapes
-    (out, in) and (out,) for each consecutive pair of `sizes`."""
+def init_layers(net, what: str = "layer") -> None:
+    """Give `net` (a velocity field or a residual) its layers once it has
+    checked its own fields: each `hidden` width in [1, MAX_LAYER_WIDTH] (a
+    ValidationError naming `hidden.<i>`, before anything is allocated), zero
+    layers when it has no params, and one (W, b) block of shapes (out, in)
+    and (out,) per pair of `layer_sizes` (a DimensionError naming a `what`)."""
+    net.hidden = tuple(net.hidden)
+    for i, width in enumerate(net.hidden):
+        require(f"hidden.{i}", width, 1 <= width <= MAX_LAYER_WIDTH, f"in [1, {MAX_LAYER_WIDTH}]")
+    sizes, params = net.layer_sizes, net.params
+    if not params:
+        params = net.params = [(np.zeros((o, i)), np.zeros(o))
+                               for i, o in zip(sizes[:-1], sizes[1:])]
     if len(params) != len(sizes) - 1:
         raise DimensionError(f"expected {len(sizes) - 1} {what}s for sizes {sizes}, "
                              f"got {len(params)}")
@@ -127,6 +126,7 @@ class VelocityFieldNet:
     Input layout is [a_t, time_embed(t), obs]; output dim equals action_dim.
     """
 
+    activation = "tanh"  # of the hidden layers; a class constant, not a field
     action_dim: int
     obs_dim: int
     hidden: tuple[int, ...] = (256, 256)
@@ -136,16 +136,12 @@ class VelocityFieldNet:
     params: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.hidden = tuple(self.hidden)
-        check_widths(self.hidden)
         dim = self.time_embed_dim
         require("time_embed_dim", dim, dim % 2 == 0 and 0 < dim <= MAX_TIME_EMBED_DIM,
                 f"an even number in [2, {MAX_TIME_EMBED_DIM}]")
         for name in ("alpha", "beta"):  # the Beta shape parameters
             require(name, getattr(self, name), getattr(self, name) > 0, "positive")
-        if not self.params:
-            self.params = mlp_zeros(self.layer_sizes)
-        check_layers(self.params, self.layer_sizes)
+        init_layers(self)
 
     @property
     def input_dim(self) -> int:
@@ -400,18 +396,15 @@ POLICY_HEADER = {"action_dim": 0, "obs_dim": 0, "layer_shapes": [[0]], "hidden":
 
 
 def save_policy(net: VelocityFieldNet, path) -> None:
-    """Serialize the net to JSON; parameters round-trip bit-exactly."""
-    save_checkpoint(path, "velocity_field", POLICY_HEADER, {
-        "action_dim": net.action_dim, "obs_dim": net.obs_dim, "hidden": list(net.hidden),
-        "time_embed_dim": net.time_embed_dim, "activation": "tanh",
-        "alpha": net.alpha, "beta": net.beta}, net.params)
+    """Serialize the net to JSON, its header read from its attributes;
+    parameters round-trip bit-exactly."""
+    save_checkpoint(path, "velocity_field", POLICY_HEADER, net)
 
 
-def _build_policy(header: dict, params: list) -> VelocityFieldNet:
-    activation = header.pop("activation")
-    if activation != "tanh":
+def _build_policy(activation: str, **fields) -> VelocityFieldNet:
+    if activation != VelocityFieldNet.activation:
         raise ValidationError(f"unknown activation '{activation}'")
-    return VelocityFieldNet(**header, params=params)
+    return VelocityFieldNet(**fields)
 
 
 def load_policy(path) -> VelocityFieldNet:

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowtrack
 from flowtrack import cli, distill, flow
 from flowtrack.distill import MAX_EPISODES_PER_ITER, MAX_POPULATION
 from flowtrack.env import MAX_GRAVITY, MAX_HISTORY_LEN, MAX_LINKS, ArmEnv
@@ -149,6 +154,30 @@ def test_help_exits_0(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: flowtrack")
+
+
+def run_module(*argv):
+    """`python -m flowtrack argv...` in a child interpreter that imports this
+    package."""
+    src = str(Path(flowtrack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "flowtrack", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_main(capsys):
+    argv = ["actuator", "5020-16", "--v", "3", "--tau", "5"]
+    run = run_module(*argv)
+    assert run.returncode == 0, run.stderr
+    assert cli.main(argv) == 0
+    assert run.stdout == capsys.readouterr().out != ""
+
+
+def test_module_entry_point_without_subcommand_exits_1():
+    run = run_module()
+    assert run.returncode == 1
+    assert run.stderr.startswith("usage: flowtrack") and "command" in run.stderr
 
 
 class TestAnalyze:

@@ -21,7 +21,7 @@ def tiny_env(episode_len=60):
 
 class TestReplayBuffer:
     def test_add_clear(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(4, 3, 2)
         buf.add(np.zeros(3), np.zeros(2))
         buf.add(np.ones(3), np.ones(2))
         assert len(buf) == 2
@@ -31,30 +31,30 @@ class TestReplayBuffer:
             buf.sample_batch(4, np.random.default_rng(0))
 
     def test_unequal_row_counts_rejected(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(8, 3, 2)
         with pytest.raises(DimensionError, match="5 observation rows but 2 action rows"):
             buf.add(np.zeros((5, 3)), np.ones((2, 2)))
         with pytest.raises(DimensionError, match="5 observation rows but 1 action rows"):
             buf.add(np.zeros((5, 3)), np.ones(2))
         assert len(buf) == 0
 
-    def test_grows_past_capacity_and_samples_added_rows(self):
-        n = 2 * ReplayBuffer.INITIAL_ROWS + 3
+    def test_samples_added_rows(self):
+        n = 203
         rng = np.random.default_rng(7)
         obs, act = rng.standard_normal((n, 4)), rng.standard_normal((n, 2))
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(n, 4, 2)
         for o, a in zip(obs, act):
             buf.add(o, a)
         assert len(buf) == n
         batch = buf.sample_batch(256, np.random.default_rng(3))
-        idx = np.random.default_rng(3).integers(0, n, size=256)
+        idx = np.random.default_rng(3).integers(0, n, size=n)
         assert np.array_equal(batch.observations, obs[idx])
         assert np.array_equal(batch.expert_actions, act[idx])
-        # the whole buffer when the batch asks for more rows than it holds
-        assert len(buf.sample_batch(n + 50, np.random.default_rng(0))) == n
+        # a batch of the whole buffer's size when it asks for more rows
+        assert len(batch) == n and len(buf.sample_batch(64, np.random.default_rng(0))) == 64
 
     def test_clear_reuses_arrays(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(3, 3, 2)
         for i in range(3):
             buf.add(np.full(3, i), np.full(2, -i))
         obs_rows, act_rows = buf._obs, buf._act
@@ -66,24 +66,32 @@ class TestReplayBuffer:
         assert np.array_equal(batch.observations, np.full((1, 3), 9.0))
         assert np.array_equal(batch.expert_actions, np.full((1, 2), 8.0))
 
-    def test_one_add_larger_than_the_initial_rows(self):
-        n = 3 * ReplayBuffer.INITIAL_ROWS + 5
-        rng = np.random.default_rng(2)
-        obs, act = rng.standard_normal((n, 4)), rng.standard_normal((n, 2))
-        buf = ReplayBuffer()
-        buf.add(obs[:3], act[:3])
-        buf.add(obs[3:], act[3:])
-        assert len(buf) == n and len(buf._obs) == 4 * ReplayBuffer.INITIAL_ROWS
-        batch = buf.sample_batch(n, np.random.default_rng(0))
-        idx = np.random.default_rng(0).integers(0, n, size=n)
-        assert np.array_equal(batch.observations, obs[idx])
-        assert np.array_equal(batch.expert_actions, act[idx])
+    def test_rows_past_capacity_rejected(self):
+        """The buffer never grows: one row too many raises and leaves what
+        it holds, which a clear then frees."""
+        buf = ReplayBuffer(5, 4, 2)
+        buf.add(np.zeros((3, 4)), np.zeros((3, 2)))
+        with pytest.raises(DimensionError, match="3 rows .* do not fit the 2 free rows"):
+            buf.add(np.ones((3, 4)), np.ones((3, 2)))
+        assert len(buf) == 3 and len(buf._obs) == 5
+        buf.add(np.ones((2, 4)), np.ones((2, 2)))  # exactly full
+        buf.clear()
+        buf.add(np.ones((5, 4)), np.ones((5, 2)))
+        assert len(buf) == 5
+
+    @pytest.mark.parametrize("obs_dim, action_dim", [(3, 2), (4, 3), (5, 1)])
+    def test_rows_of_another_width_rejected(self, obs_dim, action_dim):
+        buf = ReplayBuffer(8, 4, 2)
+        with pytest.raises(DimensionError, match=r"widths \(%d, %d\) do not fit .* widths "
+                                                 r"\(4, 2\)" % (obs_dim, action_dim)):
+            buf.add(np.zeros((2, obs_dim)), np.zeros((2, action_dim)))
+        assert len(buf) == 0
 
     def test_sample_into_given_batch(self):
         """A batch given as `out` receives the rows a fresh one would hold."""
         rng = np.random.default_rng(5)
         obs, act = rng.standard_normal((40, 4)), rng.standard_normal((40, 2))
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(40, 4, 2)
         buf.add(obs, act)
         out = FMBatch(np.empty((16, 4)), np.empty((16, 2)))
         got = buf.sample_batch(16, np.random.default_rng(9), out)
@@ -97,11 +105,12 @@ class TestReplayBuffer:
         motion = make_sine(0.2, 0.25, duration=4.0)
         expert = ExpertPolicy(motion)
         net = init_net(2, env.obs_dim, hidden=(8,), rng=np.random.default_rng(0))
-        added = []
+        added, capacities = [], set()
         add = ReplayBuffer.add
 
         def counted(buf, obs, a_expert):
             added.append(len(obs))
+            capacities.add(len(buf._obs))
             add(buf, obs, a_expert)
 
         monkeypatch.setattr(ReplayBuffer, "add", counted)
@@ -109,8 +118,9 @@ class TestReplayBuffer:
                          batch_size=8, seed=0)
         dagger_train(env, [expert], net, cfg)
         # quiet task, no early termination: exactly episodes * steps records,
-        # added once per episode
+        # added once per episode, to a buffer of exactly that many rows
         assert len(added) == 2 and sum(added) == 2 * 30
+        assert capacities == {2 * 30}
 
 
 class TestDaggerTrain:
@@ -249,6 +259,10 @@ class TestResidualCheckpoint:
         back = distill.load_residual(tmp_path / "r.json")
         for (W1, b1), (W2, b2) in zip(res.params, back.params):
             assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+        # the loaded residual's header is the saved one: saving it again
+        # writes the same bytes
+        distill.save_residual(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "r.json").read_bytes()
 
     def test_header_and_params_disagree_on_layer_count(self, tmp_path):
         import json

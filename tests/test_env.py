@@ -326,6 +326,23 @@ class TestStep:
         with pytest.raises(ValidationError):
             env.step(np.zeros(2))
 
+    @pytest.mark.parametrize("started", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_step_without_a_running_episode_rejected(self, started, batched):
+        """Before `reset`, and once the last episode has ended, `step` and
+        `step_batch` raise the one error."""
+        env = quiet_env(episode_len=2)
+        if started:
+            clip = make_sine(0.1, 0.25, duration=4.0)
+            env.reset(clip, [np.random.default_rng(s) for s in range(3)] if batched else 0)
+            while env.running.size:
+                env.step_batch(np.zeros((env.running.size, 2)))
+        with pytest.raises(ValidationError, match=r"^no running episode; call reset\(\)$"):
+            if batched:
+                env.step_batch(np.zeros((0 if started else 1, 2)))
+            else:
+                env.step(np.zeros(2))
+
     def test_termination_matches_metrics_kernel(self):
         env = ArmEnv({"episode_len": 50})
         clip = make_sine(0.5, 0.9, duration=4.0)
@@ -562,6 +579,29 @@ class TestExpert:
     def test_out_of_range_setting_names_field(self, field, value):
         with pytest.raises(ValidationError, match=f"^{field} must be "):
             ExpertPolicy(make_sine(0.3, 0.4, duration=1.0), **{field: value})
+
+    @pytest.mark.parametrize("episodes, row", [(0, 0), (1, -1), (1, 1), (1, 3), (3, -1), (3, 3)])
+    def test_row_outside_the_episode_set_rejected(self, episodes, row):
+        """`row` indexes the episodes of the last reset (none before one): a
+        negative row never wraps to the last episode."""
+        env = quiet_env()
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        if episodes:
+            env.reset(clip, list(range(episodes)) if episodes > 1 else 0)
+        with pytest.raises(ValidationError,
+                           match=rf"^row must be an episode row in \[0, {episodes}\), got {row}$"):
+            expert_action(ExpertPolicy(clip), env, row=row)
+
+    @pytest.mark.parametrize("steps", [[-5], [3, -1, 4]])
+    def test_negative_steps_rejected(self, steps):
+        """A negative step would wrap to the end of the padded reference."""
+        env = quiet_env()
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        env.reset(clip, 0)
+        with pytest.raises(ValidationError, match=r"^steps must be >= 0, got \["):
+            expert_action(ExpertPolicy(clip), env, steps=np.array(steps))
+        # the steps from 0 still label
+        assert expert_action(ExpertPolicy(clip), env, steps=np.arange(3)).shape == (3, 2)
 
     def test_wrong_motion_rejected(self):
         env = quiet_env()

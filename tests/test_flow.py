@@ -337,6 +337,10 @@ class TestCheckpoints:
         assert (back.alpha, back.beta) == (net.alpha, net.beta)
         for (W1, b1), (W2, b2) in zip(net.params, back.params):
             assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+        # the loaded net's header is the saved one: saving it again writes
+        # the same bytes
+        save_policy(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_corrupted_shape_header(self, tmp_path):
         import json
@@ -404,6 +408,11 @@ class TestCheckpoints:
     def test_header_field_of_wrong_type_named(self, tmp_path, key, value):
         path = self._edited_checkpoint(tmp_path, lambda d: d.update({key: value}))
         with pytest.raises(CheckpointError, match=rf"p\.json: '{key}"):
+            load_policy(path)
+
+    def test_unknown_activation_rejected(self, tmp_path):
+        path = self._edited_checkpoint(tmp_path, lambda d: d.update(activation="relu"))
+        with pytest.raises(CheckpointError, match=r"p\.json.*unknown activation 'relu'"):
             load_policy(path)
 
     def test_extra_layer_in_header_and_params(self, tmp_path):

@@ -313,6 +313,15 @@ def test_row_groups_need_one_shape(groups):
         rollout_batch(ENV, NET, [(MOTION, [1], res) for res in groups])
 
 
+@pytest.mark.parametrize("sizes, empty", [([1, 0], 1), ([0], 0), ([2, 1, 0, 3], 2)])
+def test_row_group_without_seeds_rejected(sizes, empty):
+    """A group with no seeds would give a log with no columns, whose mean
+    return is NaN; it is refused, by its index, before anything runs."""
+    groups = [(MOTION, list(range(m)), None) for m in sizes]
+    with pytest.raises(ValidationError, match=f"^row group {empty} has no seeds$"):
+        rollout_batch(ENV, NET, groups)
+
+
 # Aggressive mode relaxes the orientation limit; with a tighter one, some of
 # the ES's episodes still end early, at seed-dependent steps.
 ES_ENV = ArmEnv({"episode_len": 60,
