@@ -395,22 +395,16 @@ def _group_blocks(group_of_row):
 
 def rollout_episode(env: ArmEnv, net: VelocityFieldNet, motion: MotionClip, seed: int,
                     residual: ResidualPolicy | None = None, mode: str = "base") -> dict:
-    """One seeded closed-loop episode: `rollout_batch` with a single seed, its
-    trajectories cut to the steps the episode ran."""
-    log, = rollout_batch(env, net, [(motion, [seed], residual)], mode=mode)
-    steps = int(log["steps"][0])
-    return {
-        **{k: log[k][:steps, 0] for k in ("rewards", "q_err", "body_pos", "ref_body_pos")},
-        "steps": steps,
-        "terminated_early": bool(log["terminated_early"][0]),
-    }
+    """One seeded closed-loop episode: the log of `rollout_batch` for a group
+    of one seed, with (T, 1, ...) trajectories and (1,) `steps` and
+    `terminated_early`."""
+    return rollout_batch(env, net, [(motion, [seed], residual)], mode=mode)[0]
 
 
-def episode_return(log, episode_len: int, floor: float):
-    """Episode reward total with missing steps charged at the floor value: an
-    `np.float64` for a `rollout_episode` log, one total per episode for a
-    `rollout_batch` log."""
-    return np.sum(log["rewards"], axis=0) + floor * (episode_len - np.asarray(log["steps"]))
+def episode_return(log, episode_len: int, floor: float) -> np.ndarray:
+    """Each episode's reward total in a `rollout_batch` group log, with the
+    steps it missed charged at the floor value."""
+    return np.sum(log["rewards"], axis=0) + floor * (episode_len - log["steps"])
 
 
 # Candidates an ES batch decides: a block of B takes 2^B - 1 row groups.
@@ -553,9 +547,10 @@ def closed_loop_joint_error(env: ArmEnv, net: VelocityFieldNet, motion: MotionCl
     """Mean per-step joint tracking error of a seeded episode of the base
     policy (rad)."""
     log = rollout_episode(env, net, motion, seed)
+    steps = log["steps"][0]
     # charge un-run steps at a worst-case error so dying never helps
-    missing = np.full(env.episode_len - log["steps"], np.pi)
-    return float(np.mean(np.concatenate([log["q_err"], missing])))
+    missing = np.full(env.episode_len - steps, np.pi)
+    return float(np.mean(np.concatenate([log["q_err"][:steps, 0], missing])))
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,9 @@ class ArmEnv:
     episode), then `step_batch` with one action row per running episode.
     State is held as (N, J) arrays either way, and the reference as (C, T, ...)
     arrays of the batch's C distinct clips, padded to the longest; a single
-    episode is the case N = 1, for which `reset`, `step` and the accessors
-    take and return unbatched shapes.
+    episode is the case N = 1, for which `reset`, `step`, `q0_eff` and
+    `mechanical_energy` take and return unbatched shapes. The observations
+    are the state a caller reads: their first 2J columns are q and qdot.
 
     `config` is merged over `DEFAULT_ENV_CONFIG` (see `fileio.merge_over`).
     `section` is the dotted key of `config` in a larger config tree (the
@@ -316,21 +317,20 @@ class ArmEnv:
         return self._running.copy()
 
     @property
-    def q(self) -> np.ndarray:
-        return self._unbatch(self._q).copy()
-
-    @property
-    def qdot(self) -> np.ndarray:
-        return self._unbatch(self._qdot).copy()
-
-    @property
     def step_count(self) -> int:
         """Control steps taken since reset, summed over a batch's episodes."""
         return int(self._steps.sum())
 
     @property
     def q0_eff(self) -> np.ndarray:
+        self._require_reset()
         return self._unbatch(self._q0_eff).copy()
+
+    def _require_reset(self) -> None:
+        """ValidationError before the first `reset`, which makes the episode
+        state that `q0_eff` and `mechanical_energy` read."""
+        if not self._steps.size:
+            raise ValidationError("no episode state; call reset()")
 
     def _frame(self, rows, steps):
         """Index into the stacked reference arrays of the frame each episode
@@ -411,6 +411,7 @@ class ArmEnv:
     def mechanical_energy(self):
         """Kinetic + gravitational potential energy of each episode's arm (a
         float for a single episode)."""
+        self._require_reset()
         q, qdot = self._q, self._qdot
         M_q, _ = self._terms(q, qdot, self._c, self._gcoef, self._armature_M)
         ke = 0.5 * np.einsum("ni,nij,nj->n", qdot, M_q, qdot)
@@ -437,10 +438,13 @@ class ArmEnv:
         order of `running`. `base_actions` is the flow-policy component when a
         residual is active; it feeds the observation's previous-action slot
         (the actions themselves when omitted). Returns (observations, rewards,
-        done, info) with one row per episode that was running; `info` maps each
-        field of the `step` info to its per-row array. Episodes that finish
-        here stop running; with none running (before `reset`, or once every
-        episode has finished) a step raises ValidationError.
+        done, info) with one row per episode that was running: the observations
+        hold the new state (q and qdot are their first 2J columns), and `info`
+        maps each field of the `step` info, the physics at the pre-step state
+        (`qdot_pre`, torques, power) and the outcome, to its per-row array.
+        Episodes that finish here stop running; with none running (before
+        `reset`, or once every episode has finished) a step raises
+        ValidationError.
         """
         n, J = self._running.size, self.n_joints
         if n == 0:
@@ -502,8 +506,6 @@ class ArmEnv:
         self._running = self._running[~done]
 
         info = {
-            "q": q,
-            "qdot": qdot,
             "qdot_pre": qdot_pre,
             "tau_cmd": tau_cmd0,
             "tau_clipped": tau_clipped0,

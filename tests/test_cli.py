@@ -13,7 +13,7 @@ from flowtrack import cli, distill, flow
 from flowtrack.distill import MAX_EPISODES_PER_ITER, MAX_POPULATION
 from flowtrack.env import MAX_GRAVITY, MAX_HISTORY_LEN, MAX_LINKS, ArmEnv
 from flowtrack.flow import MAX_LAYER_WIDTH, MAX_SAMPLER_STEPS, MAX_TIME_EMBED_DIM
-from flowtrack.motion import SynthMotionSpec, save_motion, synth_motion
+from flowtrack.motion import SynthMotionSpec, load_motion, save_motion, synth_motion
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,27 @@ def test_usage_error_exits_1(argv, capsys):
     assert err.startswith("usage: flowtrack") and "error: " in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "eval"])
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "error: motion path '{path}' is neither a file nor a directory\n"),
+    ("empty", None),
+])
+def test_motion_path_without_files_exits_1(tmp_path, tiny_policy_dir, capsys, command, kind,
+                                           message):
+    path = tmp_path / "motions"
+    if kind == "empty":
+        path.mkdir()
+        message = ("no motion files found\n" if command == "analyze"
+                   else "error: no motion files in '{path}'\n")
+    argv = [command, "--motions", str(path)]
+    if command == "eval":
+        argv += ["--policy", str(tiny_policy_dir / "policy.json")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message.format(path=path)
+    assert not captured.out
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -242,6 +263,30 @@ class TestAnalyze:
         assert "RuntimeWarning" not in err
         report = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
         assert [e["motion"] for e in report] == ["a_slow"]
+
+    def test_report_to_stdout_without_out(self, motions_dir, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["--quiet", "analyze", "--motions", str(motions_dir),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["analyze", "--motions", str(motions_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text() and not captured.err
+
+    def test_clip_without_feet_skipped(self, motions_dir, tmp_path, capsys):
+        """A clip with no feet indices loads, but has no airborne score: the
+        report warns and leaves it out."""
+        d = tmp_path / "no_feet"
+        d.mkdir()
+        doc = json.loads((motions_dir / "a_slow.json").read_text())
+        (d / "a_slow.json").write_text(json.dumps(doc))
+        (d / "b_no_feet.json").write_text(json.dumps({**doc, "feet_indices": []}))
+        assert load_motion(d / "b_no_feet.json").feet_indices == ()
+        out = tmp_path / "r.json"
+        assert cli.main(["--quiet", "analyze", "--motions", str(d), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: skipping {d / 'b_no_feet.json'}: clip has no feet indices\n"
+        assert [e["motion"] for e in json.loads(out.read_text())] == ["a_slow"]
 
     def test_all_bad_files_exit_1(self, tmp_path, capsys):
         d = tmp_path / "allbad"
@@ -425,6 +470,7 @@ class TestTrain:
     @pytest.mark.parametrize("assignment", [
         "env.links.5.mass=1", "env.links.x.mass=1", "env.pd.f_hz.x=1", "env.pd=3",
         "env.episode_len=\"long\"", "train.hidden=[\"a\"]",
+        "env.episode_len",  # no value
     ])
     def test_bad_set_path_names_key(self, motions_dir, tmp_path, capsys, assignment):
         rc = cli.main(["--quiet", "train", "--motions", str(motions_dir / "a_slow.json"),

@@ -421,8 +421,10 @@ class TestEvaluatePolicy:
 
 class TestRolloutEpisode:
     def test_episode_return_floor(self):
-        log = {"rewards": np.array([-0.1, -0.1]), "steps": 2}
-        assert distill.episode_return(log, 5, -1.0) == pytest.approx(-3.2)
+        # a group log of two episodes, of 2 and 3 of the 5 steps
+        log = {"rewards": np.array([[-0.1, -0.1], [-0.1, -0.1], [0.0, -0.1], [0.0, 0.0],
+                                    [0.0, 0.0]]), "steps": np.array([2, 3])}
+        assert distill.episode_return(log, 5, -1.0) == pytest.approx([-3.2, -2.3])
 
     def test_same_seed_same_trajectory(self):
         env = tiny_env(episode_len=30)

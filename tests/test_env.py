@@ -131,25 +131,23 @@ class TestConfig:
                                             link_lengths=(1.0 / MAX_LINKS,) * MAX_LINKS))
         env.reset(clip, [np.random.default_rng(s) for s in range(2)])
         while env.running.size:
-            _, _, _, info = env.step_batch(np.zeros((env.running.size, MAX_LINKS)))
-            assert np.isfinite(info["q"]).all()
+            obs, _, _, _ = env.step_batch(np.zeros((env.running.size, MAX_LINKS)))
+            assert np.isfinite(obs[:, :MAX_LINKS]).all()  # q
 
 
 class TestReset:
     def test_zero_noise_matches_frame0(self):
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
-        env.reset(clip, 0)
-        assert np.array_equal(env.q, clip.q[0])
+        obs = env.reset(clip, 0)
+        assert np.array_equal(obs[:2], clip.q[0])
 
     def test_same_seed_identical(self):
         env = ArmEnv({"episode_len": 50})
         clip = make_sine(0.3, 0.4, duration=4.0)
         o1 = env.reset(clip, 123)
-        q1 = env.q
         o2 = env.reset(clip, 123)
-        assert np.array_equal(o1, o2)
-        assert np.array_equal(q1, env.q)
+        assert np.array_equal(o1, o2)  # q and qdot included: the first 4 columns
 
     def test_joint_count_mismatch(self):
         env = quiet_env()
@@ -173,8 +171,8 @@ class TestReset:
         clip = make_sine(0.3, 0.4, duration=4.0)
         worst = 0.0
         for seed in range(200):
-            env.reset(clip, seed, mode="aggressive")
-            worst = max(worst, float(np.max(np.abs(env.q - clip.q[0]))))
+            q = env.reset(clip, seed, mode="aggressive")[:2]
+            worst = max(worst, float(np.max(np.abs(q - clip.q[0]))))
         assert worst <= base.aggressive_factor * base.pose_noise + 1e-12
         assert worst > base.pose_noise  # aggressive mode actually widens the range
 
@@ -189,8 +187,8 @@ class TestReset:
         env.reset(make_sine(0.3, 0.4, duration=4.0), [np.random.default_rng(s) for s in range(8)],
                   mode=mode)
         while env.running.size:
-            _, _, _, info = env.step_batch(np.zeros((env.running.size, 2)))
-            assert np.isfinite(info["q"]).all() and np.isfinite(info["qdot"]).all()
+            obs, _, _, _ = env.step_batch(np.zeros((env.running.size, 2)))
+            assert np.isfinite(obs[:, :4]).all()  # q and qdot
 
     def test_widest_aggressive_ranges_stay_physical(self):
         """At the largest ranges RandomizationCfg takes, aggressive resets keep
@@ -247,11 +245,10 @@ class TestStep:
     def test_equilibrium_state_unchanged(self):
         env = quiet_env(gravity=0.0)
         clip = make_sine(0.0, 0.0, duration=4.0)  # static reference at q0
-        env.reset(clip, 0)
-        q0, qd0 = env.q, env.qdot
-        _, _, _, info = env.step(np.zeros(2))
-        assert np.array_equal(env.q, q0)
-        assert np.array_equal(env.qdot, qd0)
+        obs0 = env.reset(clip, 0)
+        obs, _, _, info = env.step(np.zeros(2))
+        assert np.array_equal(obs[:2], obs0[:2])  # q
+        assert np.array_equal(obs[2:4], obs0[2:4])  # qdot
         assert np.all(info["tau_applied"] == 0.0)
 
     def test_non_finite_action_rejected(self):
@@ -292,13 +289,13 @@ class TestStep:
     def test_logged_command_is_the_pd_law(self):
         # randomized q0 offsets, so the setpoint's default pose is the episode's
         env = ArmEnv({"episode_len": 60})
-        env.reset(make_sine(0.4, 0.8, duration=4.0), 5)
+        obs = env.reset(make_sine(0.4, 0.8, duration=4.0), 5)
         rng = np.random.default_rng(4)
         done = False
         while not done:
             a = rng.uniform(-6, 6, 2)
-            q_pre, qdot_pre = env.q, env.qdot
-            _, _, done, info = env.step(a)
+            q_pre, qdot_pre = obs[:2], obs[2:4]
+            obs, _, done, info = env.step(a)
             assert np.array_equal(info["qdot_pre"], qdot_pre)
             expected = (env.kp * (env.q0_eff + env.action_scale * a - q_pre)
                         - env.kd * info["qdot_pre"])
@@ -342,6 +339,17 @@ class TestStep:
                 env.step_batch(np.zeros((0 if started else 1, 2)))
             else:
                 env.step(np.zeros(2))
+
+    @pytest.mark.parametrize("read", [lambda env: env.q0_eff, lambda env: env.mechanical_energy()],
+                             ids=["q0_eff", "mechanical_energy"])
+    def test_state_read_before_reset_rejected(self, read):
+        """The episode state exists from the first `reset` on; a read before it
+        raises the one error, and works once an episode has been reset."""
+        env = quiet_env()
+        with pytest.raises(ValidationError, match=r"^no episode state; call reset\(\)$"):
+            read(env)
+        env.reset(make_sine(0.1, 0.25, duration=4.0), 0)
+        read(env)
 
     def test_termination_matches_metrics_kernel(self):
         env = ArmEnv({"episode_len": 50})
@@ -442,12 +450,12 @@ class TestBatch:
         env = ArmEnv({"episode_len": 20})
         clip = make_sine(0.3, 0.4, duration=4.0)
         obs = env.reset(clip, [np.random.default_rng(s) for s in (4, 5, 6)], mode="aggressive")
-        q, q0_eff = env.q, env.q0_eff
-        assert obs.shape == (3, env.obs_dim) and q.shape == (3, 2)
+        q0_eff = env.q0_eff
+        assert obs.shape == (3, env.obs_dim) and q0_eff.shape == (3, 2)
         for i, seed in enumerate((4, 5, 6)):
             single = env.reset(clip, seed, mode="aggressive")
-            assert np.array_equal(obs[i], single)
-            assert np.array_equal(q[i], env.q) and np.array_equal(q0_eff[i], env.q0_eff)
+            assert np.array_equal(obs[i], single)  # q included: the first 2 columns
+            assert np.array_equal(q0_eff[i], env.q0_eff)
 
     def test_running_rows_take_their_episode_params(self):
         """Reset's friction-scaled actuator params hold one row per episode, and
@@ -515,16 +523,16 @@ class TestBatch:
         env.reset(clip, [np.random.default_rng(s) for s in seeds])
         rows, t, batch_q = env.running, 0, {s: [] for s in seeds}
         while rows.size:
-            _, _, done, info = env.step_batch(actions[t, rows])
-            for r, q in zip(rows, info["q"]):
+            obs, _, done, _ = env.step_batch(actions[t, rows])
+            for r, q in zip(rows, obs[:, :2]):
                 batch_q[seeds[r]].append(q)
             rows, t = rows[~done], t + 1
         for i, seed in enumerate(seeds):
             env.reset(clip, seed)
             done, qs = False, []
             while not done:
-                _, _, done, info = env.step(actions[len(qs), i])
-                qs.append(info["q"])
+                obs, _, done, _ = env.step(actions[len(qs), i])
+                qs.append(obs[:2])
             np.testing.assert_allclose(np.stack(batch_q[seed]), np.stack(qs), rtol=0, atol=1e-12)
 
     def test_mixed_motion_rows_equal_single_episodes(self):
@@ -552,6 +560,10 @@ class TestBatch:
                 assert np.array_equal(obs, want_obs)
                 for key, value in info.items():
                     assert np.array_equal(value, want_info[key]), key
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValidationError, match="^a batch needs at least one episode$"):
+            quiet_env().reset(make_sine(0.3, 0.4, duration=4.0), [])
 
     def test_single_step_rejected_on_a_batch(self):
         env = quiet_env()
@@ -702,8 +714,8 @@ class TestEnergyAndDeterminism:
             env.reset(clip, 777)
             qs = []
             for a in actions:
-                _, _, done, info = env.step(a)
-                qs.append(info["q"])
+                obs, _, done, _ = env.step(a)
+                qs.append(obs[:2])
                 if done:
                     break
             return np.stack(qs)

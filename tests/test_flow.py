@@ -410,6 +410,19 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=rf"p\.json: '{key}"):
             load_policy(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(layer_shapes=[], params=[]), "'params' holds no layer"),
+        (lambda d: d["layer_shapes"][0].pop(), r"'layer_shapes\[0\]' must be \[rows, cols\]"),
+        (lambda d: d["params"][1][0][0].__setitem__(0, float("nan")),
+         r"'params\[1\]' holds non-finite values"),
+        # layer shapes that fit the params, but not the header's input width
+        (lambda d: d.update(obs_dim=4), "inconsistent checkpoint"),
+    ], ids=["no_layers", "one_entry_shape", "nan_weight", "obs_dim"])
+    def test_malformed_params_named(self, tmp_path, edit, message):
+        path = self._edited_checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=rf"p\.json: {message}"):
+            load_policy(path)
+
     def test_unknown_activation_rejected(self, tmp_path):
         path = self._edited_checkpoint(tmp_path, lambda d: d.update(activation="relu"))
         with pytest.raises(CheckpointError, match=r"p\.json.*unknown activation 'relu'"):

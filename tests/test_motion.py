@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,22 @@ class TestLoadSave:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=rf"m\.json: '{key}' must be numeric") as info:
+            load_motion(path)
+        assert str(info.value).count("m.json") == 1
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda d: d["frames"][1].update(q=[float("nan")]), ValidationError,
+         "non-finite values in q"),
+        (lambda d: d["frames"].pop(), DimensionError, "clips need at least 2 frames, got 1"),
+        (lambda d: d.update(feet_indices=[1]), ValidationError, r"foot index 1 outside \[0, 1\)"),
+        (lambda d: d["frames"][1].update(bogus=1), SchemaError, "frame 1 unknown key 'bogus'"),
+    ], ids=["q-nan", "one_frame", "foot_past_last_body", "unknown_frame_key"])
+    def test_invalid_file_named(self, tmp_path, edit, error, message):
+        doc = minimal_doc()
+        edit(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}: {message}$") as info:
             load_motion(path)
         assert str(info.value).count("m.json") == 1
 

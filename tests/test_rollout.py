@@ -48,11 +48,13 @@ def test_batch_rows_match_single_episodes(seeds, mode, with_residual):
     assert log["body_pos"].shape == (T, len(seeds), 2, 3)
     for i, seed in enumerate(seeds):
         one = rollout_episode(ENV, NET, MOTION, seed, residual=residual, mode=mode)
-        steps = one["steps"]
+        steps = one["steps"][0]
         assert log["steps"][i] == steps
-        assert log["terminated_early"][i] == one["terminated_early"]
-        np.testing.assert_allclose(log["body_pos"][:steps, i], one["body_pos"], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(log["rewards"][:steps, i], one["rewards"], rtol=0, atol=1e-9)
+        assert log["terminated_early"][i] == one["terminated_early"][0]
+        np.testing.assert_allclose(log["body_pos"][:steps, i], one["body_pos"][:steps, 0],
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(log["rewards"][:steps, i], one["rewards"][:steps, 0],
+                                   rtol=0, atol=1e-9)
         assert not log["rewards"][steps:, i].any()
 
 
@@ -64,13 +66,19 @@ def test_motion_gives_both_outcomes():
 
 
 def test_single_episode_log():
+    """A single episode's log is its group's log, a group of one seed."""
     one = rollout_episode(ENV, NET, MOTION, 3)
-    steps = one["steps"]
-    assert one["rewards"].shape == one["q_err"].shape == (steps,)
-    assert one["body_pos"].shape == one["ref_body_pos"].shape == (steps, 2, 3)
-    assert isinstance(one["terminated_early"], bool)
+    log, = rollout_batch(ENV, NET, [(MOTION, [3], None)])
+    assert one.keys() == log.keys()
+    for key, value in one.items():
+        assert value.dtype == log[key].dtype and np.array_equal(value, log[key]), key
+    T, steps = ENV.episode_len, one["steps"][0]
+    assert one["rewards"].shape == one["q_err"].shape == (T, 1)
+    assert one["body_pos"].shape == one["ref_body_pos"].shape == (T, 1, 2, 3)
+    assert one["steps"].shape == one["terminated_early"].shape == (1,)
+    assert not one["rewards"][steps:].any()
     assert distill.episode_return(one, ENV.episode_len, -1.0) == (
-        float(np.sum(one["rewards"])) - (ENV.episode_len - steps))
+        float(np.sum(one["rewards"][:steps, 0])) - (ENV.episode_len - steps))
 
 
 def test_seeded_evaluate_reruns_identical():
@@ -795,10 +803,13 @@ def oracle_episodes(env, actions_of):
                 _, tau = oracle_actuate(env.kp * (q_tar - q) - env.kd * qd, qd, params)
             qd = qd + h * oracle_qacc(env, q, qd, tau + disturbance, rows)
             q = q + h * qd
-        _, _, done, info = env.step_batch(actions)
+        obs, _, done, info = env.step_batch(actions)
         for key, want in (("qdot_pre", qdot), ("tau_cmd", tau_cmd), ("tau_clipped", clipped),
-                          ("tau_applied", applied), ("q", q), ("qdot", qd)):
+                          ("tau_applied", applied)):
             assert info[key].tobytes() == want.tobytes(), key
+        # the new state is the observation's first 2J columns
+        for key, got, want in (("q", obs[:, :J], q), ("qdot", obs[:, J:2 * J], qd)):
+            assert got.tobytes() == want.tobytes(), key
         q_all[rows], qdot_all[rows] = q, qd
         lengths[rows] += 1
     for i, stream in enumerate(streams):  # the env drew what the oracle did
