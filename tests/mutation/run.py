@@ -13,8 +13,7 @@ Hypothesis runs without its shrink phase and without an example database
 here (a pytest plugin written beside the copy), so a mutant fails as soon as
 one generated example does; shrinking a failure can take minutes.
 
-    python tests/mutation/run.py                    # every mutant
-    python tests/mutation/run.py es_accept_ties     # only the named ones
+    python tests/mutation/run.py
 
 Exits 0 when every mutant is killed, 1 otherwise. The harness uses the
 standard library only; the tests it runs need numpy, pytest and hypothesis.
@@ -144,28 +143,21 @@ def run_mutant(mutant: Mutant, work: Path) -> str:
     return "SURVIVED" if run.returncode == 0 else f"ERROR ({last})"
 
 
-def main(argv: list[str]) -> int:
-    known = {m.id: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in known]
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(known)}",
-              file=sys.stderr)
-        return 1
-    mutants = [known[name] for name in argv] or list(MUTANTS)
-    for mutant in mutants:  # every anchor is checked before any test runs
+def main() -> int:
+    for mutant in MUTANTS:  # every anchor is checked before any test runs
         mutated_text(mutant)
     failed, start = 0, time.monotonic()
-    for mutant in mutants:
+    for mutant in MUTANTS:
         t0 = time.monotonic()
         with tempfile.TemporaryDirectory(prefix="flowtrack-mutant-") as work:
             verdict = run_mutant(mutant, Path(work))
         failed += verdict != "killed"
         print(f"{verdict:<8} {mutant.id:<34} {time.monotonic() - t0:6.1f}s  {mutant.reason}",
               flush=True)
-    print(f"{len(mutants) - failed} of {len(mutants)} mutants killed in "
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed in "
           f"{time.monotonic() - start:.1f}s")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -149,18 +149,17 @@ def test_usage_error_exits_1(argv, capsys):
     assert err.startswith("usage: flowtrack") and "error: " in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "eval"])
-@pytest.mark.parametrize("kind, message", [
-    ("missing", "error: motion path '{path}' is neither a file nor a directory\n"),
-    ("empty", None),
+@pytest.mark.parametrize("command, kind, message", [
+    ("analyze", "missing", "error: motion path '{path}' is neither a file nor a directory\n"),
+    ("eval", "missing", "error: motion path '{path}' is neither a file nor a directory\n"),
+    ("analyze", "empty", "no motion files found\n"),
+    ("eval", "empty", "error: no motion files in '{path}'\n"),
 ])
 def test_motion_path_without_files_exits_1(tmp_path, tiny_policy_dir, capsys, command, kind,
                                            message):
     path = tmp_path / "motions"
     if kind == "empty":
         path.mkdir()
-        message = ("no motion files found\n" if command == "analyze"
-                   else "error: no motion files in '{path}'\n")
     argv = [command, "--motions", str(path)]
     if command == "eval":
         argv += ["--policy", str(tiny_policy_dir / "policy.json")]
