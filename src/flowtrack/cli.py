@@ -129,7 +129,10 @@ def cmd_analyze(args) -> int:
             clip = load_motion(path)
             scores = metrics.compute_complexity(clip, h_air=args.h_air)
         except Exception as exc:  # per-file failures warn but do not abort
-            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+            # load_motion's errors begin with the path; the others get it here
+            text = str(exc)
+            named = text if text.startswith(f"{path}: ") else f"{path}: {text}"
+            print(f"warning: skipping {named}", file=sys.stderr)
             failures += 1
             continue
         report.append({

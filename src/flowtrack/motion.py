@@ -123,14 +123,8 @@ def load_motion(path) -> MotionClip:
     if not isinstance(frames, list) or not frames:
         raise SchemaError(f"{path}: 'frames' must be a non-empty array")
     for i, fr in enumerate(frames):
-        if not isinstance(fr, dict):
-            raise SchemaError(f"{path}: frame {i} is not an object")
-        fmissing = [k for k in _FRAMES if k not in fr]
-        if fmissing:
-            raise SchemaError(f"{path}: frame {i} missing required key '{fmissing[0]}'")
-        fextra = [k for k in fr if k not in _FRAMES]
-        if fextra:
-            raise SchemaError(f"{path}: frame {i} unknown key '{fextra[0]}'")
+        if not (isinstance(fr, dict) and fr.keys() == _FRAMES.keys()):  # in any order
+            raise SchemaError(f"{path}: frame {i} {_frame_fault(fr)}")
     arrays = {key: _numeric([fr[key] for fr in frames], key, dtype, path)
               for key, (dtype, *_) in _FRAMES.items()}
     try:
@@ -138,6 +132,18 @@ def load_motion(path) -> MotionClip:
                           feet_indices=doc["feet_indices"], **arrays)
     except (DimensionError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _frame_fault(fr) -> str:
+    """What is wrong with a frame whose keys are not those of `_FRAMES`: it
+    is not an object, or the first missing key in `_FRAMES` order, or else
+    its first unknown key."""
+    if not isinstance(fr, dict):
+        return "is not an object"
+    for k in _FRAMES:
+        if k not in fr:
+            return f"missing required key '{k}'"
+    return f"unknown key '{next(k for k in fr if k not in _FRAMES)}'"
 
 
 def _numeric(rows, key, dtype, path) -> np.ndarray:

@@ -98,6 +98,27 @@ MUTANTS = (
            "obs = self._observe(rows, [q, qdot_pre, base_actions], th, th_ref, history)",
            ("tests/test_rollout.py::test_step_is_the_oracle",),
            "the observation, the one record of the state, holds the new qdot"),
+    Mutant("read_json_leaves_gc_off", "fileio.py",
+           "gc.enable()",
+           "pass",
+           ("tests/test_fileio.py::test_read_json_leaves_the_collector_as_found",),
+           "decoding pauses the cyclic collector and turns it back on"),
+    Mutant("frame_missing_keys_pass", "motion.py",
+           "fr.keys() == _FRAMES.keys()",
+           "fr.keys() <= _FRAMES.keys()",
+           ("tests/test_motion.py::TestLoadSave::test_missing_frame_key_named",),
+           "a frame missing a key is a SchemaError naming it"),
+    Mutant("skip_draws_uniform_noise", "env.py",
+           "rng.standard_normal(noise_dim)",
+           "rng.random(noise_dim)",
+           ("tests/test_rollout.py::test_dagger_oracle_covers_early_ends_and_held_frames",
+            "tests/test_rollout.py::test_dagger_reruns_after_each_early_end"),
+           "a skipped episode advances the stream past its policy's normal draws"),
+    Mutant("label_params_from_row_0", "env.py",
+           "replace(p, mu_s=p.mu_s[row], mu_d=p.mu_d[row])",
+           "replace(p, mu_s=p.mu_s[0], mu_d=p.mu_d[0])",
+           ("tests/test_rollout.py::test_dagger_oracle_covers_early_ends_and_held_frames",),
+           "each row's labels use its own episode's friction"),
 )
 
 # Loaded by the pytest runs with -p: hypothesis generates examples but does

@@ -287,6 +287,20 @@ class TestAnalyze:
         assert err == f"warning: skipping {d / 'b_no_feet.json'}: clip has no feet indices\n"
         assert [e["motion"] for e in json.loads(out.read_text())] == ["a_slow"]
 
+    def test_load_error_names_the_file_once(self, motions_dir, tmp_path, capsys):
+        # the warning read "skipping <path>: <path>: 'q' must be numeric"
+        d = tmp_path / "bad_q"
+        d.mkdir()
+        doc = json.loads((motions_dir / "a_slow.json").read_text())
+        (d / "a_slow.json").write_text(json.dumps(doc))
+        doc["frames"][3]["q"] = ["x"] * len(doc["frames"][3]["q"])
+        (d / "m.json").write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert cli.main(["--quiet", "analyze", "--motions", str(d), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: skipping {d / 'm.json'}: 'q' must be numeric\n"
+        assert [e["motion"] for e in json.loads(out.read_text())] == ["a_slow"]
+
     def test_all_bad_files_exit_1(self, tmp_path, capsys):
         d = tmp_path / "allbad"
         d.mkdir()

@@ -1,7 +1,9 @@
-"""The typed file boundary: `check_like` returns a document in its example's
-types, both checkpoint kinds load their header fields typed, and `require`
-writes every range error, which NaN fails."""
+"""The typed file boundary: `read_json` decodes with the cyclic collector
+paused and leaves it as it found it, `check_like` returns a document in its
+example's types, both checkpoint kinds load their header fields typed, and
+`require` writes every range error, which NaN fails."""
 
+import gc
 import json
 
 import numpy as np
@@ -10,11 +12,53 @@ import pytest
 from flowtrack import distill, flow
 from flowtrack.actuation import PowerPenaltyCfg
 from flowtrack.env import ArmEnv, RandomizationCfg
-from flowtrack.errors import ConfigError, ValidationError
-from flowtrack.fileio import check_like, config_section, require
-from flowtrack.motion import SynthMotionSpec
+from flowtrack.errors import ConfigError, SchemaError, ValidationError
+from flowtrack.fileio import check_like, config_section, read_json, require
+from flowtrack.motion import SynthMotionSpec, save_motion
+
+from conftest import random_clip
 
 NAN = float("nan")
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's switch after a test that sets it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_read_json_leaves_the_collector_as_found(tmp_path, gc_state, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"a": [1, 2.5]}')
+    bad.write_text('{"a": ')
+    (gc.enable if enabled else gc.disable)()
+    assert read_json(good, SchemaError) == {"a": [1, 2.5]}
+    assert gc.isenabled() is enabled
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        read_json(bad, SchemaError)
+    assert gc.isenabled() is enabled
+
+
+def test_read_json_starts_no_collection(tmp_path, gc_state):
+    path = tmp_path / "m.json"
+    save_motion(random_clip(np.random.default_rng(0), T=2000, J=3, B=3, K=2), path)
+    gc.enable()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        doc = read_json(path, SchemaError)
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(doc["frames"]) == 2000
+    assert starts == []
 
 
 @pytest.mark.parametrize("value, example, expected", [

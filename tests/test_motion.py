@@ -106,7 +106,12 @@ class TestLoadSave:
         (lambda d: d["frames"].pop(), DimensionError, "clips need at least 2 frames, got 1"),
         (lambda d: d.update(feet_indices=[1]), ValidationError, r"foot index 1 outside \[0, 1\)"),
         (lambda d: d["frames"][1].update(bogus=1), SchemaError, "frame 1 unknown key 'bogus'"),
-    ], ids=["q-nan", "one_frame", "foot_past_last_body", "unknown_frame_key"])
+        (lambda d: d["frames"].__setitem__(1, [0.1]), SchemaError, "frame 1 is not an object"),
+        # the first missing key in file order, whatever order they were dropped in
+        (lambda d: [d["frames"][1].pop(k) for k in ("contacts", "base_pos")], SchemaError,
+         "frame 1 missing required key 'base_pos'"),
+    ], ids=["q-nan", "one_frame", "foot_past_last_body", "unknown_frame_key",
+            "frame_not_object", "two_frame_keys_missing"])
     def test_invalid_file_named(self, tmp_path, edit, error, message):
         doc = minimal_doc()
         edit(doc)
@@ -166,6 +171,11 @@ class TestLoadSave:
         back = load_motion(path)
         assert back.allclose(clip)
         assert back.fps == clip.fps
+        # a frame may list its keys in any order
+        doc = json.loads(path.read_text())
+        doc["frames"] = [dict(reversed(fr.items())) for fr in doc["frames"]]
+        path.write_text(json.dumps(doc))
+        assert load_motion(path).allclose(clip)
 
 
 class TestFiniteDifference:
