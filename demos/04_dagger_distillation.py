@@ -36,7 +36,7 @@ cfg = distill.DistillCfg(iterations=10, episodes_per_iter=3, gradient_steps=250,
                          batch_size=192, learning_rate=2e-3, lr_decay=0.85, seed=0)
 
 print(f"distilling {len(motions)} experts into one policy "
-      f"({cfg.iterations} DAgger iterations, D={cfg.sampler.steps} sampling steps)...")
+      f"({cfg.iterations} DAgger iterations, D={net0.sampler_steps} sampling steps)...")
 t0 = time.time()
 net, losses = distill.dagger_train(env, experts, net0, cfg)
 print(f"done in {time.time() - t0:.0f}s; per-iteration loss:")

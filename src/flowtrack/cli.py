@@ -46,8 +46,10 @@ def _motion_files(path: str) -> list[str]:
     if os.path.isfile(path):
         return [path]
     if os.path.isdir(path):
-        names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
-        return [os.path.join(path, n) for n in names]
+        paths = [os.path.join(path, n) for n in sorted(os.listdir(path)) if n.endswith(".json")]
+        for p in (p for p in paths if not os.path.isfile(p)):  # a directory x.json, say
+            print(f"warning: skipping {p}: not a regular file", file=sys.stderr)
+        return [p for p in paths if os.path.isfile(p)]
     raise ConfigError(f"motion path '{path}' is neither a file nor a directory")
 
 
@@ -251,19 +253,19 @@ def _load_base_policy(path, env: ArmEnv) -> flow.VelocityFieldNet:
 
 def _train_setup(cfg: dict, env: ArmEnv, clips: list, seed: int):
     """Experts, start net and DAgger settings of a `train` config section."""
-    with config_section("train", {k: f"{sub}.{k}" for sub in ("sampler", "expert")
-                                  for k in cfg[sub]}):
+    keys = {k: f"{sub}.{k}" for sub in ("sampler", "expert") for k in cfg[sub]}
+    with config_section("train", {**keys, "sampler_steps": "sampler.steps"}):
         require("checkpoint_every", cfg["checkpoint_every"], cfg["checkpoint_every"] >= 0, ">= 0")
         experts = [ExpertPolicy(c, **cfg["expert"]) for c in clips]
         sampler = cfg["sampler"]
         net = flow.init_net(env.n_joints, env.obs_dim, hidden=cfg["hidden"],
                             time_embed_dim=cfg["time_embed_dim"], alpha=sampler["alpha"],
-                            beta=sampler["beta"], rng=np.random.default_rng(seed))
+                            beta=sampler["beta"], sampler_steps=sampler["steps"],
+                            rng=np.random.default_rng(seed))
         dcfg = distill.DistillCfg(
             iterations=cfg["iterations"], episodes_per_iter=cfg["episodes_per_iter"],
             gradient_steps=cfg["gradient_steps"], batch_size=cfg["batch_size"],
-            learning_rate=cfg["learning_rate"], lr_decay=cfg["lr_decay"],
-            sampler=flow.SamplerCfg(steps=sampler["steps"]), seed=seed)
+            learning_rate=cfg["learning_rate"], lr_decay=cfg["lr_decay"], seed=seed)
     return experts, net, dcfg
 
 

@@ -19,7 +19,7 @@ from . import metrics
 from .env import ArmEnv, ExpertPolicy, expert_action
 from .errors import DimensionError, ValidationError
 from .fileio import load_checkpoint, require, save_checkpoint
-from .flow import (AdamState, FMBatch, GradWorkspace, SamplerCfg, VelocityFieldNet,
+from .flow import (AdamState, FMBatch, GradWorkspace, VelocityFieldNet,
                    adam_step, clone_net, euler_sample, fm_loss_and_grad, init_layers,
                    mlp_forward, mlp_init)
 from .motion import MotionClip, finite_difference, segment_clips
@@ -83,13 +83,14 @@ MAX_EPISODES_PER_ITER = 1_000
 
 @dataclass(frozen=True)
 class DistillCfg:
+    """DAgger settings; the rollouts sample the student with its own `sampler_steps`."""
+
     iterations: int = 12
     episodes_per_iter: int = 4
     gradient_steps: int = 150
     batch_size: int = 128
     learning_rate: float = 2e-3
     lr_decay: float = 1.0  # per-iteration geometric decay
-    sampler: SamplerCfg = field(default_factory=SamplerCfg)
     seed: int = 0
 
     def __post_init__(self):
@@ -150,8 +151,7 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet
                 if e < K - 1:
                     env.skip_episode(stream, net.action_dim)
             logs = rollout_batch(env, net, [(expert.motion, [row_rng], None)
-                                            for expert, row_rng in rows],
-                                 sampler=cfg.sampler, keep_obs=True)
+                                            for expert, row_rng in rows], keep_obs=True)
             steps = [int(log["steps"][0]) for log in logs]
             kept = next((i + 1 for i, n in enumerate(steps[:-1]) if n < T), len(rows))
             for i, (expert, _) in enumerate(rows[:kept]):  # labelled before a rerun resets env
@@ -251,14 +251,8 @@ def _flatten(params: list) -> np.ndarray:
 
 
 def _unflatten(vector: np.ndarray, template: list) -> list:
-    out, i = [], 0
-    for W, b in template:
-        w = vector[i:i + W.size].reshape(W.shape)
-        i += W.size
-        bb = vector[i:i + b.size]
-        i += b.size
-        out.append((w.copy(), bb.copy()))
-    return out
+    parts = iter(np.split(vector, np.cumsum([a.size for block in template for a in block])))
+    return [(next(parts).reshape(W.shape).copy(), next(parts).copy()) for W, _ in template]
 
 
 # Caps on the ES sizes a config sets, which allocate: each generation draws
@@ -290,9 +284,9 @@ class ESCfg:
 
 
 def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = "base",
-                  sampler: SamplerCfg = SamplerCfg(), keep_obs: bool = False) -> list[dict]:
-    """Seeded closed-loop episodes of one or more row groups, stepped together
-    and sampled with `sampler`.
+                  keep_obs: bool = False) -> list[dict]:
+    """Seeded closed-loop episodes of one or more row groups, stepped together,
+    each action sampled with the net's own `sampler_steps` (`euler_sample`).
 
     `groups` is a list of (motion, seeds, residual) triples. Group g runs one
     episode of its motion per seed under its residual, on the rows after
@@ -355,7 +349,7 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
                 res_blocks = [(pos, [(W[g], b[g]) for W, b in layers]) for pos, g in split]
         a_flow = np.empty((n_running, net.action_dim))
         for pos, rngs in sample_blocks:
-            a_flow[pos] = euler_sample(net, obs[pos], sampler, rngs)
+            a_flow[pos] = euler_sample(net, obs[pos], rngs)
         if keep_obs:
             log["obs"][t, rows] = obs
         a = a_flow

@@ -176,8 +176,8 @@ class ArmEnv:
             pp = dict(cfg["power_penalty"])
             joints = pp.pop("joints")
             require("joints", joints, joints is None or isinstance(joints, (list, tuple)) and all(
-                isinstance(j, (int, np.integer)) and 0 <= j < len(links) for j in joints),
-                "null or a list of joint indices")
+                isinstance(j, (int, np.integer)) and not isinstance(j, bool)  # true is no index
+                and 0 <= j < len(links) for j in joints), "null or a list of joint indices")
             self.power_cfg = PowerPenaltyCfg(
                 **pp, joints=None if joints is None else tuple(int(j) for j in joints))
         self.n_joints = len(links)

@@ -16,10 +16,12 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DimensionError, ValidationError
+from .errors import CheckpointError, ConfigError, DimensionError, SchemaError, ValidationError
 
 CHECKPOINT_VERSION = 1
 
@@ -105,6 +107,27 @@ def check_like(value, example, error_type, origin, key: str = ""):
     return type(example)(value)
 
 
+def json_array(rows, ndim: int, dtype=float, what: str = "") -> np.ndarray:
+    """`rows`, JSON arrays nested `ndim` deep, as one `dtype` array, built from
+    the flattened values after one pass types them. Errors begin with `what`: a
+    DimensionError unless each depth's arrays have one length, a SchemaError
+    unless the values are numbers (booleans for a bool dtype; a boolean is no number)."""
+    shape, flat = [], [rows]
+    for _ in range(ndim):
+        try:  # a number has no length; a string or an object fails the value check
+            (n,) = set(map(len, flat)) or {0}
+        except (TypeError, ValueError) as exc:  # or the arrays have two lengths
+            raise DimensionError(f"{what}rows differ in shape") from exc
+        shape.append(n)
+        flat = list(chain.from_iterable(flat))
+    if not set(map(type, flat)) <= ({bool} if dtype is bool else {int, float}):
+        raise SchemaError(f"{what}must be numeric" + (" (JSON booleans)" if dtype is bool else ""))
+    try:
+        return np.fromiter(flat, dtype, len(flat)).reshape(shape)
+    except OverflowError as exc:  # an integer beyond float range
+        raise SchemaError(f"{what}must be numeric and finite") from exc
+
+
 def require(key: str, value, ok, what: str, **bound_by) -> None:
     """Raise `ValidationError("<key> must be <what>, got <value>")` unless
     `ok`, the condition a valid value meets, so that NaN, which meets none,
@@ -170,15 +193,27 @@ def merge_over(defaults: dict, overrides, origin) -> dict:
 # is the model's attribute of its name, but "layer_shapes", derived from the
 # parameters.
 
+@dataclass(frozen=True)
+class Default:
+    """The example of a header field that a file may lack: it then reads as
+    `value`, and is not written at `value`, so files older than the field keep
+    loading and keep their bytes."""
+
+    value: object
+
+
 def save_checkpoint(path, kind: str, header: dict, model) -> None:
     """Write `model` as a `kind` checkpoint: the header fields, in the order
-    of `header`, are its attributes (a tuple is written as a list), and its
-    `params` are written at full precision, so they round-trip bit-exactly."""
+    of `header`, are its attributes (a tuple is written as a list; a
+    `Default` field is left out at its value), and its `params` are written
+    at full precision, so they round-trip bit-exactly."""
     params = model.params
     doc = {"version": CHECKPOINT_VERSION, "kind": kind}
-    for key in header:
-        doc[key] = ([list(W.shape) for W, _ in params] if key == "layer_shapes"
-                    else getattr(model, key))
+    for key, example in header.items():
+        value = ([list(W.shape) for W, _ in params] if key == "layer_shapes"
+                 else getattr(model, key))
+        if not (isinstance(example, Default) and value == example.value):
+            doc[key] = value
     doc["params"] = [[W.tolist(), b.tolist()] for W, b in params]
     write_atomic(path, json.dumps(doc) + "\n")
 
@@ -186,7 +221,7 @@ def save_checkpoint(path, kind: str, header: dict, model) -> None:
 def load_checkpoint(path, kind: str, header: dict, build):
     """Read a `kind` checkpoint and return `build(**fields, params=params)`,
     where `fields` holds its header fields in the types of `header`, all but
-    the derived "layer_shapes".
+    the derived "layer_shapes"; an absent `Default` field takes its value.
 
     The version, the kind, every header field's presence and type, and the
     parameter blocks are checked here; `build` may raise DimensionError or
@@ -196,15 +231,20 @@ def load_checkpoint(path, kind: str, header: dict, build):
     doc = read_json(path, CheckpointError)
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: top level must be an object")
-    for key in ("version", "kind", *header, "params"):
-        if key not in doc:
-            raise CheckpointError(f"{path}: missing checkpoint key '{key}'")
-    if doc["version"] != CHECKPOINT_VERSION:
+    keys = ("version", "kind", *header, "params")
+    for key in (*keys, *doc):
+        if isinstance(header.get(key), Default):
+            doc.setdefault(key, header[key].value)
+        elif key not in doc or key not in keys:
+            problem = "missing" if key not in doc else "unknown"
+            raise CheckpointError(f"{path}: {problem} checkpoint key '{key}'")
+    if isinstance(doc["version"], bool) or doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {doc['version']} "
                               f"(expected {CHECKPOINT_VERSION})")
     if doc["kind"] != kind:
         raise CheckpointError(f"{path}: not a {kind} checkpoint ({doc['kind']})")
     for key, example in header.items():
+        example = example.value if isinstance(example, Default) else example
         doc[key] = check_like(doc[key], example, CheckpointError, path, key)
     params = _decode_params(doc, path)
     try:
@@ -230,9 +270,8 @@ def _decode_params(doc: dict, path) -> list:
         if not (isinstance(block, list) and len(block) == 2):
             raise CheckpointError(f"{path}: 'params[{i}]' must be a [W, b] pair")
         try:
-            W = np.array(block[0], dtype=float)
-            b = np.array(block[1], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+            W, b = json_array(block[0], 2), json_array(block[1], 1)
+        except (DimensionError, SchemaError) as exc:
             raise CheckpointError(
                 f"{path}: 'params[{i}]' is not a rectangular numeric array ({exc})") from exc
         if list(W.shape) != shape or b.shape != (W.shape[0],):

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .fileio import load_checkpoint, require, save_checkpoint
+from .fileio import Default, load_checkpoint, require, save_checkpoint
 
 # Caps on the net sizes a config sets, which allocate: hidden-layer widths of
 # the flow and residual nets (see `init_layers`), the flow net's time
@@ -133,12 +133,15 @@ class VelocityFieldNet:
     time_embed_dim: int = 8
     alpha: float = 1.5
     beta: float = 1.0
+    sampler_steps: int = 5
     params: list = field(default_factory=list)
 
     def __post_init__(self):
-        dim = self.time_embed_dim
+        dim, steps = self.time_embed_dim, self.sampler_steps
         require("time_embed_dim", dim, dim % 2 == 0 and 0 < dim <= MAX_TIME_EMBED_DIM,
                 f"an even number in [2, {MAX_TIME_EMBED_DIM}]")
+        require("sampler_steps", steps, type(steps) is int and 1 <= steps <= MAX_SAMPLER_STEPS,
+                f"an integer in [1, {MAX_SAMPLER_STEPS}]")
         for name in ("alpha", "beta"):  # the Beta shape parameters
             require(name, getattr(self, name), getattr(self, name) > 0, "positive")
         init_layers(self)
@@ -155,7 +158,7 @@ class VelocityFieldNet:
 def init_net(action_dim: int, obs_dim: int, *, rng=None, **settings) -> VelocityFieldNet:
     """Randomly initialized velocity field (zero-initialized when rng is None);
     `settings` are `VelocityFieldNet` fields (hidden, time_embed_dim, alpha,
-    beta), each defaulting to the dataclass's."""
+    beta, sampler_steps), each defaulting to the dataclass's."""
     net = VelocityFieldNet(action_dim, obs_dim, **settings)
     if rng is not None:
         net.params = mlp_init(net.layer_sizes, rng)
@@ -237,18 +240,6 @@ class FMBatch:
         return self.observations.shape[0]
 
 
-@dataclass(frozen=True)
-class SamplerCfg:
-    """Euler-sampler configuration. The training timestep distribution is the
-    net's own Beta(alpha, beta)."""
-
-    steps: int = 5
-
-    def __post_init__(self):
-        require("steps", self.steps, 1 <= self.steps <= MAX_SAMPLER_STEPS,
-                f"in [1, {MAX_SAMPLER_STEPS}]")
-
-
 class GradWorkspace:
     """The buffers of one flow-matching gradient step of `net` on `rows`
     rows: the sampled batch (`ReplayBuffer.sample_batch`), the [a_t, time
@@ -314,18 +305,18 @@ def fm_loss_and_grad(net: VelocityFieldNet, batch: FMBatch, rng,
 # ---------------------------------------------------------------------------
 # Action sampling.
 
-def euler_sample(net: VelocityFieldNet, obs, cfg: SamplerCfg, rng) -> np.ndarray:
+def euler_sample(net: VelocityFieldNet, obs, rng) -> np.ndarray:
     """Integrate the field from Gaussian noise at t=1 to an action at t=0.
 
-    x starts at N(0, I); each of the D steps applies x <- x - v(x, t, obs)/D
-    at t = 1 - k/D. `obs` is (N, obs_dim) rows with a list of N Generators:
-    each row draws its noise from its own stream, so its action does not
-    depend on the rows beside it. One observation with one Generator is the
+    x starts at N(0, I); each of the net's D = `sampler_steps` steps applies
+    x <- x - v(x, t, obs)/D at t = 1 - k/D. `obs` is (N, obs_dim) rows with
+    a list of N Generators: each row draws its noise from its own stream, so
+    its action does not depend on the rows beside it. One observation with one Generator is the
     batch of one row, returned as one action. (G, m, obs_dim) rows with G*m
     Generators (row-major) are G groups, each bit-equal to sampling its m
     rows alone (see `mlp_forward`).
     """
-    D, A, E = cfg.steps, net.action_dim, net.time_embed_dim
+    D, A, E = net.sampler_steps, net.action_dim, net.time_embed_dim
     rngs = [rng] if np.ndim(obs) == 1 else rng
     x = np.array([r.standard_normal(A) for r in rngs]).reshape(*np.shape(obs)[:-1], A)
     # [x, time_embed(t), obs] rows, assembled and checked once; each step
@@ -390,9 +381,10 @@ def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3):
 # Checkpoints.
 
 # Header fields of a velocity-field checkpoint, in file order, each with an
-# example of its type (see `fileio.load_checkpoint`).
+# example of its type (see `fileio.load_checkpoint`); files without a step count sampled with 5.
 POLICY_HEADER = {"action_dim": 0, "obs_dim": 0, "layer_shapes": [[0]], "hidden": [0],
-                 "time_embed_dim": 0, "activation": "", "alpha": 0.0, "beta": 0.0}
+                 "time_embed_dim": 0, "activation": "", "alpha": 0.0, "beta": 0.0,
+                 "sampler_steps": Default(5)}
 
 
 def save_policy(net: VelocityFieldNet, path) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, SchemaError, ValidationError
-from .fileio import check_like, read_json, require, write_atomic
+from .fileio import check_like, json_array, read_json, require, write_atomic
 
 QUAT_NORM_TOL = 1e-3
 
@@ -32,8 +32,6 @@ _FRAMES = {
     "body_pos": (float, "B", 3),    # body positions, m
     "contacts": (bool, "K"),        # True = end-effector in ground contact
 }
-# the array kinds a JSON value of each dtype may load as
-_KINDS = {float: "iuf", bool: "b"}
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,8 @@ def load_motion(path) -> MotionClip:
     for i, fr in enumerate(frames):
         if not (isinstance(fr, dict) and fr.keys() == _FRAMES.keys()):  # in any order
             raise SchemaError(f"{path}: frame {i} {_frame_fault(fr)}")
-    arrays = {key: _numeric([fr[key] for fr in frames], key, dtype, path)
-              for key, (dtype, *_) in _FRAMES.items()}
+    arrays = {key: json_array([fr[key] for fr in frames], 1 + len(dims), dtype,
+                              f"{path}: '{key}' ") for key, (dtype, *dims) in _FRAMES.items()}
     try:
         return MotionClip(fps=doc["fps"], joint_names=doc["joint_names"],
                           feet_indices=doc["feet_indices"], **arrays)
@@ -144,20 +142,6 @@ def _frame_fault(fr) -> str:
         if k not in fr:
             return f"missing required key '{k}'"
     return f"unknown key '{next(k for k in fr if k not in _FRAMES)}'"
-
-
-def _numeric(rows, key, dtype, path) -> np.ndarray:
-    """The per-frame values `rows` of `key` as one `dtype` array. Rows of
-    unequal shape raise a DimensionError, and values other than numbers (JSON
-    booleans for a bool key) a SchemaError, each naming the file and key."""
-    try:
-        arr = np.array(rows)
-    except ValueError as exc:
-        raise DimensionError(f"{path}: '{key}' rows differ in shape across frames") from exc
-    if arr.size and arr.dtype.kind not in _KINDS[dtype]:
-        raise SchemaError(f"{path}: '{key}' must be numeric"
-                          + (" (JSON booleans)" if dtype is bool else ""))
-    return arr.astype(dtype, copy=False)
 
 
 def save_motion(clip: MotionClip, path) -> None:
@@ -203,10 +187,8 @@ def segment_clips(clip: MotionClip, seconds: float = 10.0) -> list[MotionClip]:
     T = clip.n_frames
     if T <= seg:
         return [clip]
-    out = []
     n_full = T // seg
-    for i in range(n_full):
-        out.append(clip.slice(i * seg, (i + 1) * seg))
+    out = [clip.slice(i * seg, (i + 1) * seg) for i in range(n_full)]
     rem = T - n_full * seg
     if rem >= max(int(math.ceil(clip.fps)), 2):
         out.append(clip.slice(n_full * seg, T))
@@ -277,23 +259,16 @@ def synth_motion(spec: SynthMotionSpec) -> MotionClip:
     T = int(round(spec.duration * spec.fps))
     dt = 1.0 / spec.fps
     t = np.arange(T)[:, None] * dt
-    A = np.asarray(spec.amplitude)
-    f = np.asarray(spec.frequency)
-    phi = np.asarray(spec.phase)
-    q = A * np.sin(2.0 * np.pi * f * t + phi)
-    body_pos = arm_forward_kinematics(q, spec.link_lengths)
-    base_pos = np.zeros((T, 3))
-    base_quat = np.zeros((T, 4))
-    base_quat[:, 0] = 1.0
-    contacts = np.ones((T, 1), dtype=bool)
+    q = np.asarray(spec.amplitude) * np.sin(
+        2.0 * np.pi * np.asarray(spec.frequency) * t + np.asarray(spec.phase))
     return MotionClip(
         fps=spec.fps,
         joint_names=tuple(f"joint_{j}" for j in range(spec.n_joints)),
         q=q,
-        base_pos=base_pos,
-        base_quat=base_quat,
-        body_pos=body_pos,
-        contacts=contacts,
+        base_pos=np.zeros((T, 3)),
+        base_quat=np.tile([1.0, 0.0, 0.0, 0.0], (T, 1)),  # the identity rotation
+        body_pos=arm_forward_kinematics(q, spec.link_lengths),
+        contacts=np.ones((T, 1), dtype=bool),
         feet_indices=(spec.n_joints - 1,),
     )
 
@@ -308,9 +283,6 @@ def quat_angular_speed(base_quat, dt: float) -> np.ndarray:
     quat = np.asarray(base_quat, dtype=float)
     if quat.shape[0] < 2:
         raise DimensionError("need at least 2 quaternions")
-    a, b = quat[:-1], quat[1:]
-    dots = np.abs(np.sum(a * b, axis=1))
-    dots = np.clip(dots, -1.0, 1.0)
-    angles = 2.0 * np.arccos(dots)
-    speed = angles / dt
+    dots = np.clip(np.abs(np.sum(quat[:-1] * quat[1:], axis=1)), -1.0, 1.0)
+    speed = 2.0 * np.arccos(dots) / dt  # the rotation angle between frames, per second
     return np.concatenate([speed, speed[-1:]])

@@ -119,6 +119,23 @@ MUTANTS = (
            "replace(p, mu_s=p.mu_s[0], mu_d=p.mu_d[0])",
            ("tests/test_rollout.py::test_dagger_oracle_covers_early_ends_and_held_frames",),
            "each row's labels use its own episode's friction"),
+    Mutant("sampler_steps_ignored", "flow.py",
+           "D, A, E = net.sampler_steps, net.action_dim, net.time_embed_dim",
+           "D, A, E = 5, net.action_dim, net.time_embed_dim",
+           ("tests/test_flow.py::TestEulerSampler::test_matches_per_step_forward_loop_bit_for_bit",
+            "tests/test_cli.py::TestSamplerSteps::test_eval_samples_as_trained"),
+           "a policy is sampled with its own Euler step count"),
+    Mutant("float_array_takes_booleans", "fileio.py",
+           "({bool} if dtype is bool else {int, float})",
+           "({bool} if dtype is bool else {int, float, bool})",
+           ("tests/test_motion.py::TestLoadSave::test_non_numeric_value_named",
+            "tests/test_fuzz.py::test_boolean_in_place_of_a_number"),
+           "a JSON boolean among a float array's numbers is refused"),
+    Mutant("motion_files_take_directories", "cli.py",
+           "return [p for p in paths if os.path.isfile(p)]",
+           "return paths",
+           ("tests/test_cli.py::test_directory_named_json_is_skipped_once",),
+           "a motion directory's *.json entries are read only if regular files"),
 )
 
 # Loaded by the pytest runs with -p: hypothesis generates examples but does

@@ -18,7 +18,7 @@ import pytest
 from flowtrack import actuation, cli, distill, flow, metrics
 from flowtrack.actuation import PowerPenaltyCfg, default_catalog
 from flowtrack.env import ArmEnv, ExpertPolicy, expert_action
-from flowtrack.flow import FMBatch, SamplerCfg, euler_sample, fm_loss, fm_loss_and_grad_at
+from flowtrack.flow import FMBatch, euler_sample, fm_loss, fm_loss_and_grad_at
 from flowtrack.metrics import TerminationThresholds, check_termination
 from flowtrack.motion import load_motion, save_motion
 
@@ -155,19 +155,20 @@ def test_criterion_6_sampler_exactness():
     net.params[0] = (W, u.copy())
     ok = True
     for D in (1, 5, 100):
-        out = euler_sample(net, np.zeros(3), SamplerCfg(steps=D), np.random.default_rng(42))
+        net.sampler_steps = D
+        out = euler_sample(net, np.zeros(3), np.random.default_rng(42))
         x = np.random.default_rng(42).standard_normal(2)
         for _ in range(D):  # independent implementation of the same recurrence
             x = x - u / D
         ok &= bool(np.array_equal(out, x))
         x1 = np.random.default_rng(42).standard_normal(2)
         ok &= float(np.max(np.abs(out - (x1 - u)))) < 1e-12
-    lin = flow.init_net(2, 3, hidden=(), time_embed_dim=4)
+    lin = flow.init_net(2, 3, hidden=(), time_embed_dim=4, sampler_steps=1000)
     W, b = lin.params[0]
     W = W.copy()
     W[:, :2] = np.eye(2)
     lin.params[0] = (W, b)
-    out = euler_sample(lin, np.zeros(3), SamplerCfg(steps=1000), np.random.default_rng(7))
+    out = euler_sample(lin, np.zeros(3), np.random.default_rng(7))
     x1 = np.random.default_rng(7).standard_normal(2)
     rel = float(np.max(np.abs(out - np.exp(-1.0) * x1) / np.abs(np.exp(-1.0) * x1)))
     ok &= rel < 0.02

@@ -169,6 +169,27 @@ def test_motion_path_without_files_exits_1(tmp_path, tiny_policy_dir, capsys, co
     assert not captured.out
 
 
+@pytest.mark.parametrize("command", ["analyze", "eval"])
+def test_directory_named_json_is_skipped_once(tmp_path, motions_dir, tiny_policy_dir, capsys,
+                                              command):
+    """Only regular files are motion files: a directory `x.json` is named in
+    one warning and skipped, where `open` raised an OSError that named it
+    twice."""
+    d = tmp_path / "motions"
+    d.mkdir()
+    (d / "a_slow.json").write_bytes((motions_dir / "a_slow.json").read_bytes())
+    (d / "x.json").mkdir()
+    argv = ["--quiet", command, "--motions", str(d), "--out", str(tmp_path / "out.json")]
+    if command == "eval":
+        argv += ["--policy", str(tiny_policy_dir / "policy.json"), "--rollouts", "1",
+                 "--set", "env.episode_len=20"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == f"warning: skipping {d / 'x.json'}: not a regular file\n"
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert ([e["motion"] for e in doc] if command == "analyze" else list(doc["motions"])) == [
+        "a_slow"]
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -669,3 +690,67 @@ class TestRefine:
         assert rc == 1
         err = capsys.readouterr().err
         assert assignment.split("=")[0] in err and " must be " in err
+
+
+class TestSamplerSteps:
+    """A policy trained with `train.sampler.steps` carries that Euler step
+    count in its checkpoint, and `eval` and `refine` sample with it; they
+    sampled every policy with 5 steps when the checkpoint held no count."""
+
+    SETS = ["--set", "env.episode_len=40"]
+
+    @pytest.fixture(scope="class")
+    def two_step_dir(self, tmp_path_factory, motions_dir):
+        out = tmp_path_factory.mktemp("two_step")
+        rc = cli.main(["--seed", "1", "--quiet", "train",
+                       "--motions", str(motions_dir / "a_slow.json"), "--out", str(out),
+                       "--set", "train.iterations=1", "--set", "train.gradient_steps=20",
+                       "--set", "train.hidden=[16]", "--set", "train.sampler.steps=2",
+                       *self.SETS])
+        assert rc == 0
+        return out
+
+    def test_only_a_non_default_count_is_written(self, two_step_dir, tiny_policy_dir):
+        assert json.loads((two_step_dir / "policy.json").read_text())["sampler_steps"] == 2
+        assert "sampler_steps" not in json.loads((tiny_policy_dir / "policy.json").read_text())
+        assert flow.load_policy(tiny_policy_dir / "policy.json").sampler_steps == 5
+
+    def test_eval_samples_as_trained(self, two_step_dir, motions_dir, tmp_path):
+        out = tmp_path / "metrics.json"
+        assert cli.main(["--seed", "3", "--quiet", "eval", "--policy",
+                         str(two_step_dir / "policy.json"), "--motions",
+                         str(motions_dir / "a_slow.json"), "--rollouts", "2", "--out", str(out),
+                         *self.SETS]) == 0
+        got = json.loads(out.read_text())["motions"]["a_slow"]
+        net = flow.load_policy(two_step_dir / "policy.json")
+        motions = {"a_slow": load_motion(motions_dir / "a_slow.json")}
+
+        def library(steps):
+            m = distill.evaluate_policy(dataclasses.replace(net, sampler_steps=steps),
+                                        ArmEnv({"episode_len": 40}), motions, n_rollouts=2,
+                                        seed=3)["a_slow"]
+            return {k: v if k == "n_episodes" else cli._round6(v) for k, v in vars(m).items()}
+
+        assert got == library(2) != library(5)
+
+    def test_refine_samples_as_trained(self, two_step_dir, motions_dir, tmp_path):
+        es_sets = ["--set", "es.generations=2", "--set", "es.population=2",
+                   "--set", "es.episodes_per_eval=1"]
+        assert cli.main(["--seed", "4", "--quiet", "refine", "--policy",
+                         str(two_step_dir / "policy.json"), "--motions",
+                         str(motions_dir / "a_slow.json"), "--out", str(tmp_path),
+                         *es_sets, *self.SETS]) == 0
+        lines = (tmp_path / "reward.csv").read_text().splitlines()[1:]
+        got = [float(line.split(",")[1]) for line in lines]
+        net = flow.load_policy(two_step_dir / "policy.json")
+        env = ArmEnv({"episode_len": 40})
+        cfg = {**cli.DEFAULT_ES_CFG, "generations": 2, "population": 2, "episodes_per_eval": 1}
+
+        def library(steps):
+            residual, escfg = cli._es_setup(cfg, env, 4)
+            _, history = distill.es_refine(dataclasses.replace(net, sampler_steps=steps),
+                                           residual, env, load_motion(
+                                               motions_dir / "a_slow.json"), escfg)
+            return [cli._round6(h) for h in history]
+
+        assert got == library(2) != library(5)

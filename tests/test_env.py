@@ -118,6 +118,8 @@ class TestConfig:
         # each row's dynamics constants and solves grow as links^2
         (links_config(MAX_LINKS + 1), "links"),
         (links_config(1200), "links"),
+        # a JSON true is no joint index: it was taken as joint 1
+        ({"power_penalty": {"joints": [True]}}, "power_penalty.joints"),
     ])
     def test_range_error_names_dotted_key(self, config, key):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from flowtrack import flow
 from flowtrack.errors import CheckpointError, DimensionError, ValidationError
-from flowtrack.flow import (MAX_LAYER_WIDTH, AdamState, FMBatch, SamplerCfg,
+from flowtrack.flow import (MAX_LAYER_WIDTH, MAX_SAMPLER_STEPS, AdamState, FMBatch,
                             VelocityFieldNet, adam_step, euler_sample, fm_loss,
                             fm_loss_and_grad, fm_loss_and_grad_at, forward, init_net,
                             load_policy, save_policy, time_embedding)
@@ -195,8 +198,11 @@ class TestTimestepSampling:
         assert abs(draws.var() - 1.0 / 20.0) < 0.1 / 20.0
 
     def test_zero_steps_rejected(self):
-        with pytest.raises(ValidationError):
-            SamplerCfg(steps=0)
+        # a float or a boolean count passed the range check; 2.5 then failed
+        # in `euler_sample` with a bare TypeError
+        for steps in (0, MAX_SAMPLER_STEPS + 1, 2.5, True):
+            with pytest.raises(ValidationError, match="sampler_steps must be an integer in"):
+                init_net(2, 3, hidden=(4,), sampler_steps=steps)
 
 
 class TestTimeEmbedding:
@@ -226,7 +232,8 @@ class TestEulerSampler:
         u = np.array([1.25, -0.5])
         net = constant_net(u)
         for D in (1, 5, 100):
-            out = euler_sample(net, np.zeros(3), SamplerCfg(steps=D), np.random.default_rng(42))
+            out = euler_sample(replace(net, sampler_steps=D), np.zeros(3),
+                               np.random.default_rng(42))
             # independent implementation of the same recurrence
             x = np.random.default_rng(42).standard_normal(2)
             for _ in range(D):
@@ -236,8 +243,8 @@ class TestEulerSampler:
             assert np.max(np.abs(out - (x1 - u))) < 1e-12
 
     def test_linear_field_matches_ode(self):
-        net = identity_on_action_net()
-        out = euler_sample(net, np.zeros(3), SamplerCfg(steps=1000), np.random.default_rng(7))
+        net = replace(identity_on_action_net(), sampler_steps=1000)
+        out = euler_sample(net, np.zeros(3), np.random.default_rng(7))
         x1 = np.random.default_rng(7).standard_normal(2)
         analytic = np.exp(-1.0) * x1
         assert np.max(np.abs(out - analytic) / np.abs(analytic)) < 0.02
@@ -245,38 +252,38 @@ class TestEulerSampler:
     def test_rows_draw_from_their_own_streams(self):
         net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(3))
         obs = np.random.default_rng(4).standard_normal((3, 3))
-        cfg = SamplerCfg(steps=5)
-        rows = euler_sample(net, obs, cfg, [np.random.default_rng(s) for s in (1, 2, 3)])
+        rows = euler_sample(net, obs, [np.random.default_rng(s) for s in (1, 2, 3)])
         assert rows.shape == (3, 2)
         for row, o, s in zip(rows, obs, (1, 2, 3)):
-            single = euler_sample(net, o, cfg, np.random.default_rng(s))
+            single = euler_sample(net, o, np.random.default_rng(s))
             np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_matches_per_step_forward_loop_bit_for_bit(self, n):
-        net = init_net(2, 5, hidden=(16, 16), time_embed_dim=6, rng=np.random.default_rng(2))
+        """The sampler takes the net's own `sampler_steps` D steps (5, then 2)."""
+        D = 5 if n == 1 else 2
+        net = init_net(2, 5, hidden=(16, 16), time_embed_dim=6, sampler_steps=D,
+                       rng=np.random.default_rng(2))
         obs = np.random.default_rng(5).standard_normal((n, 5))
-        cfg = SamplerCfg(steps=5)
         seeds = range(10, 10 + n)
-        out = euler_sample(net, obs, cfg, [np.random.default_rng(s) for s in seeds])
+        out = euler_sample(net, obs, [np.random.default_rng(s) for s in seeds])
         # the sampler's recurrence, one `forward` call per step
         x = np.array([np.random.default_rng(s).standard_normal(2) for s in seeds])
-        for k in range(cfg.steps):
-            x = x - forward(net, x, 1.0 - k / cfg.steps, obs) / cfg.steps
+        for k in range(D):
+            x = x - forward(net, x, 1.0 - k / D, obs) / D
         assert np.array_equal(out, x)
-        single = euler_sample(net, obs[0], cfg, np.random.default_rng(10))
+        single = euler_sample(net, obs[0], np.random.default_rng(10))
         x = np.random.default_rng(10).standard_normal(2)
-        for k in range(cfg.steps):
-            x = x - forward(net, x, 1.0 - k / cfg.steps, obs[0]) / cfg.steps
+        for k in range(D):
+            x = x - forward(net, x, 1.0 - k / D, obs[0]) / D
         assert single.shape == (2,) and np.array_equal(single, x)
         if n == 1:  # one observation is the batch of one
             assert np.array_equal(single, out[0])
 
     def test_same_seed_same_action(self):
         net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(3))
-        cfg = SamplerCfg(steps=5)
-        a1 = euler_sample(net, np.ones(3), cfg, np.random.default_rng(9))
-        a2 = euler_sample(net, np.ones(3), cfg, np.random.default_rng(9))
+        a1 = euler_sample(net, np.ones(3), np.random.default_rng(9))
+        a2 = euler_sample(net, np.ones(3), np.random.default_rng(9))
         assert np.array_equal(a1, a2)
 
 
@@ -341,6 +348,37 @@ class TestCheckpoints:
         # the same bytes
         save_policy(back, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("steps", [2, 5])
+    def test_sampler_steps_written_unless_five(self, tmp_path, steps):
+        """A checkpoint holds the net's `sampler_steps` unless it is 5, the
+        count of every file written before the field existed, and one without
+        the key loads as 5: files that predate it keep loading and keep their
+        bytes."""
+        import json
+        net = init_net(2, 3, hidden=(4,), sampler_steps=steps, rng=np.random.default_rng(0))
+        path = tmp_path / "p.json"
+        save_policy(net, path)
+        doc = json.loads(path.read_text())
+        assert doc.get("sampler_steps") == (None if steps == 5 else steps)
+        assert load_policy(path).sampler_steps == steps
+        doc["sampler_steps"] = steps  # written out, the default reads the same
+        path.write_text(json.dumps(doc))
+        assert load_policy(path).sampler_steps == steps
+
+    @pytest.mark.parametrize("value, message", [
+        (0, r"inconsistent checkpoint \(sampler_steps must be an integer in \[1, 10000\], "
+            r"got 0\)"),
+        (True, "'sampler_steps' must be an integer"),
+        (1.5, "'sampler_steps' must be an integer"),
+    ])
+    def test_bad_sampler_steps_named(self, tmp_path, value, message):
+        import json
+        path = tmp_path / "p.json"
+        save_policy(init_net(2, 3, hidden=(4,)), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "sampler_steps": value}))
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: {message}$"):
+            load_policy(path)
 
     def test_corrupted_shape_header(self, tmp_path):
         import json
@@ -415,9 +453,16 @@ class TestCheckpoints:
         (lambda d: d["layer_shapes"][0].pop(), r"'layer_shapes\[0\]' must be \[rows, cols\]"),
         (lambda d: d["params"][1][0][0].__setitem__(0, float("nan")),
          r"'params\[1\]' holds non-finite values"),
+        # a boolean or a quoted number is no number: numpy read them as 1.0
+        (lambda d: d["params"][0][0][1].__setitem__(0, True),
+         r"'params\[0\]' is not a rectangular numeric array \(must be numeric\)"),
+        (lambda d: d["params"][1][1].__setitem__(0, "0.5"),
+         r"'params\[1\]' is not a rectangular numeric array \(must be numeric\)"),
+        (lambda d: d.update(version=True), r"unsupported checkpoint version True"),
         # layer shapes that fit the params, but not the header's input width
         (lambda d: d.update(obs_dim=4), "inconsistent checkpoint"),
-    ], ids=["no_layers", "one_entry_shape", "nan_weight", "obs_dim"])
+    ], ids=["no_layers", "one_entry_shape", "nan_weight", "bool_weight", "string_bias",
+            "bool_version", "obs_dim"])
     def test_malformed_params_named(self, tmp_path, edit, message):
         path = self._edited_checkpoint(tmp_path, edit)
         with pytest.raises(CheckpointError, match=rf"p\.json: {message}"):
@@ -479,7 +524,7 @@ class TestTrainingBehaviour:
         def mean_err(D, n=128):
             rng = np.random.default_rng(5)
             errs = [np.linalg.norm(
-                euler_sample(net, self.OBS, SamplerCfg(steps=D), rng) - self.A_EXP)
+                euler_sample(replace(net, sampler_steps=D), self.OBS, rng) - self.A_EXP)
                 for _ in range(n)]
             return float(np.mean(errs))
         e5, e100 = mean_err(5), mean_err(100)

@@ -1,13 +1,16 @@
-"""Fuzz tests of the input boundary: mutated valid documents either load or
-raise a flowtrack error that names the file, and `--set` assignments either
-load or raise one that names the key.
+"""Fuzz tests of the input boundary: mutated valid documents either load and
+mean what they say, or raise a flowtrack error that names the file, and
+`--set` assignments either load or raise one that names the key.
 
 Each case starts from a valid document (a policy or residual checkpoint, the
 built-in actuator catalog, an env config, a motion file), applies a few random
 edits anywhere in its tree (replace a value with any JSON value, delete a key
 or an item, add a key or an item), writes it and loads it. No case may end in
 TypeError, KeyError, IndexError, a bare ValueError or any other exception
-outside `flowtrack.errors`.
+outside `flowtrack.errors`. A document that loads is re-typed from what
+loaded (written again by the program's own writer, for a motion or a
+checkpoint), and every value the document states must come back, a boolean
+as a boolean: a load may fill in defaults, but never change a value.
 """
 
 import copy
@@ -23,7 +26,7 @@ from flowtrack import cli, distill, errors, flow
 from flowtrack.actuation import default_catalog, load_catalog
 from flowtrack.env import DEFAULT_ENV_CONFIG, ArmEnv
 from flowtrack.fileio import read_config
-from flowtrack.motion import load_motion, save_motion
+from flowtrack.motion import QUAT_NORM_TOL, load_motion, save_motion
 
 from conftest import make_sine
 
@@ -66,7 +69,7 @@ def _fuzzed(data, doc, path):
     for _ in range(data.draw(st.integers(1, 3))):
         doc = _mutate(data, doc)
     path.write_text(json.dumps(doc))
-    return path
+    return path, doc
 
 
 def _assert_typed_like(value, default, key="top level"):
@@ -92,6 +95,61 @@ def _loads_or_names_file(load, path):
         return None
 
 
+LOADERS = {"policy": flow.load_policy, "residual": distill.load_residual,
+           "catalog": load_catalog, "motion": load_motion,
+           "env": lambda path: read_config(DEFAULT_ENV_CONFIG, path)}
+
+
+def _retyped(kind, loaded, path):
+    """What loaded, as the JSON document it stands for. A motion or a
+    checkpoint is written again to `path` by its saver, which leaves out a
+    policy's `sampler_steps` at its default; it is put back."""
+    if kind == "catalog":
+        return {name: dataclasses.asdict(p) for name, p in loaded.items()}
+    if kind == "env":
+        return loaded
+    {"policy": flow.save_policy, "residual": distill.save_residual,
+     "motion": save_motion}[kind](loaded, path)
+    doc = json.loads(path.read_text())
+    return {**doc, "sampler_steps": loaded.sampler_steps} if kind == "policy" else doc
+
+
+def _assert_same_values(loaded, doc, key="top level"):
+    """Every value that `doc` states is the one at its place in `loaded`, a
+    re-typed document: objects key by key (`loaded` may hold more keys, the
+    defaults a load fills in), arrays item by item, a boolean as the same
+    boolean, a number as an equal number that is no boolean (an integer may
+    come back as the float it rounds to), and a quaternion entry within the
+    renormalization a load applies."""
+    if isinstance(doc, dict):
+        assert isinstance(loaded, dict), key
+        for k, v in doc.items():
+            assert k in loaded, f"{key}: key {k!r} was dropped"
+            _assert_same_values(loaded[k], v, f"{key}.{k}")
+    elif isinstance(doc, list):
+        assert isinstance(loaded, list) and len(loaded) == len(doc), key
+        for i, (a, b) in enumerate(zip(loaded, doc)):
+            _assert_same_values(a, b, f"{key}.{i}")
+    elif isinstance(doc, bool) or isinstance(loaded, bool):
+        assert loaded is doc, f"{key}: {doc!r} loaded as {loaded!r}"
+    elif isinstance(doc, (int, float)):
+        assert isinstance(loaded, (int, float)), f"{key}: {doc!r} loaded as {loaded!r}"
+        want = float(doc) if isinstance(loaded, float) else doc
+        tol = 2 * QUAT_NORM_TOL if ".base_quat." in key else 0.0
+        assert abs(loaded - want) <= tol, f"{key}: {doc!r} loaded as {loaded!r}"
+    else:
+        assert loaded == doc, f"{key}: {doc!r} loaded as {loaded!r}"
+
+
+def _loads_as_written(kind, path, doc):
+    """The document `doc` at `path`, loaded: either what loaded means what
+    `doc` says, or the load raised a flowtrack error naming the file (None)."""
+    loaded = _loads_or_names_file(LOADERS[kind], path)
+    if loaded is not None:
+        _assert_same_values(_retyped(kind, loaded, path.with_name("again.json")), doc)
+    return loaded
+
+
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
@@ -113,36 +171,33 @@ def documents(tmp_path_factory):
 @FUZZ
 @given(data=st.data())
 def test_policy_checkpoint(documents, tmp_path, data):
-    _loads_or_names_file(flow.load_policy,
-                         _fuzzed(data, documents["policy"], tmp_path / "fz_policy.json"))
+    _loads_as_written("policy", *_fuzzed(data, documents["policy"], tmp_path / "fz_policy.json"))
 
 
 @FUZZ
 @given(data=st.data())
 def test_residual_checkpoint(documents, tmp_path, data):
-    _loads_or_names_file(distill.load_residual,
-                         _fuzzed(data, documents["residual"], tmp_path / "fz_residual.json"))
+    _loads_as_written("residual",
+                      *_fuzzed(data, documents["residual"], tmp_path / "fz_residual.json"))
 
 
 @FUZZ
 @given(data=st.data())
 def test_actuator_catalog(documents, tmp_path, data):
-    _loads_or_names_file(load_catalog,
-                         _fuzzed(data, documents["catalog"], tmp_path / "fz_catalog.json"))
+    _loads_as_written("catalog",
+                      *_fuzzed(data, documents["catalog"], tmp_path / "fz_catalog.json"))
 
 
 @FUZZ
 @given(data=st.data())
 def test_motion(documents, tmp_path, data):
-    _loads_or_names_file(load_motion,
-                         _fuzzed(data, documents["motion"], tmp_path / "fz_motion.json"))
+    _loads_as_written("motion", *_fuzzed(data, documents["motion"], tmp_path / "fz_motion.json"))
 
 
 @FUZZ
 @given(data=st.data())
 def test_env_config(documents, tmp_path, data):
-    cfg = _loads_or_names_file(lambda path: read_config(DEFAULT_ENV_CONFIG, path),
-                               _fuzzed(data, documents["env"], tmp_path / "fz_env.json"))
+    cfg = _loads_as_written("env", *_fuzzed(data, documents["env"], tmp_path / "fz_env.json"))
     if cfg is not None:
         # a config that merges has the default's types everywhere; building
         # the env checks ranges and raises only flowtrack errors
@@ -151,6 +206,28 @@ def test_env_config(documents, tmp_path, data):
             ArmEnv(cfg)
         except FLOWTRACK_ERRORS:
             pass
+
+
+@pytest.mark.parametrize("kind, place", [
+    ("motion", ("frames", 1, "q", 0)),  # "q": [true, 0.03] loaded as [1.0, 0.03]
+    ("motion", ("frames", 0, "body_pos", 1, 2)),
+    ("policy", ("params", 0, 0, 1, 2)),
+    ("policy", ("params", 1, 1, 0)),
+    ("residual", ("params", 0, 0, 0, 0)),
+    ("catalog", ("5020-16", "mu_s")),
+    ("env", ("gravity",)),
+    ("policy", ("version",)),
+])
+def test_boolean_in_place_of_a_number(documents, tmp_path, kind, place):
+    """`true` where a number belongs is refused, never read as 1.0."""
+    doc = copy.deepcopy(documents[kind])
+    node = doc
+    for part in place[:-1]:
+        node = node[part]
+    node[place[-1]] = True
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert _loads_as_written(kind, path, doc) is None
 
 
 # ---------------------------------------------------------------------------

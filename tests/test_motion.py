@@ -86,6 +86,11 @@ class TestLoadSave:
         ("q", lambda d: d["frames"][1].update(q=["x"])),
         pytest.param("q", lambda d: d["frames"][1].update(q=["0.1"]), id="q-string"),
         pytest.param("q", lambda d: d["frames"][1].update(q=[None]), id="q-null"),
+        # numpy's nested build read a boolean among numbers as 1.0
+        pytest.param("q", lambda d: d["frames"][1].update(q=[True]), id="q-boolean"),
+        pytest.param("body_pos", lambda d: d["frames"][0]["body_pos"][0].__setitem__(2, False),
+                     id="body_pos-boolean"),
+        pytest.param("q", lambda d: d["frames"][1].update(q=[[0.1]]), id="q-array"),
         pytest.param("contacts", lambda d: d["frames"][1].update(contacts=["false"]),
                      id="contacts-string"),
         pytest.param("contacts", lambda d: d["frames"][1].update(contacts=[0]),

@@ -20,7 +20,7 @@ from flowtrack.actuation import ActuatorParams
 from flowtrack.env import (MAX_DISTURBANCE, ArmEnv, ExpertPolicy, RandomizationCfg, _disturbances,
                            _solve, expert_action)
 from flowtrack.errors import ValidationError
-from flowtrack.flow import FMBatch, SamplerCfg, clone_net, euler_sample, init_net
+from flowtrack.flow import FMBatch, clone_net, euler_sample, init_net
 from flowtrack.motion import finite_difference, segment_clips
 
 from conftest import NO_RANDOMIZATION, make_sine
@@ -548,7 +548,7 @@ def serial_dagger(env, experts, net, cfg):
             while not done:
                 a_exp = expert_action(experts[m], env)
                 iter_rows.append((obs, a_exp))
-                a = euler_sample(net, obs, cfg.sampler, rng)
+                a = euler_sample(net, obs, rng)
                 obs, _, done, _ = env.step(a)
         rows += iter_rows
         obs_rows, act_rows = (np.array(col) for col in zip(*iter_rows))
@@ -621,9 +621,9 @@ def test_dagger_is_the_serial_loop(seed, episodes, experts, sampler_steps, early
                   **({} if early else {"thresholds": NO_TERMINATION}),
                   **({} if randomize else {"randomization": NO_RANDOMIZATION})})
     cfg = DistillCfg(iterations=2, episodes_per_iter=episodes, gradient_steps=3,
-                     batch_size=16, sampler=SamplerCfg(steps=sampler_steps), seed=seed)
+                     batch_size=16, seed=seed)
     experts = [ExpertPolicy(CLIPS[name], lookahead=lookahead) for name, lookahead in experts]
-    assert_dagger_is_serial(env, experts, cfg)
+    assert_dagger_is_serial(env, experts, cfg, replace(NET, sampler_steps=sampler_steps))
 
 
 def test_dagger_oracle_covers_early_ends_and_held_frames():
@@ -710,7 +710,7 @@ def test_skip_episode_is_a_full_episode(ranges, sampler_steps, n_experts, episod
                   "randomization": ranges})
     ran, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
     ran.integers(n_experts)
-    log, = rollout_batch(env, NET, [(MOTION, [ran], None)], sampler=SamplerCfg(steps=sampler_steps))
+    log, = rollout_batch(env, replace(NET, sampler_steps=sampler_steps), [(MOTION, [ran], None)])
     assert log["steps"][0] == episode_len
     skipped.integers(n_experts)
     env.skip_episode(skipped, NET.action_dim)
