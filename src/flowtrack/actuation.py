@@ -118,7 +118,10 @@ def load_catalog(path) -> dict[str, ActuatorParams]:
     `ActuatorParams` invariant raise ValidationError; both name the file and
     the actuator.
     """
-    doc = read_json(path, SchemaError)
+    return read_json(path, SchemaError, lambda doc: _catalog_from_doc(doc, path))
+
+
+def _catalog_from_doc(doc, path) -> dict[str, ActuatorParams]:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: catalog must be an object")
     example = dict.fromkeys(_PARAM_FIELDS, 0.0)

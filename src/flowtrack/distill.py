@@ -297,7 +297,15 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
     Each episode's env and policy noise come from independent child streams of
     its seed, so an episode's trajectory depends on its motion, residual and
     seed only, not on the batch it runs in. A seed may be a Generator instead,
-    which is then both streams, drawn in the order of a single episode.
+    which is then both streams, drawn in the order of a single episode. The
+    rows of one seed (equal seeds, or one Generator object) share one stream
+    pair: each step draws its starting noise once per distinct policy stream
+    of the running rows and its disturbance once per distinct env stream
+    (`ArmEnv.reset`), and a stream draws at a step only when one of its rows
+    runs, which ran every step before, so each row gets the draws of its
+    episode alone. A Generator given for two rows is thus shared by them, not
+    drawn from in turn; two episodes that start from one stream's position
+    each need their own copy of it (as `dagger_train` makes).
     Returns one log per group, in group order, of views into the batch's
     arrays: the group's (T, m, ...) trajectories (T = env.episode_len, m its
     seeds), zero past an episode's `steps`, its (m,) `steps` and
@@ -321,12 +329,16 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
     if 0 in sizes:
         raise ValidationError(f"row group {sizes.index(0)} has no seeds")
     group_of_row = np.repeat(np.arange(len(groups)), sizes)
-    streams = [(s, s) if isinstance(s, np.random.Generator) else np.random.default_rng(s).spawn(2)
-               for _, seeds, _ in groups for s in seeds]
-    policy_rngs = [policy_rng for _, policy_rng in streams]
+    # each distinct seed (a Generator by identity) once, in order of first
+    # use, and each row's index into them
+    slot = {}
+    stream_of_row = np.array([slot.setdefault(s, len(slot)) for _, seeds, _ in groups
+                              for s in seeds])
+    env_rngs, policy_rngs = zip(*[(s, s) if isinstance(s, np.random.Generator)
+                                  else np.random.default_rng(s).spawn(2) for s in slot])
     obs = env.reset([motion for motion, seeds, _ in groups for _ in seeds],
-                    [env_rng for env_rng, _ in streams], mode=mode)
-    n, T, J = len(streams), env.episode_len, env.n_joints
+                    [env_rngs[k] for k in stream_of_row], mode=mode)
+    n, T, J, A = len(stream_of_row), env.episode_len, env.n_joints, net.action_dim
     a_prev = np.zeros((n, J))  # the total action each running row applied last
     log = {
         "rewards": np.zeros((T, n)),
@@ -340,16 +352,16 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
     n_running = 0
     for t in range(T):
         rows = env.running
-        if len(rows) != n_running:  # (re)group the running rows
+        if len(rows) != n_running:  # (re)group the running rows and their streams
             n_running = len(rows)
             split = _group_blocks(group_of_row[rows])
-            sample_blocks = [(pos, [policy_rngs[i] for i in rows[pos].ravel()])
-                             for pos, _ in split]
+            streams, stream_row = np.unique(stream_of_row[rows], return_inverse=True)
             if residual is not None:
                 res_blocks = [(pos, [(W[g], b[g]) for W, b in layers]) for pos, g in split]
-        a_flow = np.empty((n_running, net.action_dim))
-        for pos, rngs in sample_blocks:
-            a_flow[pos] = euler_sample(net, obs[pos], rngs)
+        noise = np.array([policy_rngs[k].standard_normal(A) for k in streams])[stream_row]
+        a_flow = np.empty((n_running, A))
+        for pos, _ in split:
+            a_flow[pos] = euler_sample(net, obs[pos], noise[pos])
         if keep_obs:
             log["obs"][t, rows] = obs
         a = a_flow

@@ -210,9 +210,13 @@ class ArmEnv:
         """Start an episode on `motion`; returns the initial observation.
 
         `rng` is a numpy Generator or a seed. A list of Generators (or seeds)
-        starts a batch instead: one independent episode per entry, each drawing
-        from its own stream in the order a single episode does, with (N,
-        obs_dim) observations. `motion` is one `MotionClip` for every episode,
+        starts a batch instead: one episode per entry, with (N, obs_dim)
+        observations. Each distinct Generator (by identity) is one stream,
+        drawn in the order a single episode draws: the episodes listed with
+        it share each of its draws, here and at every step while any of them
+        runs, so each is the episode that its stream gives alone (`step_batch`
+        draws on a stream only when a row of it runs, and a row that runs ran
+        every step before). `motion` is one `MotionClip` for every episode,
         or a list of N clips, one per episode: each episode tracks its own
         clip and holds that clip's last frame once it runs past it, so it is
         the episode that its clip and stream give alone. Aggressive mode
@@ -248,9 +252,14 @@ class ArmEnv:
         rand = self.randomization
         if mode == "aggressive":
             rand = rand.scaled(rand.aggressive_factor)
-        self._batch, self._rngs, self._mode, self._rand = batch, rngs, mode, rand
+        self._batch, self._mode, self._rand = batch, mode, rand
+        # each distinct stream (by identity) once, in order of first use, and
+        # each row's index into them
+        slot = {}
+        self._stream = np.array([slot.setdefault(id(r), len(slot)) for r in rngs])
+        self._rngs = list({id(r): r for r in rngs}.values())
         draws = [_episode_draws(r, rand, J) for r in self._rngs]
-        mass, friction, q0_offset, pose_noise = (np.array(d) for d in zip(*draws))
+        mass, friction, q0_offset, pose_noise = (np.array(d)[self._stream] for d in zip(*draws))
         self._masses_ep = self.masses * (1.0 + mass)
         # 1 + friction >= 0, as RandomizationCfg bounds friction_scale by 1
         p, friction_scale = self._joint_params, (1.0 + friction)[:, None]
@@ -265,6 +274,7 @@ class ArmEnv:
         self._steps = np.zeros(n, dtype=int)
         self._running = np.arange(n)
         self._consts = None  # the last batch's row constants
+        self._draws = None  # and its row -> stream index
         self._label_params = {}  # expert_action's params, per episode row
         # each episode's last observation is the record of what its policy
         # saw, and the next step takes its history from it; at reset there is
@@ -357,6 +367,15 @@ class ArmEnv:
                             per_row(self.kd), per_row(self.action_scale), per_row(self._c, (J, J)),
                             per_row(self._gcoef), per_row(self._armature_M, (J, J)))
         return self._consts[1:]
+
+    def _running_streams(self):
+        """The distinct streams of the running episodes, as indices into
+        `_rngs`, and each running row's position among them. Built again
+        only when the running set changes, as `_row_constants` is."""
+        n = self._running.size
+        if self._draws is None or self._draws[0] != n:
+            self._draws = (n, *np.unique(self._stream[self._running], return_inverse=True))
+        return self._draws[1:]
 
     # -- observation ---------------------------------------------------------
 
@@ -456,7 +475,8 @@ class ArmEnv:
             base_actions, dtype=float).reshape(n, J)
         rows = self._rows()
         history = self._obs[rows][:, self._hist_cols]
-        disturbance = _disturbances(self._rngs, self._running, self._rand, J)
+        streams, stream_row = self._running_streams()
+        disturbance = _disturbances(self._rngs, streams, self._rand, J)[stream_row]
         params, q0_eff, kp, kd, action_scale, *dynamics = self._row_constants()
         # a copy: the write-back below would change a view of the state
         q, qdot_pre = self._q[rows], self._qdot[rows].copy()
@@ -534,13 +554,14 @@ def _episode_draws(rng, rand: RandomizationCfg, J: int):
             rng.uniform(-rand.pose_noise, rand.pose_noise, J))
 
 
-def _disturbances(rngs, rows, rand: RandomizationCfg, J: int) -> np.ndarray:
-    """A control step's (len(rows), J) external joint torques, one row drawn
-    from the stream `rngs[i]` of each episode i in `rows`: the bits and stream
+def _disturbances(rngs, indices, rand: RandomizationCfg, J: int) -> np.ndarray:
+    """A control step's (len(indices), J) external joint torques, one row
+    drawn from each stream `rngs[i]`, i in `indices`, which `step_batch`
+    hands to every running episode of that stream: the bits and stream
     positions of `rngs[i].uniform(-b, b, J)`, which is -b + (2b) * r for J
     `random` doubles r (2b is exact, and finite under the cap on b)."""
-    out = np.empty((len(rows), J))
-    for i, row in zip(rows, out):
+    out = np.empty((len(indices), J))
+    for i, row in zip(indices, out):
         rngs[i].random(out=row)
     bound = rand.disturbance
     return -bound + (2.0 * bound) * out

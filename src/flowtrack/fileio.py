@@ -35,25 +35,32 @@ def write_atomic(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def read_json(path, error_type):
-    """The JSON document at `path`; a file that does not parse raises
-    `error_type` naming it.
+def read_json(path, error_type, build):
+    """`build(doc)` of the JSON document `doc` at `path`; a file that does not
+    parse raises `error_type` naming it.
 
-    The cyclic garbage collector is paused while the file decodes. A motion
-    file decodes to 10^4 to 10^5 dicts and lists; each new one counts
-    towards the collector's next automatic run, and each run walks part of
-    the tree built so far, hundreds of runs that find nothing to free. A
-    decoded tree holds no reference cycles, so no garbage waits on the
-    pause. The switch is process-wide, which is safe because flowtrack runs
-    on one thread; a caller that turned the collector off finds it off
-    afterwards."""
+    The cyclic garbage collector is paused while the file decodes and
+    `build` reads the decoded tree, until the tree is freed. A motion file
+    decodes to 10^4 to 10^5 dicts and lists; each new one counts towards
+    the collector's next automatic run, and each run walks part of the tree
+    built so far, hundreds of runs that find nothing to free; with the
+    collector back on while the tree lives, the next allocation starts a
+    run that walks all of it. Freed inside the pause, the tree takes its
+    count with it. A decoded tree holds no reference cycles, so no garbage
+    waits on the pause. The switch is process-wide, which is safe because
+    flowtrack runs on one thread; a caller that turned the collector off
+    finds it off afterwards."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error_type(f"{path}: not valid JSON ({exc})") from exc
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise error_type(f"{path}: not valid JSON ({exc})") from exc
+        value = build(doc)
+        del doc  # the tree goes here unless `value` holds it
+        return value
     finally:
         if was_enabled:
             gc.enable()
@@ -164,7 +171,9 @@ def config_section(section: str, renamed: dict | None = None):
 
 def read_config(defaults: dict, path) -> dict:
     """`defaults` with the JSON config file at `path`, if one is given, merged in."""
-    return merge_over(defaults, read_json(path, ConfigError) if path else {}, path)
+    if not path:
+        return merge_over(defaults, {}, path)
+    return read_json(path, ConfigError, lambda doc: merge_over(defaults, doc, path))
 
 
 def overlay(node, value):
@@ -228,7 +237,11 @@ def load_checkpoint(path, kind: str, header: dict, build):
     ValidationError for a checkpoint that is well formed but inconsistent.
     Every failure is a CheckpointError naming the file and the key.
     """
-    doc = read_json(path, CheckpointError)
+    return read_json(path, CheckpointError, lambda doc: _checkpoint_from_doc(doc, path, kind,
+                                                                         header, build))
+
+
+def _checkpoint_from_doc(doc, path, kind: str, header: dict, build):
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: top level must be an object")
     keys = ("version", "kind", *header, "params")

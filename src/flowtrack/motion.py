@@ -37,7 +37,12 @@ _FRAMES = {
 @dataclass(frozen=True)
 class MotionClip:
     """Time-indexed reference motion: the per-frame arrays of `_FRAMES`,
-    each (T, ...) with T >= 2 frames."""
+    each (T, ...) with T >= 2 frames.
+
+    A frame field given as nested lists is typed as a file's values are
+    (`fileio.json_array`); given as an array, it must be of a boolean dtype
+    for `contacts` and an integer or float one for the rest. Either error
+    names the field."""
 
     fps: float
     joint_names: tuple[str, ...]
@@ -52,8 +57,14 @@ class MotionClip:
         object.__setattr__(self, "fps", float(self.fps))
         object.__setattr__(self, "joint_names", tuple(str(n) for n in self.joint_names))
         object.__setattr__(self, "feet_indices", tuple(int(i) for i in self.feet_indices))
-        for key, (dtype, *_) in _FRAMES.items():
-            object.__setattr__(self, key, np.array(getattr(self, key), dtype=dtype))
+        for key, (dtype, *dims) in _FRAMES.items():
+            value = getattr(self, key)
+            if not isinstance(value, np.ndarray):
+                value = json_array(value, 1 + len(dims), dtype, f"{key} ")
+            elif value.dtype.kind not in ("b" if dtype is bool else "iuf"):
+                raise SchemaError(f"{key} must be {'boolean' if dtype is bool else 'numeric'}, "
+                                  f"got an array of dtype {value.dtype}")
+            object.__setattr__(self, key, np.array(value, dtype=dtype))
         self._validate()
         for key in _FRAMES:
             getattr(self, key).setflags(write=False)
@@ -116,7 +127,11 @@ class MotionClip:
 def load_motion(path) -> MotionClip:
     """Load a clip from the JSON motion format (see README / save_motion);
     every failure is a flowtrack error that names the file."""
-    doc = check_like(read_json(path, SchemaError), _TOP_EXAMPLE, SchemaError, path)
+    return read_json(path, SchemaError, lambda doc: _clip_from_doc(doc, path))
+
+
+def _clip_from_doc(doc, path) -> MotionClip:
+    doc = check_like(doc, _TOP_EXAMPLE, SchemaError, path)
     frames = doc["frames"]
     if not isinstance(frames, list) or not frames:
         raise SchemaError(f"{path}: 'frames' must be a non-empty array")

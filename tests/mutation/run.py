@@ -103,6 +103,32 @@ MUTANTS = (
            "pass",
            ("tests/test_fileio.py::test_read_json_leaves_the_collector_as_found",),
            "decoding pauses the cyclic collector and turns it back on"),
+    Mutant("read_json_builds_after_the_pause", "fileio.py",
+           """        value = build(doc)
+        del doc  # the tree goes here unless `value` holds it
+        return value
+    finally:
+        if was_enabled:
+            gc.enable()
+""",
+           """    finally:
+        if was_enabled:
+            gc.enable()
+    return build(doc)
+""",
+           ("tests/test_fileio.py::test_load_motion_starts_no_collection",),
+           "a reader builds from the decoded tree with the collector still paused"),
+    Mutant("stream_index_kept_when_rows_end", "env.py",
+           "if self._draws is None or self._draws[0] != n:",
+           "if self._draws is None:",
+           ("tests/test_rollout.py::test_shared_generators_equal_rows_on_copies",),
+           "the running rows' stream index is rebuilt when the running set shrinks"),
+    Mutant("shared_stream_drawn_per_row", "distill.py",
+           "for k in streams])[stream_row]",
+           "for k in streams[stream_row]])",
+           ("tests/test_rollout.py::test_shared_generators_equal_rows_on_copies",
+            "tests/test_rollout.py::test_refine_batches_draw_once_per_seed_per_step"),
+           "a stream that feeds several rows draws each step's noise once"),
     Mutant("frame_missing_keys_pass", "motion.py",
            "fr.keys() == _FRAMES.keys()",
            "fr.keys() <= _FRAMES.keys()",

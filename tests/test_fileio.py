@@ -14,7 +14,7 @@ from flowtrack.actuation import PowerPenaltyCfg
 from flowtrack.env import ArmEnv, RandomizationCfg
 from flowtrack.errors import ConfigError, SchemaError, ValidationError
 from flowtrack.fileio import check_like, config_section, read_json, require
-from flowtrack.motion import SynthMotionSpec, save_motion
+from flowtrack.motion import SynthMotionSpec, load_motion, save_motion
 
 from conftest import random_clip
 
@@ -35,17 +35,18 @@ def test_read_json_leaves_the_collector_as_found(tmp_path, gc_state, enabled):
     good.write_text('{"a": [1, 2.5]}')
     bad.write_text('{"a": ')
     (gc.enable if enabled else gc.disable)()
-    assert read_json(good, SchemaError) == {"a": [1, 2.5]}
+    assert read_json(good, SchemaError, dict) == {"a": [1, 2.5]}
     assert gc.isenabled() is enabled
     with pytest.raises(SchemaError, match="not valid JSON"):
-        read_json(bad, SchemaError)
+        read_json(bad, SchemaError, dict)
     assert gc.isenabled() is enabled
 
 
-def test_read_json_starts_no_collection(tmp_path, gc_state):
-    path = tmp_path / "m.json"
-    save_motion(random_clip(np.random.default_rng(0), T=2000, J=3, B=3, K=2), path)
+def collections_during(call):
+    """(the result of `call()`, the generations of the collections that
+    started while it ran), from a fresh collector count."""
     gc.enable()
+    gc.collect()
     starts = []
 
     def hook(phase, info):
@@ -54,10 +55,29 @@ def test_read_json_starts_no_collection(tmp_path, gc_state):
 
     gc.callbacks.append(hook)
     try:
-        doc = read_json(path, SchemaError)
+        return call(), starts
     finally:
         gc.callbacks.remove(hook)
+
+
+@pytest.fixture
+def motion_file(tmp_path):
+    path = tmp_path / "m.json"
+    save_motion(random_clip(np.random.default_rng(0), T=2000, J=3, B=3, K=2), path)
+    return path
+
+
+def test_read_json_starts_no_collection(motion_file, gc_state):
+    doc, starts = collections_during(lambda: read_json(motion_file, SchemaError, lambda doc: doc))
     assert len(doc["frames"]) == 2000
+    assert starts == []
+
+
+def test_load_motion_starts_no_collection(motion_file, gc_state):
+    """The pause lasts while the clip's arrays are built from the decoded
+    tree, until the tree is freed."""
+    clip, starts = collections_during(lambda: load_motion(motion_file))
+    assert clip.n_frames == 2000
     assert starts == []
 
 

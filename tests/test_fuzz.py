@@ -267,6 +267,36 @@ def assignments(draw):
     return key, raw
 
 
+def _set_value(raw):
+    """The value a --set gives: its JSON, or else the text itself."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
+def _overlaps(key, other) -> bool:
+    """One of the dotted paths is the other or lies below it."""
+    a, b = key.split("."), other.split(".")
+    return a[:len(b)] == b or b[:len(a)] == a
+
+
+def _at_path(tree, key):
+    for part in key.split("."):
+        tree = tree[int(part) if isinstance(tree, list) else part]
+    return tree
+
+
+def _assert_holds(node, value, key):
+    """`node` is `value` in the types of the tree: an object value was merged
+    key by key, and anything else put in place, equal as a number."""
+    if isinstance(value, dict) and isinstance(node, dict):
+        for k, v in value.items():
+            _assert_holds(node[k], v, f"{key}.{k}")
+    else:
+        assert node == value, f"{key}: {node!r} is not the assigned {value!r}"
+
+
 MOTION = make_sine((0.3, 0.2), 0.5, duration=1.0)
 
 
@@ -275,10 +305,14 @@ MOTION = make_sine((0.3, 0.2), 0.5, duration=1.0)
 def test_set_assignment(assigned):
     """The train and refine set-up of the assigned tree either loads or
     raises a flowtrack error naming the full key of one assignment; a tree
-    that takes the assignments has its defaults' types at every leaf."""
+    that takes the assignments has its defaults' types at every leaf and
+    holds each assignment that no later one overlaps at its path."""
     try:
         tree = cli._apply_sets(copy.deepcopy(SET_TREE), [f"{key}={raw}" for key, raw in assigned])
         _assert_typed_like(tree, SET_TREE)
+        for i, (key, raw) in enumerate(assigned):
+            if not any(_overlaps(key, later) for later, _ in assigned[i + 1:]):
+                _assert_holds(_at_path(tree, key), _set_value(raw), key)
         env = ArmEnv(tree["env"], section="env")
         cli._es_setup(tree["es"], env, 0)
         cli._train_setup(tree["train"], env, [MOTION], 0)

@@ -183,6 +183,59 @@ class TestLoadSave:
         assert load_motion(path).allclose(clip)
 
 
+def clip_fields(**changes):
+    """The frame fields of a valid two-frame clip, as nested lists, with `changes`."""
+    fields = {"fps": 50.0, "joint_names": ["j0"], "q": [[0.0], [0.1]],
+              "base_pos": [[0.0, 0.0, 0.0]] * 2, "base_quat": [[1, 0, 0, 0]] * 2,
+              "body_pos": [[[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.1]]], "contacts": [[True], [False]],
+              "feet_indices": [0]}
+    return {**fields, **changes}
+
+
+class TestConstruction:
+    """A clip built in a library call is typed as a loaded one: nested lists
+    as a file's values, arrays by dtype kind."""
+
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("q", [[True], [0.1]], SchemaError, "q must be numeric"),
+        ("contacts", [[1], [0.5]], SchemaError, "contacts must be numeric"),
+        ("body_pos", [[[0, 0, "x"]], [[0, 0, 0]]], SchemaError, "body_pos must be numeric"),
+        ("base_pos", [[0.0, 0.0, 0.0], [0.0, 0.0]], DimensionError, "base_pos rows differ"),
+        ("q", np.array([[True], [False]]), SchemaError, "q must be numeric, got .* bool"),
+        ("contacts", np.ones((2, 1)), SchemaError, "contacts must be boolean, got .* float64"),
+        ("contacts", np.ones((2, 1), dtype=int), SchemaError, "contacts must be boolean"),
+        ("base_quat", np.array([["1", "0", "0", "0"]] * 2), SchemaError, "base_quat must be"),
+    ])
+    def test_mistyped_frame_field_named(self, key, value, error, message):
+        with pytest.raises(error, match=message):
+            MotionClip(**clip_fields(**{key: value}))
+
+    def test_lists_and_numeric_arrays_give_the_same_clip(self):
+        listed = MotionClip(**clip_fields())
+        arrays = MotionClip(**clip_fields(
+            q=np.array([[0.0], [0.1]]), base_pos=np.zeros((2, 3), dtype=np.int32),
+            base_quat=np.array([[1, 0, 0, 0]] * 2), contacts=np.array([[True], [False]])))
+        assert listed.allclose(arrays)
+        for clip in (listed, arrays):
+            assert clip.q.dtype == clip.base_pos.dtype == clip.body_pos.dtype == float
+            assert clip.contacts.dtype == bool and clip.contacts.tolist() == [[True], [False]]
+
+    def test_library_clips_unchanged(self, tmp_path):
+        """Synthesized, sliced and loaded clips keep their values and dtypes."""
+        clip = synth_motion(SynthMotionSpec(2, 1.0, 50.0, amplitude=0.3, frequency=0.5))
+        T = clip.n_frames
+        t = np.arange(T)[:, None] * (1.0 / 50.0)
+        assert np.array_equal(clip.q, 0.3 * np.sin(2.0 * np.pi * 0.5 * t + np.zeros(2)))
+        assert clip.contacts.dtype == bool and clip.contacts.all()
+        part = clip.slice(3, 9)
+        for key in ("q", "base_pos", "base_quat", "body_pos", "contacts"):
+            assert getattr(part, key).dtype == getattr(clip, key).dtype
+            assert np.array_equal(getattr(part, key), getattr(clip, key)[3:9]), key
+        path = tmp_path / "m.json"
+        save_motion(clip, path)
+        assert load_motion(path).allclose(clip)
+
+
 class TestFiniteDifference:
     def test_constant_series_zero(self):
         out = finite_difference(np.ones((6, 3)), 0.02)

@@ -19,7 +19,7 @@ from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer, _flatten, _unfla
 from flowtrack.actuation import ActuatorParams
 from flowtrack.env import (MAX_DISTURBANCE, ArmEnv, ExpertPolicy, RandomizationCfg, _disturbances,
                            _solve, expert_action)
-from flowtrack.errors import ValidationError
+from flowtrack.errors import DimensionError, ValidationError
 from flowtrack.flow import FMBatch, clone_net, euler_sample, init_net
 from flowtrack.motion import finite_difference, segment_clips
 
@@ -120,6 +120,136 @@ def test_row_groups_match_separate_batches():
         assert log.keys() == alone.keys()
         for key, value in alone.items():
             assert np.array_equal(log[key], value), key
+
+
+# ---------------------------------------------------------------------------
+# Shared streams: the rows of one seed draw from one stream pair, once per
+# step, and each still gets the draws of its episode alone.
+
+# a residual per group, of other scales, so that rows of one stream end at
+# different steps and the running set's row -> stream index is rebuilt
+SHARED_RESIDUALS = [_variant(1), _variant(3, scale=1.0), _variant(5, scale=0.6)]
+
+
+def assert_logs_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.keys() == b.keys()
+        for key, value in b.items():
+            assert a[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("mode", ["base", "aggressive"])
+def test_shared_generators_equal_rows_on_copies(mode):
+    """Rows given one Generator object share its draws: the batch equals the
+    same batch with a `copy.deepcopy` of the stream in each row, bit for bit,
+    and each shared stream ends where its longest row's episode leaves it."""
+    def layout(g):  # g[0] twice in group 0 and once in each other group
+        return [[g[0], g[1], g[0]], [g[1], g[0]], [g[0]]]
+
+    gens = [np.random.default_rng(s) for s in (7, 8)]
+    start = copy.deepcopy(gens)
+    shared = rollout_batch(ENV, NET, [(MOTION, seeds, res) for seeds, res in
+                                      zip(layout(gens), SHARED_RESIDUALS)], mode=mode)
+    copies = rollout_batch(ENV, NET, [(MOTION, [copy.deepcopy(g) for g in seeds], res)
+                                      for seeds, res in zip(layout(start), SHARED_RESIDUALS)],
+                           mode=mode)
+    assert_logs_equal(shared, copies)
+    rows = [(k, res, int(steps)) for seeds, res, log in
+            zip(layout([0, 1]), SHARED_RESIDUALS, shared) for k, steps in zip(seeds, log["steps"])]
+    assert len({steps for k, _, steps in rows if k == 0}) > 1  # g[0]'s rows end apart
+    for k, gen in enumerate(gens):
+        _, res, _ = max((row for row in rows if row[0] == k), key=lambda row: row[2])
+        alone = copy.deepcopy(start[k])
+        rollout_batch(ENV, NET, [(MOTION, [alone], res)], mode=mode)
+        assert gen.bit_generator.state == alone.bit_generator.state
+
+
+def test_repeated_seeds_equal_separate_group_batches():
+    """A seed repeated within a group and across groups is one stream pair
+    in the batch; each group's log is still the batch of its triple alone."""
+    seeds = [[5, 5, 9], [9, 5], [5]]
+    groups = list(zip(seeds, SHARED_RESIDUALS))
+    logs = rollout_batch(ENV, NET, [(MOTION, s, res) for s, res in groups], mode="aggressive")
+    assert len({int(log["steps"][list(s).index(5)]) for (s, _), log in zip(groups, logs)}) > 1
+    assert_logs_equal(logs, [rollout_batch(ENV, NET, [(MOTION, s, res)], mode="aggressive")[0]
+                             for s, res in groups])
+    assert np.array_equal(logs[0]["body_pos"][:, 0], logs[0]["body_pos"][:, 1])
+
+
+def test_euler_sample_from_noise_is_its_generator_form():
+    """Starting noise drawn from copies of the Generators gives the actions
+    of the Generator forms, bit for bit, for one row, N rows and G groups."""
+    rng = np.random.default_rng(4)
+    obs = rng.standard_normal((6, NET.obs_dim))
+    for rows, gens in ((obs[0], np.random.default_rng(1)),
+                       (obs, [np.random.default_rng(s) for s in range(6)]),
+                       (obs.reshape(2, 3, -1), [np.random.default_rng(s) for s in range(6)])):
+        draws = copy.deepcopy([gens] if rows.ndim == 1 else gens)
+        noise = np.array([g.standard_normal(NET.action_dim) for g in draws])
+        want = euler_sample(NET, rows, gens)
+        got = euler_sample(NET, rows, noise.reshape(want.shape))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(DimensionError, match="noise of shape"):
+        euler_sample(NET, obs, np.zeros((5, NET.action_dim)))
+
+
+class CountingStream(np.random.Generator):
+    """A child stream that counts its calls of the policy's starting noise
+    (`standard_normal`) and of the step's disturbance (`random`)."""
+
+    calls = {"noise": 0, "disturbance": 0}
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls["noise"] += 1
+        return super().standard_normal(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls["disturbance"] += 1
+        return super().random(*args, **kwargs)
+
+
+class SpawnsCounting(np.random.Generator):
+    """`np.random.default_rng(seed)`, whose children count their draws."""
+
+    def spawn(self, n_children):
+        return [CountingStream(bg) for bg in self.bit_generator.spawn(n_children)]
+
+
+def test_refine_batches_draw_once_per_seed_per_step(monkeypatch):
+    """An ES generation of six candidates runs a batch of 8 groups of the 3
+    evaluation seeds, then one of 7: each step draws one starting noise and
+    one disturbance per seed with a running row, 3 + 3 at the first step
+    instead of 24 + 24, then 21 + 21. The counting streams give the bits of
+    the real ones. Tight thresholds end rows at different steps, so the
+    running set shrinks and a seed's stream stops once its last row ends."""
+    cfg = ESCfg(generations=1, population=6, episodes_per_eval=3, sigma=0.3, seed=2)
+    config = {"episode_len": 60, "thresholds": {"z_err_max": 0.1, "grav_err_max": 0.4,
+                                                "relax_factor": 1.5}}
+    want = es_refine(NET, RESIDUAL, ArmEnv(config), MOTION, cfg)
+    env = ArmEnv(config)
+    step_batch, per_step = env.step_batch, []
+
+    def counted(actions, base_actions=None):
+        calls, running, first = CountingStream.calls, env.running, env.step_count == 0
+        noise, calls["disturbance"] = calls["noise"], 0
+        out = step_batch(actions, base_actions)
+        # a group holds the 3 seeds in order, so row r runs on seed r % 3
+        per_step.append((first, running.size, len(set((running % 3).tolist())), noise,
+                         calls["disturbance"]))
+        calls["noise"] = 0
+        return out
+
+    monkeypatch.setattr(CountingStream, "calls", {"noise": 0, "disturbance": 0})
+    monkeypatch.setattr(env, "step_batch", counted)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seed if isinstance(
+        seed, np.random.Generator) else SpawnsCounting(np.random.PCG64(seed)))
+    got = es_refine(NET, RESIDUAL, env, MOTION, cfg)
+    assert np.array_equal(_flatten(got[0].params), _flatten(want[0].params))
+    assert got[1] == want[1]
+    assert [entry[1:] for entry in per_step if entry[0]] == [(24, 3, 3, 3), (21, 3, 3, 3)]
+    assert all(noise == disturbance == seeds for _, _, seeds, noise, disturbance in per_step)
+    assert len({rows for _, rows, *_ in per_step}) > 2  # rows end at other steps
+    assert any(seeds < 3 for _, _, seeds, *_ in per_step)
 
 
 def test_residual_input_is_cut_from_the_observation(monkeypatch):
