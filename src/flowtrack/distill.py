@@ -132,6 +132,8 @@ def dagger_train(env: ArmEnv, experts: list[ExpertPolicy], net: VelocityFieldNet
     again only when an iteration's batch row count differs from the last
     one's, and Adam updates the net in place.
     """
+    if not experts:
+        raise ValidationError("experts must hold at least one ExpertPolicy")
     net = clone_net(net)
     rng = np.random.default_rng(cfg.seed)
     T, K = env.episode_len, cfg.episodes_per_iter
@@ -299,13 +301,15 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
     seed only, not on the batch it runs in. A seed may be a Generator instead,
     which is then both streams, drawn in the order of a single episode. The
     rows of one seed (equal seeds, or one Generator object) share one stream
-    pair: each step draws its starting noise once per distinct policy stream
-    of the running rows and its disturbance once per distinct env stream
-    (`ArmEnv.reset`), and a stream draws at a step only when one of its rows
-    runs, which ran every step before, so each row gets the draws of its
-    episode alone. A Generator given for two rows is thus shared by them, not
-    drawn from in turn; two episodes that start from one stream's position
-    each need their own copy of it (as `dagger_train` makes).
+    pair, spawned once in order of first use, the order of the env's
+    streams: each step draws its disturbance once per distinct env stream of
+    the running rows (`ArmEnv.reset`) and its starting noise once per
+    distinct policy stream, both as `env.running_streams` lists them, and a
+    stream draws at a step only when one of its rows runs, which ran every
+    step before, so each row gets the draws of its episode alone. A
+    Generator given for two rows is thus shared by them, not drawn from in
+    turn; two episodes that start from one stream's position each need their
+    own copy of it (as `dagger_train` makes).
     Returns one log per group, in group order, of views into the batch's
     arrays: the group's (T, m, ...) trajectories (T = env.episode_len, m its
     seeds), zero past an episode's `steps`, its (m,) `steps` and
@@ -315,9 +319,11 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
     group's log is bit-equal to a batch of its triple alone. A residual sees
     each row's observation and last applied action.
     """
+    if not groups:
+        raise ValidationError("a rollout needs at least one row group")
     residuals = [r for _, _, r in groups]
-    residual = residuals[0] if groups else None  # gives the shared bound
-    if not groups or any(r is not residual and (
+    residual = residuals[0]  # gives the shared bound
+    if any(r is not residual and (
             r is None or residual is None or r.layer_sizes != residual.layer_sizes
             or r.bound != residual.bound) for r in residuals):
         raise ValidationError("row groups need residuals of one layer sizes and bound")
@@ -329,16 +335,16 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
     if 0 in sizes:
         raise ValidationError(f"row group {sizes.index(0)} has no seeds")
     group_of_row = np.repeat(np.arange(len(groups)), sizes)
-    # each distinct seed (a Generator by identity) once, in order of first
-    # use, and each row's index into them
-    slot = {}
-    stream_of_row = np.array([slot.setdefault(s, len(slot)) for _, seeds, _ in groups
-                              for s in seeds])
-    env_rngs, policy_rngs = zip(*[(s, s) if isinstance(s, np.random.Generator)
-                                  else np.random.default_rng(s).spawn(2) for s in slot])
+    # one (env, policy) stream pair per distinct seed (a Generator by
+    # identity), in order of first use: the order of the env's streams, so
+    # `env.running_streams` indexes `policy_rngs`
+    row_seeds = [s for _, seeds, _ in groups for s in seeds]
+    pairs = {s: (s, s) if isinstance(s, np.random.Generator) else np.random.default_rng(s).spawn(2)
+             for s in dict.fromkeys(row_seeds)}
+    policy_rngs = [policy for _, policy in pairs.values()]
     obs = env.reset([motion for motion, seeds, _ in groups for _ in seeds],
-                    [env_rngs[k] for k in stream_of_row], mode=mode)
-    n, T, J, A = len(stream_of_row), env.episode_len, env.n_joints, net.action_dim
+                    [pairs[s][0] for s in row_seeds], mode=mode)
+    n, T, J, A = len(row_seeds), env.episode_len, env.n_joints, net.action_dim
     a_prev = np.zeros((n, J))  # the total action each running row applied last
     log = {
         "rewards": np.zeros((T, n)),
@@ -355,7 +361,7 @@ def rollout_batch(env: ArmEnv, net: VelocityFieldNet, groups: list, mode: str = 
         if len(rows) != n_running:  # (re)group the running rows and their streams
             n_running = len(rows)
             split = _group_blocks(group_of_row[rows])
-            streams, stream_row = np.unique(stream_of_row[rows], return_inverse=True)
+            streams, stream_row = env.running_streams
             if residual is not None:
                 res_blocks = [(pos, [(W[g], b[g]) for W, b in layers]) for pos, g in split]
         noise = np.array([policy_rngs[k].standard_normal(A) for k in streams])[stream_row]

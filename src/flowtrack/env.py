@@ -130,6 +130,8 @@ class ArmEnv:
     episode is the case N = 1, for which `reset`, `step`, `q0_eff` and
     `mechanical_energy` take and return unbatched shapes. The observations
     are the state a caller reads: their first 2J columns are q and qdot.
+    `running` lists the episodes that still step and `running_streams` the
+    streams that feed them; both change only in `_set_running`.
 
     `config` is merged over `DEFAULT_ENV_CONFIG` (see `fileio.merge_over`).
     `section` is the dotted key of `config` in a larger config tree (the
@@ -200,8 +202,8 @@ class ArmEnv:
         P = self.proprio_dim
         self._hist_cols = np.r_[:P, P + self.command_dim:self.obs_dim - P][:self.history_len * P]
         # no episode until `reset`: a step finds no running row
-        self._steps, self._running = np.zeros(0, dtype=int), np.arange(0)
-        self._batch = False
+        self._steps, self._batch = np.zeros(0, dtype=int), False
+        self._set_running(np.arange(0))
 
     # -- episode lifecycle ---------------------------------------------------
 
@@ -212,11 +214,12 @@ class ArmEnv:
         `rng` is a numpy Generator or a seed. A list of Generators (or seeds)
         starts a batch instead: one episode per entry, with (N, obs_dim)
         observations. Each distinct Generator (by identity) is one stream,
-        drawn in the order a single episode draws: the episodes listed with
-        it share each of its draws, here and at every step while any of them
-        runs, so each is the episode that its stream gives alone (`step_batch`
-        draws on a stream only when a row of it runs, and a row that runs ran
-        every step before). `motion` is one `MotionClip` for every episode,
+        in order of first use, drawn in the order a single episode draws: the
+        episodes listed with it share each of its draws, here and at every
+        step while any of them runs, so each is the episode that its stream
+        gives alone (`step_batch` draws on a stream only when a row of it
+        runs, as `running_streams` lists them, and a row that runs ran every
+        step before). `motion` is one `MotionClip` for every episode,
         or a list of N clips, one per episode: each episode tracks its own
         clip and holds that clip's last frame once it runs past it, so it is
         the episode that its clip and stream give alone. Aggressive mode
@@ -272,9 +275,7 @@ class ArmEnv:
         self._q = self._ref_q[self._clip, 0] + pose_noise
         self._qdot = self._ref_qdot[self._clip, 0]
         self._steps = np.zeros(n, dtype=int)
-        self._running = np.arange(n)
-        self._consts = None  # the last batch's row constants
-        self._draws = None  # and its row -> stream index
+        self._set_running(np.arange(n))
         self._label_params = {}  # expert_action's params, per episode row
         # each episode's last observation is the record of what its policy
         # saw, and the next step takes its history from it; at reset there is
@@ -316,11 +317,6 @@ class ArmEnv:
     def _unbatch(self, rows: np.ndarray) -> np.ndarray:
         return rows if self._batch else rows[0]
 
-    def _rows(self):
-        """Index of the running episodes into the state arrays (a plain slice
-        while none has finished, so the common case copies nothing)."""
-        return slice(None) if self._running.size == self._steps.size else self._running
-
     @property
     def running(self) -> np.ndarray:
         """Indices of the episodes still running, in the row order of `step_batch`."""
@@ -348,34 +344,29 @@ class ArmEnv:
         frame."""
         return self._clip[rows], np.minimum(steps, self._last[rows])
 
-    def _row_constants(self):
-        """What a control step reads of the running episodes: actuator params,
-        q0_eff, kp, kd, action scale, and the `_terms` constants, each one
-        fresh row per episode (same-shape operands are cheaper than broadcast
-        ones, and give the same bits). Built again only when the running set
-        changes, which between resets only shrinks, so its size identifies it."""
-        n = self._running.size
-        if self._consts is None or self._consts[0] != n:
-            rows, J = self._rows(), self.n_joints
+    def _set_running(self, running: np.ndarray) -> None:
+        """Make the episodes `running` (ascending rows) the ones that step, and
+        derive what a step reads of them: `_rows`, their index into the state
+        arrays (a plain slice while none has finished, so the common case
+        copies nothing); `_consts`, their actuator params, q0_eff, kp, kd,
+        action scale and `_terms` constants, one fresh row per episode
+        (same-shape operands are cheaper than broadcast ones, and give the
+        same bits); `running_streams`, their distinct streams (indices into
+        `_rngs`) and each row's position among them."""
+        self._running = running
+        self._rows = rows = slice(None) if running.size == self._steps.size else running
+        if not running.size:
+            return
+        J, p = self.n_joints, self._actuators_ep
 
-            def per_row(a, tail=(J,)):
-                return np.broadcast_to(a, (self._steps.size, *tail))[rows].copy()
+        def per_row(a, tail=(J,)):
+            return np.broadcast_to(a, (self._steps.size, *tail))[rows].copy()
 
-            p = self._actuators_ep
-            params = replace(p, **{f: per_row(getattr(p, f)) for f in _PARAM_FIELDS})
-            self._consts = (n, params, per_row(self._q0_eff), per_row(self.kp),
-                            per_row(self.kd), per_row(self.action_scale), per_row(self._c, (J, J)),
-                            per_row(self._gcoef), per_row(self._armature_M, (J, J)))
-        return self._consts[1:]
-
-    def _running_streams(self):
-        """The distinct streams of the running episodes, as indices into
-        `_rngs`, and each running row's position among them. Built again
-        only when the running set changes, as `_row_constants` is."""
-        n = self._running.size
-        if self._draws is None or self._draws[0] != n:
-            self._draws = (n, *np.unique(self._stream[self._running], return_inverse=True))
-        return self._draws[1:]
+        self._consts = (replace(p, **{f: per_row(getattr(p, f)) for f in _PARAM_FIELDS}),
+                        per_row(self._q0_eff), per_row(self.kp), per_row(self.kd),
+                        per_row(self.action_scale), per_row(self._c, (J, J)),
+                        per_row(self._gcoef), per_row(self._armature_M, (J, J)))
+        self.running_streams = np.unique(self._stream[running], return_inverse=True)
 
     # -- observation ---------------------------------------------------------
 
@@ -473,11 +464,11 @@ class ArmEnv:
             raise ValidationError("non-finite action")
         base_actions = actions if base_actions is None else np.asarray(
             base_actions, dtype=float).reshape(n, J)
-        rows = self._rows()
+        rows = self._rows
         history = self._obs[rows][:, self._hist_cols]
-        streams, stream_row = self._running_streams()
+        streams, stream_row = self.running_streams
         disturbance = _disturbances(self._rngs, streams, self._rand, J)[stream_row]
-        params, q0_eff, kp, kd, action_scale, *dynamics = self._row_constants()
+        params, q0_eff, kp, kd, action_scale, *dynamics = self._consts
         # a copy: the write-back below would change a view of the state
         q, qdot_pre = self._q[rows], self._qdot[rows].copy()
         q_tar = q0_eff + action_scale * actions
@@ -498,7 +489,7 @@ class ArmEnv:
 
         if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
             step = int(self._steps[self._running[0]]) + 1
-            self._running = self._running[:0]
+            self._set_running(self._running[:0])
             raise NumericalBlowupError(f"state became non-finite at step {step}")
 
         self._q[rows], self._qdot[rows] = q, qdot
@@ -523,7 +514,8 @@ class ArmEnv:
         done = terminated | timeout
         obs = self._observe(rows, [q, qdot, base_actions], th, th_ref, history)
         self._obs[rows] = obs
-        self._running = self._running[~done]
+        if done.any():
+            self._set_running(self._running[~done])
 
         info = {
             "qdot_pre": qdot_pre,

@@ -128,7 +128,7 @@ def json_array(rows, ndim: int, dtype=float, what: str = "") -> np.ndarray:
         shape.append(n)
         flat = list(chain.from_iterable(flat))
     if not set(map(type, flat)) <= ({bool} if dtype is bool else {int, float}):
-        raise SchemaError(f"{what}must be numeric" + (" (JSON booleans)" if dtype is bool else ""))
+        raise SchemaError(f"{what}must be " + ("JSON booleans" if dtype is bool else "numeric"))
     try:
         return np.fromiter(flat, dtype, len(flat)).reshape(shape)
     except OverflowError as exc:  # an integer beyond float range

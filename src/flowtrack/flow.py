@@ -309,26 +309,18 @@ def euler_sample(net: VelocityFieldNet, obs, noise) -> np.ndarray:
     """Integrate the field from Gaussian noise at t=1 to an action at t=0.
 
     x starts at N(0, I); each of the net's D = `sampler_steps` steps applies
-    x <- x - v(x, t, obs)/D at t = 1 - k/D. `noise` is that start: the
-    array itself, one action row per observation row, or the Generators to
-    draw it from. `obs` is (N, obs_dim) rows with a list of N Generators:
-    each row draws its noise from its own stream, so its action does not
-    depend on the rows beside it (a Generator listed twice is drawn from in
-    turn, in row order). One observation with one Generator is the batch of
-    one row, returned as one action. (G, m, obs_dim) rows with G*m
-    Generators (row-major), or (G, m, action_dim) noise, are G groups, each
-    bit-equal to sampling its m rows alone (see `mlp_forward`). Given noise
-    gives the action that the Generators it was drawn from would give.
+    x <- x - v(x, t, obs)/D at t = 1 - k/D. `noise` is that start: an array
+    of the actions' shape, one action row per observation row, or one
+    Generator, which draws it as `standard_normal(shape)`, in row order. One
+    observation is the batch of one row, returned as one action; (G, m,
+    obs_dim) rows are G groups, each bit-equal to sampling its m rows alone
+    (see `mlp_forward`).
     """
     D, A, E = net.sampler_steps, net.action_dim, net.time_embed_dim
     shape = (*np.shape(obs)[:-1], A)
-    if isinstance(noise, np.ndarray):
-        if noise.shape != shape:
-            raise DimensionError(f"noise of shape {noise.shape} for actions of shape {shape}")
-        x = noise
-    else:
-        rngs = [noise] if np.ndim(obs) == 1 else noise
-        x = np.array([r.standard_normal(A) for r in rngs]).reshape(shape)
+    x = noise.standard_normal(shape) if isinstance(noise, np.random.Generator) else noise
+    if not (isinstance(x, np.ndarray) and x.shape == shape):
+        raise DimensionError(f"noise of shape {np.shape(x)} for actions of shape {shape}")
     # [x, time_embed(t), obs] rows, assembled and checked once; each step
     # writes the time-embedding columns and rewrites the action columns
     emb = _sampler_embedding(D, E)

@@ -58,10 +58,15 @@ MUTANTS = (
             "tests/test_rollout.py::test_dagger_oracle_covers_early_ends_and_held_frames"),
            "a visited observation is labelled at its own step, not the next"),
     Mutant("row_constants_kept_when_rows_end", "env.py",
-           "if self._consts is None or self._consts[0] != n:",
-           "if self._consts is None:",
+           "self._consts = (replace(p,",
+           "self._consts = self._consts if running.size < self._steps.size else (replace(p,",
            ("tests/test_env.py::TestBatch::test_running_rows_take_their_episode_params",),
            "the running rows' constants are rebuilt when the running set shrinks"),
+    Mutant("row_constants_kept_over_reset", "env.py",
+           "        self._set_running(np.arange(n))",
+           "        self._running = np.arange(n)",
+           ("tests/test_env.py::TestBatch::test_a_reset_rebuilds_what_a_step_reads",),
+           "a reset derives the new batch's row index, constants and streams"),
     Mutant("label_params_kept_over_reset", "env.py",
            "self._label_params = {}",
            "self._label_params = getattr(self, '_label_params', {})",
@@ -119,8 +124,9 @@ MUTANTS = (
            ("tests/test_fileio.py::test_load_motion_starts_no_collection",),
            "a reader builds from the decoded tree with the collector still paused"),
     Mutant("stream_index_kept_when_rows_end", "env.py",
-           "if self._draws is None or self._draws[0] != n:",
-           "if self._draws is None:",
+           "self.running_streams = np.unique(",
+           "self.running_streams = self.running_streams if running.size < self._steps.size "
+           "else np.unique(",
            ("tests/test_rollout.py::test_shared_generators_equal_rows_on_copies",),
            "the running rows' stream index is rebuilt when the running set shrinks"),
     Mutant("shared_stream_drawn_per_row", "distill.py",

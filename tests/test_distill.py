@@ -124,6 +124,12 @@ class TestReplayBuffer:
 
 
 class TestDaggerTrain:
+    def test_no_experts_named(self):
+        env = tiny_env(episode_len=30)
+        net = init_net(2, env.obs_dim, hidden=(8,), rng=np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="^experts must hold at least one ExpertPolicy$"):
+            dagger_train(env, [], net, DistillCfg(iterations=1))
+
     def test_zero_iterations_net_unchanged(self):
         env = tiny_env()
         motion = make_sine(0.2, 0.25, duration=4.0)

@@ -461,7 +461,7 @@ class TestBatch:
 
     def test_running_rows_take_their_episode_params(self):
         """Reset's friction-scaled actuator params hold one row per episode, and
-        the running rows' params of each step (`_row_constants`) are those
+        the running rows' params of each step (`_consts`) are those
         rows, while episodes end early and the running rows shrink."""
         env = ArmEnv({"episode_len": 60})
         clip = make_sine((0.8, 0.6), 1.2, phase=(0.0, 0.6), duration=2.0)
@@ -470,9 +470,9 @@ class TestBatch:
         assert env._actuators_ep.mu_s.shape == (4, 2)
         saw_subset = False
         while env.running.size:
-            rows = env._rows()
+            rows = env._rows
             saw_subset |= not isinstance(rows, slice)
-            params = env._row_constants()[0]
+            params = env._consts[0]
             assert np.array_equal(params.mu_s, env._actuators_ep.mu_s[rows])
             assert params.tau_y1.shape == (env.running.size, 2)
             env.step_batch([expert_action(ExpertPolicy(clip), env, row=i) for i in env.running])
@@ -492,12 +492,40 @@ class TestBatch:
         actions = np.random.default_rng(64).uniform(-4.0, 4.0, (40, 64, 2))
         sizes, t = set(), 0
         while env.running.size:
-            params = env._row_constants()[0]
+            params = env._consts[0]
             assert np.array_equal(params.v_span, params.v_x2 - params.v_x1)
             sizes.add(env.running.size)
             env.step_batch(actions[t, env.running])
             t += 1
         assert len(sizes) > 1  # rows did end early
+
+    def test_a_reset_rebuilds_what_a_step_reads(self):
+        """A reset after a batch whose running set shrank starts from its own
+        running rows, row constants and stream index (two rows share a
+        Generator here): the new batch steps as on a fresh env, bit for bit."""
+        clip = make_sine((0.8, 0.6), 1.2, phase=(0.0, 0.6), duration=2.0)
+        actions = np.random.default_rng(7).uniform(-4.0, 4.0, (40, 4, 2))
+
+        def run(env, rngs):
+            env.reset(clip, rngs, mode="aggressive")
+            sizes, obs = [], []
+            for t in range(40):
+                if env.running.size:
+                    sizes.append(env.running.size)
+                    obs.append(env.step_batch(actions[t, env.running])[0])
+            return sizes, obs
+
+        def streams():
+            shared = np.random.default_rng(10)
+            return [shared, shared, np.random.default_rng(11), np.random.default_rng(12)]
+
+        env = ArmEnv({"episode_len": 40})
+        sizes, _ = run(env, [np.random.default_rng(s) for s in range(4)])
+        assert sizes[0] == 4 and sizes[-1] < 4  # the first batch's rows ended apart
+        got, want = run(env, streams()), run(ArmEnv({"episode_len": 40}), streams())
+        assert got[0] == want[0]
+        for a, b in zip(got[1], want[1], strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_finished_rows_leave_the_running_set(self):
         env = ArmEnv({"episode_len": 30})

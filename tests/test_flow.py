@@ -250,9 +250,12 @@ class TestEulerSampler:
         assert np.max(np.abs(out - analytic) / np.abs(analytic)) < 0.02
 
     def test_rows_draw_from_their_own_streams(self):
+        """Each row's noise drawn from its own stream gives that stream's
+        action for the row alone."""
         net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(3))
         obs = np.random.default_rng(4).standard_normal((3, 3))
-        rows = euler_sample(net, obs, [np.random.default_rng(s) for s in (1, 2, 3)])
+        noise = np.array([np.random.default_rng(s).standard_normal(2) for s in (1, 2, 3)])
+        rows = euler_sample(net, obs, noise)
         assert rows.shape == (3, 2)
         for row, o, s in zip(rows, obs, (1, 2, 3)):
             single = euler_sample(net, o, np.random.default_rng(s))
@@ -265,10 +268,10 @@ class TestEulerSampler:
         net = init_net(2, 5, hidden=(16, 16), time_embed_dim=6, sampler_steps=D,
                        rng=np.random.default_rng(2))
         obs = np.random.default_rng(5).standard_normal((n, 5))
-        seeds = range(10, 10 + n)
-        out = euler_sample(net, obs, [np.random.default_rng(s) for s in seeds])
+        noise = np.array([np.random.default_rng(s).standard_normal(2) for s in range(10, 10 + n)])
+        out = euler_sample(net, obs, noise)
         # the sampler's recurrence, one `forward` call per step
-        x = np.array([np.random.default_rng(s).standard_normal(2) for s in seeds])
+        x = noise
         for k in range(D):
             x = x - forward(net, x, 1.0 - k / D, obs) / D
         assert np.array_equal(out, x)

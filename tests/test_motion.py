@@ -101,7 +101,8 @@ class TestLoadSave:
         edit(doc)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match=rf"m\.json: '{key}' must be numeric") as info:
+        want = "JSON booleans" if key == "contacts" else "numeric"
+        with pytest.raises(SchemaError, match=rf"m\.json: '{key}' must be {want}") as info:
             load_motion(path)
         assert str(info.value).count("m.json") == 1
 
@@ -198,7 +199,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("key, value, error, message", [
         ("q", [[True], [0.1]], SchemaError, "q must be numeric"),
-        ("contacts", [[1], [0.5]], SchemaError, "contacts must be numeric"),
+        ("contacts", [[1], [0.5]], SchemaError, "contacts must be JSON booleans"),
         ("body_pos", [[[0, 0, "x"]], [[0, 0, 0]]], SchemaError, "body_pos must be numeric"),
         ("base_pos", [[0.0, 0.0, 0.0], [0.0, 0.0]], DimensionError, "base_pos rows differ"),
         ("q", np.array([[True], [False]]), SchemaError, "q must be numeric, got .* bool"),

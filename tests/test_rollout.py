@@ -177,20 +177,26 @@ def test_repeated_seeds_equal_separate_group_batches():
 
 
 def test_euler_sample_from_noise_is_its_generator_form():
-    """Starting noise drawn from copies of the Generators gives the actions
-    of the Generator forms, bit for bit, for one row, N rows and G groups."""
+    """Starting noise drawn from a copy of the Generator gives the actions of
+    the Generator form, bit for bit, for one row, N rows and G groups."""
     rng = np.random.default_rng(4)
     obs = rng.standard_normal((6, NET.obs_dim))
-    for rows, gens in ((obs[0], np.random.default_rng(1)),
-                       (obs, [np.random.default_rng(s) for s in range(6)]),
-                       (obs.reshape(2, 3, -1), [np.random.default_rng(s) for s in range(6)])):
-        draws = copy.deepcopy([gens] if rows.ndim == 1 else gens)
-        noise = np.array([g.standard_normal(NET.action_dim) for g in draws])
-        want = euler_sample(NET, rows, gens)
-        got = euler_sample(NET, rows, noise.reshape(want.shape))
+    for rows in (obs[0], obs, obs.reshape(2, 3, -1)):
+        gen = np.random.default_rng(1)
+        noise = copy.deepcopy(gen).standard_normal((*rows.shape[:-1], NET.action_dim))
+        want = euler_sample(NET, rows, gen)
+        got = euler_sample(NET, rows, noise)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    with pytest.raises(DimensionError, match="noise of shape"):
-        euler_sample(NET, obs, np.zeros((5, NET.action_dim)))
+    # a stream per row, drawn into the noise: each (3, ...) group of the
+    # (2, 3, ...) rows is its 3 rows sampled alone
+    noise = np.array([np.random.default_rng(s).standard_normal(NET.action_dim) for s in range(6)])
+    groups = euler_sample(NET, obs.reshape(2, 3, -1), noise.reshape(2, 3, -1))
+    for g, group in enumerate(groups):
+        alone = euler_sample(NET, obs[3 * g:3 * g + 3], noise[3 * g:3 * g + 3])
+        assert group.tobytes() == alone.tobytes()
+    for bad in (np.zeros((5, NET.action_dim)), [np.random.default_rng(s) for s in range(6)]):
+        with pytest.raises(DimensionError, match="noise of shape"):
+            euler_sample(NET, obs, bad)
 
 
 class CountingStream(np.random.Generator):
@@ -250,6 +256,25 @@ def test_refine_batches_draw_once_per_seed_per_step(monkeypatch):
     assert all(noise == disturbance == seeds for _, _, seeds, noise, disturbance in per_step)
     assert len({rows for _, rows, *_ in per_step}) > 2  # rows end at other steps
     assert any(seeds < 3 for _, _, seeds, *_ in per_step)
+
+
+def test_refine_batch_spawns_one_stream_pair_per_seed(monkeypatch):
+    """A `refine`-shaped batch, 8 groups of the same 3 evaluation seeds,
+    spawns 3 (env, policy) stream pairs, one per distinct seed, not 24, and
+    its logs are those of the unpatched run."""
+    groups = [(MOTION, [5, 6, 7], _variant(k, scale=0.3)) for k in range(8)]
+    want = rollout_batch(ENV, NET, groups)
+    spawns = []
+
+    class Counted(np.random.Generator):
+        def spawn(self, n_children):
+            spawns.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seed if isinstance(
+        seed, np.random.Generator) else Counted(np.random.PCG64(seed)))
+    assert_logs_equal(rollout_batch(ENV, NET, groups), want)
+    assert spawns == [2, 2, 2]
 
 
 def test_residual_input_is_cut_from_the_observation(monkeypatch):
@@ -443,12 +468,17 @@ def test_group_blocks_are_stacked(group_of_row, want):
 
 
 @pytest.mark.parametrize("groups", [
-    [], [RESIDUAL, distill.init_residual(ENV, hidden=(4,), bound=0.4)],
+    [None, None, RESIDUAL], [RESIDUAL, distill.init_residual(ENV, hidden=(4,), bound=0.4)],
     [RESIDUAL, replace(RESIDUAL, bound=0.1)], [None, RESIDUAL], [RESIDUAL, None],
 ])
 def test_row_groups_need_one_shape(groups):
     with pytest.raises(ValidationError, match="layer sizes and bound"):
         rollout_batch(ENV, NET, [(MOTION, [1], res) for res in groups])
+
+
+def test_rollout_needs_a_row_group():
+    with pytest.raises(ValidationError, match="^a rollout needs at least one row group$"):
+        rollout_batch(ENV, NET, [])
 
 
 @pytest.mark.parametrize("sizes, empty", [([1, 0], 1), ([0], 0), ([2, 1, 0, 3], 2)])
