@@ -48,11 +48,11 @@ print(f"{'motion':<8}{'untrained':>11}{'distilled':>11}{'expert':>9}")
 for i, (name, motion) in enumerate((("slow", motions[0]), ("mid", motions[1]))):
     e_un = distill.closed_loop_joint_error(env, net0, motion, seed=100 + i)
     e_tr = distill.closed_loop_joint_error(env, net, motion, seed=100 + i)
-    env.reset(motion, 200)
+    env.reset(motion, [200])  # one episode: a batch of one
     errs, done = [], False
     while not done:
-        _, _, done, info = env.step(expert_action(experts[i], env))
-        errs.append(info["q_err"])
+        _, _, (done,), info = env.step_batch([expert_action(experts[i], env)])
+        errs.append(info["q_err"][0])
     e_ex = float(np.mean(errs))
     print(f"{name:<8}{e_un:>11.4f}{e_tr:>11.4f}{e_ex:>9.4f}")
 

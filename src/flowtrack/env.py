@@ -23,7 +23,7 @@ import numpy as np
 
 from . import actuation
 from .actuation import _PARAM_FIELDS, PowerPenaltyCfg
-from .errors import ConfigError, NumericalBlowupError, ValidationError
+from .errors import ConfigError, DimensionError, NumericalBlowupError, ValidationError
 from .fileio import config_section, merge_over, require
 from .metrics import TerminationThresholds, check_termination
 from .motion import MotionClip, arm_forward_kinematics, finite_difference
@@ -122,14 +122,13 @@ DEFAULT_ENV_CONFIG = {
 class ArmEnv:
     """J-joint torque-controlled pendulum arm tracking a reference motion.
 
-    The env runs one episode, or a batch of independent episodes that step
-    together: `reset` with a list of Generators (and one motion, or one per
-    episode), then `step_batch` with one action row per running episode.
-    State is held as (N, J) arrays either way, and the reference as (C, T, ...)
-    arrays of the batch's C distinct clips, padded to the longest; a single
-    episode is the case N = 1, for which `reset`, `step`, `q0_eff` and
-    `mechanical_energy` take and return unbatched shapes. The observations
-    are the state a caller reads: their first 2J columns are q and qdot.
+    The env runs a batch of N independent episodes that step together:
+    `reset` with a list of seeds or Generators (and one motion, or one per
+    episode), then `step_batch` with one action row per running episode. A
+    single episode is the batch of one. State is held as (N, J) arrays, and
+    the reference as (C, T, ...) arrays of the batch's C distinct clips,
+    padded to the longest. The observations are the state a caller reads:
+    their first 2J columns are q and qdot.
     `running` lists the episodes that still step and `running_streams` the
     streams that feed them; both change only in `_set_running`.
 
@@ -202,18 +201,18 @@ class ArmEnv:
         P = self.proprio_dim
         self._hist_cols = np.r_[:P, P + self.command_dim:self.obs_dim - P][:self.history_len * P]
         # no episode until `reset`: a step finds no running row
-        self._steps, self._batch = np.zeros(0, dtype=int), False
+        self._steps = np.zeros(0, dtype=int)
         self._set_running(np.arange(0))
 
     # -- episode lifecycle ---------------------------------------------------
 
-    def reset(self, motion: MotionClip | list[MotionClip], rng,
+    def reset(self, motion: MotionClip | list[MotionClip], rngs: list,
               mode: str = "base") -> np.ndarray:
-        """Start an episode on `motion`; returns the initial observation.
+        """Start a batch of episodes on `motion`; returns their (N, obs_dim)
+        initial observations.
 
-        `rng` is a numpy Generator or a seed. A list of Generators (or seeds)
-        starts a batch instead: one episode per entry, with (N, obs_dim)
-        observations. Each distinct Generator (by identity) is one stream,
+        `rngs` is a non-empty list of numpy Generators or seeds, one episode
+        per entry. Each distinct Generator (by identity) is one stream,
         in order of first use, drawn in the order a single episode draws: the
         episodes listed with it share each of its draws, here and at every
         step while any of them runs, so each is the episode that its stream
@@ -227,11 +226,10 @@ class ArmEnv:
         the termination thresholds by `relax_factor`.
         """
         require("mode", f"'{mode}'", mode in ("base", "aggressive"), "'base' or 'aggressive'")
-        batch = isinstance(rng, list)
+        require("rngs", rngs, isinstance(rngs, list) and len(rngs) > 0,
+                "a non-empty list of seeds or Generators")
         # a Generator passes through default_rng as the same object
-        rngs = [np.random.default_rng(r) for r in (rng if batch else [rng])]
-        if not rngs:
-            raise ValidationError("a batch needs at least one episode")
+        rngs = [np.random.default_rng(r) for r in rngs]
         per_row = isinstance(motion, list)
         motions = motion if per_row else [motion] * len(rngs)
         if len(motions) != len(rngs):
@@ -255,7 +253,7 @@ class ArmEnv:
         rand = self.randomization
         if mode == "aggressive":
             rand = rand.scaled(rand.aggressive_factor)
-        self._batch, self._mode, self._rand = batch, mode, rand
+        self._mode, self._rand = mode, rand
         # each distinct stream (by identity) once, in order of first use, and
         # each row's index into them
         slot = {}
@@ -276,7 +274,6 @@ class ArmEnv:
         self._qdot = self._ref_qdot[self._clip, 0]
         self._steps = np.zeros(n, dtype=int)
         self._set_running(np.arange(n))
-        self._label_params = {}  # expert_action's params, per episode row
         # each episode's last observation is the record of what its policy
         # saw, and the next step takes its history from it; at reset there is
         # no action yet and the history repeats the initial state (the caller
@@ -285,7 +282,7 @@ class ArmEnv:
         self._obs = self._observe(slice(None), [p0], self._q.sum(axis=1),
                                   self._ref_q[self._clip, 0].sum(axis=1),
                                   np.tile(p0, self.history_len))
-        return self._unbatch(self._obs.copy())
+        return self._obs.copy()
 
     def skip_episode(self, rng: np.random.Generator, noise_dim: int) -> None:
         """Advance `rng` past every draw of a full-length base-mode episode
@@ -314,9 +311,6 @@ class ArmEnv:
         if abs(motion.fps * self.dt - 1.0) > 1e-9:
             raise ConfigError(f"{where}motion fps {motion.fps} does not match 50 Hz control")
 
-    def _unbatch(self, rows: np.ndarray) -> np.ndarray:
-        return rows if self._batch else rows[0]
-
     @property
     def running(self) -> np.ndarray:
         """Indices of the episodes still running, in the row order of `step_batch`."""
@@ -329,8 +323,9 @@ class ArmEnv:
 
     @property
     def q0_eff(self) -> np.ndarray:
+        """(N, J) PD default pose of each episode."""
         self._require_reset()
-        return self._unbatch(self._q0_eff).copy()
+        return self._q0_eff.copy()
 
     def _require_reset(self) -> None:
         """ValidationError before the first `reset`, which makes the episode
@@ -418,40 +413,29 @@ class ArmEnv:
                                 self._c[rows], self._gcoef[rows], self._armature_M)
         return (M_q @ np.asarray(qacc, dtype=float)[..., None])[..., 0] + bias
 
-    def mechanical_energy(self):
-        """Kinetic + gravitational potential energy of each episode's arm (a
-        float for a single episode)."""
+    def mechanical_energy(self) -> np.ndarray:
+        """(N,) kinetic + gravitational potential energy of each episode's arm."""
         self._require_reset()
         q, qdot = self._q, self._qdot
         M_q, _ = self._terms(q, qdot, self._c, self._gcoef, self._armature_M)
         ke = 0.5 * np.einsum("ni,nij,nj->n", qdot, M_q, qdot)
         z = arm_forward_kinematics(q, self.lengths)[..., 2]
-        energy = ke + self.gravity * np.sum(self._masses_ep * z, axis=1)
-        return energy if self._batch else float(energy[0])
+        return ke + self.gravity * np.sum(self._masses_ep * z, axis=1)
 
     # -- control step ----------------------------------------------------------
-
-    def step(self, action):
-        """Advance the single episode one 50 Hz control step; returns
-        (observation, reward, done, info)."""
-        if self._batch:
-            raise ValidationError("a batch of episodes steps through step_batch()")
-        obs, reward, done, info = self.step_batch(action)
-        # a per-row field is a float or a bool, a per-joint one a (J, ...) array
-        info = {k: v[0] if v.ndim > 1 else v[0].item() for k, v in info.items()}
-        return obs[0], float(reward[0]), bool(done[0]), info
 
     def step_batch(self, actions, base_actions=None):
         """Advance every running episode one 50 Hz control step.
 
-        `actions` (and `base_actions`) hold one row per running episode, in the
-        order of `running`. `base_actions` is the flow-policy component when a
-        residual is active; it feeds the observation's previous-action slot
-        (the actions themselves when omitted). Returns (observations, rewards,
-        done, info) with one row per episode that was running: the observations
-        hold the new state (q and qdot are their first 2J columns), and `info`
-        maps each field of the `step` info, the physics at the pre-step state
-        (`qdot_pre`, torques, power) and the outcome, to its per-row array.
+        `actions` (and `base_actions`) are (n, J): one row per running episode,
+        in the order of `running`; another shape raises DimensionError.
+        `base_actions` is the flow-policy component when a residual is active;
+        it feeds the observation's previous-action slot (the actions
+        themselves when omitted). Returns (observations, rewards, done, info)
+        with one row per episode that was running: the observations hold the
+        new state (q and qdot are their first 2J columns), and `info` maps each
+        field, the physics at the pre-step state (`qdot_pre`, torques, power)
+        and the outcome, to its per-row array.
         Episodes that finish here stop running; with none running (before
         `reset`, or once every episode has finished) a step raises
         ValidationError.
@@ -459,11 +443,13 @@ class ArmEnv:
         n, J = self._running.size, self.n_joints
         if n == 0:
             raise ValidationError("no running episode; call reset()")
-        actions = np.asarray(actions, dtype=float).reshape(n, J)
+        actions = np.asarray(actions, dtype=float)
+        base_actions = actions if base_actions is None else np.asarray(base_actions, dtype=float)
+        for name, x in (("actions", actions), ("base_actions", base_actions)):
+            if x.shape != (n, J):
+                raise DimensionError(f"{name} must have shape ({n}, {J}), got {x.shape}")
         if not np.isfinite(actions).all():
             raise ValidationError("non-finite action")
-        base_actions = actions if base_actions is None else np.asarray(
-            base_actions, dtype=float).reshape(n, J)
         rows = self._rows
         history = self._obs[rows][:, self._hist_cols]
         streams, stream_row = self.running_streams
@@ -535,6 +521,10 @@ class ArmEnv:
         }
         return obs, reward, done, info
 
+    # the name `perfbench/tracing.py` patches; it goes when the tracer's span
+    # moves to `step_batch` (ROADMAP item 1)
+    step = step_batch
+
 
 def _episode_draws(rng, rand: RandomizationCfg, J: int):
     """An episode's physical randomization, drawn from its stream at reset in
@@ -598,7 +588,8 @@ class ExpertPolicy:
 def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -> np.ndarray:
     """Labels of episode `row` at the control steps `steps` (one per entry), or a
     (J,) label at its current step when None. A label reads the row's clip and
-    randomization, never its state, so a finished episode is labelled at once.
+    randomization, never its state, so a finished episode is labelled at once,
+    in one call that builds the row's friction-scaled actuator params once.
     `row` indexes the episodes of the last `reset` and `steps` are >= 0; either
     out of range raises ValidationError."""
     n = env._steps.size
@@ -612,10 +603,8 @@ def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -
     q_ref, qd_ref = env._ref_q[idx], env._ref_qdot[idx]
     a = q_ref - env._q0_eff[row] + (env.kd / env.kp) * qd_ref
     a = a + env.inverse_dynamics(q_ref, qd_ref, env._ref_qacc[idx], row) / env.kp
-    params = env._label_params.get(row)
-    if params is None:  # the row's friction-scaled params, built once per episode
-        p = env._actuators_ep
-        params = env._label_params[row] = replace(p, mu_s=p.mu_s[row], mu_d=p.mu_d[row])
+    p = env._actuators_ep
+    params = replace(p, mu_s=p.mu_s[row], mu_d=p.mu_d[row])
     a = a + actuation.friction_torque(qd_ref, params) / env.kp
     a = a / env.action_scale
     return np.clip(a, -expert.action_limit, expert.action_limit)

@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain
 
@@ -28,11 +28,17 @@ CHECKPOINT_VERSION = 1
 
 def write_atomic(path, text: str) -> None:
     """Write `text` to `path` through a temporary file and `os.replace`, so a
-    reader never sees a partly written file."""
+    reader never sees a partly written file. A failed write or replace
+    removes the temporary file and re-raises."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):  # the open may have failed before creating it
+            os.unlink(tmp)
+        raise
 
 
 def read_json(path, error_type, build):

@@ -67,19 +67,14 @@ MUTANTS = (
            "        self._running = np.arange(n)",
            ("tests/test_env.py::TestBatch::test_a_reset_rebuilds_what_a_step_reads",),
            "a reset derives the new batch's row index, constants and streams"),
-    Mutant("label_params_kept_over_reset", "env.py",
-           "self._label_params = {}",
-           "self._label_params = getattr(self, '_label_params', {})",
-           ("tests/test_env.py::TestExpert::test_labels_after_a_new_reset_use_its_params",),
-           "a reset drops the last episodes' friction-scaled label params"),
     Mutant("obs_written_to_first_rows", "env.py",
            "self._obs[rows] = obs",
            "self._obs[:len(obs)] = obs",
            ("tests/test_env.py::TestObservation::test_batched_history_across_a_shrinking_batch",),
            "each running row's new observation is stored in that row"),
     Mutant("reset_returns_stored_obs", "env.py",
-           "return self._unbatch(self._obs.copy())",
-           "return self._unbatch(self._obs)",
+           "return self._obs.copy()",
+           "return self._obs",
            ("tests/test_env.py::TestBatch::test_mixed_motion_rows_equal_single_episodes",
             "tests/test_env.py::TestStep::test_logged_command_is_the_pd_law"),
            "steps overwrite the stored observations, so reset hands out a copy"),
@@ -163,6 +158,24 @@ MUTANTS = (
            ("tests/test_motion.py::TestLoadSave::test_non_numeric_value_named",
             "tests/test_fuzz.py::test_boolean_in_place_of_a_number"),
            "a JSON boolean among a float array's numbers is refused"),
+    Mutant("write_atomic_leaves_its_temp_file", "fileio.py",
+           "os.unlink(tmp)",
+           "pass",
+           ("tests/test_fileio.py::test_failed_write_atomic_removes_its_temp_file",
+            "tests/test_cli.py::TestAnalyze::test_out_onto_a_directory_leaves_no_temp_file"),
+           "a failed atomic write removes its temporary file"),
+    Mutant("actions_reshaped", "env.py",
+           "actions = np.asarray(actions, dtype=float)",
+           "actions = np.asarray(actions, dtype=float).reshape(n, J)",
+           ("tests/test_env.py::TestBatch::test_action_shape_checked",),
+           "a step takes (n, J) actions only, never a flat array reshaped"),
+    Mutant("flat_policy_product", "flow.py",
+           "h = np.matmul(acts[-1], W.mT, out=buf)",
+           "h = (np.matmul(acts[-1].reshape(-1, W.shape[-1]), W.mT).reshape("
+           "*acts[-1].shape[:-1], -1) if W.ndim == 2 and buf is None "
+           "else np.matmul(acts[-1], W.mT, out=buf))",
+           ("tests/test_rollout.py::test_mixed_motion_groups_match_separate_batches",),
+           "G row groups share the base net in one stacked (G, m, in) product"),
     Mutant("motion_files_take_directories", "cli.py",
            "return [p for p in paths if os.path.isfile(p)]",
            "return paths",

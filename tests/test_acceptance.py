@@ -191,12 +191,12 @@ def test_criterion_7_distillation_efficacy(two_sine_setup):
         e_trained = distill.closed_loop_joint_error(env, net, motion, seed=100 + i)
         expert_errs = []
         for s in range(3):
-            env.reset(motion, 200 + s)
+            env.reset(motion, [200 + s])
             errs = []
             done = False
             while not done:
-                _, _, done, info = env.step(expert_action(experts[i], env))
-                errs.append(info["q_err"])
+                _, _, (done,), info = env.step_batch([expert_action(experts[i], env)])
+                errs.append(info["q_err"][0])
             errs += [np.pi] * (env.episode_len - len(errs))
             expert_errs.append(np.mean(errs))
         e_expert = float(np.mean(expert_errs))
@@ -234,7 +234,7 @@ def test_criterion_8_success_rate_protocol():
             motion, policy, mode = motion_easy, "expert", "aggressive"
         else:
             motion, policy, mode = motion_hard, "random", "base"
-        env.reset(motion, 1000 + ep, mode=mode)
+        env.reset(motion, [1000 + ep], mode=mode)
         infos = []
         done = False
         while not done:
@@ -242,8 +242,8 @@ def test_criterion_8_success_rate_protocol():
                 a = expert_action(expert, env)
             else:
                 a = rng.uniform(-5.0, 5.0, 2)
-            _, _, done, info = env.step(a)
-            infos.append(info)
+            _, _, (done,), info = env.step_batch([a])
+            infos.append({k: v[0] for k, v in info.items()})
         # replay the logged trajectory through the metrics kernel
         for i, info in enumerate(infos):
             expected = check_termination(info["z_err"], info["orient_err"],

@@ -284,6 +284,15 @@ class TestAnalyze:
         report = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
         assert [e["motion"] for e in report] == ["a_slow"]
 
+    def test_out_onto_a_directory_leaves_no_temp_file(self, motions_dir, tmp_path, capsys):
+        # the failed replace left outdir.tmp-<pid> beside the directory
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert cli.main(["--quiet", "analyze", "--motions", str(motions_dir),
+                         "--out", str(out)]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+
     def test_report_to_stdout_without_out(self, motions_dir, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert cli.main(["--quiet", "analyze", "--motions", str(motions_dir),

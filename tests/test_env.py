@@ -12,7 +12,7 @@ from flowtrack import actuation
 from flowtrack.env import (DEFAULT_ENV_CONFIG, MAX_ANGLE_NOISE, MAX_DISTURBANCE, MAX_EPISODE_LEN,
                            MAX_HISTORY_LEN, MAX_LINKS, MAX_SUBSTEPS, ArmEnv, ExpertPolicy,
                            RandomizationCfg, _solve, expert_action)
-from flowtrack.errors import ConfigError, NumericalBlowupError, ValidationError
+from flowtrack.errors import ConfigError, DimensionError, NumericalBlowupError, ValidationError
 from flowtrack.fileio import read_config
 from flowtrack.metrics import check_termination
 from flowtrack.motion import SynthMotionSpec, synth_motion
@@ -141,14 +141,14 @@ class TestReset:
     def test_zero_noise_matches_frame0(self):
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
-        obs = env.reset(clip, 0)
-        assert np.array_equal(obs[:2], clip.q[0])
+        obs = env.reset(clip, [0])
+        assert np.array_equal(obs[0, :2], clip.q[0])
 
     def test_same_seed_identical(self):
         env = ArmEnv({"episode_len": 50})
         clip = make_sine(0.3, 0.4, duration=4.0)
-        o1 = env.reset(clip, 123)
-        o2 = env.reset(clip, 123)
+        o1 = env.reset(clip, [123])
+        o2 = env.reset(clip, [123])
         assert np.array_equal(o1, o2)  # q and qdot included: the first 4 columns
 
     def test_joint_count_mismatch(self):
@@ -157,7 +157,7 @@ class TestReset:
         from flowtrack.motion import SynthMotionSpec, synth_motion
         bad = synth_motion(SynthMotionSpec(3, 4.0, 50.0, amplitude=0.1, frequency=0.2))
         with pytest.raises(ValidationError):
-            env.reset(bad, 0)
+            env.reset(bad, [0])
 
     def test_fps_mismatch(self):
         env = quiet_env()
@@ -165,7 +165,7 @@ class TestReset:
         bad = synth_motion(SynthMotionSpec(2, 4.0, 25.0, amplitude=0.1, frequency=0.2,
                                            link_lengths=(0.5, 0.4)))
         with pytest.raises(ConfigError, match="fps"):
-            env.reset(bad, 0)
+            env.reset(bad, [0])
 
     def test_aggressive_bounds(self):
         base = RandomizationCfg()
@@ -173,7 +173,7 @@ class TestReset:
         clip = make_sine(0.3, 0.4, duration=4.0)
         worst = 0.0
         for seed in range(200):
-            q = env.reset(clip, seed, mode="aggressive")[:2]
+            q = env.reset(clip, [seed], mode="aggressive")[0, :2]
             worst = max(worst, float(np.max(np.abs(q - clip.q[0]))))
         assert worst <= base.aggressive_factor * base.pose_noise + 1e-12
         assert worst > base.pose_noise  # aggressive mode actually widens the range
@@ -200,7 +200,7 @@ class TestReset:
             "mass_scale": 0.49, "friction_scale": 0.5, "aggressive_factor": 2.0}})
         clip = make_sine(0.3, 0.4, duration=4.0)
         for seed in range(50):
-            env.reset(clip, seed, mode="aggressive")
+            env.reset(clip, [seed], mode="aggressive")
             assert np.all(env._masses_ep > 0)
             assert np.all(env._actuators_ep.mu_s >= 0) and np.all(env._actuators_ep.mu_d >= 0)
 
@@ -214,7 +214,7 @@ class TestReset:
     def test_bad_mode(self):
         env = quiet_env()
         with pytest.raises(ValidationError):
-            env.reset(make_sine(0.3, 0.4, duration=4.0), 0, mode="wild")
+            env.reset(make_sine(0.3, 0.4, duration=4.0), [0], mode="wild")
 
     @pytest.mark.parametrize("kind, error, message", [
         ("count", ValidationError, "2 motions for 3 episodes"),
@@ -247,23 +247,23 @@ class TestStep:
     def test_equilibrium_state_unchanged(self):
         env = quiet_env(gravity=0.0)
         clip = make_sine(0.0, 0.0, duration=4.0)  # static reference at q0
-        obs0 = env.reset(clip, 0)
-        obs, _, _, info = env.step(np.zeros(2))
-        assert np.array_equal(obs[:2], obs0[:2])  # q
-        assert np.array_equal(obs[2:4], obs0[2:4])  # qdot
+        obs0 = env.reset(clip, [0])
+        obs, _, _, info = env.step_batch([np.zeros(2)])
+        assert np.array_equal(obs[:, :2], obs0[:, :2])  # q
+        assert np.array_equal(obs[:, 2:4], obs0[:, 2:4])  # qdot
         assert np.all(info["tau_applied"] == 0.0)
 
     def test_non_finite_action_rejected(self):
         env = quiet_env()
-        env.reset(make_sine(0.3, 0.4, duration=4.0), 0)
+        env.reset(make_sine(0.3, 0.4, duration=4.0), [0])
         with pytest.raises(ValidationError):
-            env.step(np.array([np.nan, 0.0]))
+            env.step_batch([np.array([np.nan, 0.0])])
 
     def test_envelope_cross_check(self):
         # drive hard; every logged clipped torque must match the kernel value
         env = ArmEnv({"episode_len": 80})
         clip = make_sine(0.4, 0.8, duration=4.0)
-        env.reset(clip, 3)
+        env.reset(clip, [3])
         # scalar constants of each joint, cut from the episode's parameter arrays
         params = [actuation.ActuatorParams(**{
             f.name: float(np.broadcast_to(getattr(env._actuators_ep, f.name), (1, 2))[0, j])
@@ -272,7 +272,8 @@ class TestStep:
         saw_clip = False
         for _ in range(80):
             action = rng.uniform(-6, 6, 2)
-            _, _, done, info = env.step(action)
+            _, _, (done,), info = env.step_batch([action])
+            info = {k: v[0] for k, v in info.items()}
             for j in range(2):
                 expected = actuation.clip_torque(
                     info["tau_cmd"][j], info["qdot_pre"][j], params[j])
@@ -291,13 +292,13 @@ class TestStep:
     def test_logged_command_is_the_pd_law(self):
         # randomized q0 offsets, so the setpoint's default pose is the episode's
         env = ArmEnv({"episode_len": 60})
-        obs = env.reset(make_sine(0.4, 0.8, duration=4.0), 5)
+        obs = env.reset(make_sine(0.4, 0.8, duration=4.0), [5])
         rng = np.random.default_rng(4)
         done = False
         while not done:
             a = rng.uniform(-6, 6, 2)
-            q_pre, qdot_pre = obs[:2], obs[2:4]
-            obs, _, done, info = env.step(a)
+            q_pre, qdot_pre = obs[:, :2], obs[:, 2:4]
+            obs, _, (done,), info = env.step_batch([a])
             assert np.array_equal(info["qdot_pre"], qdot_pre)
             expected = (env.kp * (env.q0_eff + env.action_scale * a - q_pre)
                         - env.kd * info["qdot_pre"])
@@ -306,88 +307,87 @@ class TestStep:
     def test_timeout_success(self):
         env = quiet_env(episode_len=60)
         clip = make_sine(0.2, 0.25, duration=4.0)
-        env.reset(clip, 0)
+        env.reset(clip, [0])
         expert = ExpertPolicy(clip)
         done = False
         steps = 0
         while not done:
-            _, _, done, info = env.step(expert_action(expert, env))
+            _, _, (done,), info = env.step_batch([expert_action(expert, env)])
             steps += 1
         assert steps == 60
-        assert info["timeout"] and not info["terminated_early"]
+        assert info["timeout"][0] and not info["terminated_early"][0]
 
     def test_step_after_done_rejected(self):
         env = quiet_env(episode_len=2)
         clip = make_sine(0.1, 0.25, duration=4.0)
-        env.reset(clip, 0)
-        env.step(np.zeros(2))
-        env.step(np.zeros(2))
+        env.reset(clip, [0])
+        env.step_batch(np.zeros((1, 2)))
+        env.step_batch(np.zeros((1, 2)))
         with pytest.raises(ValidationError):
-            env.step(np.zeros(2))
+            env.step_batch(np.zeros((1, 2)))
 
     @pytest.mark.parametrize("started", [False, True])
     @pytest.mark.parametrize("batched", [False, True])
     def test_step_without_a_running_episode_rejected(self, started, batched):
-        """Before `reset`, and once the last episode has ended, `step` and
-        `step_batch` raise the one error."""
+        """Before `reset`, and once the last episode of a batch of three (or of
+        one) has ended, a step raises the one error."""
         env = quiet_env(episode_len=2)
         if started:
             clip = make_sine(0.1, 0.25, duration=4.0)
-            env.reset(clip, [np.random.default_rng(s) for s in range(3)] if batched else 0)
+            env.reset(clip, [np.random.default_rng(s) for s in range(3 if batched else 1)])
             while env.running.size:
                 env.step_batch(np.zeros((env.running.size, 2)))
         with pytest.raises(ValidationError, match=r"^no running episode; call reset\(\)$"):
-            if batched:
-                env.step_batch(np.zeros((0 if started else 1, 2)))
-            else:
-                env.step(np.zeros(2))
+            env.step_batch(np.zeros((0 if started else 1, 2)))
 
-    @pytest.mark.parametrize("read", [lambda env: env.q0_eff, lambda env: env.mechanical_energy()],
+    @pytest.mark.parametrize("read, shape", [(lambda env: env.q0_eff, (1, 2)),
+                                             (lambda env: env.mechanical_energy(), (1,))],
                              ids=["q0_eff", "mechanical_energy"])
-    def test_state_read_before_reset_rejected(self, read):
+    def test_state_read_before_reset_rejected(self, read, shape):
         """The episode state exists from the first `reset` on; a read before it
-        raises the one error, and works once an episode has been reset."""
+        raises the one error, and once a batch of one has been reset it reads
+        one row."""
         env = quiet_env()
         with pytest.raises(ValidationError, match=r"^no episode state; call reset\(\)$"):
             read(env)
-        env.reset(make_sine(0.1, 0.25, duration=4.0), 0)
-        read(env)
+        env.reset(make_sine(0.1, 0.25, duration=4.0), [0])
+        assert read(env).shape == shape
 
     def test_termination_matches_metrics_kernel(self):
         env = ArmEnv({"episode_len": 50})
         clip = make_sine(0.5, 0.9, duration=4.0)
         rng = np.random.default_rng(1)
         for seed in range(5):
-            env.reset(clip, seed)
+            env.reset(clip, [seed])
             done = False
             while not done:
-                _, _, done, info = env.step(rng.uniform(-4, 4, 2))
+                _, _, (done,), info = env.step_batch([rng.uniform(-4, 4, 2)])
             expected = check_termination(
-                info["z_err"], info["orient_err"], env.thresholds,
-                relaxed=info["relaxed"])
-            assert info["terminated_early"] == expected
+                info["z_err"][0], info["orient_err"][0], env.thresholds,
+                relaxed=info["relaxed"][0])
+            assert info["terminated_early"][0] == expected
 
 
 class TestObservation:
     def test_layout_dimensions(self):
         env = quiet_env(history_len=5)
         clip = make_sine(0.3, 0.4, duration=4.0)
-        obs = env.reset(clip, 0)
+        obs = env.reset(clip, [0])
         assert env.proprio_dim == 6
         assert env.command_dim == 6
         assert env.obs_dim == 6 + 6 + 5 * 6
-        assert obs.shape == (env.obs_dim,)
+        assert obs.shape == (1, env.obs_dim)
 
     def test_initial_proprio_offsets(self):
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
-        obs = env.reset(clip, 0)
-        assert np.array_equal(obs[:2], clip.q[0])
+        obs = env.reset(clip, [0])
+        assert np.array_equal(obs[0, :2], clip.q[0])
 
     def test_history_filled_with_initial_state(self):
         env = quiet_env(history_len=3)
         clip = make_sine(0.3, 0.4, duration=4.0)
-        obs = env.reset(clip, 0)
+        obs = env.reset(clip, [0])[0]
         p = obs[: env.proprio_dim]
         hist = obs[env.proprio_dim + env.command_dim:]
         assert np.array_equal(hist, np.tile(p, 3))
@@ -395,12 +395,12 @@ class TestObservation:
     def test_history_shifts_most_recent_first(self):
         env = quiet_env(history_len=2)
         clip = make_sine(0.3, 0.4, duration=4.0)
-        obs0 = env.reset(clip, 0)
+        obs0 = env.reset(clip, [0])[0]
         p0 = obs0[: env.proprio_dim].copy()
-        obs1, _, _, _ = env.step(np.array([0.3, -0.2]))
+        obs1 = env.step_batch([np.array([0.3, -0.2])])[0][0]
         hist = obs1[env.proprio_dim + env.command_dim:]
         assert np.array_equal(hist, np.concatenate([p0, p0]))
-        obs2, _, _, _ = env.step(np.array([0.1, 0.1]))
+        obs2 = env.step_batch([np.array([0.1, 0.1])])[0][0]
         p1 = obs1[: env.proprio_dim]
         hist2 = obs2[env.proprio_dim + env.command_dim:]
         assert np.array_equal(hist2[: env.proprio_dim], p1)
@@ -428,25 +428,25 @@ class TestObservation:
         lengths = [len(actions) for _, actions in seen]
         assert 1 < lengths[1] < lengths[0] == lengths[2] == env.episode_len
         for seed, (want, actions) in zip(seeds, seen):
-            assert np.array_equal(env.reset(clip, seed), want[0])
+            assert np.array_equal(env.reset(clip, [seed])[0], want[0])
             for a, o in zip(actions, want[1:]):
-                assert np.array_equal(env.step(a)[0], o)
+                assert np.array_equal(env.step_batch([a])[0][0], o)
 
     @pytest.mark.parametrize("history_len", [0, 1, 5])
     def test_shape_fixed_every_step(self, history_len):
         env = quiet_env(history_len=history_len, episode_len=12)
         clip = make_sine(0.3, 0.4, duration=4.0)
-        obs = env.reset(clip, 0)
-        assert obs.shape == (env.obs_dim,)
+        obs = env.reset(clip, [0])
+        assert obs.shape == (1, env.obs_dim)
         done = False
         while not done:
-            obs, _, done, _ = env.step(np.array([0.2, -0.1]))
-            assert obs.shape == (env.obs_dim,)
+            obs, _, (done,), _ = env.step_batch([np.array([0.2, -0.1])])
+            assert obs.shape == (1, env.obs_dim)
 
 
 class TestBatch:
     """A list of Generators runs N episodes as (N, J) rows; each row is the
-    episode that its own stream would give alone."""
+    episode that its own stream would give alone, as a batch of one."""
 
     def test_reset_rows_equal_single_resets(self):
         env = ArmEnv({"episode_len": 20})
@@ -455,9 +455,9 @@ class TestBatch:
         q0_eff = env.q0_eff
         assert obs.shape == (3, env.obs_dim) and q0_eff.shape == (3, 2)
         for i, seed in enumerate((4, 5, 6)):
-            single = env.reset(clip, seed, mode="aggressive")
-            assert np.array_equal(obs[i], single)  # q included: the first 2 columns
-            assert np.array_equal(q0_eff[i], env.q0_eff)
+            single = env.reset(clip, [seed], mode="aggressive")
+            assert np.array_equal(obs[i], single[0])  # q included: the first 2 columns
+            assert np.array_equal(q0_eff[i], env.q0_eff[0])
 
     def test_running_rows_take_their_episode_params(self):
         """Reset's friction-scaled actuator params hold one row per episode, and
@@ -558,11 +558,11 @@ class TestBatch:
                 batch_q[seeds[r]].append(q)
             rows, t = rows[~done], t + 1
         for i, seed in enumerate(seeds):
-            env.reset(clip, seed)
+            env.reset(clip, [seed])
             done, qs = False, []
             while not done:
-                obs, _, done, _ = env.step(actions[len(qs), i])
-                qs.append(obs[:2])
+                obs, _, (done,), _ = env.step_batch([actions[len(qs), i]])
+                qs.append(obs[0, :2])
             np.testing.assert_allclose(np.stack(batch_q[seed]), np.stack(qs), rtol=0, atol=1e-12)
 
     def test_mixed_motion_rows_equal_single_episodes(self):
@@ -583,23 +583,43 @@ class TestBatch:
             rows, t = rows[~done], t + 1
         assert len(batch[1]) > short.n_frames  # past the short clip's end
         for i, seed in enumerate(seeds):
-            obs = env.reset(motions[i], seed)
-            assert np.array_equal(obs, batch[i][0][0])
+            obs = env.reset(motions[i], [seed])
+            assert np.array_equal(obs[0], batch[i][0][0])
             for k, (want_obs, want_info) in enumerate(batch[i][1:]):
-                obs, _, _, info = env.step(actions[k, i])
-                assert np.array_equal(obs, want_obs)
+                obs, _, _, info = env.step_batch([actions[k, i]])
+                assert np.array_equal(obs[0], want_obs)
                 for key, value in info.items():
-                    assert np.array_equal(value, want_info[key]), key
+                    assert np.array_equal(value[0], want_info[key]), key
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValidationError, match="^a batch needs at least one episode$"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "rngs must be a non-empty list of seeds or Generators, got []")):
             quiet_env().reset(make_sine(0.3, 0.4, duration=4.0), [])
 
-    def test_single_step_rejected_on_a_batch(self):
+    @pytest.mark.parametrize("rng", [0, np.random.default_rng(0), (0,)],
+                             ids=["seed", "generator", "tuple"])
+    def test_rngs_other_than_a_list_rejected(self, rng):
+        """A single episode is the batch of one: its seed comes in a list."""
+        with pytest.raises(ValidationError, match="^rngs must be a non-empty list of seeds "
+                                                  "or Generators, got "):
+            quiet_env().reset(make_sine(0.3, 0.4, duration=4.0), rng)
+
+    def test_one_step(self):
+        """`step` is `step_batch` itself, the name a tracer patches."""
+        assert ArmEnv.__dict__["step"] is ArmEnv.__dict__["step_batch"]
+
+    @pytest.mark.parametrize("name", ["actions", "base_actions"])
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_action_shape_checked(self, name, size):
+        """Two rows of two joints take (2, 2) actions: three values do not
+        reshape, and four flat ones are not taken as two rows."""
         env = quiet_env()
-        env.reset(make_sine(0.3, 0.4, duration=4.0), [np.random.default_rng(0)])
-        with pytest.raises(ValidationError):
-            env.step(np.zeros(2))
+        env.reset(make_sine(0.3, 0.4, duration=4.0), [0, 1])
+        args = {"actions": np.zeros((2, 2)), "base_actions": np.zeros((2, 2)), name: np.zeros(size)}
+        with pytest.raises(DimensionError, match=re.escape(
+                f"{name} must have shape (2, 2), got ({size},)")):
+            env.step_batch(**args)
+        assert env.step_count == 0
 
 
 class TestExpert:
@@ -608,7 +628,7 @@ class TestExpert:
         # PD target equals the current reference pose exactly
         env = quiet_env(gravity=0.0)
         clip = make_sine(0.0, 0.0, duration=4.0)
-        env.reset(clip, 0)
+        env.reset(clip, [0])
         expert = ExpertPolicy(clip, lookahead=0)
         a = expert_action(expert, env)
         q_tar = env.q0_eff + env.action_scale * a
@@ -629,7 +649,7 @@ class TestExpert:
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
         if episodes:
-            env.reset(clip, list(range(episodes)) if episodes > 1 else 0)
+            env.reset(clip, list(range(episodes)))
         with pytest.raises(ValidationError,
                            match=rf"^row must be an episode row in \[0, {episodes}\), got {row}$"):
             expert_action(ExpertPolicy(clip), env, row=row)
@@ -639,7 +659,7 @@ class TestExpert:
         """A negative step would wrap to the end of the padded reference."""
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
-        env.reset(clip, 0)
+        env.reset(clip, [0])
         with pytest.raises(ValidationError, match=r"^steps must be >= 0, got \["):
             expert_action(ExpertPolicy(clip), env, steps=np.array(steps))
         # the steps from 0 still label
@@ -649,35 +669,36 @@ class TestExpert:
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
         other = make_sine(0.2, 0.3, duration=4.0)
-        env.reset(clip, 0)
+        env.reset(clip, [0])
         with pytest.raises(ValidationError):
             expert_action(ExpertPolicy(other), env)
 
     def test_tracks_slow_sinusoid_within_ten_percent(self):
         env = quiet_env(episode_len=500)
         clip = make_sine(0.3, 0.25)
-        env.reset(clip, 0)
+        env.reset(clip, [0])
         expert = ExpertPolicy(clip)
         errs = []
         done = False
         while not done:
-            _, _, done, info = env.step(expert_action(expert, env))
-            errs.append(info["q_err"])
-        assert not info["terminated_early"]
+            _, _, (done,), info = env.step_batch([expert_action(expert, env)])
+            errs.append(info["q_err"][0])
+        assert not info["terminated_early"][0]
         assert float(np.mean(errs)) < 0.1 * 0.3
 
     def test_deterministic_given_state(self):
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
-        env.reset(clip, 0)
+        env.reset(clip, [0])
         expert = ExpertPolicy(clip)
         a1 = expert_action(expert, env)
         a2 = expert_action(expert, env)
         assert np.array_equal(a1, a2)
 
     def test_an_episode_labels_with_one_params_copy(self, monkeypatch):
-        """Per-step labels of one episode build its friction-scaled actuator
-        params once, not once a label."""
+        """An episode's labels taken in one call over its steps, as
+        `dagger_train` takes them, build its friction-scaled actuator params
+        once, not once a label, and equal its per-step labels."""
         built = []
         check = actuation.ActuatorParams.__post_init__
 
@@ -689,14 +710,16 @@ class TestExpert:
         env = ArmEnv({"episode_len": 60})
         clip = make_sine(0.3, 0.4, duration=4.0)
         expert = ExpertPolicy(clip)
-        env.reset(clip, 0)
-        by_labels = 0
+        env.reset(clip, [0])
+        per_step = []
         for _ in range(50):
-            before = len(built)
-            a = expert_action(expert, env)
-            by_labels += len(built) - before
-            env.step(a)
+            per_step.append(expert_action(expert, env))
+            env.step_batch([per_step[-1]])
+        before = len(built)
+        labels = expert_action(expert, env, np.arange(50))
+        by_labels = len(built) - before
         assert by_labels == 1
+        assert np.array_equal(labels, np.stack(per_step))
 
     def test_labels_after_a_new_reset_use_its_params(self):
         """A reset drops the last episode's label params: after seed A's
@@ -704,12 +727,12 @@ class TestExpert:
         clip = make_sine(0.3, 0.4, duration=4.0)
         expert = ExpertPolicy(clip)
         env = ArmEnv({"episode_len": 60})
-        env.reset(clip, 1)
+        env.reset(clip, [1])
         first = expert_action(expert, env)
-        env.reset(clip, 2)
+        env.reset(clip, [2])
         second = expert_action(expert, env)
         fresh = ArmEnv({"episode_len": 60})
-        fresh.reset(clip, 2)
+        fresh.reset(clip, [2])
         assert np.array_equal(second, expert_action(expert, fresh))
         assert not np.array_equal(first, second)
 
@@ -723,13 +746,13 @@ class TestEnergyAndDeterminism:
                         thresholds={"z_err_max": 1e9, "grav_err_max": 1e9})
         env.kp, env.kd = np.zeros(2), np.zeros(2)
         clip = make_sine(0.0, 0.0, duration=8.0)
-        env.reset(clip, 0)
+        env.reset(clip, [0])
         env._qdot[0] = [3.0, -2.0]
         tol = 1e-6 * env.dt
-        e_prev = env.mechanical_energy()
+        (e_prev,) = env.mechanical_energy()
         for _ in range(300):
-            env.step(np.zeros(2))
-            e = env.mechanical_energy()
+            env.step_batch([np.zeros(2)])
+            (e,) = env.mechanical_energy()
             assert e <= e_prev + tol
             e_prev = e
         assert e_prev < 0.01  # friction actually drained the kick
@@ -741,11 +764,11 @@ class TestEnergyAndDeterminism:
 
         def run():
             env = ArmEnv({"episode_len": 40})
-            env.reset(clip, 777)
+            env.reset(clip, [777])
             qs = []
             for a in actions:
-                obs, _, done, _ = env.step(a)
-                qs.append(obs[:2])
+                obs, _, (done,), _ = env.step_batch([a])
+                qs.append(obs[0, :2])
                 if done:
                     break
             return np.stack(qs)

@@ -1,7 +1,8 @@
 """The typed file boundary: `read_json` decodes with the cyclic collector
 paused and leaves it as it found it, `check_like` returns a document in its
-example's types, both checkpoint kinds load their header fields typed, and
-`require` writes every range error, which NaN fails."""
+example's types, both checkpoint kinds load their header fields typed,
+`require` writes every range error, which NaN fails, and a failed
+`write_atomic` leaves no temporary file."""
 
 import gc
 import json
@@ -13,7 +14,7 @@ from flowtrack import distill, flow
 from flowtrack.actuation import PowerPenaltyCfg
 from flowtrack.env import ArmEnv, RandomizationCfg
 from flowtrack.errors import ConfigError, SchemaError, ValidationError
-from flowtrack.fileio import check_like, config_section, read_json, require
+from flowtrack.fileio import check_like, config_section, read_json, require, write_atomic
 from flowtrack.motion import SynthMotionSpec, load_motion, save_motion
 
 from conftest import random_clip
@@ -79,6 +80,21 @@ def test_load_motion_starts_no_collection(motion_file, gc_state):
     clip, starts = collections_during(lambda: load_motion(motion_file))
     assert clip.n_frames == 2000
     assert starts == []
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_failed_write_atomic_removes_its_temp_file(tmp_path, fail):
+    """A failed write (text that is no str) or replace (onto a directory)
+    re-raises and leaves the directory as it was."""
+    target = tmp_path / "out.json"
+    if fail == "replace":
+        target.mkdir()
+    else:
+        target.write_text("old\n")
+    with pytest.raises(IsADirectoryError if fail == "replace" else TypeError):
+        write_atomic(target, "new\n" if fail == "replace" else b"new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert target.is_dir() if fail == "replace" else target.read_text() == "old\n"
 
 
 @pytest.mark.parametrize("value, example, expected", [

@@ -691,10 +691,10 @@ def oracle_adam_step(params, grads, state, lr):
 def serial_dagger(env, experts, net, cfg):
     """`dagger_train` as the episode-by-episode loop it was, kept as its
     oracle: reset, then per step an `expert_action` label of the current
-    state, an `euler_sample` action and an `env.step`, every draw from one
-    Generator; then the gradient steps of the oracle above, each on a batch
-    drawn from the iteration's rows. Also returns the (obs, label) rows it
-    collected, in order."""
+    state, an `euler_sample` action and a step of the batch of one, every
+    draw from one Generator; then the gradient steps of the oracle above,
+    each on a batch drawn from the iteration's rows. Also returns the (obs,
+    label) rows it collected, in order."""
     net = clone_net(net)
     rng = np.random.default_rng(cfg.seed)
     opt_state = (0, None, None)
@@ -703,13 +703,13 @@ def serial_dagger(env, experts, net, cfg):
         iter_rows = []
         for _ in range(cfg.episodes_per_iter):
             m = int(rng.integers(len(experts)))
-            obs = env.reset(experts[m].motion, rng, mode="base")
+            (obs,) = env.reset(experts[m].motion, [rng], mode="base")
             done = False
             while not done:
                 a_exp = expert_action(experts[m], env)
                 iter_rows.append((obs, a_exp))
                 a = euler_sample(net, obs, rng)
-                obs, _, done, _ = env.step(a)
+                (obs,), _, (done,), _ = env.step_batch([a])
         rows += iter_rows
         obs_rows, act_rows = (np.array(col) for col in zip(*iter_rows))
         lr = cfg.learning_rate * cfg.lr_decay ** it
@@ -879,12 +879,12 @@ def test_skip_episode_is_a_full_episode(ranges, sampler_steps, n_experts, episod
 
 def per_step_labels(expert, env, clip, rng, mode):
     """A single episode's labels, one `expert_action` call per step, the
-    episode driven by them."""
-    env.reset(clip, rng, mode=mode)
+    episode (a batch of one) driven by them."""
+    env.reset(clip, [rng], mode=mode)
     labels, done = [], False
     while not done:
         labels.append(expert_action(expert, env))
-        _, _, done, _ = env.step(labels[-1])
+        _, _, (done,), _ = env.step_batch([labels[-1]])
     return np.array(labels)
 
 
