@@ -434,6 +434,8 @@ def _is_number(token: str) -> bool:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else list(argv)))
+    if args.seed < 0:  # a usage error: numpy seeds no Generator from it
+        parser.error(f"argument --seed: must be an integer >= 0, got {args.seed}")
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -94,6 +94,8 @@ class DistillCfg:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "episodes_per_iter", "gradient_steps", "batch_size"):
+            require(name, getattr(self, name), type(getattr(self, name)) is int, "an integer")
         require("iterations", self.iterations, self.iterations >= 0, ">= 0")
         require("episodes_per_iter", self.episodes_per_iter,
                 1 <= self.episodes_per_iter <= MAX_EPISODES_PER_ITER,
@@ -248,19 +250,9 @@ def residual_compose(a_flow, a_res, bound: float) -> np.ndarray:
     return a_flow + np.clip(a_res, -bound, bound)
 
 
-def _flatten(params: list) -> np.ndarray:
-    return np.concatenate([np.concatenate([W.ravel(), b.ravel()]) for W, b in params])
-
-
-def _unflatten(vector: np.ndarray, template: list) -> list:
-    parts = iter(np.split(vector, np.cumsum([a.size for block in template for a in block])))
-    return [(next(parts).reshape(W.shape).copy(), next(parts).copy()) for W, _ in template]
-
-
 # Caps on the ES sizes a config sets, which allocate: each generation draws
-# all `population` noise vectors up front, and each batch preallocates
-# (episode_len, rows, ...) logs for 2^ES_BLOCK - 1 groups of
-# `episodes_per_eval` rows.
+# all `population` noise layer lists up front, and each batch preallocates
+# (episode_len, rows, ...) logs for 2^ES_BLOCK - 1 groups of `episodes_per_eval` rows.
 MAX_POPULATION = 1_000
 MAX_EPISODES_PER_EVAL = 1_000
 
@@ -276,6 +268,8 @@ class ESCfg:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("generations", "population", "episodes_per_eval"):
+            require(name, getattr(self, name), type(getattr(self, name)) is int, "an integer")
         require("generations", self.generations, self.generations >= 0, ">= 0")
         require("population", self.population, 0 <= self.population <= MAX_POPULATION,
                 f"in [0, {MAX_POPULATION}]")
@@ -432,18 +426,20 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
 
     Every candidate is scored on the same seeded episode set (common random
     numbers), so the recorded best reward never decreases. The algorithm is
-    the sequential loop: candidate k of a generation perturbs the best params
-    as they stand after candidates 0..k-1, and replaces them when it scores
-    strictly higher. It runs in blocks of `ES_BLOCK` candidates, each block
-    one `rollout_batch`: the block's candidate k is scored from each of the
-    2^k bests that the accept/reject outcomes of the block's earlier
-    candidates can leave, and the outcomes are then walked in order, so only
-    the scores of the path the sequential loop takes are used (generation 0's
-    first batch also scores the start point). A candidate's score is the mean
-    return of its group's log, bit-equal to scoring it alone, so the result is
-    the sequential one, bit for bit. A generation costs ceil(population /
-    ES_BLOCK) batches, 2^b - 1 groups for a block of b, whatever is accepted,
-    so the work of a run does not depend on its seed. With no candidates (no generation or an
+    the sequential loop: candidate k of a generation perturbs the best layer
+    list as it stands after candidates 0..k-1, and replaces it when it scores
+    strictly higher. Its noise is drawn layer by layer, W then b: the doubles
+    of one flat draw over all parameters, cut at the layer boundaries. It
+    runs in blocks of `ES_BLOCK` candidates, each block one `rollout_batch`:
+    the block's candidate k is scored from each of the 2^k bests that the
+    accept/reject outcomes of the block's earlier candidates can leave, and
+    the outcomes are then walked in order, so only the scores of the path the
+    sequential loop takes are used (generation 0's first batch also scores
+    the start point). A candidate's score is the mean return of its group's
+    log, bit-equal to scoring it alone, so the result is the sequential one,
+    bit for bit. A generation costs ceil(population / ES_BLOCK) batches,
+    2^b - 1 groups for a block of b, whatever is accepted, so the work of a
+    run does not depend on its seed. With no candidates (no generation or an
     empty population) the start point is scored alone.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -451,26 +447,27 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
     best = clone_net(residual)
 
     def scores(thetas) -> list[float]:
-        """Mean CRN return of each parameter vector, all in one batch."""
-        candidates = [replace(best, params=_unflatten(theta, best.params)) for theta in thetas]
-        logs = rollout_batch(env, net, [(motion, eval_seeds, c) for c in candidates],
-                             mode="aggressive")
+        """Mean CRN return of each layer list, all in one batch."""
+        logs = rollout_batch(env, net, [(motion, eval_seeds, replace(best, params=theta))
+                                        for theta in thetas], mode="aggressive")
         return [float(np.mean(episode_return(log, env.episode_len, TERMINATION_FLOOR)))
                 for log in logs]
 
-    theta_best = _flatten(best.params)
+    theta_best = best.params
     if not cfg.generations or not cfg.population:
         return best, [scores([theta_best])[0]] * (cfg.generations + 1)
     f_best, history = None, []
     for _ in range(cfg.generations):
-        noise = [rng.standard_normal(theta_best.shape) for _ in range(cfg.population)]
+        noise = [[(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
+                  for W, b in theta_best] for _ in range(cfg.population)]
         for i in range(0, cfg.population, ES_BLOCK):
             block = noise[i:i + ES_BLOCK]
             # bests[0] is the current best; candidate k adds one perturbation
             # of each bests entry so far, at bests[2^k + j] for bests[j]
             bests = [theta_best]
             for z in block:
-                bests += [b + cfg.sigma * z for b in bests]
+                bests += [[(W + cfg.sigma * zW, b + cfg.sigma * zb)
+                           for (W, b), (zW, zb) in zip(theta, z)] for theta in bests]
             if f_best is None:  # the start point rides in the first batch
                 fs = scores(bests)
                 f_best = fs[0]
@@ -483,8 +480,7 @@ def es_refine(net: VelocityFieldNet, residual: ResidualPolicy, env: ArmEnv,
                     f_best, j = fs[2 ** k + j], 2 ** k + j
             theta_best = bests[j]
         history.append(f_best)
-    best = replace(best, params=_unflatten(theta_best, best.params))
-    return best, history
+    return replace(best, params=theta_best), history
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +511,7 @@ def evaluate_policy(net: VelocityFieldNet, env: ArmEnv, motions: dict,
     within each episode first, then across episodes, then across a motion's
     clips (never pooled over frames of unequal episodes).
     """
+    require("n_rollouts", n_rollouts, type(n_rollouts) is int, "an integer")
     require("n_rollouts", n_rollouts, 1 <= n_rollouts <= MAX_ROLLOUTS, f"in [1, {MAX_ROLLOUTS}]")
     clips = [(name, ci, clip) for name, motion in motions.items()
              for ci, clip in enumerate(segment_clips(motion, 10.0))]

@@ -125,10 +125,10 @@ class ArmEnv:
     The env runs a batch of N independent episodes that step together:
     `reset` with a list of seeds or Generators (and one motion, or one per
     episode), then `step_batch` with one action row per running episode. A
-    single episode is the batch of one. State is held as (N, J) arrays, and
-    the reference as (C, T, ...) arrays of the batch's C distinct clips,
-    padded to the longest. The observations are the state a caller reads:
-    their first 2J columns are q and qdot.
+    single episode is the batch of one. The state lives only in the stored
+    (N, obs_dim) observations, whose first 2J columns are q and qdot; the
+    reference is held as (C, T, ...) arrays of the batch's C distinct clips,
+    padded to the longest.
     `running` lists the episodes that still step and `running_streams` the
     streams that feed them; both change only in `_set_running`.
 
@@ -188,13 +188,11 @@ class ArmEnv:
         self.dt = CONTROL_DT
         self.actuators = [replace(p, tau_y1=p.tau_y1 * scale, tau_y2=p.tau_y2 * scale)
                           for p in nominal]
-        self._joint_params = actuation.stack(self.actuators)
         self.kp = np.array([g.kp for g in gains])
         self.kd = np.array([g.kd for g in gains])
         self.action_scale = np.array([g.action_scale for g in gains])
-        self._armature_M = np.diag(self._joint_params.armature_I)
+        self._armature_M = np.diag([a.armature_I for a in self.actuators])
         self._S = np.tril(np.ones((self.n_joints, self.n_joints)))
-        self._ST = self._S.T
         self._h = np.array(self.dt / self.n_substeps)  # the substep, 0-d: cheaper to multiply
         # the columns of an observation that are the next one's history: its
         # proprio, then its own history without the oldest state (none at H = 0)
@@ -263,23 +261,22 @@ class ArmEnv:
         mass, friction, q0_offset, pose_noise = (np.array(d)[self._stream] for d in zip(*draws))
         self._masses_ep = self.masses * (1.0 + mass)
         # 1 + friction >= 0, as RandomizationCfg bounds friction_scale by 1
-        p, friction_scale = self._joint_params, (1.0 + friction)[:, None]
+        p, friction_scale = actuation.stack(self.actuators), (1.0 + friction)[:, None]
         self._actuators_ep = replace(p, mu_s=p.mu_s * friction_scale, mu_d=p.mu_d * friction_scale)
         self._q0_eff = q0_offset  # the PD default pose: straight down (0) plus the offset
         mcum = np.cumsum(self._masses_ep[:, ::-1], axis=1)[:, ::-1]
         joint = np.arange(J)
         self._c = np.outer(self.lengths, self.lengths) * mcum[:, np.maximum.outer(joint, joint)]
         self._gcoef = self.gravity * self.lengths * mcum
-        self._q = self._ref_q[self._clip, 0] + pose_noise
-        self._qdot = self._ref_qdot[self._clip, 0]
+        q = self._ref_q[self._clip, 0] + pose_noise
         self._steps = np.zeros(n, dtype=int)
         self._set_running(np.arange(n))
-        # each episode's last observation is the record of what its policy
-        # saw, and the next step takes its history from it; at reset there is
-        # no action yet and the history repeats the initial state (the caller
-        # gets a copy, as steps overwrite the stored rows)
-        p0 = np.concatenate([self._q, self._qdot, np.zeros((n, J))], axis=1)
-        self._obs = self._observe(slice(None), [p0], self._q.sum(axis=1),
+        # each episode's last observation is its state (q and qdot lead it)
+        # and the record of what its policy saw, and the next step takes its
+        # history from it; at reset there is no action yet and the history
+        # repeats the initial state (the caller gets a copy: steps overwrite it)
+        p0 = np.concatenate([q, self._ref_qdot[self._clip, 0], np.zeros((n, J))], axis=1)
+        self._obs = self._observe(slice(None), [p0], q.sum(axis=1),
                                   self._ref_q[self._clip, 0].sum(axis=1),
                                   np.tile(p0, self.history_len))
         return self._obs.copy()
@@ -397,7 +394,7 @@ class ArmEnv:
         theta = np.add.accumulate(q, axis=-1)
         thetadot = np.add.accumulate(qdot, axis=-1)
         dth = theta[..., :, None] - theta[..., None, :]
-        M_q = self._ST @ (c * np.cos(dth)) @ self._S + armature_M
+        M_q = self._S.T @ (c * np.cos(dth)) @ self._S + armature_M
         h_vec = ((c * np.sin(dth)) @ (thetadot ** 2)[..., None])[..., 0]
         G = gcoef * np.sin(theta)
         return M_q, (h_vec + G) @ self._S
@@ -414,9 +411,9 @@ class ArmEnv:
         return (M_q @ np.asarray(qacc, dtype=float)[..., None])[..., 0] + bias
 
     def mechanical_energy(self) -> np.ndarray:
-        """(N,) kinetic + gravitational potential energy of each episode's arm."""
+        """(N,) kinetic + gravitational potential energy of each arm's stored state."""
         self._require_reset()
-        q, qdot = self._q, self._qdot
+        q, qdot = np.hsplit(self._obs[:, :2 * self.n_joints], 2)
         M_q, _ = self._terms(q, qdot, self._c, self._gcoef, self._armature_M)
         ke = 0.5 * np.einsum("ni,nij,nj->n", qdot, M_q, qdot)
         z = arm_forward_kinematics(q, self.lengths)[..., 2]
@@ -435,7 +432,8 @@ class ArmEnv:
         with one row per episode that was running: the observations hold the
         new state (q and qdot are their first 2J columns), and `info` maps each
         field, the physics at the pre-step state (`qdot_pre`, torques, power)
-        and the outcome, to its per-row array.
+        and the outcome, to its per-row array. The stored observations are the
+        state's one copy; a step that raises NumericalBlowupError leaves them.
         Episodes that finish here stop running; with none running (before
         `reset`, or once every episode has finished) a step raises
         ValidationError.
@@ -455,8 +453,8 @@ class ArmEnv:
         streams, stream_row = self.running_streams
         disturbance = _disturbances(self._rngs, streams, self._rand, J)[stream_row]
         params, q0_eff, kp, kd, action_scale, *dynamics = self._consts
-        # a copy: the write-back below would change a view of the state
-        q, qdot_pre = self._q[rows], self._qdot[rows].copy()
+        # the stored state; qdot_pre is copied, as `info` returns it and the step overwrites it
+        q, qdot_pre = self._obs[rows, :J], self._obs[rows, J:2 * J].copy()
         q_tar = q0_eff + action_scale * actions
         # a diverging state overflows in here; the finiteness check below
         # turns that into the one NumericalBlowupError, not numpy warnings
@@ -478,7 +476,6 @@ class ArmEnv:
             self._set_running(self._running[:0])
             raise NumericalBlowupError(f"state became non-finite at step {step}")
 
-        self._q[rows], self._qdot[rows] = q, qdot
         self._steps[rows] += 1
 
         steps = self._steps[rows]
@@ -580,6 +577,7 @@ class ExpertPolicy:
     action_limit: float = 4.0
 
     def __post_init__(self):
+        require("lookahead", self.lookahead, type(self.lookahead) is int, "an integer")
         require("lookahead", self.lookahead, 0 <= self.lookahead <= MAX_EPISODE_LEN,
                 f"in [0, {MAX_EPISODE_LEN}]")
         require("action_limit", self.action_limit, self.action_limit > 0, "positive")

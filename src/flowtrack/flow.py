@@ -43,12 +43,13 @@ def mlp_init(sizes, rng) -> list:
 
 def init_layers(net, what: str = "layer") -> None:
     """Give `net` (a velocity field or a residual) its layers once it has
-    checked its own fields: each `hidden` width in [1, MAX_LAYER_WIDTH] (a
-    ValidationError naming `hidden.<i>`, before anything is allocated), zero
+    checked its own fields: each `hidden` width an integer in [1, MAX_LAYER_WIDTH]
+    (a ValidationError naming `hidden.<i>`, before anything is allocated), zero
     layers when it has no params, and one (W, b) block of shapes (out, in)
     and (out,) per pair of `layer_sizes` (a DimensionError naming a `what`)."""
     net.hidden = tuple(net.hidden)
     for i, width in enumerate(net.hidden):
+        require(f"hidden.{i}", width, type(width) is int, "an integer")
         require(f"hidden.{i}", width, 1 <= width <= MAX_LAYER_WIDTH, f"in [1, {MAX_LAYER_WIDTH}]")
     sizes, params = net.layer_sizes, net.params
     if not params:
@@ -138,6 +139,7 @@ class VelocityFieldNet:
 
     def __post_init__(self):
         dim, steps = self.time_embed_dim, self.sampler_steps
+        require("time_embed_dim", dim, type(dim) is int, "an integer")
         require("time_embed_dim", dim, dim % 2 == 0 and 0 < dim <= MAX_TIME_EMBED_DIM,
                 f"an even number in [2, {MAX_TIME_EMBED_DIM}]")
         require("sampler_steps", steps, type(steps) is int and 1 <= steps <= MAX_SAMPLER_STEPS,

@@ -176,6 +176,37 @@ MUTANTS = (
            "else np.matmul(acts[-1], W.mT, out=buf))",
            ("tests/test_rollout.py::test_mixed_motion_groups_match_separate_batches",),
            "G row groups share the base net in one stacked (G, m, in) product"),
+    Mutant("qdot_pre_aliases_the_state", "env.py",
+           "self._obs[rows, J:2 * J].copy()",
+           "self._obs[rows, J:2 * J]",
+           ("tests/test_env.py::TestStep::test_logged_command_is_the_pd_law",),
+           "the logged pre-step qdot is a copy, not a view of the state a step overwrites"),
+    Mutant("es_noise_bias_first", "distill.py",
+           "(rng.standard_normal(W.shape), rng.standard_normal(b.shape))",
+           "(lambda zb: (rng.standard_normal(W.shape), zb))(rng.standard_normal(b.shape))",
+           ("tests/test_rollout.py::test_speculative_es_is_the_sequential_loop",),
+           "a candidate's noise is the flat draw cut at the layers: W, then b"),
+    Mutant("frame_held_by_clip_index", "env.py",
+           "np.minimum(steps, self._last[rows])",
+           "np.minimum(steps, self._last[self._clip[rows]])",
+           ("tests/test_env.py::TestBatch::test_mixed_motion_rows_equal_single_episodes",),
+           "each row holds its own clip's last frame, indexed by row"),
+    Mutant("disturbance_rows_swapped", "env.py",
+           "self._rand, J)[stream_row]",
+           "self._rand, J)[stream_row[::-1]]",
+           ("tests/test_rollout.py::test_step_is_the_oracle",),
+           "each running row gets the disturbance drawn from its own stream"),
+    Mutant("friction_rows_swapped", "env.py",
+           "(1.0 + friction)[:, None]",
+           "(1.0 + friction[::-1])[:, None]",
+           ("tests/test_env.py::TestBatch::test_step_rows_equal_single_steps",),
+           "each episode's friction scale is its own stream's draw"),
+    Mutant("row_params_keep_a_stale_v_span", "env.py",
+           "replace(p, **{f: per_row(getattr(p, f)) for f in _PARAM_FIELDS})",
+           "(lambda new: (vars(new).update(v_span=p.v_span), new)[1])("
+           "replace(p, **{f: per_row(getattr(p, f)) for f in _PARAM_FIELDS}))",
+           ("tests/test_env.py::TestBatch::test_params_at_the_randomization_bounds_pass_their_checks",),
+           "a params copy derives its own v_span, never the cached one of its source"),
     Mutant("motion_files_take_directories", "cli.py",
            "return [p for p in paths if os.path.isfile(p)]",
            "return paths",

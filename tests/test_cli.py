@@ -149,6 +149,24 @@ def test_usage_error_exits_1(argv, capsys):
     assert err.startswith("usage: flowtrack") and "error: " in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+@pytest.mark.parametrize("command", ["train", "eval", "refine"])
+def test_seed_is_a_non_negative_integer(tmp_path, capsys, command, seed):
+    """A --seed below 0 is a usage error that names the option; it exited 1
+    with numpy's bare `expected non-negative integer` (train, refine), or
+    ran (eval)."""
+    argv = ["--seed", seed, "--quiet", command, "--motions", "m.json"]
+    argv += {"train": ["--out", str(tmp_path / "x")],
+             "eval": ["--policy", "p.json"],
+             "refine": ["--policy", "p.json", "--out", str(tmp_path / "x")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flowtrack")
+    assert err.endswith(f"error: argument --seed: must be an integer >= 0, got {seed}\n")
+
+
 @pytest.mark.parametrize("command, kind, message", [
     ("analyze", "missing", "error: motion path '{path}' is neither a file nor a directory\n"),
     ("eval", "missing", "error: motion path '{path}' is neither a file nor a directory\n"),

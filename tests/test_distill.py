@@ -216,6 +216,33 @@ class TestDaggerTrain:
             assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
 
 
+SINE = make_sine(0.2, 0.25, duration=4.0)
+
+
+@pytest.mark.parametrize("field, value, build", [pytest.param(*case, id=case[0]) for case in [
+    *[(name, 1.5, lambda name, v: DistillCfg(**{name: v}))
+      for name in ("iterations", "episodes_per_iter", "gradient_steps", "batch_size")],
+    *[(name, 1.5, lambda name, v: ESCfg(**{name: v}))
+      for name in ("generations", "population", "episodes_per_eval")],
+    ("lookahead", 1.5, lambda name, v: ExpertPolicy(SINE, lookahead=v)),
+    ("n_rollouts", True, lambda name, v: evaluate_policy(
+        init_net(2, tiny_env().obs_dim, hidden=(8,)), tiny_env(), {"m": SINE}, n_rollouts=v)),
+    ("hidden.0", 2.5, lambda name, v: init_net(2, 4, hidden=(v,))),
+    ("hidden.1", 8.0, lambda name, v: init_residual(tiny_env(), hidden=(8, v))),
+    ("time_embed_dim", 4.0, lambda name, v: init_net(2, 4, time_embed_dim=v)),
+]])
+def test_counts_are_integers(monkeypatch, field, value, build):
+    """A count set to a float or a bool is an error naming its field where it
+    is set; each of these constructed and then failed later with a bare numpy
+    or builtin error, or ran as 1 (`n_rollouts=True`)."""
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out")
+
+    monkeypatch.setattr(distill, "rollout_batch", no_rollout)
+    with pytest.raises(ValidationError, match=rf"^{field} must be an integer, got {value}$"):
+        build(field, value)
+
+
 class TestResidual:
     def test_compose_zero_residual(self):
         a = np.array([0.5, -0.2])

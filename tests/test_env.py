@@ -568,11 +568,13 @@ class TestBatch:
     def test_mixed_motion_rows_equal_single_episodes(self):
         """Rows of different clips step together, bit-equal to each clip's
         episode alone; the short clip's rows run past its end and hold its last
-        frame, while the long clip's rows go on reading theirs."""
+        frame, while the long clip's rows go on reading theirs. The long
+        clip's rows come last, so a row index and a clip index name different
+        clips (row 1 is short, clip 1 is long)."""
         env = ArmEnv({"episode_len": 40})
         short = make_sine(0.3, 0.4, duration=0.5)  # 25 frames
         clip = make_sine(0.5, 0.9, phase=(0.0, 0.6), duration=4.0)
-        motions, seeds = [clip, short, clip, short], [7, 8, 9, 10]
+        motions, seeds = [short, short, clip, clip], [7, 8, 9, 10]
         actions = np.random.default_rng(3).uniform(-2, 2, (40, 4, 2))
         obs = env.reset(motions, [np.random.default_rng(s) for s in seeds])
         rows, t, batch = env.running, 0, {i: [(obs[i], None)] for i in range(4)}
@@ -747,7 +749,7 @@ class TestEnergyAndDeterminism:
         env.kp, env.kd = np.zeros(2), np.zeros(2)
         clip = make_sine(0.0, 0.0, duration=8.0)
         env.reset(clip, [0])
-        env._qdot[0] = [3.0, -2.0]
+        env._obs[0, 2:4] = [3.0, -2.0]  # qdot: the stored observation's columns J:2J
         tol = 1e-6 * env.dt
         (e_prev,) = env.mechanical_energy()
         for _ in range(300):
@@ -817,11 +819,13 @@ class TestSolve:
     ])
     def test_non_finite_state_is_a_blowup(self, field, value):
         """The gufunc raises nothing on a non-finite system (the wrapper may
-        raise LinAlgError); the step's finiteness check reports it."""
+        raise LinAlgError); the step's finiteness check reports it. `field`
+        names the state poked, q or qdot: the stored observation's column 0 or
+        J of an episode."""
         env = ArmEnv({"episode_len": 20})
         clip = make_sine(0.3, 0.4, duration=4.0)
         env.reset(clip, [np.random.default_rng(s) for s in range(3)])
         env.step_batch(np.zeros((3, 2)))
-        getattr(env, field)[1, 0] = value
+        env._obs[1, {"_q": 0, "_qdot": env.n_joints}[field]] = value
         with pytest.raises(NumericalBlowupError, match="at step 2"):
             env.step_batch(np.zeros((3, 2)))

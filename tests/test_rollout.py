@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtrack import distill, metrics
-from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer, _flatten, _unflatten,
-                               dagger_train, episode_return, es_refine, evaluate_policy,
-                               hash_seed, rollout_batch, rollout_episode)
+from flowtrack.distill import (DistillCfg, ESCfg, ReplayBuffer, dagger_train, episode_return,
+                               es_refine, evaluate_policy, hash_seed, rollout_batch,
+                               rollout_episode)
 from flowtrack.actuation import ActuatorParams
 from flowtrack.env import (MAX_DISTURBANCE, ArmEnv, ExpertPolicy, RandomizationCfg, _disturbances,
                            _solve, expert_action)
@@ -96,11 +96,24 @@ def test_seeded_es_refine_reruns_identical():
         assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
 
 
+def flatten(params: list) -> np.ndarray:
+    """A layer list as one flat vector: each layer's W, then its b, in layer
+    order. The oracles here perturb this vector with one flat draw, which
+    `es_refine`'s per-layer draws must equal."""
+    return np.concatenate([np.concatenate([W.ravel(), b.ravel()]) for W, b in params])
+
+
+def unflatten(vector: np.ndarray, template: list) -> list:
+    """The layer list of `flatten`'s `vector`, shaped as `template`."""
+    parts = iter(np.split(vector, np.cumsum([a.size for block in template for a in block])))
+    return [(next(parts).reshape(W.shape).copy(), next(parts).copy()) for W, _ in template]
+
+
 def _variant(seed: int, scale: float = 0.3):
     """RESIDUAL with every parameter perturbed by seeded noise."""
-    theta = _flatten(RESIDUAL.params)
+    theta = flatten(RESIDUAL.params)
     theta = theta + scale * np.random.default_rng(seed).standard_normal(theta.shape)
-    return replace(RESIDUAL, params=_unflatten(theta, RESIDUAL.params))
+    return replace(RESIDUAL, params=unflatten(theta, RESIDUAL.params))
 
 
 def test_row_groups_match_separate_batches():
@@ -250,7 +263,8 @@ def test_refine_batches_draw_once_per_seed_per_step(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seed if isinstance(
         seed, np.random.Generator) else SpawnsCounting(np.random.PCG64(seed)))
     got = es_refine(NET, RESIDUAL, env, MOTION, cfg)
-    assert np.array_equal(_flatten(got[0].params), _flatten(want[0].params))
+    assert all(np.array_equal(W1, W2) and np.array_equal(b1, b2)
+               for (W1, b1), (W2, b2) in zip(got[0].params, want[0].params, strict=True))
     assert got[1] == want[1]
     assert [entry[1:] for entry in per_step if entry[0]] == [(24, 3, 3, 3), (21, 3, 3, 3)]
     assert all(noise == disturbance == seeds for _, _, seeds, noise, disturbance in per_step)
@@ -307,11 +321,12 @@ def test_residual_input_is_cut_from_the_observation(monkeypatch):
         steps = env._steps[rows]
         nxt = env._frame(rows, steps + 1)
         th_ref = env._ref_q[env._frame(rows, steps)].sum(axis=1)
-        th = env._q[rows].sum(axis=1)
+        # the state: the stored observations' first 2J columns
+        q, qdot = env._obs[rows, :2], env._obs[rows, 2:4]
+        th = q.sum(axis=1)
         command = [env._ref_q[nxt], env._ref_qdot[nxt],
                    np.stack([np.cos(th_ref) - np.cos(th), np.sin(th_ref) - np.sin(th)], axis=1)]
-        want.append(np.concatenate([env._q[rows], env._qdot[rows], applied[rows],
-                                    *command, a_flow], axis=1))
+        want.append(np.concatenate([q, qdot, applied[rows], *command, a_flow], axis=1))
         fed.clear()
         out = residual_action(env_, obs, a_prev, a_flow, blocks)
         x = np.empty_like(want[-1])
@@ -508,20 +523,20 @@ def sequential_es(net, residual, env, motion, cfg):
         return float(np.mean(episode_return(log, env.episode_len, distill.TERMINATION_FLOOR)))
 
     best = replace(residual, params=[(W.copy(), b.copy()) for W, b in residual.params])
-    theta_best = _flatten(best.params)
+    theta_best = flatten(best.params)
     f_best = fitness(best)
     history = [f_best]
     accepted = []
     for _ in range(cfg.generations):
         for k in range(cfg.population):
             theta = theta_best + cfg.sigma * rng.standard_normal(theta_best.shape)
-            candidate = replace(best, params=_unflatten(theta, best.params))
+            candidate = replace(best, params=unflatten(theta, best.params))
             f = fitness(candidate)
             if f > f_best:
                 f_best, theta_best = f, theta
                 accepted.append(k)
         history.append(f_best)
-    best = replace(best, params=_unflatten(theta_best, best.params))
+    best = replace(best, params=unflatten(theta_best, best.params))
     return best, history, accepted
 
 
@@ -944,7 +959,7 @@ def oracle_episodes(env, actions_of):
     streams = copy.deepcopy(env._rngs)
     n, J = len(streams), env.n_joints
     bound, h = env._rand.disturbance, env.dt / env.n_substeps
-    q_all, qdot_all = env._q.copy(), env._qdot.copy()
+    q_all, qdot_all = env._obs[:, :J].copy(), env._obs[:, J:2 * J].copy()
     lengths = np.zeros(n, dtype=int)
     while env.running.size:
         rows = env.running
