@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from flowtrack.flow import (AdamState, FMBatch, adam_step, euler_sample, fm_loss,
-                            fm_loss_and_grad, fm_loss_and_grad_at, init_net)
+from flowtrack.flow import (AdamState, FMBatch, adam_step, euler_sample, fm_loss_and_grad,
+                            fm_loss_and_grad_at, init_net)
 
 rng = np.random.default_rng(0)
 obs = rng.standard_normal(4)
@@ -33,9 +33,9 @@ W0, _ = net.params[0]
 h = 1e-6
 orig = W0[0, 0]
 W0[0, 0] = orig + h
-lp = fm_loss(net, batch, t_fix, eps_fix)
+lp, _ = fm_loss_and_grad_at(net, batch, t_fix, eps_fix)  # the loss at fixed draws
 W0[0, 0] = orig - h
-lm = fm_loss(net, batch, t_fix, eps_fix)
+lm, _ = fm_loss_and_grad_at(net, batch, t_fix, eps_fix)
 W0[0, 0] = orig
 g_fd = (lp - lm) / (2 * h)
 g_an = grads[0][0][0, 0]
@@ -57,7 +57,7 @@ for i in range(steps):
     loss, grads = fm_loss_and_grad(net, batch, rng)
     net.params, state = adam_step(net.params, grads, state, lr=lr)
     if i % 1000 == 0 or i == steps - 1:
-        ev = fm_loss(net, eval_batch, t_eval, eps_eval)
+        ev, _ = fm_loss_and_grad_at(net, eval_batch, t_eval, eps_eval)
         print(f"  step {i:>5}  loss {loss:.4f}  (eval {ev:.5f})")
 
 print()
@@ -65,7 +65,7 @@ print("sampling accuracy vs integration steps (mean |a - a_expert| over 256 draw
 for D in (1, 2, 5, 20, 100):
     r = np.random.default_rng(5)
     net_D = replace(net, sampler_steps=D)  # the same field, sampled with D steps
-    errs = [np.linalg.norm(euler_sample(net_D, obs, r) - a_expert)
+    errs = [np.linalg.norm(euler_sample(net_D, obs, r.standard_normal(2)) - a_expert)
             for _ in range(256)]
     print(f"  D={D:>3}: {np.mean(errs):.4f}")
 print("a single step is crude, a handful of steps lands within a few")

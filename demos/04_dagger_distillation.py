@@ -51,7 +51,7 @@ for i, (name, motion) in enumerate((("slow", motions[0]), ("mid", motions[1]))):
     env.reset(motion, [200])  # one episode: a batch of one
     errs, done = [], False
     while not done:
-        _, _, (done,), info = env.step_batch([expert_action(experts[i], env)])
+        _, _, (done,), info = env.step_batch(expert_action(experts[i], env, [env.step_count]))
         errs.append(info["q_err"][0])
     e_ex = float(np.mean(errs))
     print(f"{name:<8}{e_un:>11.4f}{e_tr:>11.4f}{e_ex:>9.4f}")

@@ -29,8 +29,8 @@ class ReplayBuffer:
     """Flat store of up to `capacity` (observation, expert action) records,
     in arrays allocated once, with rows `obs_dim` and `action_dim` wide.
 
-    `add` appends n observation rows and n action rows (a 1-D pair is one
-    row); `clear` empties the buffer and keeps the arrays for reuse.
+    `add` appends (n, obs_dim) observation rows and (n, action_dim) action
+    rows; `clear` empties the buffer and keeps the arrays for reuse.
     """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
@@ -47,7 +47,6 @@ class ReplayBuffer:
     def add(self, obs, a_expert) -> None:
         """Append the rows; DimensionError unless they are as many of each,
         fit the free rows and have the buffer's widths."""
-        obs, a_expert = np.atleast_2d(obs), np.atleast_2d(a_expert)
         if len(obs) != len(a_expert):
             raise DimensionError(f"{len(obs)} observation rows but {len(a_expert)} action rows")
         end, widths = self._size + len(obs), obs.shape[1:] + a_expert.shape[1:]

@@ -583,16 +583,19 @@ class ExpertPolicy:
         require("action_limit", self.action_limit, self.action_limit > 0, "positive")
 
 
-def expert_action(expert: ExpertPolicy, env: ArmEnv, steps=None, row: int = 0) -> np.ndarray:
-    """Labels of episode `row` at the control steps `steps` (one per entry), or a
-    (J,) label at its current step when None. A label reads the row's clip and
-    randomization, never its state, so a finished episode is labelled at once,
-    in one call that builds the row's friction-scaled actuator params once.
-    `row` indexes the episodes of the last `reset` and `steps` are >= 0; either
-    out of range raises ValidationError."""
+def expert_action(expert: ExpertPolicy, env: ArmEnv, steps, row: int = 0) -> np.ndarray:
+    """(len(steps), J) labels of episode `row` at the control steps `steps`.
+    A label reads the row's clip and randomization, never its state, so a
+    finished episode is labelled at once, in one call that builds the row's
+    friction-scaled actuator params once. `row` indexes the episodes of the
+    last `reset` and `steps` is a 1-D array of integers >= 0: steps of another
+    shape raise DimensionError, any other bad value ValidationError."""
     n = env._steps.size
     require("row", row, 0 <= row < n, f"an episode row in [0, {n})")
-    steps = env._steps[row] if steps is None else np.asarray(steps)
+    steps = np.asarray(steps)
+    if steps.ndim != 1:
+        raise DimensionError(f"steps must be 1-D, got shape {steps.shape}")
+    require("steps", steps, np.issubdtype(steps.dtype, np.integer), "integers")
     require("steps", steps, np.all(steps >= 0), ">= 0")
     clip = env._clips[env._clip[row]]
     if expert.motion is not clip and not expert.motion.allclose(clip):

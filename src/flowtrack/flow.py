@@ -212,12 +212,6 @@ def _input_rows(net: VelocityFieldNet, a, t, obs, out=None):
     return out
 
 
-def forward(net: VelocityFieldNet, a, t, obs) -> np.ndarray:
-    """Evaluate the velocity field; returns the shape of `a` (one action is
-    a batch of one row)."""
-    return mlp_forward(net.params, _input_rows(net, a, t, obs)).reshape(np.shape(a))
-
-
 # ---------------------------------------------------------------------------
 # Training objective.
 
@@ -261,14 +255,6 @@ class GradWorkspace:
         self.grads = [(np.empty((o, i)), np.empty(o)) for i, o in zip(sizes[:-1], sizes[1:])]
 
 
-def fm_loss(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray, eps: np.ndarray) -> float:
-    """Flow-matching loss for given noise draws (used by gradient oracles)."""
-    a_t = (1.0 - t[:, None]) * batch.expert_actions + t[:, None] * eps
-    u = eps - batch.expert_actions
-    v = mlp_forward(net.params, _input_rows(net, a_t, t, batch.observations))
-    return float(np.mean(np.sum((v - u) ** 2, axis=1)))
-
-
 def fm_loss_and_grad_at(net: VelocityFieldNet, batch: FMBatch, t: np.ndarray,
                         eps: np.ndarray, ws: GradWorkspace | None = None) -> tuple[float, list]:
     """Loss and exact parameter gradients at fixed (t, eps) draws.
@@ -310,22 +296,20 @@ def fm_loss_and_grad(net: VelocityFieldNet, batch: FMBatch, rng,
 def euler_sample(net: VelocityFieldNet, obs, noise) -> np.ndarray:
     """Integrate the field from Gaussian noise at t=1 to an action at t=0.
 
-    x starts at N(0, I); each of the net's D = `sampler_steps` steps applies
-    x <- x - v(x, t, obs)/D at t = 1 - k/D. `noise` is that start: an array
-    of the actions' shape, one action row per observation row, or one
-    Generator, which draws it as `standard_normal(shape)`, in row order. One
-    observation is the batch of one row, returned as one action; (G, m,
-    obs_dim) rows are G groups, each bit-equal to sampling its m rows alone
-    (see `mlp_forward`).
+    x starts at `noise`, an N(0, I) draw of the actions' shape, one action row
+    per observation row; each of the net's D = `sampler_steps` steps applies
+    x <- x - v(x, t, obs)/D at t = 1 - k/D. One observation is the batch of
+    one row, returned as one action; (G, m, obs_dim) rows are G groups, each
+    bit-equal to sampling its m rows alone (see `mlp_forward`).
     """
     D, A, E = net.sampler_steps, net.action_dim, net.time_embed_dim
     shape = (*np.shape(obs)[:-1], A)
-    x = noise.standard_normal(shape) if isinstance(noise, np.random.Generator) else noise
-    if not (isinstance(x, np.ndarray) and x.shape == shape):
-        raise DimensionError(f"noise of shape {np.shape(x)} for actions of shape {shape}")
+    if not (isinstance(noise, np.ndarray) and noise.shape == shape):
+        raise DimensionError(f"noise of shape {np.shape(noise)} for actions of shape {shape}")
     # [x, time_embed(t), obs] rows, assembled and checked once; each step
     # writes the time-embedding columns and rewrites the action columns
     emb = _sampler_embedding(D, E)
+    x = noise
     inp = _input_rows(net, x, None, obs)
     for k in range(D):
         inp[..., A:A + E] = emb[k]

@@ -4,7 +4,7 @@ Complexity metrics summarize how dynamically demanding a reference clip is
 (kinematic maxima, vertical CoM speed, airborne ratio, contact switching);
 difficulty scores map those onto a [0, 1] 6-vector for cross-motion
 comparison. Tracking metrics (MPJPE / velocity / acceleration discrepancies,
-success rate) quantify how well a rollout reproduced its reference.
+early termination) quantify how well a rollout reproduced its reference.
 
 Everything here is pure array math; alignment of the reference to the robot
 is the caller's job.
@@ -202,23 +202,12 @@ def delta_acc(ref_v, rob_v, dt: float) -> float:
 
 def check_termination(z_errors, orient_err, thr: TerminationThresholds,
                       relaxed: bool = False):
-    """True when the episode should end early.
+    """Which episodes should end early, as numpy bools.
 
     Triggers when any tracked-body vertical error exceeds z_err_max or the
     gravity-vector discrepancy angle exceeds grav_err_max (scaled by
-    relax_factor in relaxed mode). Bodies are the last axis: (N, B) errors
-    with (N,) angles give one decision per episode row as a bool array.
+    relax_factor in relaxed mode). Bodies are the last axis: (N, B) errors with
+    (N,) angles give one decision per row, (B,) errors and an angle just one.
     """
-    z_errors = np.atleast_1d(np.asarray(z_errors, dtype=float))
     limit = thr.grav_err_max * (thr.relax_factor if relaxed else 1.0)
-    out = (np.abs(z_errors) > thr.z_err_max).any(axis=-1) | (np.abs(orient_err) > limit)
-    return bool(out) if out.ndim == 0 else out
-
-
-def success_rate(episodes) -> float:
-    """Fraction of episodes, dicts with a `terminated_early` flag, that ran to
-    time-out instead of terminating early."""
-    episodes = list(episodes)
-    if not episodes:
-        raise ValidationError("success_rate needs at least one episode")
-    return sum(not ep["terminated_early"] for ep in episodes) / len(episodes)
+    return (np.abs(z_errors) > thr.z_err_max).any(axis=-1) | (np.abs(orient_err) > limit)

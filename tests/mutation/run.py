@@ -207,6 +207,17 @@ MUTANTS = (
            "replace(p, **{f: per_row(getattr(p, f)) for f in _PARAM_FIELDS}))",
            ("tests/test_env.py::TestBatch::test_params_at_the_randomization_bounds_pass_their_checks",),
            "a params copy derives its own v_span, never the cached one of its source"),
+    Mutant("fm_grad_scale", "flow.py",
+           "2.0 * resid / n",
+           "resid / n",
+           ("tests/test_acceptance.py::test_criterion_5_gradient_check",),
+           "the gradients are those of the loss that the same step returns"),
+    Mutant("termination_unrelaxed", "metrics.py",
+           "(thr.relax_factor if relaxed else 1.0)",
+           "1.0",
+           ("tests/test_metrics.py::TestTermination::test_orientation_relaxation",
+            "tests/test_acceptance.py::test_criterion_8_success_rate_protocol"),
+           "relaxed mode scales the orientation limit by relax_factor"),
     Mutant("motion_files_take_directories", "cli.py",
            "return [p for p in paths if os.path.isfile(p)]",
            "return paths",

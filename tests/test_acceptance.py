@@ -18,7 +18,7 @@ import pytest
 from flowtrack import actuation, cli, distill, flow, metrics
 from flowtrack.actuation import PowerPenaltyCfg, default_catalog
 from flowtrack.env import ArmEnv, ExpertPolicy, expert_action
-from flowtrack.flow import FMBatch, euler_sample, fm_loss, fm_loss_and_grad_at
+from flowtrack.flow import FMBatch, euler_sample, fm_loss_and_grad_at
 from flowtrack.metrics import TerminationThresholds, check_termination
 from flowtrack.motion import load_motion, save_motion
 
@@ -133,9 +133,9 @@ def test_criterion_5_gradient_check():
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    lp = fm_loss(net, batch, t, eps)
+                    lp, _ = fm_loss_and_grad_at(net, batch, t, eps)
                     arr[idx] = orig - h
-                    lm = fm_loss(net, batch, t, eps)
+                    lm, _ = fm_loss_and_grad_at(net, batch, t, eps)
                     arr[idx] = orig
                     g_fd = (lp - lm) / (2 * h)
                     g_an = grads[li][gi][idx]
@@ -156,7 +156,7 @@ def test_criterion_6_sampler_exactness():
     ok = True
     for D in (1, 5, 100):
         net.sampler_steps = D
-        out = euler_sample(net, np.zeros(3), np.random.default_rng(42))
+        out = euler_sample(net, np.zeros(3), np.random.default_rng(42).standard_normal(2))
         x = np.random.default_rng(42).standard_normal(2)
         for _ in range(D):  # independent implementation of the same recurrence
             x = x - u / D
@@ -168,7 +168,7 @@ def test_criterion_6_sampler_exactness():
     W = W.copy()
     W[:, :2] = np.eye(2)
     lin.params[0] = (W, b)
-    out = euler_sample(lin, np.zeros(3), np.random.default_rng(7))
+    out = euler_sample(lin, np.zeros(3), np.random.default_rng(7).standard_normal(2))
     x1 = np.random.default_rng(7).standard_normal(2)
     rel = float(np.max(np.abs(out - np.exp(-1.0) * x1) / np.abs(np.exp(-1.0) * x1)))
     ok &= rel < 0.02
@@ -195,7 +195,8 @@ def test_criterion_7_distillation_efficacy(two_sine_setup):
             errs = []
             done = False
             while not done:
-                _, _, (done,), info = env.step_batch([expert_action(experts[i], env)])
+                _, _, (done,), info = env.step_batch(
+                    expert_action(experts[i], env, [env.step_count]))
                 errs.append(info["q_err"][0])
             errs += [np.pi] * (env.episode_len - len(errs))
             expert_errs.append(np.mean(errs))
@@ -225,7 +226,7 @@ def test_criterion_8_success_rate_protocol():
     motion_hard = make_sine(0.55, 0.95, phase=(0.0, 0.8))
     expert = ExpertPolicy(motion_easy)
     rng = np.random.default_rng(0)
-    episodes = []
+    terminated = []  # of each episode
     disagreements = 0
     for ep in range(100):
         if ep % 4 == 0:
@@ -239,7 +240,7 @@ def test_criterion_8_success_rate_protocol():
         done = False
         while not done:
             if policy == "expert":
-                a = expert_action(expert, env)
+                a = expert_action(expert, env, [env.step_count])[0]
             else:
                 a = rng.uniform(-5.0, 5.0, 2)
             _, _, (done,), info = env.step_batch([a])
@@ -253,15 +254,15 @@ def test_criterion_8_success_rate_protocol():
         last = infos[-1]
         success = not last["terminated_early"]
         ok &= success == (len(infos) == env.episode_len and last["timeout"])
-        episodes.append({"terminated_early": last["terminated_early"]})
+        terminated.append(last["terminated_early"])
     ok &= disagreements == 0
-    rate = metrics.success_rate(episodes)
+    rate = float(np.mean(~np.array(terminated)))  # as `evaluate_policy` counts success
     ok &= 0.0 < rate < 1.0  # the mix produced both outcomes
     # relaxed mode accepts orientation errors up to 1.5x the base threshold
     thr = TerminationThresholds(grav_err_max=0.8, relax_factor=1.5)
-    ok &= check_termination([0.0], 1.0, thr, relaxed=False) is True
-    ok &= check_termination([0.0], 1.0, thr, relaxed=True) is False
-    ok &= check_termination([0.0], 1.25, thr, relaxed=True) is True
+    ok &= bool(check_termination([0.0], 1.0, thr, relaxed=False))
+    ok &= not check_termination([0.0], 1.0, thr, relaxed=True)
+    ok &= bool(check_termination([0.0], 1.25, thr, relaxed=True))
     elapsed = time.monotonic() - t0
     ok &= elapsed < 60.0
     report(8, "success-rate protocol and termination single-source", ok,

@@ -22,8 +22,8 @@ def tiny_env(episode_len=60):
 class TestReplayBuffer:
     def test_add_clear(self):
         buf = ReplayBuffer(4, 3, 2)
-        buf.add(np.zeros(3), np.zeros(2))
-        buf.add(np.ones(3), np.ones(2))
+        buf.add(np.zeros((1, 3)), np.zeros((1, 2)))
+        buf.add(np.ones((1, 3)), np.ones((1, 2)))
         assert len(buf) == 2
         buf.clear()
         assert len(buf) == 0
@@ -35,7 +35,7 @@ class TestReplayBuffer:
         with pytest.raises(DimensionError, match="5 observation rows but 2 action rows"):
             buf.add(np.zeros((5, 3)), np.ones((2, 2)))
         with pytest.raises(DimensionError, match="5 observation rows but 1 action rows"):
-            buf.add(np.zeros((5, 3)), np.ones(2))
+            buf.add(np.zeros((5, 3)), np.ones((1, 2)))
         assert len(buf) == 0
 
     def test_samples_added_rows(self):
@@ -43,8 +43,8 @@ class TestReplayBuffer:
         rng = np.random.default_rng(7)
         obs, act = rng.standard_normal((n, 4)), rng.standard_normal((n, 2))
         buf = ReplayBuffer(n, 4, 2)
-        for o, a in zip(obs, act):
-            buf.add(o, a)
+        for i in range(n):
+            buf.add(obs[i:i + 1], act[i:i + 1])
         assert len(buf) == n
         batch = buf.sample_batch(256, np.random.default_rng(3))
         idx = np.random.default_rng(3).integers(0, n, size=n)
@@ -56,11 +56,11 @@ class TestReplayBuffer:
     def test_clear_reuses_arrays(self):
         buf = ReplayBuffer(3, 3, 2)
         for i in range(3):
-            buf.add(np.full(3, i), np.full(2, -i))
+            buf.add(np.full((1, 3), i), np.full((1, 2), -i))
         obs_rows, act_rows = buf._obs, buf._act
         buf.clear()
         assert len(buf) == 0
-        buf.add(np.full(3, 9.0), np.full(2, 8.0))
+        buf.add(np.full((1, 3), 9.0), np.full((1, 2), 8.0))
         assert buf._obs is obs_rows and buf._act is act_rows
         batch = buf.sample_batch(5, np.random.default_rng(0))
         assert np.array_equal(batch.observations, np.full((1, 3), 9.0))

@@ -312,7 +312,7 @@ class TestStep:
         done = False
         steps = 0
         while not done:
-            _, _, (done,), info = env.step_batch([expert_action(expert, env)])
+            _, _, (done,), info = env.step_batch(expert_action(expert, env, [env.step_count]))
             steps += 1
         assert steps == 60
         assert info["timeout"][0] and not info["terminated_early"][0]
@@ -416,12 +416,14 @@ class TestObservation:
         expert, seeds = ExpertPolicy(clip), [3, 4, 5]
         obs = env.reset(clip, [np.random.default_rng(s) for s in seeds])
         seen = [([o], []) for o in obs]  # each row's observations and actions
+        step = 0  # every running row's step: the rows step together
         while env.running.size:
             rows = env.running
             # the middle row is pushed off its reference, the others track it
-            actions = [np.full(2, 4.0) if i == 1 else expert_action(expert, env, row=i)
+            actions = [np.full(2, 4.0) if i == 1 else expert_action(expert, env, [step], row=i)[0]
                        for i in rows]
             obs, _, _, _ = env.step_batch(actions)
+            step += 1
             for i, o, a in zip(rows, obs, actions):
                 seen[i][0].append(o)
                 seen[i][1].append(a)
@@ -468,14 +470,16 @@ class TestBatch:
         rngs = [np.random.default_rng(s) for s in range(4)]
         env.reset(clip, rngs, mode="aggressive")
         assert env._actuators_ep.mu_s.shape == (4, 2)
-        saw_subset = False
+        saw_subset, step = False, 0
         while env.running.size:
             rows = env._rows
             saw_subset |= not isinstance(rows, slice)
             params = env._consts[0]
             assert np.array_equal(params.mu_s, env._actuators_ep.mu_s[rows])
             assert params.tau_y1.shape == (env.running.size, 2)
-            env.step_batch([expert_action(ExpertPolicy(clip), env, row=i) for i in env.running])
+            env.step_batch([expert_action(ExpertPolicy(clip), env, [step], row=i)[0]
+                            for i in env.running])
+            step += 1
         assert saw_subset
 
     def test_params_at_the_randomization_bounds_pass_their_checks(self):
@@ -632,7 +636,7 @@ class TestExpert:
         clip = make_sine(0.0, 0.0, duration=4.0)
         env.reset(clip, [0])
         expert = ExpertPolicy(clip, lookahead=0)
-        a = expert_action(expert, env)
+        a = expert_action(expert, env, [0])
         q_tar = env.q0_eff + env.action_scale * a
         assert np.allclose(q_tar, clip.q[0], atol=1e-12)
 
@@ -654,7 +658,7 @@ class TestExpert:
             env.reset(clip, list(range(episodes)))
         with pytest.raises(ValidationError,
                            match=rf"^row must be an episode row in \[0, {episodes}\), got {row}$"):
-            expert_action(ExpertPolicy(clip), env, row=row)
+            expert_action(ExpertPolicy(clip), env, [0], row=row)
 
     @pytest.mark.parametrize("steps", [[-5], [3, -1, 4]])
     def test_negative_steps_rejected(self, steps):
@@ -667,13 +671,28 @@ class TestExpert:
         # the steps from 0 still label
         assert expert_action(ExpertPolicy(clip), env, steps=np.arange(3)).shape == (3, 2)
 
+    @pytest.mark.parametrize("steps, error, what", [
+        ([1.5], ValidationError, r"integers, got \[1\.5\]"),
+        ([True], ValidationError, r"integers, got \[ True\]"),
+        ([[1, 2]], DimensionError, r"1-D, got shape \(1, 2\)"),
+        (3, DimensionError, r"1-D, got shape \(\)"),
+    ])
+    def test_steps_are_a_1d_array_of_integers(self, steps, error, what):
+        """A float step is no index, a boolean no step count, and a nested
+        list no list of steps; each is refused by name."""
+        env = quiet_env()
+        clip = make_sine(0.3, 0.4, duration=4.0)
+        env.reset(clip, [0])
+        with pytest.raises(error, match=f"^steps must be {what}$"):
+            expert_action(ExpertPolicy(clip), env, steps)
+
     def test_wrong_motion_rejected(self):
         env = quiet_env()
         clip = make_sine(0.3, 0.4, duration=4.0)
         other = make_sine(0.2, 0.3, duration=4.0)
         env.reset(clip, [0])
         with pytest.raises(ValidationError):
-            expert_action(ExpertPolicy(other), env)
+            expert_action(ExpertPolicy(other), env, [0])
 
     def test_tracks_slow_sinusoid_within_ten_percent(self):
         env = quiet_env(episode_len=500)
@@ -683,7 +702,7 @@ class TestExpert:
         errs = []
         done = False
         while not done:
-            _, _, (done,), info = env.step_batch([expert_action(expert, env)])
+            _, _, (done,), info = env.step_batch(expert_action(expert, env, [env.step_count]))
             errs.append(info["q_err"][0])
         assert not info["terminated_early"][0]
         assert float(np.mean(errs)) < 0.1 * 0.3
@@ -693,8 +712,8 @@ class TestExpert:
         clip = make_sine(0.3, 0.4, duration=4.0)
         env.reset(clip, [0])
         expert = ExpertPolicy(clip)
-        a1 = expert_action(expert, env)
-        a2 = expert_action(expert, env)
+        a1 = expert_action(expert, env, [0])
+        a2 = expert_action(expert, env, [0])
         assert np.array_equal(a1, a2)
 
     def test_an_episode_labels_with_one_params_copy(self, monkeypatch):
@@ -715,7 +734,7 @@ class TestExpert:
         env.reset(clip, [0])
         per_step = []
         for _ in range(50):
-            per_step.append(expert_action(expert, env))
+            per_step.append(expert_action(expert, env, [env.step_count])[0])
             env.step_batch([per_step[-1]])
         before = len(built)
         labels = expert_action(expert, env, np.arange(50))
@@ -730,12 +749,12 @@ class TestExpert:
         expert = ExpertPolicy(clip)
         env = ArmEnv({"episode_len": 60})
         env.reset(clip, [1])
-        first = expert_action(expert, env)
+        first = expert_action(expert, env, [0])
         env.reset(clip, [2])
-        second = expert_action(expert, env)
+        second = expert_action(expert, env, [0])
         fresh = ArmEnv({"episode_len": 60})
         fresh.reset(clip, [2])
-        assert np.array_equal(second, expert_action(expert, fresh))
+        assert np.array_equal(second, expert_action(expert, fresh, [0]))
         assert not np.array_equal(first, second)
 
 

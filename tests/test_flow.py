@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from flowtrack import flow
 from flowtrack.errors import CheckpointError, DimensionError, ValidationError
 from flowtrack.flow import (MAX_LAYER_WIDTH, MAX_SAMPLER_STEPS, AdamState, FMBatch,
-                            VelocityFieldNet, adam_step, euler_sample, fm_loss,
-                            fm_loss_and_grad, fm_loss_and_grad_at, forward, init_net,
-                            load_policy, save_policy, time_embedding)
+                            VelocityFieldNet, adam_step, euler_sample, fm_loss_and_grad,
+                            fm_loss_and_grad_at, init_net, load_policy, save_policy,
+                            time_embedding)
 
 
 def identity_on_action_net(action_dim=2, obs_dim=3):
@@ -24,6 +24,12 @@ def identity_on_action_net(action_dim=2, obs_dim=3):
     return net
 
 
+def field(net, a, t, obs):
+    """The velocity field at (N, action_dim) rows: the product `euler_sample`
+    takes each step, on the rows `fm_loss_and_grad_at` builds."""
+    return flow.mlp_forward(net.params, flow._input_rows(net, a, t, obs))
+
+
 def constant_net(u, obs_dim=3):
     net = init_net(len(u), obs_dim, hidden=(), time_embed_dim=4)
     W, b = net.params[0]
@@ -34,19 +40,19 @@ def constant_net(u, obs_dim=3):
 class TestForward:
     def test_zero_initialized_net_outputs_zero(self):
         net = init_net(2, 3, hidden=(8,))
-        out = forward(net, np.ones(2), 0.5, np.ones(3))
-        assert np.all(out == 0.0)
+        out = field(net, np.ones((1, 2)), 0.5, np.ones((1, 3)))
+        assert out.shape == (1, 2) and np.all(out == 0.0)
 
     def test_identity_on_action_block(self):
         net = identity_on_action_net()
-        a = np.array([0.3, -1.2])
-        assert np.array_equal(forward(net, a, 0.7, np.ones(3)), a)
+        a = np.array([[0.3, -1.2]])
+        assert np.array_equal(field(net, a, 0.7, np.ones((1, 3))), a)
 
     def test_deterministic(self):
         net = init_net(2, 3, hidden=(16, 16), rng=np.random.default_rng(0))
-        a, obs = np.ones(2), np.ones(3)
-        o1 = forward(net, a, 0.3, obs)
-        o2 = forward(net, a, 0.3, obs)
+        a, obs = np.ones((1, 2)), np.ones((1, 3))
+        o1 = field(net, a, 0.3, obs)
+        o2 = field(net, a, 0.3, obs)
         assert np.array_equal(o1, o2)
 
     @pytest.mark.parametrize("hidden", [(0,), (8, MAX_LAYER_WIDTH + 1)])
@@ -55,11 +61,13 @@ class TestForward:
             VelocityFieldNet(2, 5, hidden=hidden)
 
     def test_dim_mismatch(self):
+        """The sampler checks its noise against the net's action dim and its
+        observations against the net's obs dim."""
         net = init_net(2, 3)
-        with pytest.raises(DimensionError):
-            forward(net, np.ones(4), 0.5, np.ones(3))
-        with pytest.raises(DimensionError):
-            forward(net, np.ones(2), 0.5, np.ones(5))
+        with pytest.raises(DimensionError, match="noise of shape"):
+            euler_sample(net, np.ones((1, 3)), np.ones((1, 4)))
+        with pytest.raises(DimensionError, match="obs dim 5 != net obs dim 3"):
+            euler_sample(net, np.ones((1, 5)), np.ones((1, 2)))
 
     def test_batched_matches_single(self):
         net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(1))
@@ -67,12 +75,10 @@ class TestForward:
         a = rng.standard_normal((4, 2))
         obs = rng.standard_normal((4, 3))
         t = rng.uniform(size=4)
-        batch = forward(net, a, t, obs)
+        batch = field(net, a, t, obs)
         for i in range(4):
-            assert np.allclose(batch[i], forward(net, a[i], t[i], obs[i]), atol=0)
-        # one action is the batch of one, bit for bit
-        one = forward(net, a[0], t[0], obs[0])
-        assert one.shape == (2,) and np.array_equal(one, forward(net, a[:1], t[:1], obs[:1])[0])
+            assert np.allclose(batch[i], field(net, a[i:i + 1], t[i:i + 1], obs[i:i + 1])[0],
+                               atol=0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 24),
@@ -100,7 +106,7 @@ class TestLoss:
         a_exp = np.array([[0.4, -0.7]])
         net = constant_net(-a_exp[0])
         batch = FMBatch(np.ones((1, 3)), a_exp)
-        loss = fm_loss(net, batch, t=np.array([0.3]), eps=np.zeros((1, 2)))
+        loss, _ = fm_loss_and_grad_at(net, batch, t=np.array([0.3]), eps=np.zeros((1, 2)))
         assert loss == 0.0
 
     def test_loss_non_negative(self):
@@ -128,9 +134,9 @@ class TestLoss:
                         idx = it.multi_index
                         orig = arr[idx]
                         arr[idx] = orig + h
-                        lp = fm_loss(net, batch, t, eps)
+                        lp, _ = fm_loss_and_grad_at(net, batch, t, eps)
                         arr[idx] = orig - h
-                        lm = fm_loss(net, batch, t, eps)
+                        lm, _ = fm_loss_and_grad_at(net, batch, t, eps)
                         arr[idx] = orig
                         g_fd = (lp - lm) / (2 * h)
                         g_an = grads[li][gi][idx]
@@ -233,7 +239,7 @@ class TestEulerSampler:
         net = constant_net(u)
         for D in (1, 5, 100):
             out = euler_sample(replace(net, sampler_steps=D), np.zeros(3),
-                               np.random.default_rng(42))
+                               np.random.default_rng(42).standard_normal(2))
             # independent implementation of the same recurrence
             x = np.random.default_rng(42).standard_normal(2)
             for _ in range(D):
@@ -244,7 +250,7 @@ class TestEulerSampler:
 
     def test_linear_field_matches_ode(self):
         net = replace(identity_on_action_net(), sampler_steps=1000)
-        out = euler_sample(net, np.zeros(3), np.random.default_rng(7))
+        out = euler_sample(net, np.zeros(3), np.random.default_rng(7).standard_normal(2))
         x1 = np.random.default_rng(7).standard_normal(2)
         analytic = np.exp(-1.0) * x1
         assert np.max(np.abs(out - analytic) / np.abs(analytic)) < 0.02
@@ -258,7 +264,7 @@ class TestEulerSampler:
         rows = euler_sample(net, obs, noise)
         assert rows.shape == (3, 2)
         for row, o, s in zip(rows, obs, (1, 2, 3)):
-            single = euler_sample(net, o, np.random.default_rng(s))
+            single = euler_sample(net, o, np.random.default_rng(s).standard_normal(2))
             np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -270,23 +276,23 @@ class TestEulerSampler:
         obs = np.random.default_rng(5).standard_normal((n, 5))
         noise = np.array([np.random.default_rng(s).standard_normal(2) for s in range(10, 10 + n)])
         out = euler_sample(net, obs, noise)
-        # the sampler's recurrence, one `forward` call per step
+        # the sampler's recurrence, one field evaluation per step
         x = noise
         for k in range(D):
-            x = x - forward(net, x, 1.0 - k / D, obs) / D
+            x = x - field(net, x, 1.0 - k / D, obs) / D
         assert np.array_equal(out, x)
-        single = euler_sample(net, obs[0], np.random.default_rng(10))
-        x = np.random.default_rng(10).standard_normal(2)
+        single = euler_sample(net, obs[0], noise[0])
+        x = noise[:1]
         for k in range(D):
-            x = x - forward(net, x, 1.0 - k / D, obs[0]) / D
-        assert single.shape == (2,) and np.array_equal(single, x)
+            x = x - field(net, x, 1.0 - k / D, obs[:1]) / D
+        assert single.shape == (2,) and np.array_equal(single, x[0])
         if n == 1:  # one observation is the batch of one
             assert np.array_equal(single, out[0])
 
     def test_same_seed_same_action(self):
         net = init_net(2, 3, hidden=(8,), rng=np.random.default_rng(3))
-        a1 = euler_sample(net, np.ones(3), np.random.default_rng(9))
-        a2 = euler_sample(net, np.ones(3), np.random.default_rng(9))
+        a1 = euler_sample(net, np.ones(3), np.random.default_rng(9).standard_normal(2))
+        a2 = euler_sample(net, np.ones(3), np.random.default_rng(9).standard_normal(2))
         assert np.array_equal(a1, a2)
 
 
@@ -527,7 +533,8 @@ class TestTrainingBehaviour:
         def mean_err(D, n=128):
             rng = np.random.default_rng(5)
             errs = [np.linalg.norm(
-                euler_sample(replace(net, sampler_steps=D), self.OBS, rng) - self.A_EXP)
+                euler_sample(replace(net, sampler_steps=D), self.OBS, rng.standard_normal(2))
+                - self.A_EXP)
                 for _ in range(n)]
             return float(np.mean(errs))
         e5, e100 = mean_err(5), mean_err(100)

@@ -8,8 +8,7 @@ from flowtrack.errors import DimensionError, ValidationError
 from flowtrack.metrics import (TerminationThresholds, airborne_ratio,
                                check_termination, com_vertical_speed,
                                contact_switch_freq, delta_acc, delta_vel,
-                               difficulty_scores, max_kinematics, mpjpe,
-                               success_rate)
+                               difficulty_scores, max_kinematics, mpjpe)
 from flowtrack.motion import MotionClip
 
 from conftest import random_clip
@@ -177,15 +176,15 @@ class TestTermination:
     thr = TerminationThresholds()
 
     def test_zero_error(self):
-        assert check_termination([0.0, 0.0], 0.0, self.thr) is False
+        assert not check_termination([0.0, 0.0], 0.0, self.thr)
 
     def test_z_error(self):
-        assert check_termination([0.1, 0.3], 0.0, self.thr) is True
+        assert check_termination([0.1, 0.3], 0.0, self.thr)
 
     def test_orientation_relaxation(self):
-        assert check_termination([0.0], 1.0, self.thr, relaxed=False) is True
-        assert check_termination([0.0], 1.0, self.thr, relaxed=True) is False
-        assert check_termination([0.0], 1.3, self.thr, relaxed=True) is True
+        assert check_termination([0.0], 1.0, self.thr, relaxed=False)
+        assert not check_termination([0.0], 1.0, self.thr, relaxed=True)
+        assert check_termination([0.0], 1.3, self.thr, relaxed=True)
 
     def test_relaxation_monotone(self):
         rng = np.random.default_rng(0)
@@ -207,18 +206,6 @@ class TestTermination:
     def test_threshold_validation(self):
         with pytest.raises(ValidationError):
             TerminationThresholds(z_err_max=-1.0)
-
-
-class TestSuccessRate:
-    def test_values(self):
-        assert success_rate([{"terminated_early": False}] * 4) == 1.0
-        eps = [{"terminated_early": i >= 7} for i in range(10)]
-        assert success_rate(eps) == 0.7
-        assert success_rate([{"terminated_early": True}] * 3) == 0.0
-
-    def test_empty(self):
-        with pytest.raises(ValidationError):
-            success_rate([])
 
 
 class TestComputeComplexity:

@@ -189,19 +189,11 @@ def test_repeated_seeds_equal_separate_group_batches():
     assert np.array_equal(logs[0]["body_pos"][:, 0], logs[0]["body_pos"][:, 1])
 
 
-def test_euler_sample_from_noise_is_its_generator_form():
-    """Starting noise drawn from a copy of the Generator gives the actions of
-    the Generator form, bit for bit, for one row, N rows and G groups."""
-    rng = np.random.default_rng(4)
-    obs = rng.standard_normal((6, NET.obs_dim))
-    for rows in (obs[0], obs, obs.reshape(2, 3, -1)):
-        gen = np.random.default_rng(1)
-        noise = copy.deepcopy(gen).standard_normal((*rows.shape[:-1], NET.action_dim))
-        want = euler_sample(NET, rows, gen)
-        got = euler_sample(NET, rows, noise)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # a stream per row, drawn into the noise: each (3, ...) group of the
-    # (2, 3, ...) rows is its 3 rows sampled alone
+def test_euler_sample_groups_are_their_rows_alone():
+    """With a stream per row drawn into the noise, each (3, ...) group of the
+    (2, 3, ...) rows is its 3 rows sampled alone, bit for bit; noise that is
+    not an array of the actions' shape is refused."""
+    obs = np.random.default_rng(4).standard_normal((6, NET.obs_dim))
     noise = np.array([np.random.default_rng(s).standard_normal(NET.action_dim) for s in range(6)])
     groups = euler_sample(NET, obs.reshape(2, 3, -1), noise.reshape(2, 3, -1))
     for g, group in enumerate(groups):
@@ -705,8 +697,8 @@ def oracle_adam_step(params, grads, state, lr):
 
 def serial_dagger(env, experts, net, cfg):
     """`dagger_train` as the episode-by-episode loop it was, kept as its
-    oracle: reset, then per step an `expert_action` label of the current
-    state, an `euler_sample` action and a step of the batch of one, every
+    oracle: reset, then per step an `expert_action` label at the current
+    step, an `euler_sample` action and a step of the batch of one, every
     draw from one Generator; then the gradient steps of the oracle above,
     each on a batch drawn from the iteration's rows. Also returns the (obs,
     label) rows it collected, in order."""
@@ -721,9 +713,9 @@ def serial_dagger(env, experts, net, cfg):
             (obs,) = env.reset(experts[m].motion, [rng], mode="base")
             done = False
             while not done:
-                a_exp = expert_action(experts[m], env)
+                a_exp = expert_action(experts[m], env, [env.step_count])[0]
                 iter_rows.append((obs, a_exp))
-                a = euler_sample(net, obs, rng)
+                a = euler_sample(net, obs, rng.standard_normal(net.action_dim))
                 (obs,), _, (done,), _ = env.step_batch([a])
         rows += iter_rows
         obs_rows, act_rows = (np.array(col) for col in zip(*iter_rows))
@@ -898,7 +890,7 @@ def per_step_labels(expert, env, clip, rng, mode):
     env.reset(clip, [rng], mode=mode)
     labels, done = [], False
     while not done:
-        labels.append(expert_action(expert, env))
+        labels.append(expert_action(expert, env, [env.step_count])[0])
         _, _, (done,), _ = env.step_batch([labels[-1]])
     return np.array(labels)
 
@@ -917,8 +909,10 @@ def test_episode_labels_are_the_per_step_labels(seed, lookahead, mode, row):
                            np.random.default_rng(seed + row), mode)
     env = ArmEnv({"episode_len": 60})
     env.reset(clips, [np.random.default_rng(seed + i) for i in range(3)], mode=mode)
+    step = 0  # every running row's step: the rows step together
     while env.running.size:
-        env.step_batch([expert_action(experts[i], env, row=i) for i in env.running])
+        env.step_batch([expert_action(experts[i], env, [step], row=i)[0] for i in env.running])
+        step += 1
     got = expert_action(experts[row], env, np.arange(len(want)), row=row)
     assert np.array_equal(got, want)
     if row == 0:
